@@ -8,10 +8,12 @@ substream.  ``workers=1`` is the serial fallback running the same
 substream schedule in-process.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, QuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm, matmul
 from repro.emu.parallel import (
     BLOCK_ROWS,
     ParallelQuantizedGemm,
@@ -75,6 +77,40 @@ class TestBitIdentity:
         want = _run(a, b, workers=1, tile_rows=BLOCK_ROWS)
         got = _run(a, b, workers=2, tile_rows=BLOCK_ROWS)
         assert np.array_equal(want, got)
+
+
+class TestDrawOrderPin:
+    """The draw order in absolute terms, not relative to another run.
+
+    The reference is DESIGN section 4 written out with ``matmul`` and
+    ``spawn`` alone: each call draws a call key of 4 x 16-bit values
+    from the config's stream, and block ``(bi, j)`` (rows
+    ``[j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)`` of batch entry ``bi``)
+    runs under ``stream.spawn(call_key + (bi, j))``.
+    """
+
+    @staticmethod
+    def _reference(a, b, config):
+        key = tuple(int(v) for v in
+                    np.asarray(config.stream.integers(16, (4,))).ravel())
+        out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
+        for bi in range(a.shape[0]):
+            for j, r0 in enumerate(range(0, a.shape[1], BLOCK_ROWS)):
+                rows = slice(r0, r0 + BLOCK_ROWS)
+                block = replace(config,
+                                stream=config.stream.spawn(key + (bi, j)))
+                out[bi, rows] = matmul(a[bi, rows], b[bi], block)
+        return out
+
+    def test_2d_and_3d_calls(self, rng):
+        m = 2 * BLOCK_ROWS + 5
+        a2, b2 = rng.normal(size=(m, 24)), rng.normal(size=(24, 6))
+        a3, b3 = rng.normal(size=(3, m, 24)), rng.normal(size=(3, 24, 6))
+        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=11), workers=1)
+        want = GemmConfig.sr(9, seed=11)   # same root, advanced in step
+        assert np.array_equal(gemm(a2, b2),
+                              self._reference(a2[None], b2[None], want)[0])
+        assert np.array_equal(gemm(a3, b3), self._reference(a3, b3, want))
 
 
 class TestDeterminism:

@@ -6,12 +6,17 @@ bytes) — independent of which micro-batch the request lands in and of
 the worker count.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig
+from repro.emu import GemmConfig, TileScheduler, parallel_matmul_batched
 from repro.fp.formats import FP16
 from repro.models import MLP, SimpleCNN, TinyTransformer
+from repro.nn import Sequential
+from repro.nn.functional import im2col
+from repro.nn.layers import Conv2d, Flatten, Linear
 from repro.prng.streams import LFSRStream
 from repro.serve import InferenceSession
 from repro.serve.session import _root_base
@@ -105,6 +110,37 @@ class TestBatchCompositionInvariance:
         backward = session.predict_batch(images[:3][::-1])
         for a, b in zip(forward, backward[::-1]):
             assert np.array_equal(a, b)
+
+
+class TestDrawOrderPin:
+    """The serving draw order in absolute terms: call ``g`` of the
+    forward pass runs sample ``i``'s rows alone through the tiled
+    executor under ``config.stream.spawn(request_key).spawn((g,))``."""
+
+    def test_conv_then_linear(self, rng):
+        conv = Conv2d(2, 3, 3, rng=np.random.default_rng(1))
+        linear = Linear(3 * 9 * 9, 4, rng=np.random.default_rng(2))
+        w_conv, w_lin = conv.weight.data.copy(), linear.weight.data.copy()
+        config = _sr(9)
+        session = InferenceSession(Sequential(conv, Flatten(), linear),
+                                   config)
+        xs = [rng.normal(size=(2, 9, 9)) for _ in range(2)]
+        got = session.predict_batch(xs)
+        scheduler = TileScheduler(workers=1)
+        for x, logits in zip(xs, got):
+            stream = config.stream.spawn(session.content_key(x)[1])
+
+            def call(g, a, b):
+                return parallel_matmul_batched(
+                    a[None], b[None],
+                    replace(config, stream=stream.spawn((g,))),
+                    scheduler=scheduler)[0]
+
+            cols, (oh, ow) = im2col(x[None], 3, 1, 1)
+            hidden = call(0, cols, w_conv.T).reshape(oh, ow, 3)
+            flat = hidden.transpose(2, 0, 1).reshape(1, -1)
+            want = call(1, flat, w_lin.T)[0] + linear.bias.data
+            assert np.array_equal(logits, want)
 
 
 class TestFreezing:
