@@ -3,7 +3,7 @@
 The acceptance benchmark for ``repro.emu.autotune``: for each shape in
 the CNN (im2col), transformer (batched attention/MLP), and rtl-engine
 shape sets, run one bounded schedule search, persist the winner, then
-time the **real hot path** — :class:`repro.emu.ParallelQuantizedGemm`
+time the **real hot path** — :class:`repro.emu.QuantizedGemm`
 with ``autotune="cached"`` against the untuned default — and assert the
 two outputs are bitwise identical.
 
@@ -37,7 +37,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, ParallelQuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm
 from repro.emu.autotune import (Schedule, ScheduleCache, clear_memo,
                                 get_schedule, resolve_workers,
                                 schedule_key, search_schedule, shape_bucket)
@@ -120,10 +120,9 @@ def bench_shape(set_name, shape, make_config, cache_dir, *,
     # Hot path: untuned default vs cache-applied winner, same operands,
     # fresh same-seed instances so call 0 draws identically.
     a, b = _operands(shape)
-    base = ParallelQuantizedGemm(make_config(), workers=1)
-    tuned = ParallelQuantizedGemm(make_config(), workers=1,
-                                  autotune="cached",
-                                  schedule_cache=cache_dir)
+    base = QuantizedGemm(make_config(), workers=1)
+    tuned = QuantizedGemm(make_config(), workers=1, autotune="cached",
+                          schedule_cache=cache_dir)
     bitwise_equal = bool(np.array_equal(base(a, b), tuned(a, b)))
     default_s = _time_calls(base, a, b, repeats)
     tuned_s = _time_calls(tuned, a, b, repeats)

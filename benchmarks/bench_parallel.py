@@ -1,10 +1,11 @@
 """Tiled-parallel executor scaling: wall clock and peak im2col memory.
 
 Measures (a) the 256x256x256 SR GEMM through the tiled-parallel
-executor at ``workers in {1, N}`` against the serial engine, and (b) a
-tiled-im2col conv forward at the same worker counts, with the peak
-tiled-path memory (tracemalloc) against the bytes a full im2col
-materialization would take.  The executor's results are bit-identical
+executor at ``workers in {1, N}`` against one whole-matrix engine call
+(``matmul``), and (b) a tiled-im2col conv forward at the same worker
+counts against a conv whose gemm is a plain ``matmul`` function (the
+full-im2col branch), with the peak tiled-path memory (tracemalloc)
+against the bytes a full im2col materialization would take.  The executor's results are bit-identical
 across worker counts (asserted here on the GEMM), so the speedup column
 is a pure scheduling effect.
 
@@ -31,7 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, ParallelQuantizedGemm, QuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm, matmul
 from repro.emu.autotune import resolve_workers
 from repro.nn.layers import Conv2d
 
@@ -60,13 +61,13 @@ def _gemm_section(size, workers, repeats):
     b = rng.normal(size=(size, size))
 
     def serial():
-        return QuantizedGemm(_config())(a, b)
+        return matmul(a, b, _config())
 
     def tiled(n):
-        return ParallelQuantizedGemm(_config(), workers=n)(a, b)
+        return QuantizedGemm(_config(), workers=n)(a, b)
 
     # warm-up (also forks the pool once, outside the timed region) plus
-    # the contract check: serial fallback vs pool must agree bit for bit
+    # the contract check: workers=1 vs pool must agree bit for bit
     serial()
     assert np.array_equal(tiled(1), tiled(workers)), \
         "parallel GEMM not bit-identical across worker counts"
@@ -104,11 +105,13 @@ def _conv_section(size, workers, repeats):
 
     def tiled_layer(n):
         return Conv2d(c_in, c_out, 3,
-                      gemm=ParallelQuantizedGemm(_config(), workers=n),
+                      gemm=QuantizedGemm(_config(), workers=n),
                       rng=np.random.default_rng(0))
 
     def legacy_layer():
-        return Conv2d(c_in, c_out, 3, gemm=QuantizedGemm(_config()),
+        config = _config()
+        return Conv2d(c_in, c_out, 3,
+                      gemm=lambda a, b: matmul(a, b, config),
                       rng=np.random.default_rng(0))
 
     def forward(n):
@@ -125,7 +128,7 @@ def _conv_section(size, workers, repeats):
     oh = ow = size  # stride 1, same padding
     from repro.emu.parallel import BLOCK_ROWS
 
-    scheduler = ParallelQuantizedGemm(_config(), workers=1).scheduler
+    scheduler = QuantizedGemm(_config(), workers=1).scheduler
     full_im2col_bytes = n_images * oh * ow * c_in * 3 * 3 * 8
     tile_im2col_bytes = scheduler.tile_blocks * BLOCK_ROWS * c_in * 3 * 3 * 8
     peak_tiled = _peak_bytes(lambda: forward(1))
@@ -170,12 +173,12 @@ class TestParallelWallClock:
 
     def test_tiled_workers1(self, benchmark, operands):
         a, b = operands
-        gemm = ParallelQuantizedGemm(_config(), workers=1)
+        gemm = QuantizedGemm(_config(), workers=1)
         benchmark(lambda: gemm(a, b))
 
     def test_tiled_workers2(self, benchmark, operands):
         a, b = operands
-        gemm = ParallelQuantizedGemm(_config(), workers=2)
+        gemm = QuantizedGemm(_config(), workers=2)
         gemm(a, b)  # fork the pool outside the timed region
         benchmark(lambda: gemm(a, b))
 

@@ -33,7 +33,7 @@ from _machine import machine_info
 from repro.emu.autotune import resolve_workers
 
 from repro.data import make_sequence_classification, sequence_loaders_for
-from repro.emu import GemmConfig, ParallelQuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm
 from repro.experiments.transformer import (
     TRANSFORMER_SCALES,
     make_dataset,
@@ -50,8 +50,7 @@ def _step_state(scale, rbits, workers):
     dataset = make_sequence_classification(
         scale.batch_size, 8, seq_len=scale.seq_len,
         vocab_size=scale.vocab_size, num_classes=scale.num_classes, seed=0)
-    gemm = ParallelQuantizedGemm(GemmConfig.sr(rbits, seed=SEED),
-                                 workers=workers)
+    gemm = QuantizedGemm(GemmConfig.sr(rbits, seed=SEED), workers=workers)
     model = TinyTransformer(dataset.vocab_size, dataset.num_classes,
                             d_model=scale.d_model, n_heads=scale.n_heads,
                             depth=scale.depth, max_len=dataset.seq_len,
@@ -115,7 +114,7 @@ class TestTransformerStepWallClock:
         dataset = make_sequence_classification(32, 8, seq_len=8,
                                                vocab_size=8, num_classes=4,
                                                seed=0)
-        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=SEED), workers=1)
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=SEED), workers=1)
         model = TinyTransformer(dataset.vocab_size, dataset.num_classes,
                                 d_model=16, n_heads=2, depth=1,
                                 max_len=dataset.seq_len, gemm=gemm, seed=SEED)

@@ -10,7 +10,7 @@ FP32 baseline against the paper's FP12 (E6M5) accumulator with r-bit
 stochastic rounding.
 
 The GEMMs execute on the tiled-parallel datapath
-(`ParallelQuantizedGemm`), so re-running with any ``--workers`` value
+(`QuantizedGemm`), so re-running with any ``--workers`` value
 reproduces the same result bit for bit.
 
 Run:  python examples/train_transformer.py [--epochs 2] [--rbits 13] [--workers 1]
@@ -20,13 +20,13 @@ import argparse
 import time
 
 from repro.data import make_sequence_classification, sequence_loaders_for
-from repro.emu import GemmConfig, ParallelQuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm
 from repro.models import TinyTransformer
 from repro.nn import Trainer
 
 
 def train(label, gemm_config, dataset, args):
-    gemm = ParallelQuantizedGemm(gemm_config, workers=args.workers) \
+    gemm = QuantizedGemm(gemm_config, workers=args.workers) \
         if gemm_config is not None else None
     model = TinyTransformer(dataset.vocab_size, dataset.num_classes,
                             d_model=args.d_model, n_heads=args.heads,

@@ -18,7 +18,6 @@ from .engine import (
     get_engine,
 )
 from .gemm import (
-    QuantizedGemm,
     cast_inputs,
     dot,
     matmul,
@@ -29,6 +28,7 @@ from .gemm import (
 from .parallel import (
     BLOCK_ROWS,
     ParallelQuantizedGemm,
+    QuantizedGemm,
     TileScheduler,
     parallel_matmul_batched,
 )

@@ -34,8 +34,6 @@ from typing import Tuple
 import numpy as np
 
 from ..fp.quantize import quantize
-from ..obs import trace as _trace
-from ..obs.metrics import MetricsRegistry
 from .config import GemmConfig
 from .engine import get_engine, round_partial
 
@@ -203,113 +201,11 @@ def sum_reduce(values: np.ndarray, config: GemmConfig,
     return np.asarray(out, dtype=np.float64).reshape(moved.shape[1:])
 
 
-class QuantizedGemm:
-    """Callable GEMM bound to a config, tracking call/overflow metrics.
+def __getattr__(name: str):
+    # The GEMM executor lives with its scheduler in :mod:`.parallel`,
+    # which imports this module, so it is resolved on first access.
+    if name == "QuantizedGemm":
+        from .parallel import QuantizedGemm
 
-    The batched entry point of the training stack: accepts 2D
-    ``(M, K) @ (K, N)`` or stacked 3D ``(B, M, K) @ (B, K, N)``
-    operands, routing both through :func:`matmul_batched`.  The dynamic
-    loss scaler watches :attr:`overflow_count` to decide when to back
-    off the scaling factor.
-
-    Statistics live in a :class:`repro.obs.MetricsRegistry` (a private
-    one unless the owner passes a shared ``registry``):
-    ``gemm_calls_total`` / ``gemm_overflows_total`` (labeled by
-    accumulation engine), per-shape ``gemm_shape_calls_total``, and —
-    under per-step SR — ``gemm_sr_rounds_total``, the number of
-    stochastic rounding events (= substream draws consumed by the
-    engines).  :attr:`call_count` / :attr:`overflow_count` read the
-    counters, so existing callers are unchanged, and the registry
-    surfaces the same numbers on ``/metrics`` without bespoke plumbing.
-
-    Example::
-
-        gemm = QuantizedGemm(GemmConfig.sr(9, seed=3))
-        layer = Linear(128, 32, gemm=gemm)      # plugs into any layer
-        out = gemm(a, b)                        # or call directly
-        gemm.call_count, gemm.overflow_count
-        gemm.metrics.snapshot()["counters"]
-    """
-
-    #: Span name recorded around every dispatched GEMM when tracing.
-    SPAN_NAME = "emu/gemm"
-
-    def __init__(self, config: GemmConfig,
-                 registry: "MetricsRegistry | None" = None):
-        self.config = config
-        self.metrics = registry if registry is not None \
-            else MetricsRegistry()
-        engine = config.accum_order
-        self._calls = self.metrics.counter("gemm_calls_total",
-                                           engine=engine)
-        self._overflows = self.metrics.counter("gemm_overflows_total",
-                                               engine=engine)
-        self._sr_per_step = (config.rounding == "stochastic"
-                             and config.acc_format is not None)
-        self._rounds = self.metrics.counter("gemm_sr_rounds_total",
-                                            engine=engine) \
-            if self._sr_per_step else None
-        self._shape_counters: dict = {}
-
-    @property
-    def call_count(self) -> int:
-        return self._calls.value
-
-    @property
-    def overflow_count(self) -> int:
-        return self._overflows.value
-
-    def _observe(self, result: np.ndarray, batch: int, m: int, k: int,
-                 n: int) -> np.ndarray:
-        """Count one dispatched GEMM of shape ``(batch, m, k, n)``."""
-        self._calls.inc()
-        if not np.all(np.isfinite(result)):
-            self._overflows.inc()
-        key = (batch, m, k, n)
-        counter = self._shape_counters.get(key)
-        if counter is None:
-            counter = self._shape_counters[key] = self.metrics.counter(
-                "gemm_shape_calls_total",
-                shape=f"{batch}x{m}x{k}x{n}")
-        counter.inc()
-        if self._rounds is not None:
-            # Per-step SR rounds every output element once per reduction
-            # step (b*m*n*k events); exact-reduction SR rounds each
-            # element once.  Each event consumes one r-bit draw.
-            events = batch * m * n * (k if self.config.per_step else 1)
-            self._rounds.inc(events)
-        return result
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, np.float64)
-        b = np.asarray(b, np.float64)
-        if a.ndim == 3 or b.ndim == 3:
-            if a.ndim != 3 or b.ndim != 3:
-                raise ValueError(
-                    f"mixed 2D/3D GEMM operands {a.shape} x {b.shape}")
-            batch, m, k = a.shape
-            n = b.shape[2]
-            cm = _trace.span(self.SPAN_NAME, shape=f"{batch}x{m}x{k}x{n}",
-                             engine=self.config.accum_order) \
-                if _trace.active else _trace.NULL
-            with cm:
-                result = matmul_batched(a, b, self.config)
-        else:
-            m, k = a.shape
-            n = b.shape[1]
-            batch = 1
-            cm = _trace.span(self.SPAN_NAME, shape=f"1x{m}x{k}x{n}",
-                             engine=self.config.accum_order) \
-                if _trace.active else _trace.NULL
-            with cm:
-                result = matmul(a, b, self.config)
-        return self._observe(result, batch, m, k, n)
-
-    def reset_stats(self) -> None:
-        """Zero this gemm's counters (not the whole shared registry)."""
-        self._calls._reset()
-        self._overflows._reset()
-        if self._rounds is not None:
-            self._rounds._reset()
-        for counter in self._shape_counters.values():
-            counter._reset()
+        return QuantizedGemm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

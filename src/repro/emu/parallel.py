@@ -1,4 +1,4 @@
-"""Deterministic tiled-parallel execution of emulated GEMMs.
+"""The emulated GEMM executor: every GEMM of the stack runs here.
 
 The emulated GEMM is embarrassingly parallel over output rows — every
 output element's K-reduction is independent — *except* for the SR
@@ -14,27 +14,28 @@ worker ran it or which tile it rode in.
 
 Draw-order contract (FROZEN, like the pairwise engine's block width):
 
+* A call splits its operands' leading axis into one group per stream
+  (:meth:`QuantizedGemm.arm`).  By default there is one group, under
+  ``config.stream`` (training).  Armed with ``n`` streams (serving,
+  one per request), call ``g`` runs group ``i`` under
+  ``streams[i].spawn((g,))``.  Everything below happens per group.
 * :data:`BLOCK_ROWS` fixes the substream granularity: block ``j`` of
   batch ``bi`` covers output rows ``[j * BLOCK_ROWS, (j+1) *
   BLOCK_ROWS)`` and is always emulated in one engine invocation under
   substream key ``(bi, j)``.  The scheduler's ``tile_rows`` only groups
   whole blocks into work items and cannot change any draw.
-* Per parallel GEMM call, one *call key* (:data:`CALL_KEY_DRAWS` draws
-  of :data:`CALL_KEY_RBITS` bits) is drawn from the parent stream in
-  the parent process — a serial, tiling-independent advance that makes
+* Per GEMM call, one *call key* (:data:`CALL_KEY_DRAWS` draws of
+  :data:`CALL_KEY_RBITS` bits) is drawn from the group's stream in the
+  parent process — a serial, tiling-independent advance that makes
   successive calls statistically independent.
 * The substream of block ``(bi, j)`` is
-  ``config.stream.spawn(call_key + (bi, j))``; row-streamed reductions
-  (:meth:`ParallelQuantizedGemm.gemm_outer_rows`) key their band
-  partials as ``(0, band)`` and the combining reduction as ``(1, 0)``.
+  ``stream.spawn(call_key + (bi, j))``; row-streamed reductions
+  (:meth:`QuantizedGemm.gemm_outer_rows`) key their band partials as
+  ``(0, band)`` and the combining reduction as ``(1, 0)``.
 
-Changing any of these constants silently re-keys every parallel SR
-result; they are part of the subsystem's reproducibility contract.
-Note the parallel draw order necessarily differs from the serial
-engines' single-stream order, so ``ParallelQuantizedGemm`` results are
-not bitwise comparable to ``QuantizedGemm`` under SR — only to
-themselves, across any ``workers``/``tile_rows``/backend choice
-(enforced by ``tests/emu/test_parallel.py``).
+Changing any of these constants silently re-keys every SR result; they
+are part of the subsystem's reproducibility contract, pinned in
+absolute terms by ``tests/emu/test_parallel.py``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ import numpy as np
 
 from ..fp.quantize import quantize
 from ..obs import trace as _trace
+from ..obs.metrics import MetricsRegistry
 from .engine import get_engine, round_partial
-from .gemm import QuantizedGemm, _cast_one, matmul
+from .gemm import _cast_one, matmul
 
 #: FROZEN — substream granularity in output rows (see module docstring).
 #: 64 balances per-block engine overhead (large enough that the fused
@@ -304,12 +306,14 @@ class TileScheduler:
                 next_index += 1
 
 
-def _row_block_tasks(producer, n_rows: int, bi: int = 0,
-                     index0: int = 0) -> List[_RowBlockTask]:
+def _row_block_tasks(producer, n_rows: int, bi: int = 0, index0: int = 0,
+                     start: int = 0) -> List[_RowBlockTask]:
+    """Blocks ``(bi, j)`` over rows ``[start, start + n_rows)``."""
+    stop = start + n_rows
     tasks = []
-    for j, r0 in enumerate(range(0, n_rows, BLOCK_ROWS)):
+    for j, r0 in enumerate(range(start, stop, BLOCK_ROWS)):
         tasks.append(_RowBlockTask(index=index0 + j, key=(bi, j), bi=bi,
-                                   r0=r0, r1=min(n_rows, r0 + BLOCK_ROWS),
+                                   r0=r0, r1=min(stop, r0 + BLOCK_ROWS),
                                    producer=producer))
     return tasks
 
@@ -322,7 +326,8 @@ def parallel_matmul_batched(a: np.ndarray, b: np.ndarray, config, *,
     Same operands and semantics per block; the ``(B, M)`` output plane
     is sharded into :data:`BLOCK_ROWS` row blocks executed under
     key-derived substreams (see module docstring for the draw-order
-    contract).
+    contract).  ``cast=False`` takes ``b`` as already cast to the
+    multiplier format; ``a`` is always cast here.
 
     Example::
 
@@ -340,10 +345,10 @@ def parallel_matmul_batched(a: np.ndarray, b: np.ndarray, config, *,
     # B is cast once here; A's rows are cast inside each block task (the
     # cast is elementwise, so per-block equals whole — and not casting A
     # up front avoids a redundant full quantize pass plus shipping the
-    # pre-cast copy to workers).  With cast=False both operands are
-    # assumed cast already; the per-block A cast is idempotent.
-    if cast and config.mul_format is not None:
-        b = _cast_one(b, config)
+    # pre-cast copy to workers).
+    if config.mul_format is not None:
+        if cast:
+            b = _cast_one(b, config)
         if config.acc_format is None:
             return _cast_one(a, config) @ b
     if config.acc_format is None:
@@ -365,14 +370,29 @@ def parallel_matmul_batched(a: np.ndarray, b: np.ndarray, config, *,
     return out
 
 
-class ParallelQuantizedGemm(QuantizedGemm):
-    """Drop-in :class:`repro.emu.gemm.QuantizedGemm` executing every GEMM
-    through the tiled-parallel scheduler.
+class QuantizedGemm:
+    """The emulated GEMM executor, bound to a config.
 
-    Also exposes the row-streamed entry points (``gemm_rows``,
-    ``gemm_rows_streamed``, ``gemm_outer_rows``) that the tiled-im2col
-    convolution path uses to keep peak memory bounded by the tile size
-    instead of the full column matrix.
+    Every GEMM of the training and serving stacks runs through here.
+    Accepts 2D ``(M, K) @ (K, N)`` or stacked 3D ``(B, M, K) @ (B, K,
+    N)`` operands and shards the output plane into :data:`BLOCK_ROWS`
+    row blocks on the tile scheduler, each under its key-derived
+    substream (the draw-order contract above).  ``workers``,
+    ``tile_rows`` and ``backend`` only choose where blocks run: results
+    are bit-identical for any choice.
+
+    The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
+    ``gemm_outer_rows``) serve the tiled-im2col convolution path, which
+    keeps peak memory bounded by the tile size instead of the full
+    column matrix.
+
+    **Streams.**  A call splits its operands' leading axis (rows of a 2D
+    ``A``, entries of a 3D stack) into one group per stream.  By default
+    there is one group, under ``config.stream``: that is training.
+    :meth:`arm` installs one stream per group: that is serving, where
+    each request's draws are keyed by its content
+    (:mod:`repro.serve.session`).  The weight operand is cast once per
+    call, whatever the group count.
 
     ``autotune`` switches on per-shape schedule resolution via
     :mod:`repro.emu.autotune` (``"cached"`` consults the persisted
@@ -380,28 +400,131 @@ class ParallelQuantizedGemm(QuantizedGemm):
     constructor's ``workers``/``tile_rows``/``backend`` then act as the
     default schedule for shapes without a tuned entry.  Schedules are
     pure wall-clock choices — results are bit-identical whichever one
-    runs (the draw-order contract above).
+    runs.
+
+    Statistics live in a :class:`repro.obs.MetricsRegistry` (a private
+    one unless the owner passes a shared ``registry``):
+    ``gemm_calls_total`` / ``gemm_overflows_total`` (labeled by
+    accumulation engine), per-shape ``gemm_shape_calls_total``, and —
+    under SR — ``gemm_sr_rounds_total``, the number of stochastic
+    rounding events (= substream draws consumed by the engines).  The
+    dynamic loss scaler watches :attr:`overflow_count`.
 
     Example::
 
-        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1), workers=4)
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=1), workers=4)
         layer = Conv2d(3, 16, 3, gemm=gemm)   # tiled-im2col path
         attn = MultiHeadAttention(64, 8, gemm=gemm)  # per-head sharding
-        tuned = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1),
-                                      autotune="cached")
+        out = gemm(a, b)                      # or call directly
+        gemm.call_count, gemm.metrics.snapshot()["counters"]
     """
+
+    #: Span name recorded around every dispatched GEMM when tracing.
+    SPAN_NAME = "emu/gemm"
 
     def __init__(self, config, *, workers: int = 1,
                  tile_rows: Optional[int] = None, backend: str = "process",
                  autotune: Optional[str] = None,
-                 schedule_cache: Optional[str] = None, registry=None):
-        super().__init__(config, registry=registry)
+                 schedule_cache: Optional[str] = None,
+                 registry: Optional[MetricsRegistry] = None):
+        self.config = config
+        self.metrics = registry if registry is not None \
+            else MetricsRegistry()
+        engine = config.accum_order
+        self._calls = self.metrics.counter("gemm_calls_total",
+                                           engine=engine)
+        self._overflows = self.metrics.counter("gemm_overflows_total",
+                                               engine=engine)
+        self._rounds = self.metrics.counter("gemm_sr_rounds_total",
+                                            engine=engine) \
+            if (config.rounding == "stochastic"
+                and config.acc_format is not None) else None
+        self._shape_counters: dict = {}
         self.scheduler = TileScheduler(workers=workers, tile_rows=tile_rows,
                                        backend=backend)
         self.autotune = autotune if autotune not in (None, "off") else None
         self.schedule_cache = schedule_cache
         self._schedule_memo: dict = {}
+        self._streams: Optional[List] = None
+        self._call_index = 0
 
+    # -- statistics ------------------------------------------------------
+    @property
+    def call_count(self) -> int:
+        return self._calls.value
+
+    @property
+    def overflow_count(self) -> int:
+        return self._overflows.value
+
+    def _observe(self, result: np.ndarray, batch: int, m: int, k: int,
+                 n: int) -> np.ndarray:
+        """Count one dispatched GEMM of shape ``(batch, m, k, n)``."""
+        self._calls.inc()
+        if not np.all(np.isfinite(result)):
+            self._overflows.inc()
+        key = (batch, m, k, n)
+        counter = self._shape_counters.get(key)
+        if counter is None:
+            counter = self._shape_counters[key] = self.metrics.counter(
+                "gemm_shape_calls_total",
+                shape=f"{batch}x{m}x{k}x{n}")
+        counter.inc()
+        if self._rounds is not None:
+            # Per-step SR rounds every output element once per reduction
+            # step (b*m*n*k events); exact-reduction SR rounds each
+            # element once.  Each event consumes one r-bit draw.
+            events = batch * m * n * (k if self.config.per_step else 1)
+            self._rounds.inc(events)
+        return result
+
+    def reset_stats(self) -> None:
+        """Zero this gemm's counters (not the whole shared registry)."""
+        self._calls._reset()
+        self._overflows._reset()
+        if self._rounds is not None:
+            self._rounds._reset()
+        for counter in self._shape_counters.values():
+            counter._reset()
+
+    # -- streams ---------------------------------------------------------
+    def arm(self, streams: Optional[Sequence]) -> None:
+        """Install the per-group streams of the calls that follow.
+
+        ``None`` restores the default: each call is one group under
+        ``config.stream``.  ``n`` streams split each call's leading axis
+        into ``n`` equal groups, and call ``g`` (counted from this
+        arming) runs group ``i`` under ``streams[i].spawn((g,))``.  An
+        empty sequence disarms: calls raise until the next arming.
+        """
+        self._streams = None if streams is None else list(streams)
+        self._call_index = 0
+
+    def _split(self, lead: int) -> List[Tuple[object, int, int]]:
+        """This call's groups along a leading axis of length ``lead``:
+        ``(stream, start, size)``, where stream ``None`` means
+        ``config.stream``."""
+        streams = self._streams
+        if streams is None:
+            return [(None, 0, lead)]
+        if not streams:
+            raise RuntimeError(
+                "GEMM executor is disarmed: serving GEMMs run only inside "
+                "InferenceSession.predict_batch")
+        g = self._call_index
+        self._call_index += 1
+        size, rem = divmod(lead, len(streams))
+        if rem or size == 0:
+            raise ValueError(f"GEMM leading axis {lead} does not split "
+                             f"over {len(streams)} streams")
+        return [(stream.spawn((g,)), i * size, size)
+                for i, stream in enumerate(streams)]
+
+    @staticmethod
+    def _group_config(config, stream):
+        return config if stream is None else replace(config, stream=stream)
+
+    # -- scheduling ------------------------------------------------------
     def _resolve(self, batch: int, m: int, k: int, n: int):
         """(scheduler, config) for one GEMM shape class.
 
@@ -437,45 +560,59 @@ class ParallelQuantizedGemm(QuantizedGemm):
         return resolved
 
     def _span(self, scheduler: TileScheduler, batch: int, m: int,
-              k: int, n: int):
-        """A live ``emu/gemm`` span for one dispatched parallel GEMM.
+              k: int, n: int, groups: int = 1):
+        """A live ``emu/gemm`` span for one dispatched GEMM.
 
-        Only called when tracing is active; records the resolved
-        schedule (tile count, workers, backend) alongside the shape so
-        trace summaries show where the scheduler spent its time.
+        Only called when tracing is active; ``batch, m, k, n`` is one
+        group's shape.  Records the resolved schedule (tile count,
+        workers, backend) alongside the shape so trace summaries show
+        where the scheduler spent its time.
         """
-        tiles = batch * (-(-m // BLOCK_ROWS))
+        tiles = groups * batch * (-(-m // BLOCK_ROWS))
         return _trace.span(self.SPAN_NAME, shape=f"{batch}x{m}x{k}x{n}",
                            engine=self.config.accum_order, tiles=tiles,
-                           workers=scheduler.workers,
+                           groups=groups, workers=scheduler.workers,
                            backend=scheduler.backend)
 
+    # -- entry points ----------------------------------------------------
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, np.float64)
         b = np.asarray(b, np.float64)
-        if a.ndim == 3 or b.ndim == 3:
-            if a.ndim != 3 or b.ndim != 3:
-                raise ValueError(
-                    f"mixed 2D/3D GEMM operands {a.shape} x {b.shape}")
-            batch, m, k = a.shape
-            n = b.shape[2]
-            scheduler, config = self._resolve(batch, m, k, n)
-            cm = self._span(scheduler, batch, m, k, n) if _trace.active \
-                else _trace.NULL
-            with cm:
-                result = parallel_matmul_batched(a, b, config,
-                                                 scheduler=scheduler)
-        else:
-            batch, (m, k), n = 1, a.shape, b.shape[1]
-            scheduler, config = self._resolve(1, m, k, n)
-            cm = self._span(scheduler, 1, m, k, n) if _trace.active \
-                else _trace.NULL
-            with cm:
-                result = parallel_matmul_batched(a[None], b[None], config,
-                                                 scheduler=scheduler)[0]
-        return self._observe(result, batch, m, k, n)
+        stacked = a.ndim == 3
+        if stacked != (b.ndim == 3):
+            raise ValueError(
+                f"mixed 2D/3D GEMM operands {a.shape} x {b.shape}")
+        if not stacked:
+            a, b = a[None], b[None]
+        batch, m, k = a.shape
+        n = b.shape[2]
+        groups = self._split(batch if stacked else m)
+        size = groups[0][2]
+        group_shape = (size, m, k, n) if stacked else (1, size, k, n)
+        scheduler, config = self._resolve(*group_shape)
+        cm = self._span(scheduler, *group_shape, groups=len(groups)) \
+            if _trace.active else _trace.NULL
+        with cm:
+            if groups[0][0] is None:
+                out = parallel_matmul_batched(a, b, config,
+                                              scheduler=scheduler)
+            else:
+                if config.mul_format is not None:
+                    b = _cast_one(b, config)
+                out = np.empty((batch, m, n), dtype=np.float64)
+                for stream, start, _ in groups:
+                    rows = slice(start, start + size)
+                    cfg = replace(config, stream=stream)
+                    if stacked:
+                        out[rows] = parallel_matmul_batched(
+                            a[rows], b[rows], cfg, scheduler=scheduler,
+                            cast=False)
+                    else:
+                        out[:, rows] = parallel_matmul_batched(
+                            a[:, rows], b, cfg, scheduler=scheduler,
+                            cast=False)
+        return self._observe(out if stacked else out[0], batch, m, k, n)
 
-    # -- row-streamed entry points (tiled-im2col convolution) ----------
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
         """Row-streamed emulated ``A @ b2d``.
 
@@ -484,19 +621,23 @@ class ParallelQuantizedGemm(QuantizedGemm):
         only one block of ``A`` rows is ever materialized per worker.
         """
         producer = _as_producer(source)
+        groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
         k, n = bq.shape
         out = np.empty((n_rows, n), dtype=np.float64)
         if out.size == 0:
             return self._observe(out, 1, n_rows, k, n)
-        scheduler, config = self._resolve(1, n_rows, k, n)
-        cm = self._span(scheduler, 1, n_rows, k, n) if _trace.active \
-            else _trace.NULL
+        size = groups[0][2]
+        scheduler, config = self._resolve(1, size, k, n)
+        cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
+            if _trace.active else _trace.NULL
         with cm:
-            tasks = _row_block_tasks(producer, n_rows)
-            results = scheduler.run(tasks, config, b_shared=bq)
-            for task, value in zip(tasks, results):
-                out[task.r0:task.r1] = value
+            for stream, start, _ in groups:
+                tasks = _row_block_tasks(producer, size, start=start)
+                results = scheduler.run(
+                    tasks, self._group_config(config, stream), b_shared=bq)
+                for task, value in zip(tasks, results):
+                    out[task.r0:task.r1] = value
         return self._observe(out, 1, n_rows, k, n)
 
     def gemm_rows_streamed(self, source, n_rows: int, b2d: np.ndarray,
@@ -509,6 +650,7 @@ class ParallelQuantizedGemm(QuantizedGemm):
         value was finite (the overflow signal).
         """
         producer = _as_producer(source)
+        groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
         finite = True
 
@@ -518,12 +660,15 @@ class ParallelQuantizedGemm(QuantizedGemm):
             consume(task.r0, task.r1, value)
 
         k, n = bq.shape
-        scheduler, config = self._resolve(1, n_rows, k, n)
-        cm = self._span(scheduler, 1, n_rows, k, n) if _trace.active \
-            else _trace.NULL
+        size = groups[0][2]
+        scheduler, config = self._resolve(1, size, k, n)
+        cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
+            if _trace.active else _trace.NULL
         with cm:
-            tasks = _row_block_tasks(producer, n_rows)
-            scheduler.run_streamed(tasks, config, bq, _consume)
+            for stream, start, _ in groups:
+                tasks = _row_block_tasks(producer, size, start=start)
+                scheduler.run_streamed(
+                    tasks, self._group_config(config, stream), bq, _consume)
         # The product is consumed block-by-block, never materialized;
         # feed the finiteness verdict to the counters via a scalar.
         self._observe(np.float64(0.0 if finite else np.inf),
@@ -542,14 +687,20 @@ class ParallelQuantizedGemm(QuantizedGemm):
         engine's ``reduce`` with substream key ``(1, 0)`` — a blocked,
         hierarchical reduction with the same rounding discipline as the
         rest of the datapath.  Used for conv weight gradients, where
-        ``A`` is the output gradient and ``B`` the im2col patches.
+        ``A`` is the output gradient and ``B`` the im2col patches.  The
+        rows are reduced together, so this runs as one group only.
         """
         a_producer = _as_producer(a_source)
         b_producer = _as_producer(b_source)
+        groups = self._split(n_rows)
+        if len(groups) != 1:
+            raise ValueError("a row-streamed A.T @ B reduces across its "
+                             "rows; it cannot split into stream groups")
         if n_rows == 0:
             return self._observe(np.zeros((m, n), dtype=np.float64),
                                  1, m, n_rows, n)
         scheduler, config = self._resolve(1, m, n_rows, n)
+        config = self._group_config(config, groups[0][0])
         cm = self._span(scheduler, 1, m, n_rows, n) if _trace.active \
             else _trace.NULL
         with cm:
@@ -567,18 +718,20 @@ class ParallelQuantizedGemm(QuantizedGemm):
                 stacked = np.stack(partials)
                 if config.acc_format is None:
                     result = stacked.sum(axis=0)
-                elif not config.per_step:
-                    combine_cfg = replace(
-                        config,
-                        stream=config.stream.spawn(call_key + (1, 0)))
-                    result = round_partial(stacked.sum(axis=0),
-                                           combine_cfg)
                 else:
                     combine_cfg = replace(
                         config,
                         stream=config.stream.spawn(call_key + (1, 0)))
-                    engine = get_engine(config.accum_order)
-                    result = np.asarray(
-                        engine.reduce(stacked, combine_cfg),
-                        dtype=np.float64).reshape(m, n)
+                    if not config.per_step:
+                        result = round_partial(stacked.sum(axis=0),
+                                               combine_cfg)
+                    else:
+                        engine = get_engine(config.accum_order)
+                        result = np.asarray(
+                            engine.reduce(stacked, combine_cfg),
+                            dtype=np.float64).reshape(m, n)
         return self._observe(result, 1, m, n_rows, n)
+
+
+#: The executor's earlier name, kept as an alias of the same class.
+ParallelQuantizedGemm = QuantizedGemm

@@ -19,30 +19,19 @@ turning Tables III/IV into per-datapath ablations.  The ``rtl_*``
 family runs every accumulation through the bit-true adder models; on
 RN rows it degrades to the RN adder, so one flag covers a whole table.
 
-``--workers N`` (N >= 2) shards every emulated GEMM of the training
-tables across ``N`` processes via the deterministic tiled-parallel
-executor (:mod:`repro.emu.parallel`); results are bit-identical for
-any ``N >= 2`` at the same seed (key-derived substream draw order —
-intentionally distinct from the default serial path, which stays
-bit-compatible with earlier releases).
-
-``transformer`` runs the attention workload sweep
-(:mod:`repro.experiments.transformer`).  It always executes on the
-tiled-parallel draw order, so — unlike tables III/IV — its results are
-bit-identical for *any* ``--workers`` value, including 1.
+``--workers N`` shards every emulated GEMM across ``N`` processes via
+the deterministic tiled executor (:mod:`repro.emu.parallel`); its
+key-derived substream draw order makes results bit-identical for any
+``N`` at the same seed, for the training tables and the ``transformer``
+attention sweep (:mod:`repro.experiments.transformer`) alike.
 
 ``--workers auto`` resolves to ``os.cpu_count()``.  ``--autotune
 {off,cached,search}`` switches on per-shape schedule resolution via
 :mod:`repro.emu.autotune` (``cached`` reads the persisted schedule
 cache, ``search`` fills misses with timed trials and persists the
-winners; ``--schedule-cache DIR`` overrides the cache location).
-Autotuned runs always execute on the tiled-parallel draw order — like
-``transformer`` — so they are bit-identical to any other tiled-parallel
-run of the same experiment (``--autotune off --workers N>=2`` for
-tables III/IV; any ``--workers`` for ``transformer``), because a
-schedule can only change wall clock, never draws.  Only tables III/IV
-at ``--workers 1 --autotune off`` stay on the distinct legacy serial
-draw order.
+winners; ``--schedule-cache DIR`` overrides the cache location).  A
+schedule can only change wall clock, never draws, so autotuned runs
+are bit-identical to untuned runs of the same experiment.
 """
 
 from __future__ import annotations
@@ -139,8 +128,8 @@ def main(argv=None) -> int:
                              "or the bit-true RTL datapath rtl_rn / "
                              "rtl_lazy / rtl_eager")
     parser.add_argument("--workers", default="1",
-                        help="worker processes for the tiled-parallel GEMM "
-                             "executor (tables III/IV); 1 = serial path, "
+                        help="worker processes for the tiled GEMM "
+                             "executor; results do not depend on it; "
                              "'auto' = os.cpu_count()")
     parser.add_argument("--autotune", default="off",
                         choices=("off", "cached", "search"),

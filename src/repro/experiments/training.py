@@ -81,31 +81,20 @@ def build_gemm(gemm_config: Optional[GemmConfig],
                workers: int = 1, autotune: str = "off",
                schedule_cache: Optional[str] = None
                ) -> Optional[QuantizedGemm]:
-    """GEMM callable for a run: serial, tiled-parallel, or autotuned.
+    """The GEMM executor for a run (``None`` for the FP64 baseline).
 
-    ``workers=1`` keeps the serial :class:`QuantizedGemm` (bit-compatible
-    with all previously published runs); ``workers>1`` routes every GEMM
-    through the tiled-parallel executor, whose per-block substream draw
-    order is deterministic and worker-count-invariant but intentionally
-    distinct from the serial single-stream order.
-
-    ``autotune`` in ``{"cached", "search"}`` also routes through the
-    tiled-parallel executor (even at ``workers=1`` — schedules only
-    exist there) and resolves each GEMM shape's schedule via
-    :mod:`repro.emu.autotune`; the ``workers`` argument is the default
-    schedule for untuned shapes.  Tuned and default schedules produce
-    bit-identical results by the draw-order contract.
+    ``workers`` shards every GEMM across that many processes, and
+    ``autotune`` in ``{"cached", "search"}`` resolves each GEMM shape's
+    schedule via :mod:`repro.emu.autotune`, with ``workers`` as the
+    default schedule for untuned shapes.  Neither changes a bit: the
+    executor's draw order depends only on the config's stream (DESIGN.md
+    section 4), so a run is bit-identical for any ``workers`` and any
+    schedule at the same seed.
     """
     if gemm_config is None:
         return None
-    if workers > 1 or autotune in ("cached", "search"):
-        from ..emu.parallel import ParallelQuantizedGemm
-
-        return ParallelQuantizedGemm(
-            gemm_config, workers=workers,
-            autotune=None if autotune == "off" else autotune,
-            schedule_cache=schedule_cache)
-    return QuantizedGemm(gemm_config)
+    return QuantizedGemm(gemm_config, workers=workers, autotune=autotune,
+                         schedule_cache=schedule_cache)
 
 
 def train_once(dataset: Dataset, scale: TrainingScale,

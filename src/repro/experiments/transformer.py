@@ -13,14 +13,10 @@ Softmax and LayerNorm stay FP32 (they are not GEMMs); DESIGN.md
 section 6 documents the exact datapath split and the per-head substream
 keying contract.
 
-Determinism contract: the workload always executes through
-:class:`repro.emu.ParallelQuantizedGemm` — ``workers=1`` is its serial
-in-process fallback, which runs the *same* key-derived substream
-schedule as any pool run.  Results are therefore bit-identical for any
-``--workers`` value at the same seed (unlike Tables III/IV, where
-``workers=1`` keeps the legacy serial single-stream draw order for
-backward compatibility with published runs; the transformer workload
-is new and adopts the parallel draw order from the start).
+Determinism contract: every GEMM runs through the executor
+(:func:`repro.experiments.training.build_gemm`), whose key-derived
+substream schedule does not depend on the worker count, so results are
+bit-identical for any ``--workers`` value at the same seed.
 
 Like the CNN tables, the ``tiny`` scale is a smoke/CI preset whose
 accuracies are noise-dominated; the Table III *shape* (low ``r`` hurts,
@@ -33,10 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..data.sequences import make_sequence_classification, sequence_loaders_for
-from ..emu import GemmConfig, ParallelQuantizedGemm
+from ..emu import GemmConfig
 from ..emu.config import paper_table3_config
 from ..models.transformer import TinyTransformer
 from ..nn import Trainer
+from .training import build_gemm
 
 
 @dataclass
@@ -92,27 +89,6 @@ class TransformerRow:
     delta: float
 
 
-def build_transformer_gemm(config: Optional[GemmConfig],
-                           workers: int = 1, autotune: str = "off",
-                           schedule_cache: Optional[str] = None
-                           ) -> Optional[ParallelQuantizedGemm]:
-    """GEMM callable for the transformer workload.
-
-    Always the tiled-parallel executor (``workers=1`` is its serial
-    fallback with the identical substream schedule), so a run is
-    bit-identical for any worker count at the same seed — the
-    acceptance contract of this workload.  ``autotune`` resolves each
-    GEMM shape's schedule via :mod:`repro.emu.autotune` (still
-    bit-identical: schedules cannot change draws).
-    """
-    if config is None:
-        return None
-    return ParallelQuantizedGemm(
-        config, workers=workers,
-        autotune=None if autotune == "off" else autotune,
-        schedule_cache=schedule_cache)
-
-
 def make_dataset(scale: TransformerScale):
     """The sweep's dataset for one scale (fixed generation seed, as in
     the CNN tables: rows differ only in the datapath)."""
@@ -129,8 +105,7 @@ def train_transformer_once(dataset, scale: TransformerScale,
                            workers: int = 1, autotune: str = "off",
                            schedule_cache: Optional[str] = None) -> float:
     """Train one configuration; returns final test accuracy (percent)."""
-    gemm = build_transformer_gemm(gemm_config, workers, autotune,
-                                  schedule_cache)
+    gemm = build_gemm(gemm_config, workers, autotune, schedule_cache)
     model = TinyTransformer(dataset.vocab_size, dataset.num_classes,
                             d_model=scale.d_model, n_heads=scale.n_heads,
                             depth=scale.depth, max_len=dataset.seq_len,

@@ -84,9 +84,7 @@ class TinyTransformer(Module):
     Sequence classification: ``(B, T)`` integer tokens in, ``(B,
     num_classes)`` logits out (mean-pooled over the sequence after a
     final LayerNorm).  ``gemm`` plugs in a
-    :class:`repro.emu.QuantizedGemm` /
-    :class:`repro.emu.ParallelQuantizedGemm` exactly as in the CNN
-    models.
+    :class:`repro.emu.QuantizedGemm` exactly as in the CNN models.
 
     Example::
 

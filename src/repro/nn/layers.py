@@ -1,7 +1,7 @@
 """Network layers whose GEMMs route through the emulated MAC.
 
 ``Linear`` and ``Conv2d`` accept a GEMM callable (typically an
-:class:`repro.emu.gemm.QuantizedGemm`); both the forward product and the
+:class:`repro.emu.QuantizedGemm`); both the forward product and the
 two backward products (input gradient and weight gradient) go through it,
 emulating the paper's setup where forward *and* backward GEMMs run on
 low-precision MAC units.  Everything else (batch norm, activations,
@@ -98,15 +98,15 @@ class Conv2d(Module):
     behavior matches a weight-stationary accelerator.
 
     When the GEMM callable exposes the row-streamed entry points of
-    :class:`repro.emu.parallel.ParallelQuantizedGemm` (``gemm_rows`` /
+    :class:`repro.emu.QuantizedGemm` (``gemm_rows`` /
     ``gemm_rows_streamed`` / ``gemm_outer_rows``), the layer takes the
     tiled-im2col path: the forward product, the input-gradient product
     and the weight-gradient reduction all stream
     :class:`repro.nn.functional.PatchRows` row tiles through the
-    parallel executor, never materializing the full
-    ``(N*OH*OW, C*K*K)`` column matrix (patches are regathered in
-    backward — the standard recompute trade).  Otherwise the legacy
-    whole-matrix im2col path is used, unchanged.
+    executor, never materializing the full ``(N*OH*OW, C*K*K)`` column
+    matrix (patches are regathered in backward — the standard recompute
+    trade).  A plain function such as the FP64 ``default_gemm`` takes
+    the whole-matrix im2col path.
 
     Example::
 

@@ -263,7 +263,7 @@ class Sequential(Module):
 
 #: GEMM callable signature used by the compute layers.  Implementations
 #: accept 2D ``(M, K) @ (K, N)`` or batched 3D ``(B, M, K) @ (B, K, N)``
-#: operands (cf. :class:`repro.emu.gemm.QuantizedGemm`).
+#: operands (cf. :class:`repro.emu.QuantizedGemm`).
 GemmFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 

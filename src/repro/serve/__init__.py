@@ -3,12 +3,11 @@
 Takes a trained :class:`repro.nn.Module` and serves it over HTTP:
 
 * :class:`repro.serve.session.InferenceSession` freezes the model into
-  a forward-only plan — weights are quantized to the multiplier format
-  **once** at load time, and SR randomness is keyed per request via
+  a forward-only eval plan, and SR randomness is keyed per request via
   ``RandomBitStream.spawn(request_key)``, so a request's logits are
   bit-identical regardless of which micro-batch it lands in and of the
-  worker count (the batch-composition-invariance extension of the
-  DESIGN.md frozen draw-order contract).
+  worker count (the one-stream-per-group rule of the DESIGN.md frozen
+  draw-order contract).
 * :class:`repro.serve.batcher.MicroBatcher` coalesces concurrent
   single-sample requests into batched GEMMs on the tiled-parallel
   datapath (``max_batch_size``, ``max_delay_ms``).
@@ -19,7 +18,7 @@ Takes a trained :class:`repro.nn.Module` and serves it over HTTP:
   launched via ``python -m repro.serve --checkpoint ckpt.npz``.
 * :class:`repro.serve.pool.ReplicaPool` shards serving across worker
   processes that all read **one** zero-copy shared-memory copy of the
-  frozen checkpoint (:class:`repro.serve.shm.SharedCheckpoint`),
+  checkpoint (:class:`repro.serve.shm.SharedCheckpoint`),
   routed by the same content hash that keys SR draws and the response
   cache — so *which replica answers is unobservable*, crashed workers
   respawn, and checkpoint reloads drain-and-swap with zero drops

@@ -3,8 +3,8 @@
 :class:`ReplicaPool` scales :mod:`repro.serve` across processes while
 keeping the bit-reproducibility contract intact:
 
-* **One checkpoint, N processes** — the parent publishes the frozen
-  weights into a single shared-memory segment
+* **One checkpoint, N processes** — the parent publishes the
+  checkpoint's weights into a single shared-memory segment
   (:class:`repro.serve.shm.SharedCheckpoint`); every replica rebinds
   its model to read-only zero-copy views of the same bytes.
 * **Content-hash routing** — the front router validates each request,

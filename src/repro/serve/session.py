@@ -7,21 +7,15 @@ An :class:`InferenceSession` owns a model and prepares it for serving:
    forward pass (softmax, LayerNorm, batch-norm-with-running-stats,
    activations, pooling) is then a per-sample function, which is what
    makes batch-composition invariance achievable at all.
-2. **Weight freeze** — each GEMM-operand weight (``Linear.weight``,
-   ``Conv2d.weight``) is quantized to the multiplier format **once**,
-   in place.  The training datapath re-quantizes master FP64 weights on
-   every call (they change between steps); at serving time they never
-   change, so the per-call cast is pure waste.  The session remembers
-   the frozen arrays and the serving GEMM skips their cast (the
-   activations operand is still cast per call, as in training).
-3. **Per-request SR keying** — each request's random bits come from
+2. **Per-request SR keying** — each request's random bits come from
    ``config.stream.spawn(request_key)``, where the key is a content
    hash of (input bytes, checkpoint fingerprint, datapath config).
-   Inside a forward pass the ``g``-th GEMM call of sample ``i`` uses
-   substream ``request_stream_i.spawn((g,))``; the micro-batch GEMM is
-   sliced per sample around that substream, then executed through the
-   tiled-parallel scheduler (:mod:`repro.emu.parallel`), whose
-   draw-order contract already guarantees worker-count invariance.
+   Every layer's GEMM is one :class:`repro.emu.QuantizedGemm`, armed
+   with the micro-batch's request streams for one forward pass: the
+   ``g``-th GEMM call runs sample ``i``'s slice under substream
+   ``request_stream_i.spawn((g,))`` (DESIGN.md section 4), so the
+   executor's draw-order contract also guarantees worker-count
+   invariance.
 
 The resulting invariant — pinned by ``tests/serve/test_session.py``
 and documented in DESIGN.md section 8 — is that a request's logits are
@@ -40,32 +34,16 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..emu.config import GemmConfig
-from ..emu.gemm import _cast_one
-from ..emu.parallel import BLOCK_ROWS, TileScheduler, parallel_matmul_batched
+from ..emu.parallel import QuantizedGemm
 from ..nn.checkpoint import Checkpoint, load_checkpoint, state_fingerprint
-from ..nn.layers import Conv2d, Linear
 from ..nn.module import Module
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
-
-
-def _root_base(array: np.ndarray) -> np.ndarray:
-    """The underlying buffer of a view chain (transposes, broadcasts).
-
-    Stops at the outermost *ndarray*: a shared-memory-backed array's
-    ``base`` is the segment's ``memoryview`` (not an ndarray), and the
-    rebound weight view itself is then the identity the frozen-weight
-    check must recognize (:mod:`repro.serve.shm`).
-    """
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
 
 
 def request_content_key(fingerprint: str,
@@ -93,23 +71,31 @@ def request_content_key(fingerprint: str,
     return digest.hexdigest(), spawn_key
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input values must be finite (no NaN or infinity)")
+    return arr
+
+
 def validate_payload(spec: Optional[dict], x) -> np.ndarray:
     """Coerce one request payload to a model input spec's dtype/shape.
 
     ``spec`` is the checkpoint sidecar's input description (``None``
-    skips shape checks).  Module-level for the same reason as
-    :func:`request_content_key`: the pool router validates before
-    routing so malformed requests are rejected without crossing a
-    process boundary.
+    skips shape checks).  Float inputs must be finite: ``json.loads``
+    accepts ``NaN`` and ``Infinity``, and logits computed from them
+    would be neither meaningful nor valid JSON.  Module-level for the
+    same reason as :func:`request_content_key`: the pool router
+    validates before routing so malformed requests are rejected
+    without crossing a process boundary.
     """
     if spec is None:
         arr = np.asarray(x)
         return arr if np.issubdtype(arr.dtype, np.integer) \
-            else np.asarray(arr, np.float64)
+            else _finite(np.asarray(arr, np.float64))
     if spec.get("kind") == "tokens":
         arr = np.asarray(x)
         if not np.issubdtype(arr.dtype, np.integer) \
-                and not np.all(np.mod(arr, 1) == 0):
+                and not np.all(np.mod(_finite(arr), 1) == 0):
             raise ValueError("token input must be integral")
         arr = arr.astype(np.int64)
         expect = (int(spec["seq_len"]),)
@@ -125,176 +111,16 @@ def validate_payload(spec: Optional[dict], x) -> np.ndarray:
     if expect and arr.shape != expect:
         raise ValueError(
             f"expected input shape {expect}, got {arr.shape}")
-    return arr
-
-
-def freeze_gemm_weights(model: Module, config: GemmConfig) -> frozenset:
-    """Quantize every GEMM-operand weight to the multiplier format,
-    in place, once; returns the frozen arrays' root-buffer ids.
-
-    The round-to-nearest cast is deterministic, so freezing in one
-    process and shipping the bytes to another (the shared-memory
-    checkpoint path) yields exactly the arrays a local freeze would.
-    """
-    frozen = set()
-    if config is None or config.mul_format is None:
-        return frozenset()
-    for module in model.modules():
-        if isinstance(module, (Linear, Conv2d)):
-            weight = module.weight
-            weight.data[...] = _cast_one(weight.data, config)
-            frozen.add(id(_root_base(weight.data)))
-    return frozenset(frozen)
-
-
-class _ServeGemm:
-    """Forward-only GEMM callable with per-sample substream slicing.
-
-    Bound to every layer of a frozen model.  For each GEMM call it
-    splits the operands' leading axis into ``n_samples`` equal
-    contiguous groups — rows for 2D operands (Linear activations,
-    im2col patch rows), stacked batch entries for 3D operands (batched
-    projections, per-head attention stacks; all layer GEMM shapes keep
-    sample groups contiguous along axis 0) — and emulates each sample's
-    slice under its own request-derived substream, keyed additionally
-    by the call's position ``g`` in the forward pass.  Compute runs on
-    the tiled-parallel scheduler, so results are also invariant to the
-    session's ``workers``/``tile_rows``/backend.
-
-    Operands whose root buffer is one of the session's frozen weights
-    skip the multiplier-format cast: they were quantized once at load
-    time.  Activation operands are cast batch-wide (the cast is
-    elementwise, hence batch-composition invariant) before slicing.
-    """
-
-    def __init__(self, config: GemmConfig, scheduler: TileScheduler,
-                 frozen_ids: frozenset, autotune: Optional[str] = None,
-                 schedule_cache: Optional[str] = None,
-                 registry: Optional[MetricsRegistry] = None):
-        self.config = config
-        self.scheduler = scheduler
-        self.frozen_ids = frozen_ids
-        self.autotune = autotune if autotune not in (None, "off") else None
-        self.schedule_cache = schedule_cache
-        self.metrics = registry if registry is not None \
-            else MetricsRegistry()
-        self._calls = self.metrics.counter("gemm_calls_total",
-                                           engine=config.accum_order)
-        self._overflows = self.metrics.counter(
-            "gemm_overflows_total", engine=config.accum_order)
-        self._streams: List = []
-        self._call_index = 0
-        self._schedule_memo: dict = {}
-
-    @property
-    def call_count(self) -> int:
-        return self._calls.value
-
-    @property
-    def overflow_count(self) -> int:
-        return self._overflows.value
-
-    def _resolve(self, batch: int, m: int, k: int, n: int):
-        """(scheduler, accum_order) for one per-sample GEMM shape class.
-
-        Mirrors :meth:`repro.emu.parallel.ParallelQuantizedGemm._resolve`
-        — a memoized :func:`repro.emu.autotune.get_schedule` lookup; the
-        session's constructor scheduler is the default schedule.  The
-        resolved accum_order is folded into the per-sample config (which
-        already swaps the stream), so the engine-variant dimension rides
-        the existing ``replace`` path.
-        """
-        if self.autotune is None:
-            return self.scheduler, self.config.accum_order
-        from ..emu.autotune import Schedule, get_schedule, scheduler_for, \
-            shape_bucket
-
-        bucket = shape_bucket((batch, m, k, n))
-        hit = self._schedule_memo.get(bucket)
-        if hit is not None:
-            return hit
-        default = Schedule(
-            workers=self.scheduler.workers,
-            tile_rows=self.scheduler.tile_blocks * BLOCK_ROWS,
-            backend="serial" if self.scheduler.workers == 1
-            else self.scheduler.backend)
-        schedule = get_schedule(bucket, self.config, mode=self.autotune,
-                                cache_dir=self.schedule_cache,
-                                default=default)
-        resolved = (scheduler_for(schedule),
-                    schedule.engine or self.config.accum_order)
-        self._schedule_memo[bucket] = resolved
-        return resolved
-
-    def begin(self, streams: List) -> None:
-        """Arm the gemm for one forward pass over ``len(streams)``
-        samples; stream ``i`` is sample ``i``'s request substream."""
-        self._streams = list(streams)
-        self._call_index = 0
-
-    def _prepare(self, x: np.ndarray) -> np.ndarray:
-        if self.config.mul_format is None:
-            return np.asarray(x, np.float64)
-        if id(_root_base(x)) in self.frozen_ids:
-            return x                      # frozen weight: already cast
-        return _cast_one(np.asarray(x, np.float64), self.config)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not self._streams:
-            raise RuntimeError(
-                "_ServeGemm used outside InferenceSession.predict_batch")
-        g = self._call_index
-        self._call_index += 1
-        batched = a.ndim == 3
-        if batched != (b.ndim == 3):
-            raise ValueError(
-                f"mixed 2D/3D GEMM operands {a.shape} x {b.shape}")
-        n = len(self._streams)
-        groups, rem = divmod(a.shape[0], n)
-        if rem or groups == 0:
-            raise ValueError(
-                f"GEMM leading axis {a.shape[0]} does not split over "
-                f"{n} samples")
-        aq = self._prepare(a)
-        bq = self._prepare(b)
-        if batched:
-            out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
-            scheduler, accum_order = self._resolve(
-                groups, a.shape[1], a.shape[2], b.shape[2])
-        else:
-            out = np.empty((a.shape[0], b.shape[1]))
-            scheduler, accum_order = self._resolve(
-                1, groups, a.shape[1], b.shape[1])
-        cm = _trace.span("serve/gemm", g=g, samples=n,
-                         shape="x".join(str(d) for d in a.shape),
-                         engine=accum_order) \
-            if _trace.active else _trace.NULL
-        with cm:
-            for i, stream in enumerate(self._streams):
-                cfg = replace(self.config, stream=stream.spawn((g,)),
-                              accum_order=accum_order)
-                rows = slice(i * groups, (i + 1) * groups)
-                if batched:
-                    out[rows] = parallel_matmul_batched(
-                        aq[rows], bq[rows], cfg,
-                        scheduler=scheduler, cast=False)
-                else:
-                    out[rows] = parallel_matmul_batched(
-                        aq[rows][None], bq[None], cfg,
-                        scheduler=scheduler, cast=False)[0]
-        self._calls.inc()
-        if not np.all(np.isfinite(out)):
-            self._overflows.inc()
-        return out
+    return _finite(arr)
 
 
 class InferenceSession:
     """A trained model frozen into a servable forward-only plan.
 
     The session takes *ownership* of ``model``: it switches it to eval
-    mode, quantizes its GEMM weights in place, and rebinds every
-    layer's gemm callable.  Use :meth:`from_checkpoint` to build a
-    fresh model from disk (the normal serving path).
+    mode and rebinds every layer's gemm callable to one executor; the
+    weights are left as they are.  Use :meth:`from_checkpoint` to build
+    a fresh model from disk (the normal serving path).
 
     Parameters
     ----------
@@ -308,7 +134,7 @@ class InferenceSession:
         threads beat process pools).
     fingerprint:
         Checkpoint identity for cache keys / ``/healthz``; computed
-        from the (pre-freeze) weights when omitted.
+        from the weights when omitted.
     input_spec:
         Request payload description from the checkpoint's model spec
         (``{"kind": "image", "shape": [...]}`` or ``{"kind": "tokens",
@@ -319,12 +145,6 @@ class InferenceSession:
         ``"search"`` additionally tunes every shape once at load via
         :meth:`tune`.  Logits are bit-identical whichever schedule runs
         — tuning is a pure throughput choice.
-    weights_frozen:
-        The model's GEMM weights are *already* cast to the multiplier
-        format (the shared-memory checkpoint path: a pool parent froze
-        them once before publishing, and the arrays may be read-only
-        views).  The session then only records their identities instead
-        of re-casting in place.
 
     Example::
 
@@ -341,7 +161,6 @@ class InferenceSession:
                  input_spec: Optional[dict] = None,
                  autotune: str = "off",
                  schedule_cache: Optional[str] = None,
-                 weights_frozen: bool = False,
                  registry: Optional[MetricsRegistry] = None):
         self.config = config if config is not None else GemmConfig()
         self.model = model
@@ -355,14 +174,12 @@ class InferenceSession:
             else MetricsRegistry()
         #: lock-order: 80
         self._lock = threading.Lock()
-        scheduler = TileScheduler(workers=self.workers, tile_rows=tile_rows,
-                                  backend=backend)
-        frozen = self._collect_frozen() if weights_frozen \
-            else freeze_gemm_weights(model, self.config)
-        self._gemm = _ServeGemm(self.config, scheduler, frozen,
-                                autotune=autotune,
-                                schedule_cache=schedule_cache,
-                                registry=self.metrics)
+        self._gemm = QuantizedGemm(self.config, workers=self.workers,
+                                   tile_rows=tile_rows, backend=backend,
+                                   autotune=autotune,
+                                   schedule_cache=schedule_cache,
+                                   registry=self.metrics)
+        self._gemm.arm([])   # disarmed outside predict_batch
         for module in model.modules():
             if hasattr(module, "gemm"):
                 module.gemm = self._gemm
@@ -378,15 +195,6 @@ class InferenceSession:
             # non-serializable stream: fall back to the label (enough to
             # keep fingerprints distinct across formats/r)
             return {"label": self.config.label}
-
-    def _collect_frozen(self) -> frozenset:
-        """Root-buffer ids of already-cast GEMM weights (shared path)."""
-        if self.config.mul_format is None:
-            return frozenset()
-        return frozenset(
-            id(_root_base(module.weight.data))
-            for module in self.model.modules()
-            if isinstance(module, (Linear, Conv2d)))
 
     # ------------------------------------------------------------------
     def content_key(self, x: np.ndarray) -> Tuple[str, Tuple[int, ...]]:
@@ -423,12 +231,11 @@ class InferenceSession:
         cm = _trace.span("serve/session", samples=len(arrays)) \
             if _trace.active else _trace.NULL
         with cm, self._lock:
-            self._gemm.begin([self.config.stream.spawn(key)
-                              for key in keys])
+            self._gemm.arm([self.config.stream.spawn(key) for key in keys])
             try:
                 out = self.model(batch)
             finally:
-                self._gemm.begin([])   # disarm until the next batch
+                self._gemm.arm([])   # disarm until the next batch
         return [np.array(out[i]) for i in range(len(arrays))]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -496,9 +303,8 @@ class InferenceSession:
         (attached in this process).  The model's parameters are rebound
         to the segment's read-only views with **zero copies**
         (:func:`repro.nn.checkpoint.rebind_parameters`): every replica
-        of a pool reads the same physical weight bytes.  The publisher
-        froze the GEMM weights before sharing, so the session is built
-        with ``weights_frozen=True`` and never writes to them.
+        of a pool reads the same physical weight bytes, and the session
+        never writes to them.
         """
         from ..models.registry import build_model_from_spec
         from ..nn.checkpoint import rebind_parameters
@@ -514,5 +320,4 @@ class InferenceSession:
                    tile_rows=tile_rows, backend=backend,
                    fingerprint=shared.fingerprint,
                    input_spec=(model_spec or {}).get("input"),
-                   autotune=autotune, schedule_cache=schedule_cache,
-                   weights_frozen=True)
+                   autotune=autotune, schedule_cache=schedule_cache)

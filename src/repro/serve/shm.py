@@ -5,12 +5,9 @@ shared-memory segment so that every replica process of a pool
 (:mod:`repro.serve.pool`) serves from the same physical weight bytes:
 
 * **publish** (pool parent) — load the checkpoint, rebuild the model,
-  freeze its GEMM weights to the multiplier format *once*
-  (:func:`repro.serve.session.freeze_gemm_weights` — the
-  round-to-nearest cast is deterministic, so pre-casting in the parent
-  is bit-identical to casting in each replica), then lay every array
-  into the segment and record a manifest of (name, dtype, shape,
-  offset) plus a blake2b digest of the payload.
+  then lay every array of its state dict into the segment and record a
+  manifest of (name, dtype, shape, offset) plus a blake2b digest of
+  the payload.
 * **attach** (replica worker) — map the segment by name, check the
   digest, and expose each array as a **read-only** NumPy view.
   :meth:`repro.serve.session.InferenceSession.from_shared` rebinds the
@@ -94,7 +91,7 @@ def _suppress_tracking():
 
 
 class SharedCheckpoint:
-    """A checkpoint's frozen state, resident in one shared segment.
+    """A checkpoint's state, resident in one shared segment.
 
     Build with :meth:`publish` (owner side) or :meth:`attach` (worker
     side); never directly.  ``spec`` round-trips the attachment info
@@ -121,21 +118,16 @@ class SharedCheckpoint:
     @classmethod
     def publish(cls, checkpoint: Union[str, os.PathLike, Checkpoint], *,
                 name: Optional[str] = None) -> "SharedCheckpoint":
-        """Freeze a checkpoint's weights and lay them into a segment.
+        """Lay a checkpoint's state dict into a fresh segment.
 
         ``checkpoint`` is a path (loaded via
         :func:`repro.nn.checkpoint.load_checkpoint`, fingerprint
         verified) or an already-loaded :class:`Checkpoint`.  The
         returned object is the segment's owner.
         """
-        from .session import freeze_gemm_weights
-
         ckpt = checkpoint if isinstance(checkpoint, Checkpoint) \
             else load_checkpoint(checkpoint)
-        config = ckpt.gemm_config()
-        model = ckpt.build_model()
-        freeze_gemm_weights(model, config)
-        state = model.state_dict()
+        state = ckpt.build_model().state_dict()
 
         arrays = []
         offset = 0
@@ -157,8 +149,6 @@ class SharedCheckpoint:
             "format_version": 1,
             "fingerprint": ckpt.fingerprint,
             "meta": ckpt.meta,
-            "frozen": bool(config is not None
-                           and config.mul_format is not None),
             "nbytes": nbytes,
             "digest": _payload_digest(shm.buf, nbytes),
             "arrays": arrays,

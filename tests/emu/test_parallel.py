@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, QuantizedGemm, matmul
+from repro.emu import GemmConfig, matmul
 from repro.emu.parallel import (
     BLOCK_ROWS,
     ParallelQuantizedGemm,
@@ -213,7 +213,7 @@ class TestConvStreaming:
         """RN: streamed row tiles equal the whole-matrix GEMM bitwise."""
         x = self._input()
         config = GemmConfig.rn(FP12_E6M5)
-        legacy = self._layer(QuantizedGemm(config))
+        legacy = self._layer(lambda a, b: matmul(a, b, config))
         tiled = self._layer(ParallelQuantizedGemm(config, workers=2,
                                                   backend="thread"))
         assert np.array_equal(legacy.forward(x), tiled.forward(x))
@@ -257,7 +257,7 @@ class TestConvStreaming:
         path (up to float64 summation order in the weight gradient)."""
         x = self._input()
         config = GemmConfig.fp32_baseline()
-        legacy = self._layer(QuantizedGemm(config))
+        legacy = self._layer(lambda a, b: matmul(a, b, config))
         tiled = self._layer(ParallelQuantizedGemm(config, workers=2,
                                                   backend="thread"))
         out_l, out_t = legacy.forward(x), tiled.forward(x)

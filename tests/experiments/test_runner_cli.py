@@ -62,17 +62,6 @@ class TestTransformerExperiment:
         assert "FP32 Baseline" in out
         assert "vs FP32" in out
 
-    def test_build_transformer_gemm_always_parallel(self):
-        """workers=1 still selects the tiled-parallel executor — the
-        draw order the workload's bit-identity acceptance relies on."""
-        from repro.emu import GemmConfig, ParallelQuantizedGemm
-        from repro.experiments.transformer import build_transformer_gemm
-
-        assert build_transformer_gemm(None) is None
-        gemm = build_transformer_gemm(GemmConfig.sr(9), workers=1)
-        assert isinstance(gemm, ParallelQuantizedGemm)
-        assert gemm.scheduler.workers == 1
-
 
 class TestParallelTraining:
     def test_build_gemm_selects_executor(self):
@@ -80,12 +69,11 @@ class TestParallelTraining:
         from repro.experiments.training import build_gemm
 
         assert build_gemm(None) is None
-        serial = build_gemm(GemmConfig.sr(9))
-        assert isinstance(serial, QuantizedGemm)
-        assert not isinstance(serial, ParallelQuantizedGemm)
-        parallel = build_gemm(GemmConfig.sr(9), workers=2)
-        assert isinstance(parallel, ParallelQuantizedGemm)
-        assert parallel.scheduler.workers == 2
+        assert ParallelQuantizedGemm is QuantizedGemm
+        for workers in (1, 2):
+            gemm = build_gemm(GemmConfig.sr(9), workers=workers)
+            assert isinstance(gemm, QuantizedGemm)
+            assert gemm.scheduler.workers == workers
 
     def test_train_once_with_workers(self):
         """A short training run through the tiled-parallel executor."""

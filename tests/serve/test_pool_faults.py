@@ -1,6 +1,6 @@
-"""Fault injection: worker crashes and live checkpoint swaps.
+"""Fault injection: worker crashes, live checkpoint swaps, bad input.
 
-Two failure modes the pool must absorb without breaking the
+Three failure modes the pool must absorb without breaking the
 reproducibility contract:
 
 * **SIGKILL** of a replica — the monitor respawns it over the same
@@ -11,13 +11,19 @@ reproducibility contract:
 * **Drain-and-swap reload** under live traffic — zero dropped
   requests; every response matches the old *or* the new checkpoint's
   baseline (never a torn mix); the old segment is unlinked afterwards.
+* **Non-finite input** — the router rejects NaN and infinity before
+  any replica or cache sees the request.
 """
 
 import glob
+import json
 import os
 import signal
 import threading
 import time
+
+import numpy as np
+import pytest
 
 from repro.serve import InferenceSession, ReplicaPool, ServerApp
 from repro.serve.pool import response_bytes
@@ -159,3 +165,22 @@ class TestDrainAndSwap:
                 == stats["requests"]
 
         assert not glob.glob("/dev/shm/*reproshm*")
+
+
+class TestNonFiniteInput:
+    def test_router_rejects_before_any_replica(self, serve_checkpoint):
+        image = np.zeros((3, 8, 8))
+        image[0, 0, 0] = np.inf
+        with ReplicaPool(serve_checkpoint("sr_r9"), replicas=1,
+                         start_method="fork", max_delay_ms=1.0) as pool:
+            for value in ("NaN", "Infinity", "-Infinity"):
+                # the body a client sends: json.loads parses the literal
+                payload = json.loads(json.dumps({"input": image.tolist()})
+                                     .replace("Infinity", value, 1))
+                with pytest.raises(ValueError, match="finite"):
+                    pool.predict_json(payload)
+            stats = pool.stats()
+            assert stats["replica_requests"] == 0
+            assert stats["replica_errors"] == 0
+            assert stats["router"]["hits"] + stats["router"]["misses"] == 0
+

@@ -160,6 +160,25 @@ class TestServingEndToEnd:
         finally:
             running.stop()
 
+    def test_non_finite_input_is_a_counted_400(self, checkpoint):
+        """``json.loads`` accepts NaN/Infinity literals; the server must
+        not compute, cache or answer with non-JSON logits from them."""
+        running = _RunningServer(checkpoint, workers=1)
+        try:
+            for value in (np.nan, np.inf, -np.inf):
+                image = np.zeros((3, 8, 8))
+                image[1, 2, 3] = value
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _post(running.url + "/predict", {"input": image.tolist()})
+                assert err.value.code == 400
+                assert "finite" in json.loads(err.value.read())["error"]
+            status, stats = _get(running.url + "/stats")
+            assert stats["errors"] == 3 and stats["requests"] == 0
+            assert stats["cache"]["entries"] == 0
+            assert stats["batcher"]["samples"] == 0
+        finally:
+            running.stop()
+
 
 class TestServeCli:
     def test_module_entry_point(self, checkpoint):
