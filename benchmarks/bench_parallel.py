@@ -5,9 +5,9 @@ executor at ``workers in {1, N}`` against one whole-matrix engine call
 (``matmul``), and (b) a tiled-im2col conv forward at the same worker
 counts against a conv whose gemm is a plain ``matmul`` function (the
 full-im2col branch), with the peak tiled-path memory (tracemalloc)
-against the bytes a full im2col materialization would take.  The executor's results are bit-identical
-across worker counts (asserted here on the GEMM), so the speedup column
-is a pure scheduling effect.
+against the bytes a full im2col materialization would take.  The
+executor's results are bit-identical across worker counts (asserted
+here on the GEMM), so the speedup column is a pure scheduling effect.
 
 Run standalone for the JSON report (workers defaults to 4, the
 acceptance configuration — on a single-core container the recorded

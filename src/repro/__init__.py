@@ -30,7 +30,7 @@ Subpackages
     One runner per paper table/figure, with published values for
     comparison.
 ``repro.serve``
-    Inference serving: frozen forward-only sessions with per-request SR
+    Inference serving: eval-mode forward-only sessions with per-request SR
     keying, micro-batching, a content-keyed response cache, and a
     stdlib HTTP JSON API (``python -m repro.serve``).
 """

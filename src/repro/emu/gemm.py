@@ -199,13 +199,3 @@ def sum_reduce(values: np.ndarray, config: GemmConfig,
     # The quantizers promote 0-d to (1,); normalize so the result shape
     # is the reduced shape regardless of the engine.
     return np.asarray(out, dtype=np.float64).reshape(moved.shape[1:])
-
-
-def __getattr__(name: str):
-    # The GEMM executor lives with its scheduler in :mod:`.parallel`,
-    # which imports this module, so it is resolved on first access.
-    if name == "QuantizedGemm":
-        from .parallel import QuantizedGemm
-
-        return QuantizedGemm
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -488,25 +488,25 @@ class QuantizedGemm:
             counter._reset()
 
     # -- streams ---------------------------------------------------------
-    def arm(self, streams: Optional[Sequence]) -> None:
+    def arm(self, streams: Sequence) -> None:
         """Install the per-group streams of the calls that follow.
 
-        ``None`` restores the default: each call is one group under
-        ``config.stream``.  ``n`` streams split each call's leading axis
-        into ``n`` equal groups, and call ``g`` (counted from this
-        arming) runs group ``i`` under ``streams[i].spawn((g,))``.  An
-        empty sequence disarms: calls raise until the next arming.
+        ``n`` streams split each call's leading axis into ``n`` equal
+        groups, and call ``g`` (counted from this arming) runs group
+        ``i`` under ``streams[i].spawn((g,))``.  An empty sequence
+        disarms: calls raise until the next arming.  An executor never
+        armed runs each call as one group under ``config.stream``.
         """
-        self._streams = None if streams is None else list(streams)
+        self._streams = list(streams)
         self._call_index = 0
 
-    def _split(self, lead: int) -> List[Tuple[object, int, int]]:
+    def _split(self, lead: int) -> Tuple[int, List[Tuple[object, int]]]:
         """This call's groups along a leading axis of length ``lead``:
-        ``(stream, start, size)``, where stream ``None`` means
-        ``config.stream``."""
+        the group size and each group's ``(stream, start)``, where
+        stream ``None`` means ``config.stream``."""
         streams = self._streams
         if streams is None:
-            return [(None, 0, lead)]
+            return lead, [(None, 0)]
         if not streams:
             raise RuntimeError(
                 "GEMM executor is disarmed: serving GEMMs run only inside "
@@ -517,8 +517,8 @@ class QuantizedGemm:
         if rem or size == 0:
             raise ValueError(f"GEMM leading axis {lead} does not split "
                              f"over {len(streams)} streams")
-        return [(stream.spawn((g,)), i * size, size)
-                for i, stream in enumerate(streams)]
+        return size, [(stream.spawn((g,)), i * size)
+                      for i, stream in enumerate(streams)]
 
     @staticmethod
     def _group_config(config, stream):
@@ -586,8 +586,7 @@ class QuantizedGemm:
             a, b = a[None], b[None]
         batch, m, k = a.shape
         n = b.shape[2]
-        groups = self._split(batch if stacked else m)
-        size = groups[0][2]
+        size, groups = self._split(batch if stacked else m)
         group_shape = (size, m, k, n) if stacked else (1, size, k, n)
         scheduler, config = self._resolve(*group_shape)
         cm = self._span(scheduler, *group_shape, groups=len(groups)) \
@@ -600,7 +599,7 @@ class QuantizedGemm:
                 if config.mul_format is not None:
                     b = _cast_one(b, config)
                 out = np.empty((batch, m, n), dtype=np.float64)
-                for stream, start, _ in groups:
+                for stream, start in groups:
                     rows = slice(start, start + size)
                     cfg = replace(config, stream=stream)
                     if stacked:
@@ -621,18 +620,17 @@ class QuantizedGemm:
         only one block of ``A`` rows is ever materialized per worker.
         """
         producer = _as_producer(source)
-        groups = self._split(n_rows)
+        size, groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
         k, n = bq.shape
         out = np.empty((n_rows, n), dtype=np.float64)
         if out.size == 0:
             return self._observe(out, 1, n_rows, k, n)
-        size = groups[0][2]
         scheduler, config = self._resolve(1, size, k, n)
         cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
-            for stream, start, _ in groups:
+            for stream, start in groups:
                 tasks = _row_block_tasks(producer, size, start=start)
                 results = scheduler.run(
                     tasks, self._group_config(config, stream), b_shared=bq)
@@ -650,7 +648,7 @@ class QuantizedGemm:
         value was finite (the overflow signal).
         """
         producer = _as_producer(source)
-        groups = self._split(n_rows)
+        size, groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
         finite = True
 
@@ -660,12 +658,11 @@ class QuantizedGemm:
             consume(task.r0, task.r1, value)
 
         k, n = bq.shape
-        size = groups[0][2]
         scheduler, config = self._resolve(1, size, k, n)
         cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
-            for stream, start, _ in groups:
+            for stream, start in groups:
                 tasks = _row_block_tasks(producer, size, start=start)
                 scheduler.run_streamed(
                     tasks, self._group_config(config, stream), bq, _consume)
@@ -692,7 +689,7 @@ class QuantizedGemm:
         """
         a_producer = _as_producer(a_source)
         b_producer = _as_producer(b_source)
-        groups = self._split(n_rows)
+        _, groups = self._split(n_rows)
         if len(groups) != 1:
             raise ValueError("a row-streamed A.T @ B reduces across its "
                              "rows; it cannot split into stream groups")

@@ -2,7 +2,7 @@
 
 Takes a trained :class:`repro.nn.Module` and serves it over HTTP:
 
-* :class:`repro.serve.session.InferenceSession` freezes the model into
+* :class:`repro.serve.session.InferenceSession` turns the model into
   a forward-only eval plan, and SR randomness is keyed per request via
   ``RandomBitStream.spawn(request_key)``, so a request's logits are
   bit-identical regardless of which micro-batch it lands in and of the

@@ -1,4 +1,4 @@
-"""Stdlib JSON API over a frozen inference session.
+"""Stdlib JSON API over an eval-mode inference session.
 
 Endpoints (all JSON):
 

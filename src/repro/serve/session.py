@@ -1,8 +1,8 @@
-"""Frozen forward-only inference plans with per-request SR keying.
+"""Forward-only eval-mode inference plans with per-request SR keying.
 
 An :class:`InferenceSession` owns a model and prepares it for serving:
 
-1. **Eval freeze** — ``model.eval()`` once; batch norm reads running
+1. **Eval mode** — ``model.eval()`` once; batch norm reads running
    statistics, dropout is identity.  Every non-GEMM op of the eval
    forward pass (softmax, LayerNorm, batch-norm-with-running-stats,
    activations, pooling) is then a per-sample function, which is what
@@ -115,7 +115,7 @@ def validate_payload(spec: Optional[dict], x) -> np.ndarray:
 
 
 class InferenceSession:
-    """A trained model frozen into a servable forward-only plan.
+    """A trained model prepared as a servable forward-only plan.
 
     The session takes *ownership* of ``model``: it switches it to eval
     mode and rebinds every layer's gemm callable to one executor; the

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.emu import QuantizedGemm
 from repro.emu.config import GemmConfig
 from repro.emu.engine import (
     ChunkedEngine,
@@ -26,7 +27,6 @@ from repro.emu.engine import (
     round_partial,
 )
 from repro.emu.gemm import (
-    QuantizedGemm,
     cast_inputs,
     matmul,
     matmul_batched,

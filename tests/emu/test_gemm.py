@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.emu import QuantizedGemm
 from repro.emu.config import GemmConfig
-from repro.emu.gemm import QuantizedGemm, cast_inputs, dot, matmul, sum_reduce
+from repro.emu.gemm import cast_inputs, dot, matmul, sum_reduce
 from repro.fp.formats import FP8_E5M2, FP12_E6M5, FP16
 from repro.fp.quantize import quantize
 from repro.prng.streams import LFSRStream

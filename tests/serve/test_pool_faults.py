@@ -169,18 +169,16 @@ class TestDrainAndSwap:
 
 class TestNonFiniteInput:
     def test_router_rejects_before_any_replica(self, serve_checkpoint):
-        image = np.zeros((3, 8, 8))
-        image[0, 0, 0] = np.inf
         with ReplicaPool(serve_checkpoint("sr_r9"), replicas=1,
                          start_method="fork", max_delay_ms=1.0) as pool:
-            for value in ("NaN", "Infinity", "-Infinity"):
-                # the body a client sends: json.loads parses the literal
-                payload = json.loads(json.dumps({"input": image.tolist()})
-                                     .replace("Infinity", value, 1))
+            for value in (np.nan, np.inf, -np.inf):
+                image = np.zeros((3, 8, 8))
+                image[0, 0, 0] = value
+                # the body a client sends: NaN / Infinity literals
+                payload = json.loads(json.dumps({"input": image.tolist()}))
                 with pytest.raises(ValueError, match="finite"):
                     pool.predict_json(payload)
             stats = pool.stats()
             assert stats["replica_requests"] == 0
             assert stats["replica_errors"] == 0
             assert stats["router"]["hits"] + stats["router"]["misses"] == 0
-
