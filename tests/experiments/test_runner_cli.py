@@ -62,6 +62,20 @@ class TestTransformerExperiment:
         assert "FP32 Baseline" in out
         assert "vs FP32" in out
 
+    def test_build_transformer_gemm_always_parallel(self):
+        """The transformer runner builds its GEMM with the shared
+        ``build_gemm``: workers=1 still selects the tiled executor — the
+        draw order the workload's bit-identity acceptance relies on."""
+        from repro.emu import GemmConfig, QuantizedGemm
+        from repro.experiments import training
+        from repro.experiments import transformer as tx
+
+        assert tx.build_gemm is training.build_gemm
+        assert tx.build_gemm(None) is None
+        gemm = tx.build_gemm(GemmConfig.sr(9), workers=1)
+        assert isinstance(gemm, QuantizedGemm)
+        assert gemm.scheduler.workers == 1
+
 
 class TestParallelTraining:
     def test_build_gemm_selects_executor(self):
