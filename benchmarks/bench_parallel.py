@@ -32,8 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, QuantizedGemm, matmul
-from repro.emu.autotune import resolve_workers
+from repro.emu import GemmConfig, QuantizedGemm, matmul, resolve_workers
 from repro.nn.layers import Conv2d
 
 from _machine import machine_info

@@ -31,13 +31,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig
+from repro.emu import GemmConfig, resolve_workers
 from repro.models import SimpleCNN
 from repro.serve import InferenceSession, ServerApp
 from repro.obs import percentile
 
 from _machine import machine_info
-from repro.emu.autotune import resolve_workers
 
 RBITS = 9
 SEED = 3

@@ -30,10 +30,9 @@ import numpy as np
 import pytest
 
 from _machine import machine_info
-from repro.emu.autotune import resolve_workers
 
 from repro.data import make_sequence_classification, sequence_loaders_for
-from repro.emu import GemmConfig, QuantizedGemm
+from repro.emu import GemmConfig, QuantizedGemm, resolve_workers
 from repro.experiments.transformer import (
     TRANSFORMER_SCALES,
     make_dataset,

@@ -2,9 +2,9 @@
 
 The reproduction's guarantees (logits as a pure function of
 (checkpoint, config, input bytes); bit-identity across workers, tiles
-and backends; correctness-free schedule autotuning) rest on contracts
-that dynamic tests can only spot-check: a violation introduced in a
-cold path ships silently until some future test happens to execute it.
+and backends) rest on contracts that dynamic tests can only
+spot-check: a violation introduced in a cold path ships silently until
+some future test happens to execute it.
 reprolint proves, at lint time over the whole tree, that the code
 *cannot express* the known classes of contract violations:
 

@@ -1,20 +1,20 @@
 """Scope policy: where each contract does and does not apply.
 
 The contracts are scoped, not absolute: benchmarks *measure* wall
-clock, the autotuner's trial loop *is* a timing harness, and the
+clock, the observability layer *times* phases, and the
 engine/parallel internals *own* the frozen draw order.  The default
 policy encodes those scopes; everything else must use a per-line
 suppression (with a reason) so exceptions stay visible in the diff.
 
 A :class:`Scope` names a repo-relative posix path prefix plus an
 optional dotted qualname prefix inside it, so a whitelist can be as
-narrow as one function (``search_schedule`` in the autotuner) or as
-wide as a directory (``benchmarks/``).
+narrow as one function (``_round_up_mask`` in ``repro.fp.quantize``)
+or as wide as a directory (``benchmarks/``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 
@@ -41,9 +41,6 @@ class Scope:
 CLOCK_SCOPES: Tuple[Scope, ...] = (
     Scope("benchmarks/"),
     Scope("tests/"),
-    # the autotuner's trial loop is the one library-side timing harness;
-    # its measurements pick among bitwise-verified-equal schedules only
-    Scope("src/repro/emu/autotune.py", "search_schedule"),
     # the observability layer is the sanctioned clock owner: spans and
     # latency histograms time phases, and their readings never feed the
     # datapath (DESIGN.md section 13)

@@ -12,7 +12,7 @@ that silently:
   are fine — they *are* the reproducibility mechanism.
 * **DET-CLOCK** — wall-clock/perf-counter reads (``time.time``,
   ``time.perf_counter``, ``datetime.now``, ...) outside measurement
-  scopes (benchmarks, the autotuner's trial loop, tests).
+  scopes (benchmarks, the observability layer, tests).
   ``time.monotonic`` is exempt by repo convention: it marks
   deadline/latency plumbing whose value never feeds a result (the
   serving tier's batching deadlines and latency percentiles).
@@ -126,7 +126,7 @@ class WallClockRead(Rule):
     id = "DET-CLOCK"
     title = ("wall-clock/perf-counter read outside whitelisted "
              "measurement scopes")
-    contract = ("DESIGN.md section 10: timing is measurement, never an "
+    contract = ("DESIGN.md section 11: timing is measurement, never an "
                 "input to results; monotonic deadlines are exempt")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:

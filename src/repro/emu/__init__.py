@@ -1,12 +1,5 @@
 """Bit-accurate, vectorized MAC/GEMM emulation for DNN training."""
 
-from .autotune import (
-    Schedule,
-    ScheduleCache,
-    get_schedule,
-    resolve_workers,
-    search_schedule,
-)
 from .config import GemmConfig, paper_table3_config
 from .engine import (
     AccumulationEngine,
@@ -31,15 +24,12 @@ from .parallel import (
     QuantizedGemm,
     TileScheduler,
     parallel_matmul_batched,
+    resolve_workers,
 )
 
 __all__ = [
     "BLOCK_ROWS",
-    "Schedule",
-    "ScheduleCache",
-    "get_schedule",
     "resolve_workers",
-    "search_schedule",
     "ParallelQuantizedGemm",
     "TileScheduler",
     "parallel_matmul_batched",

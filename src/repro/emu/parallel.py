@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -193,6 +194,25 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
+
+
+def resolve_workers(value, *, default: int = 1) -> int:
+    """Resolve a ``--workers`` CLI value; ``"auto"`` = ``os.cpu_count()``.
+
+    Example::
+
+        resolve_workers("auto")   # == os.cpu_count()
+        resolve_workers("4")      # == 4
+        resolve_workers(None)     # == default
+    """
+    if value is None:
+        return default
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        return max(1, os.cpu_count() or 1)
+    workers = int(value)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 or 'auto', got {value!r}")
+    return workers
 
 
 class TileScheduler:
@@ -394,14 +414,6 @@ class QuantizedGemm:
     (:mod:`repro.serve.session`).  The weight operand is cast once per
     call, whatever the group count.
 
-    ``autotune`` switches on per-shape schedule resolution via
-    :mod:`repro.emu.autotune` (``"cached"`` consults the persisted
-    schedule cache, ``"search"`` fills misses with timed trials); the
-    constructor's ``workers``/``tile_rows``/``backend`` then act as the
-    default schedule for shapes without a tuned entry.  Schedules are
-    pure wall-clock choices — results are bit-identical whichever one
-    runs.
-
     Statistics live in a :class:`repro.obs.MetricsRegistry` (a private
     one unless the owner passes a shared ``registry``):
     ``gemm_calls_total`` / ``gemm_overflows_total`` (labeled by
@@ -424,8 +436,6 @@ class QuantizedGemm:
 
     def __init__(self, config, *, workers: int = 1,
                  tile_rows: Optional[int] = None, backend: str = "process",
-                 autotune: Optional[str] = None,
-                 schedule_cache: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.config = config
         self.metrics = registry if registry is not None \
@@ -442,9 +452,6 @@ class QuantizedGemm:
         self._shape_counters: dict = {}
         self.scheduler = TileScheduler(workers=workers, tile_rows=tile_rows,
                                        backend=backend)
-        self.autotune = autotune if autotune not in (None, "off") else None
-        self.schedule_cache = schedule_cache
-        self._schedule_memo: dict = {}
         self._streams: Optional[List] = None
         self._call_index = 0
 
@@ -525,54 +532,19 @@ class QuantizedGemm:
         return config if stream is None else replace(config, stream=stream)
 
     # -- scheduling ------------------------------------------------------
-    def _resolve(self, batch: int, m: int, k: int, n: int):
-        """(scheduler, config) for one GEMM shape class.
-
-        With autotuning off this is the constructor-time scheduler and
-        config.  Otherwise the schedule comes from
-        :func:`repro.emu.autotune.get_schedule` (``"cached"`` consults
-        the on-disk cache, ``"search"`` fills misses by timed trials),
-        memoized per shape bucket on this instance so the per-call cost
-        is one dictionary hit.  Any schedule resolves to a bit-identical
-        result by the draw-order contract, so this is purely a
-        wall-clock decision.
-        """
-        if self.autotune is None:
-            return self.scheduler, self.config
-        from .autotune import Schedule, get_schedule, scheduler_for, \
-            shape_bucket
-
-        bucket = shape_bucket((batch, m, k, n))
-        hit = self._schedule_memo.get(bucket)
-        if hit is not None:
-            return hit
-        default = Schedule(
-            workers=self.scheduler.workers,
-            tile_rows=self.scheduler.tile_blocks * BLOCK_ROWS,
-            backend="serial" if self.scheduler.workers == 1
-            else self.scheduler.backend)
-        schedule = get_schedule(bucket, self.config, mode=self.autotune,
-                                cache_dir=self.schedule_cache,
-                                default=default)
-        resolved = (scheduler_for(schedule),
-                    schedule.apply_config(self.config))
-        self._schedule_memo[bucket] = resolved
-        return resolved
-
-    def _span(self, scheduler: TileScheduler, batch: int, m: int,
-              k: int, n: int, groups: int = 1):
+    def _span(self, batch: int, m: int, k: int, n: int, groups: int = 1):
         """A live ``emu/gemm`` span for one dispatched GEMM.
 
         Only called when tracing is active; ``batch, m, k, n`` is one
-        group's shape.  Records the resolved schedule (tile count,
-        workers, backend) alongside the shape so trace summaries show
-        where the scheduler spent its time.
+        group's shape.  Records the schedule (tile count, workers,
+        backend) alongside the shape so trace summaries show where the
+        scheduler spent its time.
         """
         tiles = groups * batch * (-(-m // BLOCK_ROWS))
         return _trace.span(self.SPAN_NAME, shape=f"{batch}x{m}x{k}x{n}",
                            engine=self.config.accum_order, tiles=tiles,
-                           groups=groups, workers=scheduler.workers,
-                           backend=scheduler.backend)
+                           groups=groups, workers=self.scheduler.workers,
+                           backend=self.scheduler.backend)
 
     # -- entry points ----------------------------------------------------
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -588,8 +560,8 @@ class QuantizedGemm:
         n = b.shape[2]
         size, groups = self._split(batch if stacked else m)
         group_shape = (size, m, k, n) if stacked else (1, size, k, n)
-        scheduler, config = self._resolve(*group_shape)
-        cm = self._span(scheduler, *group_shape, groups=len(groups)) \
+        scheduler, config = self.scheduler, self.config
+        cm = self._span(*group_shape, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
             if groups[0][0] is None:
@@ -626,14 +598,14 @@ class QuantizedGemm:
         out = np.empty((n_rows, n), dtype=np.float64)
         if out.size == 0:
             return self._observe(out, 1, n_rows, k, n)
-        scheduler, config = self._resolve(1, size, k, n)
-        cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
+        cm = self._span(1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
             for stream, start in groups:
                 tasks = _row_block_tasks(producer, size, start=start)
-                results = scheduler.run(
-                    tasks, self._group_config(config, stream), b_shared=bq)
+                results = self.scheduler.run(
+                    tasks, self._group_config(self.config, stream),
+                    b_shared=bq)
                 for task, value in zip(tasks, results):
                     out[task.r0:task.r1] = value
         return self._observe(out, 1, n_rows, k, n)
@@ -658,14 +630,14 @@ class QuantizedGemm:
             consume(task.r0, task.r1, value)
 
         k, n = bq.shape
-        scheduler, config = self._resolve(1, size, k, n)
-        cm = self._span(scheduler, 1, size, k, n, groups=len(groups)) \
+        cm = self._span(1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
             for stream, start in groups:
                 tasks = _row_block_tasks(producer, size, start=start)
-                scheduler.run_streamed(
-                    tasks, self._group_config(config, stream), bq, _consume)
+                self.scheduler.run_streamed(
+                    tasks, self._group_config(self.config, stream), bq,
+                    _consume)
         # The product is consumed block-by-block, never materialized;
         # feed the finiteness verdict to the counters via a scalar.
         self._observe(np.float64(0.0 if finite else np.inf),
@@ -696,10 +668,8 @@ class QuantizedGemm:
         if n_rows == 0:
             return self._observe(np.zeros((m, n), dtype=np.float64),
                                  1, m, n_rows, n)
-        scheduler, config = self._resolve(1, m, n_rows, n)
-        config = self._group_config(config, groups[0][0])
-        cm = self._span(scheduler, 1, m, n_rows, n) if _trace.active \
-            else _trace.NULL
+        config = self._group_config(self.config, groups[0][0])
+        cm = self._span(1, m, n_rows, n) if _trace.active else _trace.NULL
         with cm:
             tasks = []
             for band, r0 in enumerate(range(0, n_rows, REDUCE_BAND_ROWS)):
@@ -708,7 +678,7 @@ class QuantizedGemm:
                     r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
                     a_producer=a_producer, b_producer=b_producer))
             call_key = _draw_call_key(config.stream)
-            partials = scheduler.run(tasks, config, call_key=call_key)
+            partials = self.scheduler.run(tasks, config, call_key=call_key)
             if len(partials) == 1:
                 result = partials[0]
             else:

@@ -25,13 +25,7 @@ key-derived substream draw order makes results bit-identical for any
 ``N`` at the same seed, for the training tables and the ``transformer``
 attention sweep (:mod:`repro.experiments.transformer`) alike.
 
-``--workers auto`` resolves to ``os.cpu_count()``.  ``--autotune
-{off,cached,search}`` switches on per-shape schedule resolution via
-:mod:`repro.emu.autotune` (``cached`` reads the persisted schedule
-cache, ``search`` fills misses with timed trials and persists the
-winners; ``--schedule-cache DIR`` overrides the cache location).  A
-schedule can only change wall clock, never draws, so autotuned runs
-are bit-identical to untuned runs of the same experiment.
+``--workers auto`` resolves to ``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -49,8 +43,7 @@ def _print(text: str) -> None:
 
 def run_experiment(name: str, scale: str,
                    accum_order: str = "sequential",
-                   workers: int = 1, autotune: str = "off",
-                   schedule_cache=None) -> None:
+                   workers: int = 1) -> None:
     # progress display only: the elapsed time is printed, never fed
     # into any experiment result
     start = time.time()  # reprolint: disable=DET-CLOCK
@@ -70,16 +63,14 @@ def run_experiment(name: str, scale: str,
                f"accum={accum_order}, workers={workers}) ==")
         rows = training.run_table3(scale, log=_print,
                                    accum_order=accum_order,
-                                   workers=workers, autotune=autotune,
-                                   schedule_cache=schedule_cache)
+                                   workers=workers)
         _print(training.format_accuracy_rows(rows))
     elif name == "table4":
         _print(f"== Table IV: VGG + ResNet50 workloads (scale={scale}, "
                f"accum={accum_order}, workers={workers}) ==")
         results = training.run_table4(scale, log=_print,
                                       accum_order=accum_order,
-                                      workers=workers, autotune=autotune,
-                                      schedule_cache=schedule_cache)
+                                      workers=workers)
         for workload, rows in results.items():
             _print(training.format_accuracy_rows(rows, title=f"-- {workload} --"))
     elif name == "table5":
@@ -93,8 +84,7 @@ def run_experiment(name: str, scale: str,
                f"(scale={scale}, accum={accum_order}, workers={workers}) ==")
         rows = transformer.run_transformer(scale, log=_print,
                                            accum_order=accum_order,
-                                           workers=workers, autotune=autotune,
-                                           schedule_cache=schedule_cache)
+                                           workers=workers)
         _print(transformer.format_transformer_rows(rows))
     elif name == "validation":
         _print("== Sec. III-B: brute-force eager SR validation ==")
@@ -111,8 +101,8 @@ ALL = ["table1", "table2", "table5", "fig5", "validation", "table3", "table4",
 
 
 def main(argv=None) -> int:
-    from ..emu.autotune import resolve_workers
     from ..emu.engine import get_engine
+    from ..emu.parallel import resolve_workers
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("experiments", nargs="+",
@@ -131,17 +121,6 @@ def main(argv=None) -> int:
                         help="worker processes for the tiled GEMM "
                              "executor; results do not depend on it; "
                              "'auto' = os.cpu_count()")
-    parser.add_argument("--autotune", default="off",
-                        choices=("off", "cached", "search"),
-                        help="per-shape schedule resolution for every "
-                             "emulated GEMM (repro.emu.autotune): 'cached' "
-                             "consults the persisted schedule cache, "
-                             "'search' fills misses with timed trials; "
-                             "results are bit-identical either way")
-    parser.add_argument("--schedule-cache", default=None, metavar="DIR",
-                        help="schedule-cache directory (default "
-                             "~/.cache/repro-autotune or "
-                             "$REPRO_AUTOTUNE_CACHE)")
     parser.add_argument("--trace", default=None, metavar="TRACE.json",
                         help="record a span trace of the run and write "
                              "Chrome trace_event JSON to this path "
@@ -157,8 +136,7 @@ def main(argv=None) -> int:
 
     def run_all() -> None:
         for name in names:
-            run_experiment(name, args.scale, args.accum_order, workers,
-                           args.autotune, args.schedule_cache)
+            run_experiment(name, args.scale, args.accum_order, workers)
 
     if args.trace:
         from ..obs import tracing

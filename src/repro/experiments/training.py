@@ -78,32 +78,25 @@ def build_model(scale: TrainingScale, dataset: Dataset,
 
 
 def build_gemm(gemm_config: Optional[GemmConfig],
-               workers: int = 1, autotune: str = "off",
-               schedule_cache: Optional[str] = None
-               ) -> Optional[QuantizedGemm]:
+               workers: int = 1) -> Optional[QuantizedGemm]:
     """The GEMM executor for a run (``None`` for the FP64 baseline).
 
-    ``workers`` shards every GEMM across that many processes, and
-    ``autotune`` in ``{"cached", "search"}`` resolves each GEMM shape's
-    schedule via :mod:`repro.emu.autotune`, with ``workers`` as the
-    default schedule for untuned shapes.  Neither changes a bit: the
-    executor's draw order depends only on the config's stream (DESIGN.md
-    section 4), so a run is bit-identical for any ``workers`` and any
-    schedule at the same seed.
+    ``workers`` shards every GEMM across that many processes without
+    changing a bit: the executor's draw order depends only on the
+    config's stream (DESIGN.md section 4), so a run is bit-identical
+    for any ``workers`` at the same seed.
     """
     if gemm_config is None:
         return None
-    return QuantizedGemm(gemm_config, workers=workers, autotune=autotune,
-                         schedule_cache=schedule_cache)
+    return QuantizedGemm(gemm_config, workers=workers)
 
 
 def train_once(dataset: Dataset, scale: TrainingScale,
                gemm_config: Optional[GemmConfig], seed: int = 1,
                log: Optional[Callable[[str], None]] = None,
-               workers: int = 1, autotune: str = "off",
-               schedule_cache: Optional[str] = None) -> float:
+               workers: int = 1) -> float:
     """Train one configuration; returns final test accuracy (percent)."""
-    gemm = build_gemm(gemm_config, workers, autotune, schedule_cache)
+    gemm = build_gemm(gemm_config, workers)
     model = build_model(scale, dataset, gemm, seed)
     train_loader, test_loader = loaders_for(
         dataset, batch_size=scale.batch_size, seed=seed)
@@ -142,16 +135,14 @@ def _gemm_config_for(kind: str, e_bits: int, m_bits: int,
 def run_table3(scale_name: str = "small", seed: int = 1,
                log: Optional[Callable[[str], None]] = None,
                accum_order: str = "sequential",
-               workers: int = 1, autotune: str = "off",
-               schedule_cache: Optional[str] = None) -> List[AccuracyRow]:
+               workers: int = 1) -> List[AccuracyRow]:
     """Table III: accuracy vs (E, M) and r on the CIFAR-10 stand-in.
 
     ``accum_order`` selects the accumulation engine for every quantized
     row (datapath ablation: ``sequential`` reproduces the paper's MAC
     chain, ``pairwise``/``chunked(c)`` model adder-tree and blocked
     accumulators); ``workers`` shards every emulated GEMM across that
-    many processes, and ``autotune``/``schedule_cache`` switch on
-    per-shape schedule resolution (see :func:`build_gemm`).
+    many processes (see :func:`build_gemm`).
     """
     from . import records
 
@@ -168,8 +159,7 @@ def run_table3(scale_name: str = "small", seed: int = 1,
                 + ("" if accum_order == "sequential"
                    else f" [{accum_order}]"))
         accuracy = train_once(dataset, scale, config, seed=seed,
-                              workers=workers, autotune=autotune,
-                              schedule_cache=schedule_cache)
+                              workers=workers)
         rows.append(AccuracyRow(label, e_bits, m_bits, rbits, accuracy,
                                 paper_acc))
         if log is not None:
@@ -180,9 +170,7 @@ def run_table3(scale_name: str = "small", seed: int = 1,
 def run_table4(scale_name: str = "small", seed: int = 1,
                log: Optional[Callable[[str], None]] = None,
                accum_order: str = "sequential",
-               workers: int = 1, autotune: str = "off",
-               schedule_cache: Optional[str] = None
-               ) -> Dict[str, List[AccuracyRow]]:
+               workers: int = 1) -> Dict[str, List[AccuracyRow]]:
     """Table IV: VGG16/CIFAR10-like and ResNet50/Imagewoof-like."""
     from . import records
 
@@ -220,8 +208,7 @@ def run_table4(scale_name: str = "small", seed: int = 1,
                     + ("" if accum_order == "sequential"
                        else f" [{accum_order}]"))
             accuracy = train_once(dataset, scale, config, seed=seed,
-                                  workers=workers, autotune=autotune,
-                                  schedule_cache=schedule_cache)
+                                  workers=workers)
             rows.append(AccuracyRow(label, e_bits, m_bits, rbits, accuracy,
                                     paper_acc))
             if log is not None:

@@ -102,10 +102,9 @@ def train_transformer_once(dataset, scale: TransformerScale,
                            gemm_config: Optional[GemmConfig],
                            seed: int = 1,
                            log: Optional[Callable[[str], None]] = None,
-                           workers: int = 1, autotune: str = "off",
-                           schedule_cache: Optional[str] = None) -> float:
+                           workers: int = 1) -> float:
     """Train one configuration; returns final test accuracy (percent)."""
-    gemm = build_gemm(gemm_config, workers, autotune, schedule_cache)
+    gemm = build_gemm(gemm_config, workers)
     model = TinyTransformer(dataset.vocab_size, dataset.num_classes,
                             d_model=scale.d_model, n_heads=scale.n_heads,
                             depth=scale.depth, max_len=dataset.seq_len,
@@ -121,9 +120,7 @@ def train_transformer_once(dataset, scale: TransformerScale,
 def run_transformer(scale_name: str = "tiny", seed: int = 1,
                     log: Optional[Callable[[str], None]] = None,
                     accum_order: str = "sequential",
-                    workers: int = 1, autotune: str = "off",
-                    schedule_cache: Optional[str] = None
-                    ) -> List[TransformerRow]:
+                    workers: int = 1) -> List[TransformerRow]:
     """The accuracy-vs-``r`` sweep over :data:`TRANSFORMER_ROWS`.
 
     ``accum_order`` selects the accumulation engine for every quantized
@@ -143,8 +140,7 @@ def run_transformer(scale_name: str = "tiny", seed: int = 1,
             order = "" if accum_order == "sequential" else f" [{accum_order}]"
             log(f"[transformer/{scale_name}] {label}{suffix}{order}")
         accuracy = train_transformer_once(dataset, scale, config, seed=seed,
-                                          workers=workers, autotune=autotune,
-                                          schedule_cache=schedule_cache)
+                                          workers=workers)
         if baseline is None:
             baseline = accuracy
         rows.append(TransformerRow(label, rbits, accuracy,

@@ -21,7 +21,6 @@ and untraced runs are byte-for-byte identical.
 
 from . import trace
 from .metrics import (
-    GLOBAL,
     Counter,
     Gauge,
     Histogram,
@@ -33,7 +32,6 @@ from .metrics import (
 from .trace import TraceRecorder, current, install, span, tracing, uninstall
 
 __all__ = [
-    "GLOBAL",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,11 +1,10 @@
 """Thread-safe metrics registry: counters, gauges, windowed histograms.
 
 One :class:`MetricsRegistry` per owning component (a server app, an
-inference session, a replica pool parent) plus one process-global
-registry (:data:`GLOBAL`) for library subsystems with no natural owner
-(the autotuner's cache counters).  Metrics are *labeled families*:
-``registry.counter("gemm_calls_total", engine="sequential")`` returns
-the one counter for that (name, labels) pair, creating it on first use.
+inference session, a replica pool parent, a GEMM executor).  Metrics
+are *labeled families*: ``registry.counter("gemm_calls_total",
+engine="sequential")`` returns the one counter for that (name, labels)
+pair, creating it on first use.
 
 The registry's contract with the rest of the stack:
 
@@ -17,7 +16,7 @@ The registry's contract with the rest of the stack:
   of snapshots into one: counters and histogram totals add, gauges
   combine under their declared aggregation (``sum`` or ``max``), and
   histogram windows concatenate.  The pooled ``/metrics`` endpoint is
-  literally ``merge(parent, retired, *live replicas)``; the test suite
+  literally ``merge(router, retired, *live replicas)``; the test suite
   pins ``pooled == sum of replica snapshots`` for every counter.
 * **Quantiles are nearest-rank** — :func:`percentile` is the single
   implementation of the percentile logic that ``/stats`` has always
@@ -439,10 +438,3 @@ def _format_value(value: float) -> str:
     if as_float.is_integer():
         return str(int(as_float))
     return repr(as_float)
-
-
-#: Process-global registry for library subsystems with no natural
-#: owning component (e.g. the autotuner's cache hit/miss counters).
-#: Serving components own private registries and merge this one into
-#: their ``/metrics`` exposition.
-GLOBAL = MetricsRegistry()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..emu.parallel import resolve_workers
 from .pool import ReplicaPool
 from .server import ServerApp, make_server
 from .session import InferenceSession
@@ -43,16 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=("thread", "process"),
                         default="thread",
                         help="tiled-parallel scheduler backend")
-    parser.add_argument("--autotune", default="off",
-                        choices=("off", "cached", "search"),
-                        help="per-layer GEMM schedule resolution "
-                             "(repro.emu.autotune); 'search' tunes every "
-                             "layer shape once at load — logits are "
-                             "bit-identical either way")
-    parser.add_argument("--schedule-cache", default=None, metavar="DIR",
-                        help="schedule-cache directory (default "
-                             "~/.cache/repro-autotune or "
-                             "$REPRO_AUTOTUNE_CACHE)")
     parser.add_argument("--max-batch-size", type=int, default=8)
     parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument("--cache-size", type=int, default=1024,
@@ -78,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from ..emu.autotune import resolve_workers
-
     args = build_parser().parse_args(argv)
     try:
         workers = resolve_workers(args.workers)
@@ -90,26 +79,22 @@ def main(argv=None) -> int:
     if args.replicas > 1:
         app = ReplicaPool(
             args.checkpoint, replicas=args.replicas, workers=workers,
-            backend=args.backend, autotune=args.autotune,
-            schedule_cache=args.schedule_cache,
+            backend=args.backend,
             max_batch_size=args.max_batch_size,
             max_delay_ms=args.max_delay_ms,
             cache_entries=args.cache_size,
             handler_threads=args.handler_threads,
             warm=not args.no_warm, start_method=args.start_method)
         banner = (f"replicas={args.replicas} workers={workers} "
-                  f"[{app.fingerprint}] config '{app.config_label}' "
-                  f"autotune={args.autotune}")
+                  f"[{app.fingerprint}] config '{app.config_label}'")
     else:
         session = InferenceSession.from_checkpoint(
-            args.checkpoint, workers=workers, backend=args.backend,
-            autotune=args.autotune, schedule_cache=args.schedule_cache)
+            args.checkpoint, workers=workers, backend=args.backend)
         app = ServerApp(session, max_batch_size=args.max_batch_size,
                         max_delay_ms=args.max_delay_ms,
                         cache_entries=args.cache_size)
         banner = (f"[{session.fingerprint}] config "
-                  f"'{session.config.label}' workers={workers} "
-                  f"autotune={args.autotune}")
+                  f"'{session.config.label}' workers={workers}")
     server = make_server(app, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"repro.serve: checkpoint {args.checkpoint} {banner}",

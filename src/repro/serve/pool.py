@@ -21,11 +21,11 @@ keeping the bit-reproducibility contract intact:
   (responses are pure functions of the request, so re-execution cannot
   change an answer).
 * **Drain-and-swap reloads** — :meth:`reload` publishes the new
-  checkpoint, spawns and warms a fresh replica set (the autotune
-  schedule cache is resolved *before* the set takes traffic), swaps it
-  in atomically, then drains the old set: every in-flight request
-  completes, old counters fold into the pool's retired totals, and the
-  old segment is unlinked.  Zero requests are dropped.
+  checkpoint, spawns and warms a fresh replica set *before* it takes
+  traffic, swaps it in atomically, then drains the old set: every
+  in-flight request completes, old counters fold into the pool's
+  retired totals, and the old segment is unlinked.  Zero requests are
+  dropped.
 
 The pool exposes the same application surface as
 :class:`repro.serve.server.ServerApp` (``predict_json`` / ``health`` /
@@ -59,7 +59,6 @@ import numpy as np
 
 from ..obs import trace as _trace
 from ..obs.metrics import (
-    GLOBAL,
     MetricsRegistry,
     merge_snapshots,
     percentile,
@@ -99,16 +98,14 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
         shared = SharedCheckpoint.attach(spec)
         session = InferenceSession.from_shared(
             shared, workers=options["workers"],
-            backend=options["backend"],
-            autotune=options["autotune"],
-            schedule_cache=options["schedule_cache"])
+            backend=options["backend"])
         app = ServerApp(session, max_batch_size=options["max_batch_size"],
                         max_delay_ms=options["max_delay_ms"],
                         cache_entries=options["cache_entries"])
         if options["warm"]:
-            # resolve the autotune schedule cache (and fault in every
-            # code path) before the parent routes traffic here
-            session.tune()
+            # fault in every code path before the parent routes
+            # traffic here
+            session.warm()
     # reprolint: disable=HYG-EXCEPT  a replica that cannot load must
     # report the reason to the parent instead of dying silently — the
     # parent turns it into a loud pool-startup failure
@@ -152,11 +149,9 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
             send(("result", message[1], 200, app.health()))
         elif kind == "metrics":
             # plain-data snapshot of every registry in *this* process
-            # (including its own GLOBAL — each worker is a separate
-            # process, so there is no double count with the parent's)
             send(("result", message[1], 200, app.metrics_snapshot()))
         elif kind == "warm":
-            session.tune()
+            session.warm()
             send(("result", message[1], 200, {"warmed": True}))
     handlers.shutdown(wait=True)      # finish in-flight, answer all
     app.close()
@@ -304,7 +299,7 @@ class ReplicaPool:
         :func:`repro.nn.checkpoint.save_checkpoint` (sidecar required).
     replicas:
         Worker process count.
-    workers, backend, autotune, schedule_cache:
+    workers, backend:
         Per-replica :class:`InferenceSession` knobs (forwarded).
     max_batch_size, max_delay_ms, cache_entries:
         Per-replica micro-batcher / response-cache knobs.
@@ -313,8 +308,7 @@ class ReplicaPool:
         ``max_batch_size``, so a replica's micro-batches can fill).
     warm:
         Run one representative forward pass in each replica before it
-        takes traffic (resolves the autotune schedule cache at spawn,
-        not on the first real request).
+        takes traffic (at spawn, not on the first real request).
     start_method:
         ``multiprocessing`` start method (``"spawn"`` is the safe
         default; ``"fork"`` starts faster and is fine when the pool is
@@ -331,8 +325,6 @@ class ReplicaPool:
 
     def __init__(self, checkpoint, *, replicas: int = 2,
                  workers: int = 1, backend: str = "thread",
-                 autotune: str = "off",
-                 schedule_cache: Optional[str] = None,
                  max_batch_size: int = 8, max_delay_ms: float = 2.0,
                  cache_entries: int = 1024,
                  handler_threads: Optional[int] = None,
@@ -352,8 +344,6 @@ class ReplicaPool:
         self._options = {
             "workers": max(1, int(workers)),
             "backend": backend,
-            "autotune": autotune,
-            "schedule_cache": schedule_cache,
             "max_batch_size": int(max_batch_size),
             "max_delay_ms": float(max_delay_ms),
             "cache_entries": int(cache_entries),
@@ -673,14 +663,13 @@ class ReplicaPool:
         return results
 
     def metrics_snapshot(self) -> dict:
-        """Pool-wide merged snapshot: the parent's registries (router
-        counters + this process's GLOBAL), retired-replica totals
-        folded in at drain time, and every live replica's snapshot.
-        Counter families therefore satisfy
-        ``pooled == parent + retired + sum(replicas)``."""
+        """Pool-wide merged snapshot: the router's own registry,
+        retired-replica totals folded in at drain time, and every live
+        replica's snapshot.  Counter families therefore satisfy
+        ``pooled == router + retired + sum(replicas)``."""
         with self._stats_lock:
             retired = dict(self._retired_metrics)
-        snapshots = [GLOBAL.snapshot(), self.registry.snapshot()]
+        snapshots = [self.registry.snapshot()]
         if retired:
             snapshots.append(retired)
         snapshots.extend(body for body in self.replica_metrics()

@@ -10,10 +10,9 @@ Endpoints (all JSON):
 * ``GET /healthz`` — liveness + checkpoint fingerprint.
 * ``GET /stats`` — request counters, cache hit rate, micro-batch fill,
   and p50/p95/p99 latency over a sliding window.
-* ``GET /metrics`` — the same counters (plus per-shape GEMM and
-  autotune counters) in Prometheus text format, rendered from the
-  app's :class:`repro.obs.MetricsRegistry` (see
-  ``docs/observability.md``).
+* ``GET /metrics`` — the same counters (plus per-shape GEMM counters)
+  in Prometheus text format, rendered from the app's
+  :class:`repro.obs.MetricsRegistry` (see ``docs/observability.md``).
 * ``POST /reload`` — body ``{"checkpoint": "<path>"}``; only served
   when the app behind the handler supports drain-and-swap reloads
   (the replica pool, ``--replicas N`` — see
@@ -35,13 +34,12 @@ from __future__ import annotations
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..obs import trace as _trace
 from ..obs.metrics import (
-    GLOBAL,
     MetricsRegistry,
     merge_snapshots,
     percentile,
@@ -53,6 +51,11 @@ from .session import InferenceSession
 
 #: Sliding latency window for the percentile report.
 LATENCY_WINDOW = 4096
+
+#: Largest request body the handler reads, in bytes.  The largest valid
+#: payload, a 3x32x32 image as JSON, is under 100 KB; a longer declared
+#: ``Content-Length`` is answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServerApp:
@@ -148,13 +151,11 @@ class ServerApp:
         }
 
     def metrics_snapshot(self) -> dict:
-        """Plain-data merged snapshot of every registry this app sees:
-        the process-global one (autotune counters), the app's own
-        (requests/cache/batcher/latency), and the session's (GEMM
-        counters).  Picklable — the replica pool ships it over its pipe
-        protocol and merges across replicas."""
-        return merge_snapshots([GLOBAL.snapshot(),
-                                self.registry.snapshot(),
+        """Plain-data merged snapshot of both registries this app sees:
+        its own (requests/cache/batcher/latency) and the session's
+        (GEMM counters).  Picklable — the replica pool ships it over
+        its pipe protocol and merges across replicas."""
+        return merge_snapshots([self.registry.snapshot(),
                                 self.session.metrics.snapshot()])
 
     def metrics_text(self) -> str:
@@ -178,6 +179,10 @@ class _Handler(BaseHTTPRequestHandler):
     """
 
     server_version = "repro.serve/1.0"
+
+    #: Seconds any one socket read or write may block: a client that
+    #: declares more body than it sends is cut off, not waited on.
+    timeout = 10.0
 
     @property
     def app(self) -> ServerApp:
@@ -213,6 +218,33 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
+    def _reject(self, status: int, message: str) -> None:
+        """Answer a request whose body was not (fully) read, counted as
+        an error, and close the connection behind it."""
+        self.app.record_error()
+        self.close_connection = True
+        self._send_json(status, {"error": message})
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a bad ``Content-Length``
+        or a stalled client has been answered.  The declared length is
+        checked before any read, so the client's number never sizes a
+        buffer beyond :data:`MAX_BODY_BYTES`."""
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._reject(400, f"invalid Content-Length {declared!r}")
+            return None
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._reject(413, f"request body of {length} bytes exceeds "
+                              f"the {MAX_BODY_BYTES}-byte limit")
+            return None
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self._reject(408, "timed out reading the request body")
+            return None
+
     def do_POST(self) -> None:
         if self.path == "/reload" and hasattr(self.app, "reload_json"):
             handler = self.app.reload_json
@@ -221,9 +253,11 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
             self._send_json(200, handler(payload))
         except (ValueError, KeyError, TypeError) as error:
             self.app.record_error()

@@ -139,12 +139,6 @@ class InferenceSession:
         Request payload description from the checkpoint's model spec
         (``{"kind": "image", "shape": [...]}`` or ``{"kind": "tokens",
         "seq_len": T, "vocab_size": V}``); enables validation.
-    autotune, schedule_cache:
-        ``"cached"`` resolves each per-layer GEMM shape's schedule from
-        the persisted schedule cache (:mod:`repro.emu.autotune`);
-        ``"search"`` additionally tunes every shape once at load via
-        :meth:`tune`.  Logits are bit-identical whichever schedule runs
-        — tuning is a pure throughput choice.
 
     Example::
 
@@ -159,8 +153,6 @@ class InferenceSession:
                  backend: str = "thread",
                  fingerprint: Optional[str] = None,
                  input_spec: Optional[dict] = None,
-                 autotune: str = "off",
-                 schedule_cache: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.config = config if config is not None else GemmConfig()
         self.model = model
@@ -176,16 +168,12 @@ class InferenceSession:
         self._lock = threading.Lock()
         self._gemm = QuantizedGemm(self.config, workers=self.workers,
                                    tile_rows=tile_rows, backend=backend,
-                                   autotune=autotune,
-                                   schedule_cache=schedule_cache,
                                    registry=self.metrics)
         self._gemm.arm([])   # disarmed outside predict_batch
         for module in model.modules():
             if hasattr(module, "gemm"):
                 module.gemm = self._gemm
         model.eval()
-        if autotune == "search":
-            self.tune()
 
     # ------------------------------------------------------------------
     def _config_spec(self) -> dict:
@@ -242,18 +230,14 @@ class InferenceSession:
         """Serve one sample (no batch dimension)."""
         return self.predict_batch([x])[0]
 
-    def tune(self, sample: Optional[np.ndarray] = None) -> bool:
-        """Resolve schedules for every per-layer GEMM shape, once.
+    def warm(self, sample: Optional[np.ndarray] = None) -> bool:
+        """Run one representative forward pass before real traffic.
 
-        Runs one representative forward pass so each layer's GEMM shape
-        hits :func:`repro.emu.autotune.get_schedule` now (in ``search``
-        mode that means timed trials on cache misses) instead of on the
-        first real request — serving throughput benefits with zero
-        per-request cost, since later lookups are memoized dictionary
-        hits.  ``sample`` defaults to a zero input synthesized from the
-        checkpoint's input spec; returns ``False`` (no-op) when neither
-        is available.  Called automatically at load when the session is
-        built with ``autotune="search"``.
+        Faults in every code path so the first real request does not
+        pay for it.  ``sample`` defaults to a zero input synthesized
+        from the checkpoint's input spec; returns ``False`` (no-op)
+        when neither is available.  Later logits are unaffected: each
+        request's draws are keyed by its own content.
         """
         if sample is None:
             spec = self.input_spec or {}
@@ -274,29 +258,21 @@ class InferenceSession:
     @classmethod
     def from_checkpoint(cls, path, *, workers: int = 1,
                         tile_rows: Optional[int] = None,
-                        backend: str = "thread",
-                        autotune: str = "off",
-                        schedule_cache: Optional[str] = None
-                        ) -> "InferenceSession":
+                        backend: str = "thread") -> "InferenceSession":
         """Build a session from a checkpoint written by
         :func:`repro.nn.checkpoint.save_checkpoint` (the sidecar must
-        carry a model spec).  ``autotune="search"`` tunes every
-        per-layer GEMM shape once at load (see :meth:`tune`)."""
+        carry a model spec)."""
         ckpt: Checkpoint = load_checkpoint(path)
         model = ckpt.build_model()
         return cls(model, ckpt.gemm_config(), workers=workers,
                    tile_rows=tile_rows, backend=backend,
                    fingerprint=ckpt.fingerprint,
-                   input_spec=(ckpt.model_spec or {}).get("input"),
-                   autotune=autotune, schedule_cache=schedule_cache)
+                   input_spec=(ckpt.model_spec or {}).get("input"))
 
     @classmethod
     def from_shared(cls, shared, *, workers: int = 1,
                     tile_rows: Optional[int] = None,
-                    backend: str = "thread",
-                    autotune: str = "off",
-                    schedule_cache: Optional[str] = None
-                    ) -> "InferenceSession":
+                    backend: str = "thread") -> "InferenceSession":
         """Build a session over an attached shared-memory checkpoint.
 
         ``shared`` is a :class:`repro.serve.shm.SharedCheckpoint`
@@ -319,5 +295,4 @@ class InferenceSession:
         return cls(model, shared.gemm_config(), workers=workers,
                    tile_rows=tile_rows, backend=backend,
                    fingerprint=shared.fingerprint,
-                   input_spec=(model_spec or {}).get("input"),
-                   autotune=autotune, schedule_cache=schedule_cache)
+                   input_spec=(model_spec or {}).get("input"))

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.reprolint import (
     Baseline,
     Policy,
+    Scope,
     all_rules,
     lint_source,
     run_paths,
@@ -109,15 +110,25 @@ class TestWallClock:
         assert rules_of(CLOCK_SRC, BENCH) == []
         assert rules_of(PERF_SRC, BENCH) == []
 
-    def test_autotune_trial_loop_whitelisted_by_qualname(self):
+    def test_function_scope_whitelisted_by_qualname(self):
+        path = "src/repro/somepkg/harness.py"
         src = ("import time\n"
-               "def search_schedule():\n"
+               "def timed():\n"
                "    return time.perf_counter()\n"
                "def other():\n"
                "    return time.perf_counter()\n")
-        findings = findings_of(src, "src/repro/emu/autotune.py")
+        policy = Policy(clock_scopes=(Scope(path, "timed"),))
+        findings = lint_source(src, path, policy).findings
         assert [f.rule for f in findings] == ["DET-CLOCK"]
         assert findings[0].line == 5  # only the non-whitelisted scope
+        # the default policy's one function-narrow scope: only the SR
+        # kernel (and scopes nested in it) may hold a live stream in
+        # repro.fp.quantize
+        quantize, default = "src/repro/fp/quantize.py", Policy.default()
+        assert default.allows_live_stream(quantize, "_round_up_mask")
+        assert default.allows_live_stream(quantize, "_round_up_mask.body")
+        assert not default.allows_live_stream(quantize, "_round_up_masks")
+        assert not default.allows_live_stream(quantize, "quantize")
 
     def test_monotonic_exempt_everywhere(self):
         src = "import time\ndeadline = time.monotonic() + 2.0\n"

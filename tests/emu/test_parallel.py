@@ -8,12 +8,13 @@ substream.  ``workers=1`` is the serial fallback running the same
 substream schedule in-process.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, matmul
+from repro.emu import GemmConfig, matmul, resolve_workers
 from repro.emu.parallel import (
     BLOCK_ROWS,
     ParallelQuantizedGemm,
@@ -197,6 +198,25 @@ class TestSemantics:
         big = np.full((3, 64), 3e4)
         gemm(big, big.T)
         assert gemm.overflow_count == 1
+
+
+class TestResolveWorkers:
+    """The ``--workers N|auto`` parser shared by every CLI."""
+
+    def test_auto_is_cpu_count(self):
+        assert resolve_workers("auto") == max(1, os.cpu_count() or 1)
+        assert resolve_workers(" AUTO ") == resolve_workers("auto")
+
+    def test_numeric_and_default(self):
+        assert resolve_workers("4") == 4
+        assert resolve_workers(2) == 2
+        assert resolve_workers(None) == 1
+        assert resolve_workers(None, default=3) == 3
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "many"])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            resolve_workers(bad)
 
 
 class TestConvStreaming:

@@ -101,3 +101,28 @@ class TestParallelTraining:
         accuracy = train_once(dataset, scale, GemmConfig.sr(9, seed=1),
                               seed=1, workers=2)
         assert 0.0 <= accuracy <= 100.0
+
+    def test_workers_do_not_change_a_run(self):
+        """``workers`` is the executor's whole schedule and moves no
+        bit: model logits and a short training run agree exactly."""
+        import numpy as np
+
+        from repro.data import make_cifar10_like
+        from repro.emu import GemmConfig
+        from repro.experiments.training import (TrainingScale, build_gemm,
+                                                build_model, train_once)
+
+        scale = TrainingScale("testing", 48, 24, 8, 1, 32, "mlp", 16,
+                              lr=0.05, weight_decay=1e-4)
+        dataset = make_cifar10_like(48, 24, 8, seed=0)
+
+        def logits(workers):
+            gemm = build_gemm(GemmConfig.sr(9, seed=1), workers)
+            model = build_model(scale, dataset, gemm, seed=1)
+            return model.forward(dataset.test_images[:4])
+
+        assert np.array_equal(logits(1), logits(2))
+        accuracies = [train_once(dataset, scale, GemmConfig.sr(9, seed=1),
+                                 seed=1, workers=workers)
+                      for workers in (1, 2)]
+        assert accuracies[0] == accuracies[1]

@@ -2,11 +2,11 @@
 
 Spans and counters never touch a PRNG, so enabling the tracer around
 any workload must reproduce the untraced result *bitwise* — across the
-SR datapath (several ``r``), RN, the tiled-parallel executor, a
-training step, and an autotune search.  The disabled path must also be
-cheap enough to leave permanently compiled into the hot loops; the
-microbenchmark here pins a generous CI-safe budget (the honest numbers
-live in ``benchmarks/bench_obs.py`` / ``BENCH_obs.json``).
+SR datapath (several ``r``), RN, the tiled-parallel executor, and a
+training step.  The disabled path must also be cheap enough to leave
+permanently compiled into the hot loops; the microbenchmark here pins
+a generous CI-safe budget (the honest numbers live in
+``benchmarks/bench_obs.py`` / ``BENCH_obs.json``).
 """
 
 import time
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.emu import GemmConfig, QuantizedGemm
-from repro.emu.autotune import Schedule, search_schedule
 from repro.emu.parallel import ParallelQuantizedGemm
 from repro.fp.formats import FP12_E6M5
 from repro.obs import tracing
@@ -91,25 +90,6 @@ class TestTrainerBitwise:
         names = {e["name"] for e in rec.events()}
         assert {"train/step", "train/forward",
                 "train/backward", "train/update"} <= names
-
-
-class TestAutotuneBitwise:
-    def test_traced_search_picks_same_schedule(self):
-        shape = (1, 32, 32, 32)
-        config = GemmConfig.sr(9, seed=3)
-        # margin=0.99 means no candidate can beat the default by 99%,
-        # so the winner is deterministically the default while the
-        # trial loop (and its spans) still runs every candidate.
-        kwargs = dict(default=Schedule(), repeats=1, margin=0.99,
-                      max_seconds=10.0)
-        plain = search_schedule(shape, config, **kwargs)
-        with tracing() as rec:
-            traced = search_schedule(shape, config, **kwargs)
-        assert traced.schedule.label == plain.schedule.label
-        assert traced.schedule.label == Schedule().label
-        names = [e["name"] for e in rec.events()]
-        assert "autotune/search" in names
-        assert names.count("autotune/trial") >= 2
 
 
 class TestDisabledOverhead:

@@ -9,9 +9,11 @@ showing cache hits > 0 on repeated inputs.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -24,6 +26,7 @@ from repro.emu import GemmConfig
 from repro.models import SimpleCNN, simple_cnn_spec
 from repro.nn import Trainer, save_checkpoint
 from repro.serve import InferenceSession, ServerApp, make_server
+from repro.serve import server as server_mod
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -60,6 +63,28 @@ def _post(url, payload, timeout=30):
 def _get(url, timeout=30):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, json.loads(response.read())
+
+
+def _raw_post(url, headers, body=b"", timeout=10):
+    """POST hand-built headers (and ``body``) to ``/predict`` over a raw
+    socket, keeping it open until the server answers or hangs up.
+
+    Returns the answer's status code, or ``None`` when the server
+    closed without answering; raises ``socket.timeout`` when it does
+    neither within ``timeout`` seconds.
+    """
+    host, port = url.split("//")[1].split(":")
+    with socket.create_connection((host, int(port)),
+                                  timeout=timeout) as sock:
+        sock.sendall(b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                     + headers + b"\r\n" + body)
+        answer = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            answer += chunk
+    return int(answer.split()[1]) if answer else None
 
 
 class _RunningServer:
@@ -178,6 +203,57 @@ class TestServingEndToEnd:
             assert stats["batcher"]["samples"] == 0
         finally:
             running.stop()
+
+
+class TestRequestBody:
+    """A bad ``Content-Length`` is answered, and counted, before any of
+    the body is read; a client that sends less than it declared is cut
+    off by the handler's socket timeout."""
+
+    @pytest.fixture
+    def running(self, checkpoint):
+        running = _RunningServer(checkpoint, workers=1)
+        yield running
+        running.stop()
+
+    def _errors(self, running):
+        return _get(running.url + "/stats")[1]["errors"]
+
+    @pytest.mark.parametrize("declared", [b"-1", b"abc", b"1_0", b"+5"])
+    def test_invalid_length_is_a_counted_400(self, running, declared):
+        start = time.monotonic()
+        status = _raw_post(running.url, b"Content-Length: " + declared
+                           + b"\r\n", b'{"input": []}')
+        assert status == 400
+        assert time.monotonic() - start < 5
+        assert self._errors(running) == 1
+
+    def test_oversized_length_is_a_counted_413(self, running):
+        declared = str(server_mod.MAX_BODY_BYTES + 1).encode()
+        start = time.monotonic()
+        status = _raw_post(running.url,
+                           b"Content-Length: " + declared + b"\r\n")
+        assert status == 413
+        assert time.monotonic() - start < 5
+        assert self._errors(running) == 1
+
+    def test_under_sent_body_is_cut_off(self, running, monkeypatch):
+        assert 0 < server_mod._Handler.timeout <= 60
+        # shorten the wait; the timeout is read per accepted connection
+        monkeypatch.setattr(server_mod._Handler, "timeout", 1.0)
+        start = time.monotonic()
+        status = _raw_post(running.url, b"Content-Length: 100\r\n",
+                           b'{"input": ')
+        assert status == 408
+        assert time.monotonic() - start < 5
+        assert self._errors(running) == 1
+
+    def test_valid_requests_still_served(self, running):
+        body = json.dumps({"input": np.zeros((3, 8, 8)).tolist()}).encode()
+        assert len(body) < server_mod.MAX_BODY_BYTES
+        headers = b"Content-Length: %d\r\n" % len(body)
+        assert _raw_post(running.url, headers, body) == 200
+        assert self._errors(running) == 0
 
 
 class TestServeCli:

@@ -160,6 +160,31 @@ class TestFreezing:
         assert all(not m.training for m in model.modules())
 
 
+class TestWarm:
+    def test_warm_parity(self, images):
+        plain = _cnn_session(_sr(9))
+        warmed = _cnn_session(_sr(9))
+        # no input_spec on a directly built session: a no-op without a
+        # sample, a real forward pass with one
+        assert not warmed.warm()
+        assert warmed.gemm_calls == 0
+        assert warmed.warm(sample=images[0])
+        assert warmed.gemm_calls > 0
+        for x in images[:2]:
+            assert np.array_equal(plain.predict(x), warmed.predict(x))
+
+    def test_input_spec_synthesizes_the_sample(self):
+        image = _cnn_session(
+            _sr(9), input_spec={"kind": "image", "shape": [3, 8, 8]})
+        tokens = InferenceSession(
+            TinyTransformer(16, 4, d_model=8, n_heads=2, max_len=8, seed=0),
+            _sr(9), input_spec={"kind": "tokens", "seq_len": 6,
+                                "vocab_size": 16})
+        for session in (image, tokens):
+            assert session.warm()
+            assert session.gemm_calls > 0
+
+
 class TestContentKeys:
     def test_same_input_same_key(self, images):
         session = _cnn_session(_sr(9))
