@@ -102,19 +102,19 @@ class TestParallelTraining:
                               seed=1, workers=2)
         assert 0.0 <= accuracy <= 100.0
 
-    def test_workers_do_not_change_a_run(self):
+    def test_workers_do_not_change_logits(self):
         """``workers`` is the executor's whole schedule and moves no
-        bit: model logits and a short training run agree exactly."""
+        bit: a full model forward through ``build_gemm`` agrees exactly."""
         import numpy as np
 
         from repro.data import make_cifar10_like
         from repro.emu import GemmConfig
         from repro.experiments.training import (TrainingScale, build_gemm,
-                                                build_model, train_once)
+                                                build_model)
 
-        scale = TrainingScale("testing", 48, 24, 8, 1, 32, "mlp", 16,
+        scale = TrainingScale("testing", 64, 32, 8, 1, 32, "mlp", 16,
                               lr=0.05, weight_decay=1e-4)
-        dataset = make_cifar10_like(48, 24, 8, seed=0)
+        dataset = make_cifar10_like(64, 32, 8, seed=0)
 
         def logits(workers):
             gemm = build_gemm(GemmConfig.sr(9, seed=1), workers)
@@ -122,6 +122,17 @@ class TestParallelTraining:
             return model.forward(dataset.test_images[:4])
 
         assert np.array_equal(logits(1), logits(2))
+
+    def test_workers_do_not_change_training(self):
+        """A short ``train_once`` run reaches the same accuracy at
+        workers 1 and 2."""
+        from repro.data import make_cifar10_like
+        from repro.emu import GemmConfig
+        from repro.experiments.training import TrainingScale, train_once
+
+        scale = TrainingScale("testing", 48, 24, 8, 1, 32, "mlp", 16,
+                              lr=0.05, weight_decay=1e-4)
+        dataset = make_cifar10_like(48, 24, 8, seed=0)
         accuracies = [train_once(dataset, scale, GemmConfig.sr(9, seed=1),
                                  seed=1, workers=workers)
                       for workers in (1, 2)]
