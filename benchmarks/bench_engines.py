@@ -6,6 +6,13 @@ GEMM (the acceptance benchmark for the fused sequential engine)::
     PYTHONPATH=src python benchmarks/bench_engines.py
     PYTHONPATH=src python benchmarks/bench_engines.py --json engines.json
 
+``sequential_fused`` runs the compiled add-and-round kernel when it
+loaded (the report's ``kernel_loaded``) and ``sequential_numpy`` the
+NumPy loop it is checked against; both are asserted bit-identical to
+the seed path before anything is timed.  The ``executor_conv`` rows
+time ``QuantizedGemm`` on a ``train_cnn`` convolution shape, where
+narrow row blocks make NumPy dispatch, not arithmetic, the cost.
+
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
 
@@ -13,6 +20,7 @@ Like the sibling bench files, the pytest-benchmark variant (reduced
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -20,12 +28,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, matmul, reference_matmul
+from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
+from repro.emu import reference_matmul
 
 from _machine import machine_info
 
 RBITS = 9
 SEED = 3
+#: A ``train_cnn`` convolution: im2col rows @ (C*3*3, filters), r=13.
+CONV_SHAPE = (8192, 72, 16)
+CONV_RBITS = 13
 
 
 def _config(accum_order="sequential"):
@@ -41,18 +53,71 @@ def _time(fn, *args, repeats=3):
     return best
 
 
+@contextlib.contextmanager
+def numpy_mac_loop():
+    """Run the sequential engine on its NumPy loop inside the block."""
+    saved = kernel._lib
+    kernel._lib = None
+    try:
+        yield
+    finally:
+        kernel._lib = saved
+
+
+def _numpy(fn):
+    def run():
+        with numpy_mac_loop():
+            return fn()
+    return run
+
+
+def _conv_rows(repeats):
+    """``QuantizedGemm`` on the conv shape, kernel and NumPy loop."""
+    m, k, n = CONV_SHAPE
+    rng = np.random.default_rng(11)
+    a = np.maximum(rng.normal(size=(m, k)), 0.0)  # post-ReLU patches
+    b = rng.normal(size=(k, n))
+
+    def run():
+        return QuantizedGemm(GemmConfig.sr(CONV_RBITS, seed=SEED))(a, b)
+
+    variants = {"kernel": run, "numpy": _numpy(run)}
+    assert np.array_equal(variants["kernel"](), variants["numpy"]()), \
+        "executor: kernel and NumPy loop disagree"
+    seconds = {name: _time(fn, repeats=repeats)
+               for name, fn in variants.items()}
+    return {
+        "shape": list(CONV_SHAPE),
+        "rbits": CONV_RBITS,
+        "seconds": seconds,
+        "mac_rate_mhz": {name: m * k * n / t / 1e6
+                         for name, t in seconds.items()},
+        "kernel_speedup": seconds["numpy"] / seconds["kernel"],
+    }
+
+
 def run_benchmark(size=256, repeats=3):
     """Time every engine (plus the seed path) on one SR GEMM."""
     rng = np.random.default_rng(7)
     a = rng.normal(size=(size, size))
     b = rng.normal(size=(size, size))
 
+    def fused():
+        return matmul(a, b, _config())
+
     variants = {
         "seed_path": lambda: reference_matmul(a, b, _config()),
-        "sequential_fused": lambda: matmul(a, b, _config()),
+        "sequential_fused": fused,
+        "sequential_numpy": _numpy(fused),
         "pairwise": lambda: matmul(a, b, _config("pairwise")),
         "chunked(32)": lambda: matmul(a, b, _config("chunked(32)")),
     }
+    # Each run starts from a fresh same-seed stream, so the sequential
+    # rows and the seed path must agree bit for bit.
+    seed = variants["seed_path"]()
+    for name in ("sequential_fused", "sequential_numpy"):
+        assert np.array_equal(variants[name](), seed), \
+            f"{name} differs from the seed path"
     results = {}
     for name, fn in variants.items():
         fn()  # warm-up: page in buffers, JIT-free but cache-warm
@@ -62,6 +127,7 @@ def run_benchmark(size=256, repeats=3):
     report = {
         "benchmark": "sr_gemm",
         "machine": machine_info(),
+        "kernel_loaded": kernel.library() is not None,
         "shape": [size, size, size],
         "rbits": RBITS,
         "seconds": results,
@@ -69,6 +135,7 @@ def run_benchmark(size=256, repeats=3):
                          for name, t in results.items()},
         "speedup_vs_seed": {name: results["seed_path"] / t
                             for name, t in results.items()},
+        "executor_conv": _conv_rows(repeats),
     }
     return report
 
@@ -114,7 +181,10 @@ def main(argv=None) -> int:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
     speedup = report["speedup_vs_seed"]["sequential_fused"]
-    print(f"\nfused sequential speedup vs seed path: {speedup:.2f}x",
+    print(f"\nfused sequential speedup vs seed path: {speedup:.2f}x "
+          f"(kernel loaded: {report['kernel_loaded']}); executor conv "
+          f"kernel vs NumPy loop: "
+          f"{report['executor_conv']['kernel_speedup']:.2f}x",
           file=sys.stderr)
     return 0
 

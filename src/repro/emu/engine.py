@@ -9,9 +9,11 @@ scenario is a registry entry instead of a fork of the GEMM loop:
 
 * ``sequential`` — the paper's MAC chain, bit-identical to the original
   per-step loop but *fused*: one bulk random draw for the whole
-  reduction, preallocated buffers, and in-place add/round through the
-  ``out=`` path of :func:`repro.fp.fastquant.quantize_fast`.  This is
-  the default hot path for everything in the repo.
+  reduction, then the K loop of adds and in-place roundings, run by the
+  compiled kernel of :mod:`repro.emu.kernel` when it builds and by the
+  NumPy loop (its specification, through
+  :func:`repro.fp.fastquant.quantize_fast`'s ``out=`` kernel) otherwise.
+  This is the default hot path for everything in the repo.
 * ``pairwise`` — balanced adder-tree reduction; every 2-input adder
   output is rounded into the accumulator format, so error grows
   O(log K) instead of O(K).
@@ -50,6 +52,7 @@ from ..fp.fastquant import (
 )
 from ..fp.quantize import quantize
 from ..prng.streams import bulk_draws
+from . import kernel
 
 #: Cap on transient bulk allocations (pre-drawn randomness, pairwise
 #: product tensors).  Kept small enough that repeated chunk allocations
@@ -99,11 +102,14 @@ def round_partial(values: np.ndarray, config, *,
                              out=out, workspace=workspace)
     if config.rbits is None:
         # Exact SR (infinite random bits) — ablation path, reference impl.
-        result = quantize(
-            values, fmt, "stochastic",
-            rng=getattr(config.stream, "rng", np.random.default_rng(0)),
-            saturate=config.saturate,
-        )
+        rng = getattr(config.stream, "rng", None)
+        if rng is None:
+            raise ValueError(
+                "exact SR (rbits=None) draws uniform floats from the "
+                "stream's numpy Generator (.rng); this stream has none — "
+                "use a SoftwareStream or a finite rbits")
+        result = quantize(values, fmt, "stochastic", rng=rng,
+                          saturate=config.saturate)
         if out is not None:
             np.copyto(out, result)
             return out
@@ -170,9 +176,13 @@ class SequentialEngine(AccumulationEngine):
     Per reduction step the exact outer product is added onto the running
     accumulator and the sum is rounded in place — the same arithmetic as
     the original per-step loop, but with the K random draws pulled in
-    bulk up front, all buffers preallocated, and the rounding routed
-    through the allocation-free ``out=`` kernel.  Verified bit-identical
-    to the seed implementation by the engine-equivalence test suite.
+    bulk up front.  The K loop itself runs in the compiled kernel
+    (:mod:`repro.emu.kernel`), one foreign call per chunk and batch
+    entry; where the kernel is unavailable, the NumPy loop it is checked
+    against runs instead, with preallocated buffers and the rounding
+    routed through the allocation-free ``out=`` kernel.  Both paths are
+    verified bit-identical to the seed implementation by the
+    engine-equivalence test suite.
 
     Example::
 
@@ -193,35 +203,48 @@ class SequentialEngine(AccumulationEngine):
                 acc = round_partial(acc + product, config)
             return acc
 
-        # (K, B, M) layout makes each step's multiplier column a
-        # contiguous read in the hot loop.
-        a_t = np.ascontiguousarray(a.transpose(2, 0, 1))
         fmt = config.acc_format
         mode = config.rounding
         rbits = config.rbits
         saturate = config.saturate
         stochastic = mode == "stochastic"
-        work = np.empty((m, n), dtype=np.float64)
-        rows = max(1, min(m, _BLOCK_ELEMS // max(1, n)))
-        workspaces = {}
-        for r0 in range(0, m, rows):
-            shape = (min(m, r0 + rows) - r0, n)
-            if shape not in workspaces:
-                workspaces[shape] = QuantizeWorkspace(shape)
+        mac = kernel.library()
+        if mac is not None:
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            b = np.ascontiguousarray(b, dtype=np.float64)
+        else:
+            # (K, B, M) layout makes each step's multiplier column a
+            # contiguous read in the hot loop.
+            a_t = np.ascontiguousarray(a.transpose(2, 0, 1))
+            work = np.empty((m, n), dtype=np.float64)
+            rows = max(1, min(m, _BLOCK_ELEMS // max(1, n)))
+            workspaces = {}
+            for r0 in range(0, m, rows):
+                shape = (min(m, r0 + rows) - r0, n)
+                if shape not in workspaces:
+                    workspaces[shape] = QuantizeWorkspace(shape)
 
         chunk = k
         if stochastic:
             chunk = max(1, min(k, _BULK_BYTES // (8 * acc.size)))
-        start = 0
-        while start < k:
+        for start in range(0, k, chunk):
             steps = min(chunk, k - start)
             draws = None
             if stochastic:
                 # One bulk draw covers every (batch, m, n) rounding of
                 # the next `steps` MAC steps, in exactly the per-step
                 # stream order (the bulk-draw contract).
-                draws = _kernel_draws(bulk_draws(
-                    config.stream, config.rbits, steps, acc.shape))
+                draws = bulk_draws(
+                    config.stream, config.rbits, steps, acc.shape)
+            if mac is not None:
+                # One foreign call per batch entry runs the whole chunk.
+                mac.gemm(a, b, acc, draws, start, steps, fmt,
+                         rbits if stochastic else None, saturate)
+                continue
+            # The NumPy loop: the kernel's specification, and the path
+            # wherever the kernel is unavailable.
+            if stochastic:
+                draws = _kernel_draws(draws)
             for bi in range(batch):
                 b2, acc2 = b[bi], acc[bi]
                 for r0 in range(0, m, rows):
@@ -241,7 +264,6 @@ class SequentialEngine(AccumulationEngine):
                             work_v, fmt, mode, rbits,
                             draws[i, bi, r0:r1] if stochastic else None,
                             saturate, acc_v, ws)
-            start += steps
         return acc
 
     def reduce(self, terms: np.ndarray, config) -> np.ndarray:
@@ -254,25 +276,35 @@ class SequentialEngine(AccumulationEngine):
                 acc = round_partial(acc + terms[step], config)
             return acc
 
-        work = np.empty_like(acc)
-        ws = QuantizeWorkspace(acc.shape)
         stochastic = config.rounding == "stochastic"
+        mac = kernel.library()
+        if mac is not None:
+            terms = np.ascontiguousarray(terms, dtype=np.float64)
+        else:
+            work = np.empty_like(acc)
+            ws = QuantizeWorkspace(acc.shape)
         chunk = k
         if stochastic:
             chunk = max(1, min(k, _BULK_BYTES // (8 * max(1, acc.size))))
-        start = 0
-        while start < k:
+        for start in range(0, k, chunk):
             steps = min(chunk, k - start)
             draws = None
             if stochastic:
-                draws = _kernel_draws(bulk_draws(
-                    config.stream, config.rbits, steps, acc.shape))
+                draws = bulk_draws(
+                    config.stream, config.rbits, steps, acc.shape)
+            if mac is not None:
+                mac.reduce(terms[start:start + steps], acc, draws,
+                           config.acc_format,
+                           config.rbits if stochastic else None,
+                           config.saturate)
+                continue
+            if stochastic:
+                draws = _kernel_draws(draws)
             for i in range(steps):
                 np.add(acc, terms[start + i], out=work)
                 round_partial(work, config,
                               draws=draws[i] if stochastic else None,
                               out=acc, workspace=ws)
-            start += steps
         return acc
 
     @staticmethod

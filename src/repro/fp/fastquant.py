@@ -264,7 +264,7 @@ def quantize_fast(
                      and random_ints is not None))
         )
         x = np.asarray(values, dtype=np.float64)
-        if x is out or not x.flags.c_contiguous:
+        if not x.flags.c_contiguous or np.shares_memory(x, out):
             raise ValueError("out= path needs contiguous values, not aliased"
                              " with out")
         if out.shape != x.shape or out.dtype != np.float64 \

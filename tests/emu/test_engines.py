@@ -13,7 +13,7 @@ The load-bearing guarantees:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.emu import QuantizedGemm
@@ -173,6 +173,29 @@ class TestSequentialBitIdentity:
         assert np.array_equal(matmul(a, b, cfg1),
                               reference_matmul(a, b, cfg2))
 
+    def test_matches_reference_with_uint64_draws(self, rng):
+        """r=40 on E6M5 still fuses (r < 52 - M = 47), and its bulk draws
+        arrive as uint64 instead of the compact uint32."""
+        a = rng.normal(size=(19, 23))
+        b = rng.normal(size=(23, 6))
+        assert SoftwareStream(1).integers_bulk(40, 2, (4,)).dtype \
+            == np.uint64
+        cfg1, cfg2 = GemmConfig.sr(40, seed=4), GemmConfig.sr(40, seed=4)
+        assert SequentialEngine._fusable(cfg1, a, b)
+        assert np.array_equal(matmul(a, b, cfg1),
+                              reference_matmul(a, b, cfg2))
+
+    def test_matches_reference_with_transposed_b(self, rng):
+        """A transposed, non-contiguous ``b`` reaches the engine as is."""
+        a = rng.normal(size=(33, 20))
+        bt = rng.normal(size=(7, 20))
+        for config, config2 in zip(_configs(), _configs()):
+            aq, btq = cast_inputs(a, bt, config)
+            assert not btq.T.flags.c_contiguous
+            got = matmul(aq, btq.T, config, cast=False)
+            want = reference_matmul(a, np.ascontiguousarray(bt.T), config2)
+            assert np.array_equal(got, want), config.label
+
     def test_stream_stays_aligned_across_calls(self, rng):
         """Fused and seed paths consume the shared stream identically, so
         interleaving odd-shaped seed-path draws with fused GEMMs keeps
@@ -200,7 +223,10 @@ class TestSequentialBitIdentity:
         st.sampled_from([None, 4, 9, 13]),       # rbits (None -> RN)
         st.integers(min_value=0, max_value=2**31 - 1),  # seed
     )
-    @settings(max_examples=120, deadline=None)
+    # TestSequentialBitIdentityNumpyLoop inherits this property to run
+    # it on the NumPy loop too; both share one example database.
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_property_fused_equals_seed(self, m, k, n, e_bits, m_bits,
                                         subnormals, saturate, rbits, seed):
         fmt = FPFormat(e_bits, m_bits, subnormals)
@@ -461,6 +487,38 @@ class TestSumReduce:
             acc = round_partial(acc + values[step], cfg2)
         assert np.array_equal(got, acc)
 
+    @staticmethod
+    def _seed_loop(values, config):
+        acc = np.zeros(values.shape[1:])
+        for step in range(values.shape[0]):
+            acc = round_partial(acc + values[step], config)
+        return acc
+
+    @pytest.mark.parametrize("rbits", [None, 9])
+    def test_sum_reduce_deep_tail_matches_seed_loop(self, rng, rbits):
+        """Terms below twice E6M5's smallest subnormal: the early sums
+        are deep-tail values, rounded through the reference quantizer."""
+        tiny = 2 * FP12_E6M5.min_subnormal
+        values = rng.uniform(-tiny, tiny, size=(24, 7))
+
+        def build():
+            if rbits is None:
+                return GemmConfig.rn(FP12_E6M5)
+            return GemmConfig.sr(rbits, seed=9)
+
+        assert np.array_equal(sum_reduce(values, build(), axis=0),
+                              self._seed_loop(values, build()))
+
+    def test_reduce_without_subnormals_matches_seed_loop(self, rng):
+        values = rng.normal(size=(30, 6)) * FP12_E6M5.min_normal
+        values[:, 0] = 0.25 * FP12_E6M5.min_normal  # flushes every step
+        got = sum_reduce(values, GemmConfig.sr(13, subnormals=False,
+                                               seed=2), axis=0)
+        want = self._seed_loop(values, GemmConfig.sr(13, subnormals=False,
+                                                     seed=2))
+        assert np.array_equal(got, want)
+        assert (got == 0).any()  # some sums flushed to zero
+
     def test_sum_reduce_scalar_tail_shape_uniform_across_engines(self, rng):
         values = rng.normal(size=17)
         for order in ["sequential", "pairwise", "chunked(4)"]:
@@ -468,6 +526,35 @@ class TestSumReduce:
             out = sum_reduce(values, cfg, axis=-1)
             assert np.shape(out) == (), order
             assert np.array_equal(out, quantize(out, FP16, "toward_zero"))
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestSequentialBitIdentityNumpyLoop(TestSequentialBitIdentity):
+    """The same cases on the NumPy loop (the kernel's specification)."""
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestSumReduceNumpyLoop(TestSumReduce):
+    """The same cases on the NumPy loop (the kernel's specification)."""
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestBatchedNumpyLoop(TestBatched):
+    """The same cases on the NumPy loop (the kernel's specification)."""
+
+
+class TestExactSRStream:
+    def test_exact_sr_without_rng_rejected(self, rng):
+        """Exact SR draws uniform floats from ``stream.rng``; a stream
+        without one (the LFSR bank) must fail loudly, not round every
+        call with the same seed-0 draws."""
+        config = GemmConfig(mul_format=None, acc_format=FP12_E6M5,
+                            rounding="stochastic", rbits=None,
+                            stream=LFSRStream(lanes=8, seed=5))
+        with pytest.raises(ValueError, match="rbits=None"):
+            matmul(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)), config)
+        with pytest.raises(ValueError, match="rbits=None"):
+            round_partial(np.ones(4) / 3, config)
 
 
 class TestConfigIntegration:

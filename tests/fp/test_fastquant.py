@@ -157,6 +157,14 @@ class TestFusedOutPath:
             quantize_fast(values[::2], FP12_E6M5, "nearest",
                           out=np.empty(8))
 
+    def test_out_path_rejects_a_view_of_out(self):
+        """A view of ``out`` is aliased too: the special-value patch would
+        re-read the input after the rounding overwrote it."""
+        a = np.array([1.0, np.nan, np.inf, 3e-11, 0.3, -5e-12])
+        with pytest.raises(ValueError, match="not aliased"):
+            quantize_fast(a[:], FP12_E6M5, out=a)
+        assert np.isnan(a[1])  # rejected before anything was written
+
     def test_out_path_falls_back_for_unsupported_modes(self, rng):
         values = np.ascontiguousarray(rng.normal(size=64))
         out = np.empty_like(values)
