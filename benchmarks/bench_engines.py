@@ -11,7 +11,10 @@ loaded (the report's ``kernel_loaded``) and ``sequential_numpy`` the
 NumPy loop it is checked against; both are asserted bit-identical to
 the seed path before anything is timed.  The ``executor_conv`` rows
 time ``QuantizedGemm`` on a ``train_cnn`` convolution shape, where
-narrow row blocks make NumPy dispatch, not arithmetic, the cost.
+narrow row blocks make NumPy dispatch, not arithmetic, the cost.  The
+``cast`` rows time the multiplier cast (round-to-nearest into E5M2) of
+two ``train_cnn`` operands, the reference quantizer against the
+compiled cast, asserted bit-identical first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -30,6 +33,8 @@ import pytest
 
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
 from repro.emu import reference_matmul
+from repro.fp.formats import FP8_E5M2
+from repro.fp.quantize import quantize
 
 from _machine import machine_info
 
@@ -38,6 +43,11 @@ SEED = 3
 #: A ``train_cnn`` convolution: im2col rows @ (C*3*3, filters), r=13.
 CONV_SHAPE = (8192, 72, 16)
 CONV_RBITS = 13
+#: ``train_cnn`` cast operands: one executor row block of im2col patches
+#: (post-ReLU) and a conv weight, (C*3*3, filters).
+CAST_SHAPES = {"patch_block": (64, 72), "conv_weight": (72, 16)}
+#: Casts per timed sample: one cast takes microseconds.
+CAST_CALLS = 200
 
 
 def _config(accum_order="sequential"):
@@ -96,6 +106,42 @@ def _conv_rows(repeats):
     }
 
 
+def _cast_rows(repeats):
+    """Reference quantizer vs compiled cast, microseconds per call."""
+    rng = np.random.default_rng(13)
+    operands = {
+        "patch_block": np.maximum(
+            rng.normal(size=CAST_SHAPES["patch_block"]), 0.0),
+        "conv_weight": rng.normal(size=CAST_SHAPES["conv_weight"]) * 0.2,
+    }
+    mac = kernel.library()
+    rows = {}
+    for name, x in operands.items():
+        variants = {"reference": lambda x=x: quantize(x, FP8_E5M2,
+                                                      "nearest")}
+        if mac is not None:
+            variants["kernel"] = lambda x=x: mac.cast(x, FP8_E5M2, False)
+            assert np.array_equal(
+                variants["kernel"]().view(np.int64),
+                variants["reference"]().view(np.int64)), \
+                f"cast {name}: kernel and reference quantizer disagree"
+
+        def calls(fn):
+            for _ in range(CAST_CALLS):
+                fn()
+
+        micros = {variant: _time(calls, fn, repeats=repeats)
+                  / CAST_CALLS * 1e6
+                  for variant, fn in variants.items()}
+        rows[name] = {
+            "shape": list(x.shape),
+            "us_per_call": micros,
+            "kernel_speedup": micros["reference"] / micros["kernel"]
+            if "kernel" in micros else None,
+        }
+    return rows
+
+
 def run_benchmark(size=256, repeats=3):
     """Time every engine (plus the seed path) on one SR GEMM."""
     rng = np.random.default_rng(7)
@@ -136,6 +182,7 @@ def run_benchmark(size=256, repeats=3):
         "speedup_vs_seed": {name: results["seed_path"] / t
                             for name, t in results.items()},
         "executor_conv": _conv_rows(repeats),
+        "cast": _cast_rows(repeats),
     }
     return report
 
@@ -186,6 +233,10 @@ def main(argv=None) -> int:
           f"kernel vs NumPy loop: "
           f"{report['executor_conv']['kernel_speedup']:.2f}x",
           file=sys.stderr)
+    for name, row in report["cast"].items():
+        if row["kernel_speedup"] is not None:
+            print(f"{name} cast, compiled vs reference quantizer: "
+                  f"{row['kernel_speedup']:.2f}x", file=sys.stderr)
     return 0
 
 

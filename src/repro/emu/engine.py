@@ -317,7 +317,7 @@ class SequentialEngine(AccumulationEngine):
         reference loop instead.
         """
         fmt = config.acc_format
-        if fmt.mantissa_bits > 40:
+        if fmt.mantissa_bits > kernel.MAX_MANTISSA_BITS:
             return False
         if config.rounding == "stochastic":
             if config.rbits is None or config.rbits >= 52 - fmt.mantissa_bits:

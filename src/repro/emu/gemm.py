@@ -34,24 +34,34 @@ from typing import Tuple
 import numpy as np
 
 from ..fp.quantize import quantize
+from . import kernel
 from .config import GemmConfig
 from .engine import get_engine, round_partial
 
 
-def _cast_one(x: np.ndarray, config: GemmConfig) -> np.ndarray:
-    """RN-cast one operand, quantizing a stride-0 batch only once.
+def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
+    """RN-cast one GEMM operand to the multiplier format.
 
-    Batched layers broadcast a shared weight to ``(B, K, N)``; casting
-    the base slice and re-broadcasting avoids B-fold quantization work
-    and temporaries (the cast is elementwise and deterministic, so the
-    result is identical).
+    Every multiplier cast of the executor comes here.  The compiled
+    cast (:meth:`repro.emu.kernel.MacKernel.cast`) runs when the kernel
+    loaded and the format is inside its domain; otherwise the reference
+    quantizer, its specification, does, with the same bits.  The cast
+    is elementwise, so casting a whole operand equals casting it per
+    row block.  A stride-0 batch (a shared weight broadcast to ``(B,
+    K, N)``) casts its base once and re-broadcasts: that avoids B-fold
+    work, and the executor ships the base as one shared 2D operand.
     """
+    x = np.asarray(x, np.float64)
+    fmt = config.mul_format
+    if fmt is None:
+        return x
     if x.ndim == 3 and x.shape[0] > 1 and x.strides[0] == 0:
-        base = quantize(x[0], config.mul_format, "nearest",
-                        saturate=config.saturate)
-        return np.broadcast_to(base, x.shape)
-    return quantize(x, config.mul_format, "nearest",
-                    saturate=config.saturate)
+        return np.broadcast_to(_cast_operand(x[0], config), x.shape)
+    mac = kernel.library() \
+        if fmt.mantissa_bits <= kernel.MAX_MANTISSA_BITS else None
+    if mac is not None:
+        return mac.cast(x, fmt, config.saturate)
+    return quantize(x, fmt, "nearest", saturate=config.saturate)
 
 
 def cast_inputs(a: np.ndarray, b: np.ndarray,
@@ -63,9 +73,7 @@ def cast_inputs(a: np.ndarray, b: np.ndarray,
         aq, bq = cast_inputs(a, b, GemmConfig.sr(9))   # FP8 E5M2 grids
         out = matmul(aq, bq, GemmConfig.sr(9), cast=False)
     """
-    if config.mul_format is None:
-        return np.asarray(a, np.float64), np.asarray(b, np.float64)
-    return _cast_one(a, config), _cast_one(b, config)
+    return _cast_operand(a, config), _cast_operand(b, config)
 
 
 def matmul_batched(a: np.ndarray, b: np.ndarray, config: GemmConfig,

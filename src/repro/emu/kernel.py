@@ -1,26 +1,42 @@
-"""The compiled add-and-round loop of the ``sequential`` engine.
+"""The compiled add-and-round loop and multiplier cast of the emulator.
 
 :class:`repro.emu.engine.SequentialEngine` spends its time in the K
 loop of the MAC chain: add one product onto the accumulator, round the
 sum into the accumulator format, repeat.  In NumPy that is about ten
 ufunc calls per step on blocks of a few thousand elements, so call
 dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs the
-whole K loop of one (chunk, batch entry) in one foreign call.
+whole K loop of one (chunk, batch entry) in one foreign call.  The same
+file runs the executor's multiplier cast, the round-to-nearest cast of
+every GEMM operand into the FP8 multiplier format, in one foreign call
+per operand block (:meth:`MacKernel.cast`), where the reference
+quantizer makes about 25 NumPy passes.
 
-The engine's NumPy loop stays the specification.  The kernel is built
-and admitted once per process, on the first fused GEMM:
+The engine's NumPy loop stays the specification of the K loop, and
+:func:`repro.fp.quantize.quantize` the specification of the cast.  The
+kernel is built and admitted once per process, on the first multiplier
+cast or fused GEMM:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
   ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
   source, the flags and the machine, and published with ``os.replace``
   so concurrent processes never load a partial file;
-* it is loaded with :mod:`ctypes` and checked against
-  :func:`repro.fp.fastquant._quantize_fused_into` on fixed operands:
+* it is loaded with :mod:`ctypes` and checked twice on fixed operands.
+  The loops must match :func:`repro.fp.fastquant._quantize_fused_into`:
   RN and SR (uint32 and uint64 draws), subnormals on and off, saturate
-  on and off, an overflow, a deep tail, RN ties and inf/NaN;
+  on and off, an overflow, a deep tail, RN ties and inf/NaN.  The cast
+  must match :func:`repro.fp.quantize.quantize` on E5M2 and E4M3,
+  subnormals and saturate on and off: RN ties of both parities in the
+  normal and the subnormal range, the overflow tie, half the smallest
+  subnormal and its neighbours, float64 subnormals, signed zeros,
+  infinities and a NaN payload;
 * on any failure (no compiler, unwritable cache, compile error, load
-  error, self-check mismatch) :func:`library` returns ``None`` and the
-  NumPy loop runs, silently.  Nothing selects between the two paths.
+  error, self-check mismatch) :func:`library` returns ``None``; the
+  NumPy loop and the reference quantizer run, silently.  Nothing
+  selects between the two paths.
+
+The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
+bits, the engine's bound on the loops; wider formats take the
+reference quantizer.
 
 SR draws stay in NumPy: the engine draws them in bulk, exactly as the
 NumPy loop does, and hands them to the kernel, so the bit stream and
@@ -44,7 +60,8 @@ from typing import Optional
 import numpy as np
 
 from ..fp.fastquant import QuantizeWorkspace, _quantize_fused_into
-from ..fp.formats import FP12_E6M5, FPFormat
+from ..fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FPFormat
+from ..fp.quantize import quantize
 
 _SOURCE = Path(__file__).with_name("mac_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -53,6 +70,10 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: unrounded product moves result bits.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
+#: The widest format the kernel rounds into, in fraction bits.  Past it
+#: the fused lanes' cut arithmetic leaves its checked range (at 52 bits
+#: the RN tie bias ``1 << (c1 - 1)`` is undefined in C).
+MAX_MANTISSA_BITS = 40
 
 
 class _Spec(ctypes.Structure):
@@ -113,6 +134,9 @@ class MacKernel:
         self._reduce = lib.mac_reduce
         self._reduce.argtypes = [ptr, ptr, i64, i64, ptr, i64, spec]
         self._reduce.restype = None
+        self._cast = lib.mac_cast
+        self._cast.argtypes = [ptr, ptr, i64, spec]
+        self._cast.restype = None
         self._specs: dict = {}
 
     def _spec(self, fmt: FPFormat, rbits: Optional[int], saturate: bool):
@@ -184,17 +208,46 @@ class MacKernel:
                      draws.ctypes.data if draws is not None else None,
                      width, ctypes.byref(self._spec(fmt, rbits, saturate)))
 
+    def cast(self, x: np.ndarray, fmt: FPFormat,
+             saturate: bool) -> np.ndarray:
+        """``quantize(x, fmt, "nearest", saturate=saturate)``, compiled.
+
+        ``x`` may have any shape (0-d too) and any layout; the result is
+        a new C-contiguous float64 array of the same shape.  ``fmt`` has
+        at most :data:`MAX_MANTISSA_BITS` fraction bits.
+
+        Example (the executor's multiplier cast)::
+
+            wq = library().cast(weight.T, FP8_E5M2, saturate=False)
+        """
+        if fmt.mantissa_bits > MAX_MANTISSA_BITS:
+            raise ValueError(f"{fmt.name} is wider than the kernel's "
+                             f"{MAX_MANTISSA_BITS} fraction bits")
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(x.shape)
+        src = x
+        if not x.flags.c_contiguous:
+            np.copyto(out, x)  # the cast then runs in place
+            src = out
+        self._cast(src.ctypes.data, out.ctypes.data, out.size,
+                   ctypes.byref(self._spec(fmt, None, saturate)))
+        return out
+
 
 _UNBUILT = object()
-#: The process's kernel: ``_UNBUILT`` until the first fused GEMM asks
-#: for it, then a :class:`MacKernel`, or ``None`` when the NumPy loop
-#: runs.  Process-wide because the loaded library is.
+#: The process's kernel: ``_UNBUILT`` until the first multiplier cast or
+#: fused GEMM asks for it, then a :class:`MacKernel`, or ``None`` when
+#: the NumPy loop and the reference quantizer run.  Process-wide because
+#: the loaded library is.
 _lib = _UNBUILT
 _lock = threading.Lock()
 
 
 def library() -> Optional[MacKernel]:
     """The checked kernel, built on first use; ``None`` if unavailable.
+
+    The cast and the loops come and go together: a library that fails
+    either self-check is not used at all.
 
     Example::
 
@@ -219,7 +272,7 @@ def _load() -> Optional[MacKernel]:
         mac = MacKernel(ctypes.CDLL(str(path)))
     except (OSError, AttributeError):
         return None
-    return mac if _self_check(mac) else None
+    return mac if _self_check(mac) and _cast_self_check(mac) else None
 
 
 def _build() -> Optional[Path]:
@@ -335,5 +388,46 @@ def _self_check(mac: MacKernel) -> bool:
                 mac.reduce(products, summed, draws, fmt, rbits, saturate)
                 if not (np.array_equal(got.view(np.int64), want)
                         and np.array_equal(summed.view(np.int64), want)):
+                    return False
+    return True
+
+
+def _cast_check_values(fmt: FPFormat) -> np.ndarray:
+    """Fixed cast operands for ``fmt``, each with both signs.
+
+    RN ties to even of both parities in the normal range (at 1 and at
+    ``emin``) and the subnormal range, the subnormal tie that carries
+    into ``min_normal``, the overflow tie at ``max_value`` plus half an
+    ulp and its lower neighbour, half the smallest subnormal and its
+    float64 neighbours, float64 subnormals, ordinary values, zero,
+    infinity and a NaN with a payload.
+    """
+    ulp = 2.0 ** -fmt.mantissa_bits
+    tiny = fmt.min_subnormal
+    half = 0.5 * tiny
+    top_tie = fmt.max_value + 2.0 ** (fmt.emax - fmt.mantissa_bits - 1)
+    nan = np.array(0x7FF8000000000123, np.uint64).view(np.float64)
+    values = np.array([
+        1 + 0.5 * ulp, 1 + 1.5 * ulp,
+        (1 + 0.5 * ulp) * fmt.min_normal, (1 + 1.5 * ulp) * fmt.min_normal,
+        1.5 * tiny, 2.5 * tiny, fmt.min_normal - half,
+        np.nextafter(half, 0.0), half, np.nextafter(half, 1.0),
+        top_tie, np.nextafter(top_tie, 0.0), 2 * fmt.max_value,
+        5e-324, 3 * 2.0 ** -1050, 0.3, 1e-3, 3.14159, 0.0, np.inf, nan,
+    ])
+    return np.concatenate([values, -values])
+
+
+def _cast_self_check(mac: MacKernel) -> bool:
+    """Whether ``mac.cast`` reproduces the reference quantizer bit for
+    bit on :func:`_cast_check_values`."""
+    for base in (FP8_E5M2, FP8_E4M3):
+        for fmt in (base, base.with_subnormals(False)):
+            values = _cast_check_values(fmt)
+            for saturate in (False, True):
+                want = quantize(values, fmt, "nearest", saturate=saturate)
+                got = mac.cast(values, fmt, saturate)
+                if not np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)):
                     return False
     return True

@@ -1,4 +1,5 @@
-/* The sequential engine's add-and-round loop, compiled.
+/* The sequential engine's add-and-round loop and the multiplier cast,
+ * compiled.
  *
  * Each output element runs the paper's MAC chain: add one exact
  * float64 product (or reduction term) onto the accumulator, then round
@@ -7,6 +8,11 @@
  * repro.fp.fastquant._quantize_fused_into, element by element; the
  * NumPy loop in repro.emu.engine is the specification and
  * repro.emu.kernel checks this file against it before first use.
+ *
+ * mac_cast runs the same rounding, round-to-nearest, over the GEMM
+ * operands: the RN cast into the multiplier format.  Its specification
+ * is the reference quantizer, repro.fp.quantize.quantize, which
+ * repro.emu.kernel also checks it against before first use.
  *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
@@ -89,7 +95,10 @@ static double reference_round(double x, uint64_t draw, const mac_spec *s,
 /* The general lane of _quantize_fused_into, element by element: the
  * cut t = max(c1, c2 - exponent field) moves below emin, values past
  * the float64 fraction field take the reference, inf and NaN pass
- * through.  Sums outside the format's normal range come here. */
+ * through.  Sums outside the format's normal range come here.  A
+ * float64 subnormal (field 0) has the exponent of field 1, so it cuts
+ * as field 1 does; only formats with 11 exponent bits reach it with a
+ * cut inside the fraction field. */
 static __attribute__((noinline)) double
 round_general(double x, uint64_t draw, const mac_spec *s, int stochastic)
 {
@@ -99,7 +108,7 @@ round_general(double x, uint64_t draw, const mac_spec *s, int stochastic)
     int64_t field = (int64_t)(mag >> 52);
     if (field == SPECIAL_FIELD)
         return x;  /* inf and NaN pass through */
-    int64_t t = s->c2 - field;
+    int64_t t = s->c2 - (field > 0 ? field : 1);
     if (t > MAX_DISCARD) {
         if (mag != 0)
             return reference_round(x, draw, s, stochastic);
@@ -254,4 +263,14 @@ void mac_reduce(const double *terms, double *acc, int64_t n, int64_t steps,
         reduce_loop(terms, acc, n, steps, draws, s, DRAWS_U64);
     else
         reduce_loop(terms, acc, n, steps, draws, s, DRAWS_NONE);
+}
+
+/* out[i] = x[i] rounded to nearest, ties to even, into the format:
+ * repro.fp.quantize.quantize(x, fmt, "nearest"), the RN cast of a GEMM
+ * operand into the multiplier format.  out may alias x. */
+void mac_cast(const double *x, double *out, int64_t n, const mac_spec *s)
+{
+    const lane l = make_lane(s);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = round_one(x[i], 0, s, &l, 0);
 }

@@ -53,11 +53,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fp.quantize import quantize
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from .engine import get_engine, round_partial
-from .gemm import _cast_one, matmul
+from .gemm import _cast_operand, matmul
 
 #: FROZEN — substream granularity in output rows (see module docstring).
 #: 64 balances per-block engine overhead (large enough that the fused
@@ -81,15 +80,6 @@ def _draw_call_key(stream) -> Tuple[int, ...]:
     """Advance the parent stream by one call's worth of key entropy."""
     draws = np.asarray(stream.integers(CALL_KEY_RBITS, (CALL_KEY_DRAWS,)))
     return tuple(int(v) for v in draws.ravel())
-
-
-def _cast_operand(x: np.ndarray, config) -> np.ndarray:
-    """RN-cast one operand to the multiplier format (elementwise, so the
-    result is identical whether cast whole or per row-block)."""
-    x = np.asarray(x, np.float64)
-    if config.mul_format is None:
-        return x
-    return quantize(x, config.mul_format, "nearest", saturate=config.saturate)
 
 
 def _block_gemm(a_rows: np.ndarray, b2d: np.ndarray, config) -> np.ndarray:
@@ -366,13 +356,10 @@ def parallel_matmul_batched(a: np.ndarray, b: np.ndarray, config, *,
     # cast is elementwise, so per-block equals whole — and not casting A
     # up front avoids a redundant full quantize pass plus shipping the
     # pre-cast copy to workers).
-    if config.mul_format is not None:
-        if cast:
-            b = _cast_one(b, config)
-        if config.acc_format is None:
-            return _cast_one(a, config) @ b
+    if cast:
+        b = _cast_operand(b, config)
     if config.acc_format is None:
-        return a @ b
+        return _cast_operand(a, config) @ b
     batch, m, _ = a.shape
     n = b.shape[-1]
     out = np.empty((batch, m, n), dtype=np.float64)
@@ -568,8 +555,7 @@ class QuantizedGemm:
                 out = parallel_matmul_batched(a, b, config,
                                               scheduler=scheduler)
             else:
-                if config.mul_format is not None:
-                    b = _cast_one(b, config)
+                b = _cast_operand(b, config)
                 out = np.empty((batch, m, n), dtype=np.float64)
                 for stream, start in groups:
                     rows = slice(start, start + size)

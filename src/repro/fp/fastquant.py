@@ -165,11 +165,14 @@ def _quantize_fused_into(
 
     # General lane: discard = max(c1, c2 - exp_field) — c1 cuts inside
     # the fraction for in-range exponents, the c2 term extends the cut
-    # below emin.
+    # below emin.  A float64 subnormal (field 0) has the exponent of
+    # field 1, so it cuts as field 1 does; with 11 exponent bits that
+    # cut lies inside the fraction field.
     any_special = m_max >= spec.special_lim
     any_deep = spec.deep_lim > 0 \
         and nz_min < np.uint64(int(spec.deep_lim) - 1)
     t = np.right_shift(mag, _EXP_SHIFT, out=ws.discard)
+    np.maximum(t, _INT64_ONE, out=t)
     np.subtract(spec.c2, t, out=t)
     deep_mask = None
     if any_deep:
@@ -301,11 +304,12 @@ def quantize_fast(
     exp_field = mag >> _EXP_SHIFT
 
     special = exp_field == 0x7FF  # inf / NaN pass through
-    # float64 subnormals / zeros are far below every supported format's
-    # range (emin - M >= -149 > -1022): they quantize to (signed) zero.
-    zero_tail = exp_field == 0
+    # Exact zeros stay (signed) zero.  A float64 subnormal has the
+    # exponent of field 1: with 11 exponent bits it can land on the
+    # format's grid, otherwise it is deep tail for the reference.
+    zero_tail = mag == 0
 
-    exp_unbiased = exp_field - _F64_BIAS
+    exp_unbiased = np.maximum(exp_field, np.int64(1)) - _F64_BIAS
     discard = (_EXP_SHIFT - fmt.mantissa_bits) + np.maximum(
         np.int64(0), np.int64(fmt.emin) - exp_unbiased
     )

@@ -1,19 +1,31 @@
-"""The compiled add-and-round kernel: build, self-check and fallback.
+"""The compiled kernel: build, self-checks, the cast, and fallback.
 
 The engine-level bit-identity suites (``test_engines.py``) run once on
-the kernel and once on the NumPy loop.  This file pins the loader: the
-kernel agrees with its specification on more formats than the load-time
-self-check covers, the build is cached, and every way the build can
-fail leaves the NumPy loop running with the same bits.
+the kernel and once on the NumPy loop and reference cast.  This file
+pins the loader: the loops and the multiplier cast agree with their
+specifications on more formats than the load-time self-checks cover,
+the build is cached, and every way the build can fail leaves the NumPy
+loop and the reference quantizer running with the same bits.
 """
 
 import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, kernel, matmul, reference_matmul
-from repro.fp.formats import FP12_E6M5, FPFormat
+from repro.emu import (
+    GemmConfig,
+    QuantizedGemm,
+    cast_inputs,
+    kernel,
+    matmul,
+    reference_matmul,
+)
+from repro.emu.gemm import _cast_operand
+from repro.fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FP16, FPFormat
+from repro.fp.quantize import quantize
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
@@ -30,6 +42,40 @@ def _stress_terms(rng, fmt, shape):
     terms[1, 1] = -np.inf
     terms[2, 2] = np.nan
     return terms
+
+
+def _same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64))
+
+
+def _reference_steps(terms, fmt, mode, rbits, draws, saturate):
+    """``acc = quantize(acc + terms[k])`` per step, the reference
+    quantizer's own chain (not the fused NumPy loop)."""
+    acc = np.zeros(terms.shape[1:])
+    for k in range(terms.shape[0]):
+        kwargs = {} if rbits is None \
+            else {"rbits": rbits, "random_ints": draws[k]}
+        acc = quantize(acc + terms[k], fmt, mode, saturate=saturate,
+                       **kwargs)
+    return acc
+
+
+def _format_codes(fmt: FPFormat) -> np.ndarray:
+    """Every finite non-negative value of ``fmt``, ascending, subnormal
+    encodings included."""
+    m = fmt.mantissa_bits
+    codes = np.arange(((1 << fmt.exponent_bits) - 1) << m, dtype=np.int64)
+    field, frac = codes >> m, codes & ((1 << m) - 1)
+    scale = np.ldexp(1.0, np.maximum(field, 1) - fmt.bias - m)
+    return np.where(field == 0, frac, frac + (1 << m)) * scale
+
+
+def _random_bit_patterns(rng, size) -> np.ndarray:
+    """Uniform float64 bit patterns: NaN payloads, infinities, float64
+    subnormals and every exponent occur."""
+    return rng.integers(0, 1 << 64, size=size, dtype=np.uint64) \
+        .view(np.float64)
 
 
 @needs_cc
@@ -64,6 +110,48 @@ class TestKernel:
                                       want.view(np.int64)), \
                     (fmt.name, saturate)
 
+    @pytest.mark.parametrize("rbits", [None, 4, 13])
+    def test_float64_subnormal_sums_match_reference_quantizer(self, rng,
+                                                              rbits):
+        """With 11 exponent bits the format's subnormal grid reaches
+        float64 subnormals, which cut as exponent field 1.  The fused
+        NumPy loop is no witness here, so the reference quantizer is."""
+        mode = "nearest" if rbits is None else "stochastic"
+        for fmt in (FPFormat(11, 5), FPFormat(11, 5, subnormals=False),
+                    FPFormat(11, 2)):
+            terms = rng.uniform(-8, 8, size=(10, 48)) * 2.0 ** -1027
+            terms[0, :17] = np.arange(-8, 9) * 2.0 ** -1028  # RN ties
+            draws = None
+            if rbits is not None:
+                draws = rng.integers(0, 1 << rbits, size=terms.shape,
+                                     dtype=np.uint64)
+            for saturate in (False, True):
+                got = np.zeros(terms.shape[1:])
+                kernel.library().reduce(terms, got, draws, fmt, rbits,
+                                        saturate)
+                want = _reference_steps(terms, fmt, mode, rbits, draws,
+                                        saturate)
+                assert _same_bits(got, want), (fmt.name, saturate)
+                assert _same_bits(
+                    kernel.library().cast(terms, fmt, saturate),
+                    quantize(terms, fmt, "nearest", saturate=saturate))
+
+    @pytest.mark.parametrize("numpy_loop", [False, True])
+    def test_e11_accumulator_gemm_matches_reference_quantizer(
+            self, request, numpy_loop):
+        """Exact products near ``2**-1027`` accumulated in E11M5."""
+        if numpy_loop:
+            request.getfixturevalue("numpy_mac_loop")
+        a = np.array([[1.0, 3.0, -2.0, 5.0]]) * 2.0 ** -514
+        b = np.array([[1.0], [0.5], [1.5], [-0.5]]) * 2.0 ** -514
+        fmt = FPFormat(11, 5)
+        config = GemmConfig(acc_format=fmt)
+        want = _reference_steps(a[0, :, None, None] * b[:, None, :], fmt,
+                                "nearest", None, None, False)
+        assert want[0, 0] != 0.0
+        assert _same_bits(matmul(a, b, config), want)
+        assert _same_bits(reference_matmul(a, b, config), want)
+
     def test_build_is_cached(self, monkeypatch):
         path = kernel._build()
         assert path is not None and path.parent == kernel._CACHE_DIR
@@ -90,8 +178,141 @@ class TestKernel:
                      9, False)
 
 
+@needs_cc
+class TestCast:
+    """The compiled multiplier cast equals the reference quantizer."""
+
+    @pytest.mark.parametrize("e_bits,m_bits", [(4, 3), (5, 2), (6, 5),
+                                               (5, 10), (8, 7), (8, 23),
+                                               (11, 5)])
+    def test_matches_reference_quantizer(self, rng, e_bits, m_bits):
+        for subnormals in (True, False):
+            fmt = FPFormat(e_bits, m_bits, subnormals)
+            with np.errstate(over="ignore"):  # huge values overflow
+                values = np.concatenate([
+                    _random_bit_patterns(rng, 3000),
+                    _stress_terms(rng, fmt, (40, 50)).ravel(),
+                    rng.uniform(-16, 16, size=200) * 2.0 ** -1027,
+                ])
+                for saturate in (False, True):
+                    want = quantize(values, fmt, "nearest",
+                                    saturate=saturate)
+                    assert _same_bits(
+                        kernel.library().cast(values, fmt, saturate),
+                        want), (fmt.name, saturate)
+
+    @pytest.mark.parametrize("fmt", [FP8_E5M2, FP8_E4M3, FP16],
+                             ids=lambda f: f.name)
+    def test_exhaustive_boundary_sweep(self, fmt):
+        """Every code, every RN midpoint (the overflow tie above
+        ``max_value`` included) and both float64 neighbours of each."""
+        codes = _format_codes(fmt)
+        top = fmt.max_value + 2.0 ** (fmt.emax - fmt.mantissa_bits - 1)
+        mids = np.append((codes[:-1] + codes[1:]) / 2, top)
+        sweep = np.concatenate([codes, mids, np.nextafter(mids, 0.0),
+                                np.nextafter(mids, np.inf)])
+        sweep = np.concatenate([sweep, -sweep])
+        for subnormals in (True, False):
+            f = fmt.with_subnormals(subnormals)
+            for saturate in (False, True):
+                assert _same_bits(
+                    kernel.library().cast(sweep, f, saturate),
+                    quantize(sweep, f, "nearest", saturate=saturate)), \
+                    (f.name, subnormals, saturate)
+
+    def test_layouts(self, rng):
+        """Any layout in, a new C-contiguous array of the same shape
+        out; a strided input is left untouched."""
+        x = rng.normal(size=(6, 5)) * 1e3
+        kept = x.copy()
+        for view in (x, x.T, x[::2, 1:], x[:, 1], x[2, 3],
+                     np.array(-7e4), np.empty((0, 3))):
+            got = kernel.library().cast(view, FP8_E5M2, False)
+            assert got.shape == np.shape(view) and got.flags.c_contiguous
+            assert got.dtype == np.float64
+            assert not np.shares_memory(got, x)
+            assert _same_bits(got, quantize(view, FP8_E5M2, "nearest"))
+        assert _same_bits(x, kept)
+
+    def test_broadcast_batch_casts_its_base(self, rng):
+        """A stride-0 stack comes back stride-0, so the executor still
+        ships one shared 2D operand."""
+        w = rng.normal(size=(4, 3))
+        stack = np.broadcast_to(w, (5, 4, 3))
+        config = GemmConfig.sr(9)
+        got = _cast_operand(stack, config)
+        assert got.shape == stack.shape and got.strides[0] == 0
+        assert _same_bits(got[4], quantize(w, FP8_E5M2, "nearest"))
+
+    def test_wide_formats_take_the_reference(self, rng, monkeypatch):
+        with pytest.raises(ValueError, match="wider"):
+            kernel.library().cast(np.ones(3), FPFormat(8, 41), False)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("compiled cast outside its domain")
+
+        monkeypatch.setattr(kernel.MacKernel, "cast", not_called)
+        x = rng.normal(size=(3, 4))
+        for fmt in (FPFormat(8, 41), FPFormat(11, 52)):
+            got = _cast_operand(x, GemmConfig(mul_format=fmt))
+            assert _same_bits(got, quantize(x, fmt, "nearest"))
+
+    def test_concurrent_casts(self, rng):
+        """The cast keeps no global state: threads casting into several
+        formats at once, on a fresh wrapper whose format constants are
+        built under contention, all get the reference bits."""
+        mac = kernel.MacKernel(kernel.library()._lib)
+        x = rng.normal(size=(64, 72)) * 2.0 ** rng.integers(-20, 20,
+                                                           size=(64, 72))
+        formats = [FP8_E5M2, FP8_E4M3, FP16,
+                   FP12_E6M5.with_subnormals(False)]
+        want = {fmt: quantize(x, fmt, "nearest", saturate=True)
+                for fmt in formats}
+
+        def work(fmt):
+            return all(_same_bits(mac.cast(x, fmt, True), want[fmt])
+                       for _ in range(100))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, formats * 2, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 8
+
+    def test_executor_never_calls_the_reference(self, rng, monkeypatch):
+        """With the kernel loaded, every multiplier cast is compiled:
+        no entry point of the executor reaches the reference quantizer,
+        under whatever name a module bound it."""
+        assert kernel.library() is not None  # self-checked before the ban
+
+        def banned(*args, **kwargs):
+            raise AssertionError("reference quantizer called")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] != "repro":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is quantize:
+                    monkeypatch.setattr(module, attr, banned)
+        a = rng.normal(size=(70, 24))
+        b = rng.normal(size=(24, 9))
+        outer = rng.normal(size=(300, 5))
+        for config in (GemmConfig.sr(9, seed=1),
+                       GemmConfig.rn(FP12_E6M5)):
+            cast_inputs(a, b, config)
+            gemm = QuantizedGemm(config)
+            gemm(a, b)
+            gemm(np.stack([a, -a]), np.broadcast_to(b, (2, 24, 9)))
+            gemm.gemm_rows(a, 70, b)
+            gemm.gemm_outer_rows(outer, outer[:, :3], 300, 5, 3)
+
+
 class TestFallback:
-    """Every failed build leaves the NumPy loop, silently, same bits."""
+    """Every failed build leaves the NumPy loop and the reference cast,
+    silently, with the same bits."""
 
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
@@ -143,3 +364,18 @@ class TestFallback:
 
         monkeypatch.setattr(kernel, "_quantize_fused_into", off_by_one_ulp)
         self._assert_numpy_loop_runs(rng)
+
+    @needs_cc
+    def test_cast_self_check_mismatch(self, monkeypatch, rng):
+        def off_by_one_ulp(values, fmt, mode, **kwargs):
+            out = quantize(values, fmt, mode, **kwargs)
+            out.view(np.int64)[...] ^= 1
+            return out
+
+        monkeypatch.setattr(kernel, "quantize", off_by_one_ulp)
+        self._assert_numpy_loop_runs(rng)
+        a = rng.normal(size=(70, 12))
+        b = rng.normal(size=(12, 5))
+        config = GemmConfig.rn(FP12_E6M5)
+        assert np.array_equal(QuantizedGemm(config)(a, b),
+                              reference_matmul(a, b, config))

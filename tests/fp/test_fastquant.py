@@ -15,11 +15,17 @@ FORMATS = [
     FP8_E5M2,
     FP32,
     FPFormat(8, 7),
+    # 11 exponent bits: emin = -1022, so the format's subnormal grid
+    # (step 2**-1027 at M=5) covers float64 subnormals.
+    FPFormat(11, 5),
+    FPFormat(11, 5).with_subnormals(False),
+    FPFormat(11, 2),
 ]
 
 
 def _stress_sample(rng):
-    """Values spanning normals, subnormals, deep tail, specials, zeros."""
+    """Values spanning normals, subnormals, deep tail, specials, zeros,
+    and a band of float64 subnormals around ``2**-1027``."""
     return np.concatenate([
         rng.normal(size=3000),
         rng.normal(size=500) * 1e-9,
@@ -27,6 +33,8 @@ def _stress_sample(rng):
         rng.normal(size=500) * 1e-40,
         rng.normal(size=300) * 1e9,
         rng.normal(size=300) * 1e38,
+        rng.uniform(-16, 16, size=300) * 2.0 ** -1027,
+        np.arange(-8, 9) * 2.0 ** -1028,  # RN ties at M=5
         [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
     ])
 
