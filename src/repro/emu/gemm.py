@@ -42,10 +42,11 @@ from .engine import get_engine, round_partial
 def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
     """RN-cast one GEMM operand to the multiplier format.
 
-    Every multiplier cast of the executor comes here.  The compiled
-    cast (:meth:`repro.emu.kernel.MacKernel.cast`) runs when the kernel
-    loaded and the format is inside its domain; otherwise the reference
-    quantizer, its specification, does, with the same bits.  The cast
+    Every multiplier cast of the executor comes here, as one
+    :func:`repro.fp.quantize.quantize` call.  It carries the compiled
+    cast (:func:`repro.emu.kernel.cast_kernel`) when the kernel loaded
+    and the format is inside its domain; otherwise the reference
+    quantizer, its specification, runs, with the same bits.  The cast
     is elementwise, so casting a whole operand equals casting it per
     row block.  A stride-0 batch (a shared weight broadcast to ``(B,
     K, N)``) casts its base once and re-broadcasts: that avoids B-fold
@@ -57,11 +58,8 @@ def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
         return x
     if x.ndim == 3 and x.shape[0] > 1 and x.strides[0] == 0:
         return np.broadcast_to(_cast_operand(x[0], config), x.shape)
-    mac = kernel.library() \
-        if fmt.mantissa_bits <= kernel.MAX_MANTISSA_BITS else None
-    if mac is not None:
-        return mac.cast(x, fmt, config.saturate)
-    return quantize(x, fmt, "nearest", saturate=config.saturate)
+    return quantize(x, fmt, "nearest", saturate=config.saturate,
+                    kernel=kernel.cast_kernel(fmt))
 
 
 def cast_inputs(a: np.ndarray, b: np.ndarray,
@@ -148,8 +146,12 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     b = np.asarray(b, np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
-    if cast:
-        a, b = cast_inputs(a, b, config)
+    if cast and config.mul_format is not None:
+        # the cast's specification, never the compiled cast under test
+        a = quantize(a, config.mul_format, "nearest",
+                     saturate=config.saturate)
+        b = quantize(b, config.mul_format, "nearest",
+                     saturate=config.saturate)
     if config.acc_format is None:
         return a @ b
     if not config.per_step:

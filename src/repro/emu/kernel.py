@@ -35,8 +35,12 @@ cast or fused GEMM:
   selects between the two paths.
 
 The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
-bits, the engine's bound on the loops; wider formats take the
-reference quantizer.
+bits, the engine's bound on the loops; :func:`cast_kernel` makes that
+choice, and wider formats take the reference quantizer.  The executor
+hands the kernel to ``quantize(..., kernel=...)``, so the compiled cast
+still runs inside a call of :func:`repro.fp.quantize.quantize`, and
+anything that wraps that function (a profiler, the benchmark's cast
+span) sees every multiplier cast on both paths.
 
 SR draws stay in NumPy: the engine draws them in bulk, exactly as the
 NumPy loop does, and hands them to the kernel, so the bit stream and
@@ -59,7 +63,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..fp.fastquant import QuantizeWorkspace, _quantize_fused_into
+from ..fp.fastquant import (
+    MAX_MANTISSA_BITS,
+    QuantizeWorkspace,
+    _quantize_fused_into,
+)
 from ..fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FPFormat
 from ..fp.quantize import quantize
 
@@ -70,10 +78,6 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 #: unrounded product moves result bits.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
-#: The widest format the kernel rounds into, in fraction bits.  Past it
-#: the fused lanes' cut arithmetic leaves its checked range (at 52 bits
-#: the RN tie bias ``1 << (c1 - 1)`` is undefined in C).
-MAX_MANTISSA_BITS = 40
 
 
 class _Spec(ctypes.Structure):
@@ -214,15 +218,13 @@ class MacKernel:
 
         ``x`` may have any shape (0-d too) and any layout; the result is
         a new C-contiguous float64 array of the same shape.  ``fmt`` has
-        at most :data:`MAX_MANTISSA_BITS` fraction bits.
+        at most :data:`MAX_MANTISSA_BITS` fraction bits (the executor
+        asks :func:`cast_kernel` first).
 
-        Example (the executor's multiplier cast)::
+        Example::
 
             wq = library().cast(weight.T, FP8_E5M2, saturate=False)
         """
-        if fmt.mantissa_bits > MAX_MANTISSA_BITS:
-            raise ValueError(f"{fmt.name} is wider than the kernel's "
-                             f"{MAX_MANTISSA_BITS} fraction bits")
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape)
         src = x
@@ -262,6 +264,22 @@ def library() -> Optional[MacKernel]:
                 _lib = _load()
             lib = _lib
     return lib
+
+
+def cast_kernel(fmt: FPFormat) -> Optional[MacKernel]:
+    """The checked kernel if it casts into ``fmt``, else ``None``.
+
+    The one place that decides which multiplier casts are compiled:
+    :func:`library` for formats of at most :data:`MAX_MANTISSA_BITS`
+    fraction bits; wider formats take the reference quantizer.
+
+    Example (the executor's multiplier cast)::
+
+        wq = quantize(w, fmt, "nearest", kernel=cast_kernel(fmt))
+    """
+    if fmt.mantissa_bits > MAX_MANTISSA_BITS:
+        return None
+    return library()
 
 
 def _load() -> Optional[MacKernel]:

@@ -34,6 +34,11 @@ _F64_BIAS = np.int64(1023)
 # exponent field, so deeper cuts — values at or below twice the target's
 # smallest subnormal — fall back to the exact reference.
 _MAX_DISCARD = 51
+#: The widest format the bit-pattern lanes round into, in fraction bits;
+#: wider formats take the reference.  The compiled kernel in
+#: ``repro.emu``, a port of these lanes, shares the bound (at 52 bits
+#: its RN tie bias ``1 << (c1 - 1)`` is undefined in C).
+MAX_MANTISSA_BITS = 40
 
 
 class QuantizeWorkspace:
@@ -257,7 +262,7 @@ def quantize_fast(
     float64 array distinct from ``out``.  Stochastic mode additionally
     requires pre-drawn ``random_ints`` on this path.
     """
-    wide_format = fmt.mantissa_bits > 40
+    wide_format = fmt.mantissa_bits > MAX_MANTISSA_BITS
     rbits_too_deep = rbits is not None and rbits >= 52 - fmt.mantissa_bits
     if out is not None:
         fused_ok = (

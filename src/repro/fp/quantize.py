@@ -39,6 +39,7 @@ def quantize(
     rbits: Optional[int] = None,
     random_ints: Optional[np.ndarray] = None,
     saturate: bool = False,
+    kernel=None,
 ) -> np.ndarray:
     """Quantize ``values`` elementwise into format ``fmt``.
 
@@ -60,12 +61,23 @@ def quantize(
         e.g. produced by the LFSR model for bit-accurate hardware matching.
     saturate:
         Clamp overflow to ``max_value`` instead of rounding to infinity.
+    kernel:
+        Optional compiled cast for ``"nearest"`` mode, an object whose
+        ``kernel.cast(values, fmt, saturate)`` returns this function's
+        bits (:class:`repro.emu.kernel.MacKernel`, checked against this
+        function before first use).  It then runs in place of the NumPy
+        passes below, so a cast on the compiled path is still a call of
+        this function.
 
     Returns
     -------
     float64 array of values exactly representable in ``fmt`` (plus
     ``inf``/``nan`` passed through).
     """
+    if kernel is not None:
+        if mode != "nearest":
+            raise ValueError(f"a compiled cast rounds to nearest, not {mode!r}")
+        return kernel.cast(values, fmt, saturate)
     a = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(a)
     nonzero = finite & (a != 0.0)

@@ -233,8 +233,8 @@ class TestCast:
         assert _same_bits(got[4], quantize(w, FP8_E5M2, "nearest"))
 
     def test_wide_formats_take_the_reference(self, rng, monkeypatch):
-        with pytest.raises(ValueError, match="wider"):
-            kernel.library().cast(np.ones(3), FPFormat(8, 41), False)
+        assert kernel.cast_kernel(FPFormat(8, 40)) is kernel.library()
+        assert kernel.cast_kernel(FPFormat(8, 41)) is None
 
         def not_called(*args, **kwargs):
             raise AssertionError("compiled cast outside its domain")
@@ -270,21 +270,37 @@ class TestCast:
             sys.setswitchinterval(interval)
         assert results == [True] * 8
 
-    def test_executor_never_calls_the_reference(self, rng, monkeypatch):
-        """With the kernel loaded, every multiplier cast is compiled:
-        no entry point of the executor reaches the reference quantizer,
-        under whatever name a module bound it."""
-        assert kernel.library() is not None  # self-checked before the ban
+    def test_executor_casts_run_compiled_inside_quantize(self, rng,
+                                                         monkeypatch):
+        """With the kernel loaded, every multiplier cast of the executor
+        is a ``quantize`` call carrying the kernel, under whatever name
+        a module bound the function, so a wrapper on ``quantize`` sees
+        each cast; the reference's NumPy passes never run."""
+        mac = kernel.library()
+        assert mac is not None  # self-checked before the ban
+        carried, compiled = [], []
+        cast = kernel.MacKernel.cast
+
+        def spy(values, fmt, mode="nearest", **kwargs):
+            carried.append(kwargs.get("kernel"))
+            return quantize(values, fmt, mode, **kwargs)
+
+        def counted(self, *args):
+            compiled.append(self)
+            return cast(self, *args)
 
         def banned(*args, **kwargs):
-            raise AssertionError("reference quantizer called")
+            raise AssertionError("reference quantizer's NumPy passes ran")
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").split(".")[0] != "repro":
                 continue
             for attr, value in list(vars(module).items()):
                 if value is quantize:
-                    monkeypatch.setattr(module, attr, banned)
+                    monkeypatch.setattr(module, attr, spy)
+        monkeypatch.setattr(sys.modules[quantize.__module__],
+                            "_round_up_mask", banned)
+        monkeypatch.setattr(kernel.MacKernel, "cast", counted)
         a = rng.normal(size=(70, 24))
         b = rng.normal(size=(24, 9))
         outer = rng.normal(size=(300, 5))
@@ -296,6 +312,19 @@ class TestCast:
             gemm(np.stack([a, -a]), np.broadcast_to(b, (2, 24, 9)))
             gemm.gemm_rows(a, 70, b)
             gemm.gemm_outer_rows(outer, outer[:, :3], 300, 5, 3)
+        assert carried and all(k is mac for k in carried)
+        assert len(compiled) == len(carried)
+
+    def test_quantize_runs_a_carried_kernel(self, rng):
+        """``quantize(..., kernel=mac)`` is ``mac.cast``; it rounds to
+        nearest only."""
+        mac = kernel.library()
+        x = rng.normal(size=(9, 4)) * 1e3
+        assert _same_bits(quantize(x.T, FP8_E5M2, "nearest", kernel=mac),
+                          quantize(x.T, FP8_E5M2, "nearest"))
+        with pytest.raises(ValueError, match="nearest"):
+            quantize(x, FP8_E5M2, "stochastic", rbits=4,
+                     random_ints=np.zeros(x.shape), kernel=mac)
 
 
 class TestFallback:
