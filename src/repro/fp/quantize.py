@@ -76,7 +76,7 @@ def quantize(
     """
     if kernel is not None:
         if mode != "nearest":
-            raise ValueError(f"a compiled cast rounds to nearest, not {mode!r}")
+            raise ValueError(f"a compiled cast cannot round {mode!r}")
         return kernel.cast(values, fmt, saturate)
     a = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(a)
