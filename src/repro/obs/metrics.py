@@ -322,7 +322,7 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     by the largest contributing window size).
 
     The replica pool's ``/metrics`` is exactly this merge over
-    ``[parent, retired totals, *live replicas]``.
+    ``[parent, retired counters and histograms, *live replicas]``.
 
     Example::
 

@@ -14,8 +14,11 @@ Takes a trained :class:`repro.nn.Module` and serves it over HTTP:
 * :class:`repro.serve.cache.ResponseCache` is a content-keyed LRU over
   (input bytes, checkpoint fingerprint, datapath config).
 * :mod:`repro.serve.server` is a stdlib ``ThreadingHTTPServer`` JSON
-  API (``/predict``, ``/healthz``, ``/stats``, pooled ``/reload``),
-  launched via ``python -m repro.serve --checkpoint ckpt.npz``.
+  API (``/predict``, ``/healthz``, ``/stats``, ``/metrics``, pooled
+  ``/reload``), launched via ``python -m repro.serve --checkpoint
+  ckpt.npz``.  Counters live in metrics registries; ``/metrics``
+  renders their merged snapshot and ``/stats`` is
+  :func:`repro.serve.server.stats_view` of the same snapshot.
 * :class:`repro.serve.pool.ReplicaPool` shards serving across worker
   processes that all read **one** zero-copy shared-memory copy of the
   checkpoint (:class:`repro.serve.shm.SharedCheckpoint`),
@@ -27,21 +30,20 @@ Takes a trained :class:`repro.nn.Module` and serves it over HTTP:
 Quickstart: ``docs/serving.md``.
 """
 
-from .batcher import BatcherStats, MicroBatcher
-from .cache import CacheStats, ResponseCache
+from .batcher import MicroBatcher
+from .cache import ResponseCache
 from .pool import ReplicaError, ReplicaPool
-from .server import ServerApp, make_server
+from .server import ServerApp, make_server, stats_view
 from .session import InferenceSession
 from .shm import SharedCheckpoint
 
 __all__ = [
     "InferenceSession",
     "MicroBatcher",
-    "BatcherStats",
     "ResponseCache",
-    "CacheStats",
     "ServerApp",
     "make_server",
+    "stats_view",
     "ReplicaPool",
     "ReplicaError",
     "SharedCheckpoint",

@@ -14,7 +14,7 @@ Example::
     batcher = MicroBatcher(session, max_batch_size=8, max_delay_ms=2.0)
     batcher.start()
     logits = batcher.submit(x)            # thread-safe, blocking
-    batcher.stats().mean_batch_size
+    stats_view(batcher.metrics.snapshot())["batcher"]["mean_batch_size"]
     batcher.close()
 """
 
@@ -40,19 +40,6 @@ class _Request:
     x: np.ndarray
     key: Optional[Tuple[int, ...]]
     future: Future
-
-
-@dataclass
-class BatcherStats:
-    """Counters exposed under ``/stats``."""
-
-    batches: int = 0
-    samples: int = 0
-    max_batch: int = 0
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.samples / self.batches if self.batches else 0.0
 
 
 class MicroBatcher:
@@ -108,10 +95,6 @@ class MicroBatcher:
             self._closed = True
             self._queue.put(_SENTINEL)
         self._thread.join(timeout=timeout)
-
-    def stats(self) -> BatcherStats:
-        return BatcherStats(self._batches.value, self._samples.value,
-                            int(self._max_batch.value))
 
     # ------------------------------------------------------------------
     def submit(self, x: np.ndarray,

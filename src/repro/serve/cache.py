@@ -15,34 +15,18 @@ Example::
     if logits is None:
         logits = batcher.submit(x)
         cache.put(key, logits)
-    cache.stats().hit_rate
+    stats_view(cache.metrics.snapshot())["cache"]["hit_rate"]
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters exposed under ``/stats``."""
-
-    hits: int = 0
-    misses: int = 0
-    entries: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class ResponseCache:
@@ -56,8 +40,10 @@ class ResponseCache:
     one unless the owning app passes a shared ``registry``) as
     ``cache_hits_total`` / ``cache_misses_total`` /
     ``cache_evictions_total`` and the ``cache_entries`` gauge, so they
-    surface on ``/metrics`` without bespoke plumbing; :meth:`stats`
-    keeps returning the same :class:`CacheStats` as before.
+    surface on ``/metrics`` without bespoke plumbing, and ``/stats``
+    reads them through :func:`repro.serve.server.stats_view`.  The
+    gauge is set under the cache lock, so it always holds the size of
+    the latest change.
     """
 
     def __init__(self, max_entries: int = 1024,
@@ -100,24 +86,15 @@ class ResponseCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 evicted += 1
-            size = len(self._entries)
+            self._size.set(len(self._entries))
         if evicted:
             self._evictions.inc(evicted)
-        self._size.set(size)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-        self._size.set(0)
+            self._size.set(0)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            entries = len(self._entries)
-        return CacheStats(hits=self._hits.value,
-                          misses=self._misses.value,
-                          entries=entries,
-                          evictions=self._evictions.value)

@@ -23,8 +23,9 @@ keeping the bit-reproducibility contract intact:
 * **Drain-and-swap reloads** — :meth:`reload` publishes the new
   checkpoint, spawns and warms a fresh replica set *before* it takes
   traffic, swaps it in atomically, then drains the old set: every
-  in-flight request completes, old counters fold into the pool's
-  retired totals, and the old segment is unlinked.  Zero requests are
+  in-flight request completes, the old replicas' counters and
+  histograms fold into the pool's retired metrics (their gauges go
+  with them), and the old segment is unlinked.  Zero requests are
   dropped.
 
 The pool exposes the same application surface as
@@ -32,9 +33,13 @@ The pool exposes the same application surface as
 ``stats`` / ``metrics_text`` / ``record_error`` / ``close``), so
 :func:`repro.serve.server.make_server` serves it unchanged — including
 ``GET /metrics``, whose pooled exposition merges every replica's
-snapshot with the router's own counters — plus ``reload_json`` for the
-``/reload`` endpoint and ``predict_on`` for per-replica verification
-(the cross-replica bit-identity suite).
+snapshot with the router's own counters, and ``GET /stats``, a view of
+that same snapshot — plus ``reload_json`` for the ``/reload`` endpoint
+and ``predict_on`` for per-replica verification (the cross-replica
+bit-identity suite).
+
+The pipe protocol carries three parent-to-replica messages:
+``predict``, ``metrics`` (the replica's merged snapshot) and ``exit``.
 
 Example::
 
@@ -58,13 +63,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import trace as _trace
-from ..obs.metrics import (
-    MetricsRegistry,
-    merge_snapshots,
-    percentile,
-    render_prometheus,
-)
-from .server import LATENCY_WINDOW, ServerApp
+from ..obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
+from .server import LATENCY_WINDOW, ServerApp, stats_view
 from .session import InferenceSession, request_content_key, validate_payload
 from .shm import SharedCheckpoint
 
@@ -143,16 +143,9 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
             break
         if kind == "predict":
             handlers.submit(handle_predict, message[1], message[2])
-        elif kind == "stats":
-            send(("result", message[1], 200, app.stats()))
-        elif kind == "health":
-            send(("result", message[1], 200, app.health()))
         elif kind == "metrics":
             # plain-data snapshot of every registry in *this* process
             send(("result", message[1], 200, app.metrics_snapshot()))
-        elif kind == "warm":
-            session.warm()
-            send(("result", message[1], 200, {"warmed": True}))
     handlers.shutdown(wait=True)      # finish in-flight, answer all
     app.close()
     send(("bye",))
@@ -259,7 +252,7 @@ class _Replica:
                         self._state = "ready"
                 self.ready.set()
             elif kind == "fatal":
-                self.fatal = message[2] if len(message) > 2 else message[1]
+                self.fatal = message[1]
                 with self._lock:
                     self._state = "dead"
                 self.ready.set()   # wake waiters; state says dead
@@ -386,10 +379,8 @@ class ReplicaPool:
         self._restarts = self.registry.counter("pool_restarts_total")
         self._latency = self.registry.histogram("router_latency_ms",
                                                 window=LATENCY_WINDOW)
-        #: guarded-by: _stats_lock
-        self._retired = {"requests": 0, "errors": 0, "hits": 0,
-                         "misses": 0, "evictions": 0, "batches": 0,
-                         "samples": 0, "gemm_calls": 0}
+        # Counters and histograms of drained replicas (DESIGN.md
+        # section 13).
         #: guarded-by: _stats_lock
         self._retired_metrics: dict = {}
 
@@ -554,95 +545,25 @@ class ReplicaPool:
                 "config": self.config_label,
                 "replicas": replicas,
                 "generation": self.generation,
-                "restarts": self._restarts_snapshot()}
-
-    def _restarts_snapshot(self) -> int:
-        return self._restarts.value
-
-    def replica_stats(self, timeout: float = 30.0) -> List[Optional[dict]]:
-        """Live per-replica ``/stats`` (``None`` for unreachable ones)."""
-        results: List[Optional[dict]] = []
-        for replica in self.replicas():
-            try:
-                status, body = replica.request("stats").result(
-                    timeout=timeout)
-                results.append(body if status == 200 else None)
-            except (ReplicaError, FutureTimeoutError):
-                results.append(None)
-        return results
+                "restarts": self._restarts.value}
 
     def stats(self) -> dict:
-        """Aggregated pool counters.
+        """``GET /stats``: :func:`repro.serve.server.stats_view` of
+        :meth:`metrics_snapshot`, plus the live replica set.
 
-        ``cache``/``batcher``/``gemm_calls`` sum the live per-replica
-        counters plus the retired totals folded in at drain time, so
-        accounting is coherent across checkpoint swaps.  ``router``
+        Counters add the retired generations, so accounting is coherent
+        across checkpoint swaps; ``cache.entries`` and
+        ``batcher.max_batch`` cover the live replicas only.  ``router``
         carries the parent-observed hit/miss split (incremented from
         each response's ``cached`` flag), which survives worker crashes
         — the stress suite pins ``router == sum(replicas)`` whenever no
         replica died uncleanly.
         """
-        per_replica = self.replica_stats()
-        requests, errors = self._requests.value, self._errors.value
-        router_hits = self._router_hits.value
-        router_misses = self._router_misses.value
-        restarts = self._restarts.value
-        latencies = sorted(self._latency.window_values())
-        with self._stats_lock:
-            retired = dict(self._retired)
-        cache = {"hits": retired["hits"], "misses": retired["misses"],
-                 "entries": 0, "evictions": retired["evictions"]}
-        batcher = {"batches": retired["batches"],
-                   "samples": retired["samples"], "max_batch": 0}
-        gemm_calls = retired["gemm_calls"]
-        replica_requests = retired["requests"]
-        replica_errors = retired["errors"]
-        for body in per_replica:
-            if body is None:
-                continue
-            cache["hits"] += body["cache"]["hits"]
-            cache["misses"] += body["cache"]["misses"]
-            cache["entries"] += body["cache"]["entries"]
-            cache["evictions"] += body["cache"]["evictions"]
-            batcher["batches"] += body["batcher"]["batches"]
-            batcher["samples"] += body["batcher"]["samples"]
-            batcher["max_batch"] = max(batcher["max_batch"],
-                                       body["batcher"]["max_batch"])
-            gemm_calls += body["gemm_calls"]
-            replica_requests += body["requests"]
-            replica_errors += body["errors"]
-        total = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = round(cache["hits"] / total, 4) if total \
-            else 0.0
-        batcher["mean_batch_size"] = round(
-            batcher["samples"] / batcher["batches"], 3) \
-            if batcher["batches"] else 0.0
-        router_total = router_hits + router_misses
-        latency = {"count": len(latencies)}
-        if latencies:
-            latency.update(
-                p50=round(percentile(latencies, 0.50), 3),
-                p95=round(percentile(latencies, 0.95), 3),
-                p99=round(percentile(latencies, 0.99), 3),
-                mean=round(sum(latencies) / len(latencies), 3))
-        return {
-            "requests": requests,
-            "errors": errors,
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "replicas": [replica.describe()
-                         for replica in self.replicas()],
-            "generation": self.generation,
-            "restarts": restarts,
-            "router": {"hits": router_hits, "misses": router_misses,
-                       "hit_rate": round(router_hits / router_total, 4)
-                       if router_total else 0.0},
-            "cache": cache,
-            "batcher": batcher,
-            "replica_requests": replica_requests,
-            "replica_errors": replica_errors,
-            "latency_ms": latency,
-            "gemm_calls": gemm_calls,
-        }
+        return stats_view(
+            self.metrics_snapshot(), pooled=True,
+            uptime_s=round(time.monotonic() - self._started, 3),
+            replicas=[replica.describe() for replica in self.replicas()],
+            generation=self.generation)
 
     def replica_metrics(self, timeout: float = 30.0) \
             -> List[Optional[dict]]:
@@ -663,18 +584,15 @@ class ReplicaPool:
         return results
 
     def metrics_snapshot(self) -> dict:
-        """Pool-wide merged snapshot: the router's own registry,
-        retired-replica totals folded in at drain time, and every live
-        replica's snapshot.  Counter families therefore satisfy
-        ``pooled == router + retired + sum(replicas)``."""
+        """Pool-wide merged snapshot: the router's own registry, the
+        retired replicas' counters and histograms folded in at drain
+        time, and every live replica's snapshot.  Counter families
+        therefore satisfy ``pooled == router + retired +
+        sum(replicas)``; gauges cover the live replicas only."""
         with self._stats_lock:
-            retired = dict(self._retired_metrics)
-        snapshots = [self.registry.snapshot()]
-        if retired:
-            snapshots.append(retired)
-        snapshots.extend(body for body in self.replica_metrics()
-                         if body is not None)
-        return merge_snapshots(snapshots)
+            retired = self._retired_metrics
+        return merge_snapshots([self.registry.snapshot(), retired,
+                                *self.replica_metrics()])
 
     def metrics_text(self) -> str:
         """``GET /metrics``: pool-wide Prometheus text exposition."""
@@ -756,9 +674,10 @@ class ReplicaPool:
 
         Publishes the new segment, spawns and warms a complete new
         replica set, swaps it into the router atomically, then drains
-        the old set (in-flight requests finish; counters fold into the
-        retired totals) and unlinks the old segment.  On any startup
-        failure the old set keeps serving and the error propagates.
+        the old set (in-flight requests finish; counters and
+        histograms fold into the retired metrics) and unlinks the old
+        segment.  On any startup failure the old set keeps serving and
+        the error propagates.
         """
         with self._reload_lock:
             new_shared = SharedCheckpoint.publish(checkpoint)
@@ -793,9 +712,11 @@ class ReplicaPool:
         return self.reload(payload["checkpoint"])
 
     def _drain(self, replicas: List[_Replica]) -> None:
-        """Retire a replica set: finish in-flight work, fold counters,
-        stop the processes.  No request is dropped — the old workers
-        keep answering their pipes until their pending tables empty."""
+        """Retire a replica set: finish in-flight work, fold counters and
+        histograms, stop the processes.  No request is dropped — the
+        old workers keep answering their pipes until their pending
+        tables empty.  Gauges are not folded: a drained process holds
+        no cache entries, and its peak batch is no longer live."""
         deadline = time.monotonic() + self.request_timeout
         for replica in replicas:
             replica.mark("draining")
@@ -805,31 +726,14 @@ class ReplicaPool:
                 time.sleep(0.01)
             if replica.alive():
                 try:
-                    status, body = replica.request("stats").result(
-                        timeout=30.0)
-                    if status == 200:
-                        with self._stats_lock:
-                            self._retired["requests"] += body["requests"]
-                            self._retired["errors"] += body["errors"]
-                            self._retired["hits"] += \
-                                body["cache"]["hits"]
-                            self._retired["misses"] += \
-                                body["cache"]["misses"]
-                            self._retired["evictions"] += \
-                                body["cache"]["evictions"]
-                            self._retired["batches"] += \
-                                body["batcher"]["batches"]
-                            self._retired["samples"] += \
-                                body["batcher"]["samples"]
-                            self._retired["gemm_calls"] += \
-                                body["gemm_calls"]
                     status, snap = replica.request("metrics").result(
                         timeout=30.0)
                     if status == 200:
+                        retired = {"counters": snap["counters"],
+                                   "histograms": snap["histograms"]}
                         with self._stats_lock:
                             self._retired_metrics = merge_snapshots(
-                                [self._retired_metrics, snap]) \
-                                if self._retired_metrics else snap
+                                [self._retired_metrics, retired])
                 except (ReplicaError, FutureTimeoutError):
                     pass   # crashed while draining: counters are lost
             replica.send_exit()

@@ -9,7 +9,8 @@ Endpoints (all JSON):
   bit-identical logits anyway.
 * ``GET /healthz`` — liveness + checkpoint fingerprint.
 * ``GET /stats`` — request counters, cache hit rate, micro-batch fill,
-  and p50/p95/p99 latency over a sliding window.
+  and p50/p95/p99 latency over a sliding window: :func:`stats_view`
+  of the snapshot ``/metrics`` renders.
 * ``GET /metrics`` — the same counters (plus per-shape GEMM counters)
   in Prometheus text format, rendered from the app's
   :class:`repro.obs.MetricsRegistry` (see ``docs/observability.md``).
@@ -56,6 +57,79 @@ LATENCY_WINDOW = 4096
 #: payload, a 3x32x32 image as JSON, is under 100 KB; a longer declared
 #: ``Content-Length`` is answered 413 before any of the body is read.
 MAX_BODY_BYTES = 1 << 20
+
+
+def _ratio(numerator: int, denominator: int, digits: int) -> float:
+    return round(numerator / denominator, digits) if denominator else 0.0
+
+
+def stats_view(snapshot: dict, pooled: bool = False, **live) -> dict:
+    """The ``GET /stats`` body as a view of a merged metrics snapshot.
+
+    Every number is read from a metric family (a missing family reads
+    as 0), so ``/stats`` cannot drift from ``/metrics``.  The gauges
+    behind ``cache.entries`` and ``batcher.max_batch`` are cast to int,
+    and ``latency_ms`` covers the histogram's sliding window, not its
+    all-time totals.  ``pooled`` (the replica pool) reads ``requests``,
+    ``errors`` and ``latency_ms`` from the router's families and adds
+    ``restarts``, ``router`` and the replicas' own ``replica_requests``
+    and ``replica_errors``.  ``live`` holds the fields no metric
+    carries (``uptime_s``; the pool's ``replicas`` and
+    ``generation``); they follow ``errors``.
+
+    Example::
+
+        stats_view(cache.metrics.snapshot())["cache"]["hit_rate"]
+    """
+    counters = snapshot.get("counters", {})
+    gauges = snapshot.get("gauges", {})
+
+    def count(name: str) -> int:
+        return counters.get(name, 0)
+
+    def gauge(name: str) -> int:
+        return int(gauges.get(name, {}).get("value", 0))
+
+    if pooled:
+        requests, errors, latency = ("router_requests_total",
+                                     "router_errors_total",
+                                     "router_latency_ms")
+    else:
+        requests, errors, latency = ("requests_total", "errors_total",
+                                     "request_latency_ms")
+    stats = {"requests": count(requests), "errors": count(errors), **live}
+    if pooled:
+        router_hits = count("router_cache_hits_total")
+        router_misses = count("router_cache_misses_total")
+        stats["restarts"] = count("pool_restarts_total")
+        stats["router"] = {
+            "hits": router_hits, "misses": router_misses,
+            "hit_rate": _ratio(router_hits, router_hits + router_misses, 4)}
+    hits, misses = count("cache_hits_total"), count("cache_misses_total")
+    stats["cache"] = {"hits": hits, "misses": misses,
+                      "entries": gauge("cache_entries"),
+                      "evictions": count("cache_evictions_total"),
+                      "hit_rate": _ratio(hits, hits + misses, 4)}
+    batches = count("batcher_batches_total")
+    samples = count("batcher_samples_total")
+    stats["batcher"] = {"batches": batches, "samples": samples,
+                        "max_batch": gauge("batcher_max_batch"),
+                        "mean_batch_size": _ratio(samples, batches, 3)}
+    if pooled:
+        stats["replica_requests"] = count("requests_total")
+        stats["replica_errors"] = count("errors_total")
+    window = sorted(snapshot.get("histograms", {}).get(latency, {})
+                    .get("window", ()))
+    stats["latency_ms"] = {"count": len(window)}
+    if window:
+        stats["latency_ms"].update(
+            p50=round(percentile(window, 0.50), 3),
+            p95=round(percentile(window, 0.95), 3),
+            p99=round(percentile(window, 0.99), 3),
+            mean=round(sum(window) / len(window), 3))
+    stats["gemm_calls"] = sum(value for key, value in counters.items()
+                              if key.partition("{")[0] == "gemm_calls_total")
+    return stats
 
 
 class ServerApp:
@@ -121,34 +195,9 @@ class ServerApp:
                 "workers": self.session.workers}
 
     def stats(self) -> dict:
-        cache = self.cache.stats()
-        batcher = self.batcher.stats()
-        latencies = sorted(self._latency.window_values())
-        requests, errors = self._requests.value, self._errors.value
-        latency = {"count": len(latencies)}
-        if latencies:
-            latency.update(
-                p50=round(percentile(latencies, 0.50), 3),
-                p95=round(percentile(latencies, 0.95), 3),
-                p99=round(percentile(latencies, 0.99), 3),
-                mean=round(sum(latencies) / len(latencies), 3),
-            )
-        return {
-            "requests": requests,
-            "errors": errors,
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "cache": {"hits": cache.hits, "misses": cache.misses,
-                      "entries": cache.entries,
-                      "evictions": cache.evictions,
-                      "hit_rate": round(cache.hit_rate, 4)},
-            "batcher": {"batches": batcher.batches,
-                        "samples": batcher.samples,
-                        "max_batch": batcher.max_batch,
-                        "mean_batch_size":
-                            round(batcher.mean_batch_size, 3)},
-            "latency_ms": latency,
-            "gemm_calls": self.session.gemm_calls,
-        }
+        """``GET /stats``: :func:`stats_view` of :meth:`metrics_snapshot`."""
+        return stats_view(self.metrics_snapshot(), uptime_s=round(
+            time.monotonic() - self._started, 3))
 
     def metrics_snapshot(self) -> dict:
         """Plain-data merged snapshot of both registries this app sees:

@@ -7,7 +7,12 @@ import pytest
 
 from repro.emu import GemmConfig
 from repro.models import SimpleCNN
-from repro.serve import InferenceSession, MicroBatcher, ResponseCache
+from repro.serve import (
+    InferenceSession,
+    MicroBatcher,
+    ResponseCache,
+    stats_view,
+)
 
 
 @pytest.fixture
@@ -24,8 +29,8 @@ class TestMicroBatcher:
             assert np.array_equal(batcher.submit(x), session.predict(x))
         finally:
             batcher.close()
-        stats = batcher.stats()
-        assert (stats.batches, stats.samples) == (1, 1)
+        stats = stats_view(batcher.metrics.snapshot())["batcher"]
+        assert (stats["batches"], stats["samples"]) == (1, 1)
 
     def test_concurrent_requests_coalesce(self, session, rng):
         batcher = MicroBatcher(session, max_batch_size=4,
@@ -46,10 +51,11 @@ class TestMicroBatcher:
         for i, x in enumerate(xs):
             assert np.array_equal(results[i], session.predict(x)), \
                 f"request {i} depended on its batch"
-        stats = batcher.stats()
-        assert stats.samples == 8
-        assert stats.batches < 8, "nothing coalesced despite 200ms window"
-        assert stats.max_batch <= 4
+        stats = stats_view(batcher.metrics.snapshot())["batcher"]
+        assert stats["samples"] == 8
+        assert stats["batches"] < 8, \
+            "nothing coalesced despite 200ms window"
+        assert stats["max_batch"] <= 4
 
     def test_exception_propagates(self, session):
         batcher = MicroBatcher(session, max_batch_size=2).start()
@@ -76,8 +82,9 @@ class TestResponseCache:
         assert cache.get("k") is None
         cache.put("k", np.arange(3.0))
         assert np.array_equal(cache.get("k"), np.arange(3.0))
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+        stats = stats_view(cache.metrics.snapshot())["cache"]
+        assert (stats["hits"], stats["misses"], stats["entries"]) == \
+            (1, 1, 1)
 
     def test_returns_copies(self):
         cache = ResponseCache(4)
@@ -94,7 +101,8 @@ class TestResponseCache:
         cache.put("c", np.full(1, 2.0))
         assert cache.get("b") is None
         assert cache.get("a") is not None
-        assert cache.stats().evictions == 1
+        assert stats_view(cache.metrics.snapshot())["cache"]["evictions"] \
+            == 1
 
     def test_zero_entries_disables(self):
         cache = ResponseCache(0)
@@ -107,7 +115,8 @@ class TestResponseCache:
         cache.put("k", np.zeros(1))
         cache.get("k")
         cache.get("miss")
-        assert cache.stats().hit_rate == 0.5
+        assert stats_view(cache.metrics.snapshot())["cache"]["hit_rate"] \
+            == 0.5
 
     def test_threaded_access(self):
         cache = ResponseCache(64)
@@ -130,6 +139,37 @@ class TestResponseCache:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_entries_gauge_set_under_the_lock(self):
+        """A put paused before it publishes its size cannot overwrite a
+        newer size: the other put waits for the cache lock."""
+        cache = ResponseCache(4)
+        entered, second = threading.Event(), threading.Event()
+
+        class FirstSetWaits:
+            """Stand-in gauge: the first ``set`` waits (at most 2 s) for
+            a second one."""
+
+            def __init__(self, gauge):
+                self.gauge, self.calls = gauge, 0
+
+            def set(self, value):
+                self.calls += 1
+                if self.calls == 1:
+                    entered.set()
+                    second.wait(timeout=2.0)
+                else:
+                    second.set()
+                self.gauge.set(value)
+
+        cache._size = FirstSetWaits(cache._size)
+        first = threading.Thread(target=cache.put, args=("a", np.zeros(1)))
+        first.start()
+        assert entered.wait(timeout=10.0)
+        cache.put("b", np.ones(1))
+        first.join(timeout=10.0)
+        assert not first.is_alive()
+        assert cache.metrics.gauge("cache_entries").value == len(cache) == 2
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ unique (cache-miss) inputs, and malformed payloads.  Afterwards the
 aggregated counters must be *coherent*: router hits + misses equals
 served requests, the error count equals exactly the malformed count,
 the pooled cache/batcher counters equal the sum over the live replica
-counters (nothing retired — no reload ran), and no gauge went negative.
+metrics snapshots (nothing retired — no reload ran), and no gauge went
+negative.
 """
 
 import threading
@@ -18,6 +19,13 @@ from repro.serve.pool import response_bytes
 
 THREADS = 6
 LAPS = 8
+
+
+def _total(snapshots, family):
+    """``family`` summed over snapshots and over its label sets."""
+    return sum(value for snap in snapshots
+               for key, value in snap["counters"].items()
+               if key.partition("{")[0] == family)
 
 
 def _walk(node, path=""):
@@ -83,8 +91,8 @@ class TestPoolStress:
             assert len(set(hot_bytes)) == 1
 
             stats = pool.stats()
-            per_replica = pool.replica_stats()
-            assert all(body is not None for body in per_replica)
+            per_replica = pool.replica_metrics()
+            assert all(snap is not None for snap in per_replica)
 
             # router accounting: hits + misses == served requests
             assert stats["requests"] == len(ok)
@@ -95,16 +103,16 @@ class TestPoolStress:
 
             # pooled counters == sum of replica counters (no drains ran)
             assert stats["replica_requests"] == \
-                sum(body["requests"] for body in per_replica)
+                _total(per_replica, "requests_total")
             assert stats["replica_requests"] == len(ok)
             for field in ("hits", "misses", "evictions"):
                 assert stats["cache"][field] == \
-                    sum(body["cache"][field] for body in per_replica)
+                    _total(per_replica, f"cache_{field}_total")
             for field in ("batches", "samples"):
                 assert stats["batcher"][field] == \
-                    sum(body["batcher"][field] for body in per_replica)
+                    _total(per_replica, f"batcher_{field}_total")
             assert stats["gemm_calls"] == \
-                sum(body["gemm_calls"] for body in per_replica)
+                _total(per_replica, "gemm_calls_total")
 
             # replica-side cache accounting covers every served request
             assert stats["cache"]["hits"] + stats["cache"]["misses"] \
