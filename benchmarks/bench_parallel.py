@@ -127,9 +127,8 @@ def _conv_section(size, workers, repeats):
     oh = ow = size  # stride 1, same padding
     from repro.emu.parallel import BLOCK_ROWS
 
-    scheduler = QuantizedGemm(_config(), workers=1).scheduler
     full_im2col_bytes = n_images * oh * ow * c_in * 3 * 3 * 8
-    tile_im2col_bytes = scheduler.tile_blocks * BLOCK_ROWS * c_in * 3 * 3 * 8
+    tile_im2col_bytes = BLOCK_ROWS * c_in * 3 * 3 * 8
     peak_tiled = _peak_bytes(lambda: forward(1))
     peak_legacy = _peak_bytes(lambda: legacy_layer().forward(x))
 

@@ -23,7 +23,6 @@ from .parallel import (
     ParallelQuantizedGemm,
     QuantizedGemm,
     TileScheduler,
-    parallel_matmul_batched,
     resolve_workers,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "resolve_workers",
     "ParallelQuantizedGemm",
     "TileScheduler",
-    "parallel_matmul_batched",
     "GemmConfig",
     "paper_table3_config",
     "QuantizedGemm",

@@ -8,9 +8,9 @@ module removes that serialization with key-derived substreams
 frozen-size row blocks, each block's reduction draws its SR bits from a
 substream keyed by ``(call key, batch, block)``, and blocks are
 scheduled across a process or thread pool.  Results are **bit-identical
-for any worker count and any scheduling tile size**, because the
-randomness a block consumes depends only on its key — never on which
-worker ran it or which tile it rode in.
+for any worker count and either pool backend**, because the randomness
+a block consumes depends only on its key — never on which worker ran
+it.
 
 Draw-order contract (FROZEN, like the pairwise engine's block width):
 
@@ -22,11 +22,11 @@ Draw-order contract (FROZEN, like the pairwise engine's block width):
 * :data:`BLOCK_ROWS` fixes the substream granularity: block ``j`` of
   batch ``bi`` covers output rows ``[j * BLOCK_ROWS, (j+1) *
   BLOCK_ROWS)`` and is always emulated in one engine invocation under
-  substream key ``(bi, j)``.  The scheduler's ``tile_rows`` only groups
-  whole blocks into work items and cannot change any draw.
+  substream key ``(bi, j)``.  A block is also the scheduler's work
+  item.
 * Per GEMM call, one *call key* (:data:`CALL_KEY_DRAWS` draws of
   :data:`CALL_KEY_RBITS` bits) is drawn from the group's stream in the
-  parent process — a serial, tiling-independent advance that makes
+  parent process — a serial, schedule-independent advance that makes
   successive calls statistically independent.
 * The substream of block ``(bi, j)`` is
   ``stream.spawn(call_key + (bi, j))``; row-streamed reductions
@@ -43,11 +43,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -72,7 +68,7 @@ CALL_KEY_DRAWS = 4
 #: FROZEN — band size (in rows of the streamed reduction dimension) for
 #: row-streamed ``A.T @ B`` products: each band's partial sum is one
 #: independent engine invocation; partials combine under the engine's
-#: ``reduce``.  Independent of ``tile_rows`` by design.
+#: ``reduce``.  Independent of the worker count by design.
 REDUCE_BAND_ROWS = 4 * BLOCK_ROWS
 
 
@@ -80,15 +76,6 @@ def _draw_call_key(stream) -> Tuple[int, ...]:
     """Advance the parent stream by one call's worth of key entropy."""
     draws = np.asarray(stream.integers(CALL_KEY_RBITS, (CALL_KEY_DRAWS,)))
     return tuple(int(v) for v in draws.ravel())
-
-
-def _block_gemm(a_rows: np.ndarray, b2d: np.ndarray, config) -> np.ndarray:
-    """Emulate ``a_rows @ b2d`` (inputs already cast) under ``config``.
-
-    Delegates to the serial dispatch so the parallel executor can never
-    diverge from the engines it shards per block.
-    """
-    return matmul(a_rows, b2d, config, cast=False)
 
 
 class ArrayRows:
@@ -109,9 +96,12 @@ def _as_producer(source) -> Callable[[int, int], np.ndarray]:
 
 @dataclass
 class _RowBlockTask:
-    """One ``(batch, row-block)`` tile: ``producer rows @ b_shared``."""
+    """One ``(batch, row-block)`` task: ``producer rows @ b_shared``.
 
-    index: int
+    Each block runs the serial dispatch (:func:`repro.emu.gemm.matmul`),
+    so the executor can never diverge from the engines it shards.
+    """
+
     key: Tuple[int, ...]
     bi: int
     r0: int
@@ -121,7 +111,7 @@ class _RowBlockTask:
     def run(self, b_shared, config) -> np.ndarray:
         a_rows = _cast_operand(self.producer(self.r0, self.r1), config)
         b2d = b_shared if b_shared.ndim == 2 else b_shared[self.bi]
-        return _block_gemm(a_rows, b2d, config)
+        return matmul(a_rows, b2d, config, cast=False)
 
 
 @dataclass
@@ -129,7 +119,6 @@ class _OuterBandTask:
     """One band of a row-streamed ``A.T @ B``: the exact-width partial
     ``A[r0:r1].T @ B[r0:r1]`` emulated as its own reduction."""
 
-    index: int
     key: Tuple[int, ...]
     r0: int
     r1: int
@@ -139,22 +128,25 @@ class _OuterBandTask:
     def run(self, b_shared, config) -> np.ndarray:
         a_rows = _cast_operand(self.a_producer(self.r0, self.r1), config)
         b_rows = _cast_operand(self.b_producer(self.r0, self.r1), config)
-        return _block_gemm(np.ascontiguousarray(a_rows.T), b_rows, config)
+        return matmul(np.ascontiguousarray(a_rows.T), b_rows, config,
+                      cast=False)
 
 
-def _run_bundle(payload):
+def _run_task(task, config, call_key: Tuple[int, ...],
+              b_shared) -> np.ndarray:
+    """Run one task under its substream ``spawn(call_key + task.key)``."""
+    substream = config.stream.spawn(call_key + task.key)
+    return task.run(b_shared, replace(config, stream=substream))
+
+
+def _run_bundle(payload) -> List[np.ndarray]:
     """Pool worker entry: run a bundle of tasks under their substreams.
 
     Tasks in one bundle share producer/operand objects by reference, so
     pickling the bundle ships each shared array to the worker once.
     """
     config, call_key, b_shared, tasks = payload
-    results = []
-    for task in tasks:
-        substream = config.stream.spawn(call_key + task.key)
-        results.append((task.index,
-                        task.run(b_shared, replace(config, stream=substream))))
-    return results
+    return [_run_task(task, config, call_key, b_shared) for task in tasks]
 
 
 _POOLS: dict = {}
@@ -184,6 +176,10 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the cached pools but none of their threads
+    # or worker processes: a task submitted to one would never run.
+    os.register_at_fork(after_in_child=_POOLS.clear)
 
 
 def resolve_workers(value, *, default: int = 1) -> int:
@@ -210,171 +206,87 @@ class TileScheduler:
 
     ``workers=1`` is the serial fallback: the same tasks run in-process
     under the same substreams, so it is bit-identical to any parallel
-    run.  ``tile_rows`` sets the scheduling granularity (consecutive
-    rows per work item, rounded up to whole :data:`BLOCK_ROWS` blocks);
-    it trades dispatch overhead against load balance and **cannot**
-    affect results.  ``backend`` selects process workers (default; true
-    parallelism for the python-loop engines) or threads (zero-copy,
-    useful for debugging and small problems).
+    run.  With more workers, each worker gets one contiguous bundle of
+    blocks.  ``backend`` selects process workers (default; true
+    parallelism for the python-loop engines) or threads (zero-copy; what
+    serving uses, since per-request GEMMs are small).
 
     Example::
 
-        scheduler = TileScheduler(workers=4, backend="process")
-        out = parallel_matmul_batched(a, b, GemmConfig.sr(9),
-                                      scheduler=scheduler)
+        gemm = QuantizedGemm(GemmConfig.sr(9), workers=4, backend="thread")
+        gemm.scheduler.workers, gemm.scheduler.backend   # (4, "thread")
+        out = gemm(a, b)            # its row blocks run on the scheduler
     """
 
-    def __init__(self, workers: int = 1, tile_rows: Optional[int] = None,
-                 backend: str = "process"):
+    def __init__(self, workers: int = 1, backend: str = "process"):
         if backend not in ("process", "thread"):
             raise ValueError(f"unknown backend {backend!r}; "
                              "expected 'process' or 'thread'")
         self.workers = max(1, int(workers))
-        if tile_rows is None:
-            tile_rows = BLOCK_ROWS
-        if int(tile_rows) < 1:
-            raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-        self.tile_blocks = max(1, -(-int(tile_rows) // BLOCK_ROWS))
         self.backend = backend
 
     # ------------------------------------------------------------------
-    def _bundles(self, tasks: Sequence) -> List[List]:
-        """Contiguous per-worker bundles of whole tiles.
+    def _bundles(self, tasks: Sequence) -> List[Sequence]:
+        """Contiguous per-worker bundles of tasks.
 
         One pool submission per worker: shared operand objects inside a
-        bundle are pickled once per worker, not once per tile.
-        Contiguous (rather than round-robin) assignment keeps each
-        bundle's result indices consecutive, which lets the streamed
-        drain release results early.
+        bundle are pickled once per worker, not once per task.
         """
-        tiles = [list(tasks[i:i + self.tile_blocks])
-                 for i in range(0, len(tasks), self.tile_blocks)]
-        count = min(self.workers, len(tiles))
-        per_worker = -(-len(tiles) // count)
-        bundles = []
-        for w in range(0, len(tiles), per_worker):
-            bundle: List = []
-            for tile in tiles[w:w + per_worker]:
-                bundle.extend(tile)
-            bundles.append(bundle)
-        return bundles
+        per_worker = -(-len(tasks) // min(self.workers, len(tasks)))
+        return [tasks[i:i + per_worker]
+                for i in range(0, len(tasks), per_worker)]
+
+    def _drive(self, tasks: Sequence, config, call_key: Tuple[int, ...],
+               b_shared, consume: Callable[[object, np.ndarray],
+                                           None]) -> None:
+        """The task loop of :meth:`run` and :meth:`run_streamed`.
+
+        Runs every task under its substream and hands each result to
+        ``consume(task, result)`` in task order.  The parent holds at
+        most the finished bundles whose turn has not come.
+        """
+        if self.workers == 1 or len(tasks) <= 1:
+            for task in tasks:
+                consume(task, _run_task(task, config, call_key, b_shared))
+            return
+        pool = _get_pool(self.backend, self.workers)
+        bundles = self._bundles(tasks)
+        futures = [pool.submit(_run_bundle,
+                               (config, call_key, b_shared, bundle))
+                   for bundle in bundles]
+        for bundle, future in zip(bundles, futures):
+            for task, result in zip(bundle, future.result()):
+                consume(task, result)
 
     def run(self, tasks: Sequence, config, b_shared=None,
             call_key: Optional[Tuple[int, ...]] = None) -> List[np.ndarray]:
-        """Run all tasks; returns their results in task-index order."""
+        """Run all tasks; returns their results in task order."""
         if call_key is None:
             call_key = _draw_call_key(config.stream)
-        results: List[Optional[np.ndarray]] = [None] * len(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                substream = config.stream.spawn(call_key + task.key)
-                results[task.index] = task.run(
-                    b_shared, replace(config, stream=substream))
-            return results
-        pool = _get_pool(self.backend, self.workers)
-        futures = [pool.submit(_run_bundle,
-                               (config, call_key, b_shared, bundle))
-                   for bundle in self._bundles(tasks)]
-        for future in futures:
-            for index, value in future.result():
-                results[index] = value
+        results: List[np.ndarray] = []
+        self._drive(tasks, config, call_key, b_shared,
+                    lambda task, result: results.append(result))
         return results
 
     def run_streamed(self, tasks: Sequence, config, b_shared,
                      consume: Callable[[object, np.ndarray], None]) -> None:
         """Run tasks, handing each result to ``consume(task, result)``.
 
-        ``consume`` is always called in task-index order (results that
-        finish early are held back), so order-sensitive accumulation —
-        e.g. scatter-adds into overlapping image-gradient pixels — stays
-        bitwise deterministic.  The same per-worker bundles as
-        :meth:`run` are used (shared operands pickled once per worker);
-        the parent buffers at most the completed-but-not-yet-drainable
-        bundles, and the contiguous bundle ranges let it release results
-        as soon as their turn comes instead of holding the whole
-        product.
+        ``consume`` is always called in task order, so order-sensitive
+        accumulation — e.g. scatter-adds into overlapping image-gradient
+        pixels — stays bitwise deterministic.
         """
-        call_key = _draw_call_key(config.stream)
-        by_index = {task.index: task for task in tasks}
-        if self.workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                substream = config.stream.spawn(call_key + task.key)
-                consume(task, task.run(b_shared,
-                                       replace(config, stream=substream)))
-            return
-        pool = _get_pool(self.backend, self.workers)
-        futures = [pool.submit(_run_bundle,
-                               (config, call_key, b_shared, bundle))
-                   for bundle in self._bundles(tasks)]
-        pending = {}
-        next_index = min(by_index) if by_index else 0
-        for future in as_completed(futures):
-            for index, value in future.result():
-                pending[index] = value
-            while next_index in pending:
-                consume(by_index[next_index], pending.pop(next_index))
-                next_index += 1
+        self._drive(tasks, config, _draw_call_key(config.stream), b_shared,
+                    consume)
 
 
-def _row_block_tasks(producer, n_rows: int, bi: int = 0, index0: int = 0,
+def _row_block_tasks(producer, n_rows: int, bi: int = 0,
                      start: int = 0) -> List[_RowBlockTask]:
     """Blocks ``(bi, j)`` over rows ``[start, start + n_rows)``."""
     stop = start + n_rows
-    tasks = []
-    for j, r0 in enumerate(range(start, stop, BLOCK_ROWS)):
-        tasks.append(_RowBlockTask(index=index0 + j, key=(bi, j), bi=bi,
-                                   r0=r0, r1=min(stop, r0 + BLOCK_ROWS),
-                                   producer=producer))
-    return tasks
-
-
-def parallel_matmul_batched(a: np.ndarray, b: np.ndarray, config, *,
-                            scheduler: TileScheduler,
-                            cast: bool = True) -> np.ndarray:
-    """Tiled-parallel counterpart of :func:`repro.emu.gemm.matmul_batched`.
-
-    Same operands and semantics per block; the ``(B, M)`` output plane
-    is sharded into :data:`BLOCK_ROWS` row blocks executed under
-    key-derived substreams (see module docstring for the draw-order
-    contract).  ``cast=False`` takes ``b`` as already cast to the
-    multiplier format; ``a`` is always cast here.
-
-    Example::
-
-        out4 = parallel_matmul_batched(a, b, GemmConfig.sr(9, seed=1),
-                                       scheduler=TileScheduler(workers=4))
-        out1 = parallel_matmul_batched(a, b, GemmConfig.sr(9, seed=1),
-                                       scheduler=TileScheduler(workers=1))
-        assert np.array_equal(out1, out4)   # worker-count invariant
-    """
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    if (a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise ValueError(f"bad batched GEMM shapes {a.shape} x {b.shape}")
-    # B is cast once here; A's rows are cast inside each block task (the
-    # cast is elementwise, so per-block equals whole — and not casting A
-    # up front avoids a redundant full quantize pass plus shipping the
-    # pre-cast copy to workers).
-    if cast:
-        b = _cast_operand(b, config)
-    if config.acc_format is None:
-        return _cast_operand(a, config) @ b
-    batch, m, _ = a.shape
-    n = b.shape[-1]
-    out = np.empty((batch, m, n), dtype=np.float64)
-    if out.size == 0:
-        return out
-    # A stride-0 (broadcast-weight) stack ships one shared 2D operand.
-    b_shared = b[0] if (b.shape[0] == 1 or b.strides[0] == 0) else b
-    tasks: List[_RowBlockTask] = []
-    for bi in range(batch):
-        rows = ArrayRows(a[bi])
-        tasks.extend(_row_block_tasks(rows, m, bi=bi, index0=len(tasks)))
-    results = scheduler.run(tasks, config, b_shared=b_shared)
-    for task, value in zip(tasks, results):
-        out[task.bi, task.r0:task.r1] = value
-    return out
+    return [_RowBlockTask(key=(bi, j), bi=bi, r0=r0,
+                          r1=min(stop, r0 + BLOCK_ROWS), producer=producer)
+            for j, r0 in enumerate(range(start, stop, BLOCK_ROWS))]
 
 
 class QuantizedGemm:
@@ -384,13 +296,13 @@ class QuantizedGemm:
     Accepts 2D ``(M, K) @ (K, N)`` or stacked 3D ``(B, M, K) @ (B, K,
     N)`` operands and shards the output plane into :data:`BLOCK_ROWS`
     row blocks on the tile scheduler, each under its key-derived
-    substream (the draw-order contract above).  ``workers``,
-    ``tile_rows`` and ``backend`` only choose where blocks run: results
-    are bit-identical for any choice.
+    substream (the draw-order contract above).  ``workers`` and
+    ``backend`` only choose where blocks run: results are bit-identical
+    for any choice.
 
     The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
     ``gemm_outer_rows``) serve the tiled-im2col convolution path, which
-    keeps peak memory bounded by the tile size instead of the full
+    keeps peak memory bounded by one row block instead of the full
     column matrix.
 
     **Streams.**  A call splits its operands' leading axis (rows of a 2D
@@ -421,8 +333,7 @@ class QuantizedGemm:
     #: Span name recorded around every dispatched GEMM when tracing.
     SPAN_NAME = "emu/gemm"
 
-    def __init__(self, config, *, workers: int = 1,
-                 tile_rows: Optional[int] = None, backend: str = "process",
+    def __init__(self, config, *, workers: int = 1, backend: str = "process",
                  registry: Optional[MetricsRegistry] = None):
         self.config = config
         self.metrics = registry if registry is not None \
@@ -437,8 +348,7 @@ class QuantizedGemm:
             if (config.rounding == "stochastic"
                 and config.acc_format is not None) else None
         self._shape_counters: dict = {}
-        self.scheduler = TileScheduler(workers=workers, tile_rows=tile_rows,
-                                       backend=backend)
+        self.scheduler = TileScheduler(workers=workers, backend=backend)
         self._streams: Optional[List] = None
         self._call_index = 0
 
@@ -543,32 +453,75 @@ class QuantizedGemm:
                 f"mixed 2D/3D GEMM operands {a.shape} x {b.shape}")
         if not stacked:
             a, b = a[None], b[None]
+        if (a.ndim != 3 or a.shape[0] != b.shape[0]
+                or a.shape[2] != b.shape[1]):
+            raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
         batch, m, k = a.shape
         n = b.shape[2]
         size, groups = self._split(batch if stacked else m)
         group_shape = (size, m, k, n) if stacked else (1, size, k, n)
-        scheduler, config = self.scheduler, self.config
+        config = self.config
+        out = np.empty((batch, m, n), dtype=np.float64)
         cm = self._span(*group_shape, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
-            if groups[0][0] is None:
-                out = parallel_matmul_batched(a, b, config,
-                                              scheduler=scheduler)
-            else:
-                b = _cast_operand(b, config)
-                out = np.empty((batch, m, n), dtype=np.float64)
-                for stream, start in groups:
-                    rows = slice(start, start + size)
-                    cfg = replace(config, stream=stream)
-                    if stacked:
-                        out[rows] = parallel_matmul_batched(
-                            a[rows], b[rows], cfg, scheduler=scheduler,
-                            cast=False)
-                    else:
-                        out[:, rows] = parallel_matmul_batched(
-                            a[:, rows], b, cfg, scheduler=scheduler,
-                            cast=False)
+            bq = _cast_operand(b, config)
+            for stream, start in groups:
+                rows = slice(start, start + size)
+                if stacked:
+                    a_g, b_g, out_g = a[rows], bq[rows], out[rows]
+                else:
+                    a_g, b_g, out_g = a[:, rows], bq, out[:, rows]
+                group_config = self._group_config(config, stream)
+                if config.acc_format is None:
+                    out_g[...] = _cast_operand(a_g, group_config) @ b_g
+                    continue
+                if out.size == 0:
+                    continue
+                # A stride-0 (broadcast-weight) stack ships one shared 2D
+                # operand; A's rows are cast inside each block task.
+                b_shared = b_g[0] if (b_g.shape[0] == 1
+                                      or b_g.strides[0] == 0) else b_g
+                tasks = [task for bi in range(a_g.shape[0])
+                         for task in _row_block_tasks(ArrayRows(a_g[bi]),
+                                                      a_g.shape[1], bi=bi)]
+                results = self.scheduler.run(tasks, group_config,
+                                             b_shared=b_shared)
+                for task, value in zip(tasks, results):
+                    out_g[task.bi, task.r0:task.r1] = value
         return self._observe(out if stacked else out[0], batch, m, k, n)
+
+    def _row_blocks(self, source, n_rows: int, b2d: np.ndarray,
+                    consume: Callable[[object, np.ndarray], None], *,
+                    streamed: bool) -> Tuple[int, int]:
+        """The row driver of :meth:`gemm_rows` and
+        :meth:`gemm_rows_streamed`; returns ``(k, n)``.
+
+        Runs each group's row blocks of ``source @ b2d`` and hands each
+        block's product to ``consume(task, rows)`` in row order.
+        ``streamed`` picks the scheduler method called once per group:
+        ``run_streamed`` draws its call key even for an empty product;
+        ``run`` is skipped for one (no call key, no span).
+        """
+        producer = _as_producer(source)
+        size, groups = self._split(n_rows)
+        bq = _cast_operand(b2d, self.config)
+        k, n = bq.shape
+        if not streamed and n_rows * n == 0:
+            return k, n
+        cm = self._span(1, size, k, n, groups=len(groups)) \
+            if _trace.active else _trace.NULL
+        with cm:
+            for stream, start in groups:
+                tasks = _row_block_tasks(producer, size, start=start)
+                config = self._group_config(self.config, stream)
+                if streamed:
+                    self.scheduler.run_streamed(tasks, config, bq, consume)
+                    continue
+                results = self.scheduler.run(tasks, config, b_shared=bq)
+                for task, value in zip(tasks, results):
+                    consume(task, value)
+        return k, n
 
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
         """Row-streamed emulated ``A @ b2d``.
@@ -577,23 +530,12 @@ class QuantizedGemm:
         ``source(r0, r1) -> A[r0:r1]`` (e.g. on-demand im2col patches);
         only one block of ``A`` rows is ever materialized per worker.
         """
-        producer = _as_producer(source)
-        size, groups = self._split(n_rows)
-        bq = _cast_operand(b2d, self.config)
-        k, n = bq.shape
-        out = np.empty((n_rows, n), dtype=np.float64)
-        if out.size == 0:
-            return self._observe(out, 1, n_rows, k, n)
-        cm = self._span(1, size, k, n, groups=len(groups)) \
-            if _trace.active else _trace.NULL
-        with cm:
-            for stream, start in groups:
-                tasks = _row_block_tasks(producer, size, start=start)
-                results = self.scheduler.run(
-                    tasks, self._group_config(self.config, stream),
-                    b_shared=bq)
-                for task, value in zip(tasks, results):
-                    out[task.r0:task.r1] = value
+        out = np.empty((n_rows, np.shape(b2d)[1]), dtype=np.float64)
+
+        def write(task, rows):
+            out[task.r0:task.r1] = rows
+
+        k, n = self._row_blocks(source, n_rows, b2d, write, streamed=False)
         return self._observe(out, 1, n_rows, k, n)
 
     def gemm_rows_streamed(self, source, n_rows: int, b2d: np.ndarray,
@@ -605,9 +547,6 @@ class QuantizedGemm:
         gradient and discards them.  Returns whether every produced
         value was finite (the overflow signal).
         """
-        producer = _as_producer(source)
-        size, groups = self._split(n_rows)
-        bq = _cast_operand(b2d, self.config)
         finite = True
 
         def _consume(task, value):
@@ -615,15 +554,7 @@ class QuantizedGemm:
             finite = finite and bool(np.all(np.isfinite(value)))
             consume(task.r0, task.r1, value)
 
-        k, n = bq.shape
-        cm = self._span(1, size, k, n, groups=len(groups)) \
-            if _trace.active else _trace.NULL
-        with cm:
-            for stream, start in groups:
-                tasks = _row_block_tasks(producer, size, start=start)
-                self.scheduler.run_streamed(
-                    tasks, self._group_config(self.config, stream), bq,
-                    _consume)
+        k, n = self._row_blocks(source, n_rows, b2d, _consume, streamed=True)
         # The product is consumed block-by-block, never materialized;
         # feed the finiteness verdict to the counters via a scalar.
         self._observe(np.float64(0.0 if finite else np.inf),
@@ -660,7 +591,7 @@ class QuantizedGemm:
             tasks = []
             for band, r0 in enumerate(range(0, n_rows, REDUCE_BAND_ROWS)):
                 tasks.append(_OuterBandTask(
-                    index=band, key=(0, band), r0=r0,
+                    key=(0, band), r0=r0,
                     r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
                     a_producer=a_producer, b_producer=b_producer))
             call_key = _draw_call_key(config.stream)

@@ -91,8 +91,8 @@ class PatchRows:
 
     The tiled-parallel convolution path streams row tiles of the
     ``(N*OH*OW, C*K*K)`` column matrix through the GEMM executor instead
-    of materializing it whole, so peak im2col memory is bounded by the
-    tile size.  ``PatchRows`` is the producer: it pads the input once
+    of materializing it whole, so peak im2col memory is bounded by one
+    row block.  ``PatchRows`` is the producer: it pads the input once
     (memory of order the *input*, not the K^2-times-larger column
     matrix) and gathers arbitrary flat row ranges ``[r0, r1)`` with the
     exact layout of :func:`im2col` — row ``((n * OH) + oy) * OW + ox``,

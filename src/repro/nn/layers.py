@@ -106,7 +106,13 @@ class Conv2d(Module):
     executor, never materializing the full ``(N*OH*OW, C*K*K)`` column
     matrix (patches are regathered in backward — the standard recompute
     trade).  A plain function such as the FP64 ``default_gemm`` takes
-    the whole-matrix im2col path.
+    the whole-matrix im2col path.  That branch stays on purpose: the
+    forward product would keep its bits through ``PatchRows`` (rows
+    ``[0, n)`` equal ``im2col``), but the input gradient would not.
+    ``col2im`` adds each input pixel's contributions in ``(ky, kx)``
+    order, ``PatchRows.scatter_rows`` (``np.add.at``) in row order, so
+    the float64 sums round differently and the FP64 baseline rows of
+    Tables III and IV would move.
 
     Example::
 

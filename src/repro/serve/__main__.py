@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tiled-parallel GEMM workers (results are "
                              "bit-identical for any value); 'auto' = "
                              "os.cpu_count()")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread",
-                        help="tiled-parallel scheduler backend")
     parser.add_argument("--max-batch-size", type=int, default=8)
     parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument("--cache-size", type=int, default=1024,
@@ -79,7 +76,6 @@ def main(argv=None) -> int:
     if args.replicas > 1:
         app = ReplicaPool(
             args.checkpoint, replicas=args.replicas, workers=workers,
-            backend=args.backend,
             max_batch_size=args.max_batch_size,
             max_delay_ms=args.max_delay_ms,
             cache_entries=args.cache_size,
@@ -89,7 +85,7 @@ def main(argv=None) -> int:
                   f"[{app.fingerprint}] config '{app.config_label}'")
     else:
         session = InferenceSession.from_checkpoint(
-            args.checkpoint, workers=workers, backend=args.backend)
+            args.checkpoint, workers=workers)
         app = ServerApp(session, max_batch_size=args.max_batch_size,
                         max_delay_ms=args.max_delay_ms,
                         cache_entries=args.cache_size)

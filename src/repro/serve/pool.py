@@ -97,8 +97,7 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
     try:
         shared = SharedCheckpoint.attach(spec)
         session = InferenceSession.from_shared(
-            shared, workers=options["workers"],
-            backend=options["backend"])
+            shared, workers=options["workers"])
         app = ServerApp(session, max_batch_size=options["max_batch_size"],
                         max_delay_ms=options["max_delay_ms"],
                         cache_entries=options["cache_entries"])
@@ -292,8 +291,10 @@ class ReplicaPool:
         :func:`repro.nn.checkpoint.save_checkpoint` (sidecar required).
     replicas:
         Worker process count.
-    workers, backend:
-        Per-replica :class:`InferenceSession` knobs (forwarded).
+    workers:
+        Per-replica :class:`InferenceSession` GEMM workers (threads:
+        replica processes are daemonic and cannot start a process
+        pool).
     max_batch_size, max_delay_ms, cache_entries:
         Per-replica micro-batcher / response-cache knobs.
     handler_threads:
@@ -316,8 +317,7 @@ class ReplicaPool:
         Crash-detection poll period (seconds).
     """
 
-    def __init__(self, checkpoint, *, replicas: int = 2,
-                 workers: int = 1, backend: str = "thread",
+    def __init__(self, checkpoint, *, replicas: int = 2, workers: int = 1,
                  max_batch_size: int = 8, max_delay_ms: float = 2.0,
                  cache_entries: int = 1024,
                  handler_threads: Optional[int] = None,
@@ -328,15 +328,9 @@ class ReplicaPool:
                  monitor_interval: float = 0.1):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if backend == "process":
-            raise ValueError(
-                "replica GEMM scheduling must use the thread backend: "
-                "worker processes are daemonic and cannot fork a "
-                "process pool (results are bit-identical either way)")
         self.n_replicas = int(replicas)
         self._options = {
             "workers": max(1, int(workers)),
-            "backend": backend,
             "max_batch_size": int(max_batch_size),
             "max_delay_ms": float(max_delay_ms),
             "cache_entries": int(cache_entries),

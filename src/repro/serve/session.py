@@ -128,10 +128,10 @@ class InferenceSession:
         The trained module (any :mod:`repro.models` architecture).
     config:
         Datapath config (``None`` = exact FP64 baseline).
-    workers, tile_rows, backend:
-        Tiled-parallel scheduler knobs (``backend="thread"`` is the
-        serving default — per-request GEMMs are small, so zero-copy
-        threads beat process pools).
+    workers:
+        Tiled-parallel GEMM workers.  Serving schedules row blocks on
+        threads: per-request GEMMs are small, so zero-copy threads beat
+        process pools.
     fingerprint:
         Checkpoint identity for cache keys / ``/healthz``; computed
         from the weights when omitted.
@@ -149,9 +149,7 @@ class InferenceSession:
     """
 
     def __init__(self, model: Module, config: Optional[GemmConfig] = None, *,
-                 workers: int = 1, tile_rows: Optional[int] = None,
-                 backend: str = "thread",
-                 fingerprint: Optional[str] = None,
+                 workers: int = 1, fingerprint: Optional[str] = None,
                  input_spec: Optional[dict] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.config = config if config is not None else GemmConfig()
@@ -167,8 +165,7 @@ class InferenceSession:
         #: lock-order: 80
         self._lock = threading.Lock()
         self._gemm = QuantizedGemm(self.config, workers=self.workers,
-                                   tile_rows=tile_rows, backend=backend,
-                                   registry=self.metrics)
+                                   backend="thread", registry=self.metrics)
         self._gemm.arm([])   # disarmed outside predict_batch
         for module in model.modules():
             if hasattr(module, "gemm"):
@@ -256,23 +253,18 @@ class InferenceSession:
         return self._gemm.call_count
 
     @classmethod
-    def from_checkpoint(cls, path, *, workers: int = 1,
-                        tile_rows: Optional[int] = None,
-                        backend: str = "thread") -> "InferenceSession":
+    def from_checkpoint(cls, path, *, workers: int = 1) -> "InferenceSession":
         """Build a session from a checkpoint written by
         :func:`repro.nn.checkpoint.save_checkpoint` (the sidecar must
         carry a model spec)."""
         ckpt: Checkpoint = load_checkpoint(path)
         model = ckpt.build_model()
         return cls(model, ckpt.gemm_config(), workers=workers,
-                   tile_rows=tile_rows, backend=backend,
                    fingerprint=ckpt.fingerprint,
                    input_spec=(ckpt.model_spec or {}).get("input"))
 
     @classmethod
-    def from_shared(cls, shared, *, workers: int = 1,
-                    tile_rows: Optional[int] = None,
-                    backend: str = "thread") -> "InferenceSession":
+    def from_shared(cls, shared, *, workers: int = 1) -> "InferenceSession":
         """Build a session over an attached shared-memory checkpoint.
 
         ``shared`` is a :class:`repro.serve.shm.SharedCheckpoint`
@@ -293,6 +285,5 @@ class InferenceSession:
         model = build_model_from_spec(model_spec)
         rebind_parameters(model, shared.state)
         return cls(model, shared.gemm_config(), workers=workers,
-                   tile_rows=tile_rows, backend=backend,
                    fingerprint=shared.fingerprint,
                    input_spec=(model_spec or {}).get("input"))

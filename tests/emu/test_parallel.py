@@ -2,12 +2,12 @@
 
 The load-bearing guarantee of :mod:`repro.emu.parallel`: for every
 registered engine, the parallel GEMM output is **bit-identical across
-worker counts, scheduling tile sizes and pool backends**, because each
-``(batch, row-block)`` tile draws its SR bits from a key-derived
-substream.  ``workers=1`` is the serial fallback running the same
-substream schedule in-process.
+worker counts and pool backends**, because each ``(batch, row-block)``
+block draws its SR bits from a key-derived substream.  ``workers=1`` is
+the serial fallback running the same substream schedule in-process.
 """
 
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -18,8 +18,8 @@ from repro.emu import GemmConfig, matmul, resolve_workers
 from repro.emu.parallel import (
     BLOCK_ROWS,
     ParallelQuantizedGemm,
+    QuantizedGemm,
     TileScheduler,
-    parallel_matmul_batched,
 )
 from repro.fp.formats import FP12_E6M5
 from repro.fp.quantize import quantize
@@ -32,52 +32,72 @@ def _operands(rng, batch=2, m=100, k=40, n=8):
     return rng.normal(size=(batch, m, k)), rng.normal(size=(batch, k, n))
 
 
-def _run(a, b, *, workers, tile_rows, backend="thread",
-         order="sequential", stream=None):
+def _run(a, b, *, workers, backend="thread", order="sequential",
+         stream=None):
     config = GemmConfig.sr(9, seed=7, accum_order=order)
     if stream is not None:
         config.stream = stream
-    scheduler = TileScheduler(workers=workers, tile_rows=tile_rows,
-                              backend=backend)
-    return parallel_matmul_batched(a, b, config, scheduler=scheduler)
+    return QuantizedGemm(config, workers=workers, backend=backend)(a, b)
+
+
+def _run_and_send(a, b, conn):
+    conn.send_bytes(_run(a, b, workers=2).tobytes())
+    conn.close()
 
 
 class TestBitIdentity:
-    """Same output for any workers / tile size / backend, per engine."""
+    """Same output for any worker count and backend, per engine."""
 
     @pytest.mark.parametrize("order", ["sequential", "pairwise",
                                        "chunked(8)"])
     def test_workers_and_tile_sizes(self, rng, order):
         a, b = _operands(rng)
-        reference = _run(a, b, workers=1, tile_rows=BLOCK_ROWS, order=order)
+        reference = _run(a, b, workers=1, order=order)
         for workers in (2, 4):
-            for tile_rows in (BLOCK_ROWS, 3 * BLOCK_ROWS):
-                got = _run(a, b, workers=workers, tile_rows=tile_rows,
-                           order=order)
-                assert np.array_equal(reference, got), \
-                    f"{order} workers={workers} tile_rows={tile_rows}"
+            got = _run(a, b, workers=workers, order=order)
+            assert np.array_equal(reference, got), \
+                f"{order} workers={workers}"
 
     def test_process_backend_matches_threads(self, rng):
         a, b = _operands(rng)
-        want = _run(a, b, workers=1, tile_rows=BLOCK_ROWS)
-        got = _run(a, b, workers=2, tile_rows=2 * BLOCK_ROWS,
-                   backend="process")
+        want = _run(a, b, workers=1)
+        got = _run(a, b, workers=2, backend="process")
         assert np.array_equal(want, got)
 
     def test_lfsr_stream_worker_invariant(self, rng):
         a, b = _operands(rng, batch=1, m=70, k=20, n=5)
-        want = _run(a, b, workers=1, tile_rows=BLOCK_ROWS,
-                    stream=LFSRStream(lanes=64, seed=5))
-        got = _run(a, b, workers=3, tile_rows=BLOCK_ROWS,
-                   stream=LFSRStream(lanes=64, seed=5))
+        want = _run(a, b, workers=1, stream=LFSRStream(lanes=64, seed=5))
+        got = _run(a, b, workers=3, stream=LFSRStream(lanes=64, seed=5))
         assert np.array_equal(want, got)
 
     def test_uneven_tail_block(self, rng):
         """M not a multiple of BLOCK_ROWS exercises the short last block."""
         a, b = _operands(rng, batch=1, m=BLOCK_ROWS + 7, k=16, n=4)
-        want = _run(a, b, workers=1, tile_rows=BLOCK_ROWS)
-        got = _run(a, b, workers=2, tile_rows=BLOCK_ROWS)
+        want = _run(a, b, workers=1)
+        got = _run(a, b, workers=2)
         assert np.array_equal(want, got)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_forked_child_gets_fresh_pools(self, rng):
+        """A fork child inherits the cached thread pool but not its
+        threads; it must build its own pool instead of blocking on
+        that one."""
+        a, b = _operands(rng, batch=1, m=4 * BLOCK_ROWS)
+        want = _run(a, b, workers=2)   # caches this process's pool
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_run_and_send, args=(a, b, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(10), "forked child's GEMM never finished"
+            assert receive.recv_bytes() == want.tobytes()
+        finally:
+            child.kill()
+            child.join(10)
+        assert not child.is_alive()
 
 
 class TestDrawOrderPin:
@@ -117,21 +137,20 @@ class TestDrawOrderPin:
 class TestDeterminism:
     def test_same_seed_same_result(self, rng):
         a, b = _operands(rng)
-        assert np.array_equal(_run(a, b, workers=2, tile_rows=64),
-                              _run(a, b, workers=2, tile_rows=64))
+        assert np.array_equal(_run(a, b, workers=2), _run(a, b, workers=2))
 
     def test_successive_calls_draw_fresh_keys(self, rng):
         """Two calls on one config must not reuse SR randomness."""
         a, b = _operands(rng, batch=1)
-        config = GemmConfig.sr(9, seed=7)
-        scheduler = TileScheduler(workers=2, backend="thread")
-        first = parallel_matmul_batched(a, b, config, scheduler=scheduler)
-        second = parallel_matmul_batched(a, b, config, scheduler=scheduler)
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=7), workers=2,
+                             backend="thread")
+        first = gemm(a, b)
+        second = gemm(a, b)
         assert not np.array_equal(first, second)
 
     def test_results_on_accumulator_grid(self, rng):
         a, b = _operands(rng, batch=1)
-        out = _run(a, b, workers=2, tile_rows=64)
+        out = _run(a, b, workers=2)
         assert np.array_equal(out, quantize(out, FP12_E6M5, "toward_zero"))
 
 
@@ -141,17 +160,17 @@ class TestSemantics:
         from repro.emu import matmul_batched
 
         a, b = _operands(rng)
-        config = GemmConfig.rn(FP12_E6M5)
-        scheduler = TileScheduler(workers=2, backend="thread")
-        got = parallel_matmul_batched(a, b, config, scheduler=scheduler)
+        gemm = QuantizedGemm(GemmConfig.rn(FP12_E6M5), workers=2,
+                             backend="thread")
+        got = gemm(a, b)
         want = matmul_batched(a, b, GemmConfig.rn(FP12_E6M5))
         assert np.array_equal(got, want)
 
     def test_exact_baseline_is_plain_matmul(self, rng):
         a, b = _operands(rng)
-        config = GemmConfig.fp32_baseline()
-        scheduler = TileScheduler(workers=2, backend="thread")
-        got = parallel_matmul_batched(a, b, config, scheduler=scheduler)
+        gemm = QuantizedGemm(GemmConfig.fp32_baseline(), workers=2,
+                             backend="thread")
+        got = gemm(a, b)
         assert np.allclose(got, a @ b, rtol=0, atol=0)
 
     def test_round_once_ablation_worker_invariant(self, rng):
@@ -160,28 +179,21 @@ class TestSemantics:
         for workers in (1, 3):
             config = GemmConfig.sr(9, seed=2)
             config.per_step = False
-            scheduler = TileScheduler(workers=workers, backend="thread")
-            outs.append(parallel_matmul_batched(a, b, config,
-                                                scheduler=scheduler))
+            gemm = QuantizedGemm(config, workers=workers, backend="thread")
+            outs.append(gemm(a, b))
         assert np.array_equal(outs[0], outs[1])
 
     def test_shape_validation_and_empty(self, rng):
-        scheduler = TileScheduler(workers=2, backend="thread")
-        config = GemmConfig.sr(9, seed=1)
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=1), workers=2,
+                             backend="thread")
         with pytest.raises(ValueError):
-            parallel_matmul_batched(rng.normal(size=(2, 3, 4)),
-                                    rng.normal(size=(2, 5, 2)), config,
-                                    scheduler=scheduler)
-        out = parallel_matmul_batched(np.zeros((1, 0, 4)),
-                                      np.zeros((1, 4, 3)), config,
-                                      scheduler=scheduler)
+            gemm(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 2)))
+        out = gemm(np.zeros((1, 0, 4)), np.zeros((1, 4, 3)))
         assert out.shape == (1, 0, 3)
 
     def test_scheduler_validation(self):
         with pytest.raises(ValueError):
             TileScheduler(backend="gpu")
-        with pytest.raises(ValueError):
-            TileScheduler(tile_rows=0)
 
     def test_quantized_gemm_protocol(self, rng):
         gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1), workers=2,
@@ -242,18 +254,16 @@ class TestConvStreaming:
     def test_sr_fwd_bwd_worker_and_tile_invariant(self):
         x = self._input()
 
-        def run(workers, tile_rows):
+        def run(workers):
             gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=3),
-                                         workers=workers,
-                                         tile_rows=tile_rows,
-                                         backend="thread")
+                                         workers=workers, backend="thread")
             layer = self._layer(gemm)
             out = layer.forward(x)
             grad_x = layer.backward(np.ones_like(out))
             return out, grad_x, layer.weight.grad, layer.bias.grad
 
-        serial = run(1, BLOCK_ROWS)
-        parallel = run(4, 3 * BLOCK_ROWS)
+        serial = run(1)
+        parallel = run(4)
         for want, got in zip(serial, parallel):
             assert np.array_equal(want, got)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.functional import col2im
 from repro.nn.layers import (
     BatchNorm1d,
     BatchNorm2d,
@@ -108,6 +109,18 @@ class TestConv2d:
     def test_pointwise_conv(self, rng):
         layer = Conv2d(4, 2, 1, pad=0, rng=rng)
         check_input_gradient(layer, rng.normal(size=(2, 4, 3, 3)))
+
+    def test_plain_gemm_input_gradient_is_col2im(self, rng):
+        """A plain-function gemm's input gradient is ``col2im`` of one
+        product, bit for bit: the FP64 baseline rows rest on it.  The
+        row-streamed scatter-add sums each pixel's contributions in
+        another order, and moves about 60% of these bits."""
+        layer = Conv2d(8, 8, 3, rng=rng)
+        x = rng.normal(size=(2, 8, 8, 8))
+        grad = rng.normal(size=layer.forward(x).shape)
+        grad2d = grad.transpose(0, 2, 3, 1).reshape(-1, 8)
+        want = col2im(grad2d @ layer.weight.data, x.shape, 3, 1, 1)
+        assert np.array_equal(layer.backward(grad), want)
 
 
 class TestReLU:

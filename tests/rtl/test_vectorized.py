@@ -257,16 +257,15 @@ class TestEngineSemantics:
     def test_parallel_scheduler_worker_invariance(self, rng):
         """rtl engines ride the tiled-parallel executor (the serving /
         --workers datapath) with worker-invariant results."""
-        from repro.emu.parallel import TileScheduler, parallel_matmul_batched
+        from repro.emu.parallel import QuantizedGemm
 
         a = rng.normal(size=(2, 70, 24))
         b = rng.normal(size=(2, 24, 5))
         outs = []
         for workers in (1, 2):
             config = GemmConfig.sr(9, seed=4, accum_order="rtl_eager")
-            outs.append(parallel_matmul_batched(
-                a, b, config, scheduler=TileScheduler(
-                    workers=workers, backend="thread")))
+            outs.append(QuantizedGemm(config, workers=workers,
+                                      backend="thread")(a, b))
         assert np.array_equal(outs[0], outs[1])
 
     def test_overflow_propagates_to_inf(self):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, TileScheduler, parallel_matmul_batched
+from repro.emu import BLOCK_ROWS, GemmConfig, matmul
 from repro.fp.formats import FP16
 from repro.models import MLP, SimpleCNN, TinyTransformer
 from repro.nn import Sequential
@@ -112,9 +112,12 @@ class TestBatchCompositionInvariance:
 
 
 class TestDrawOrderPin:
-    """The serving draw order in absolute terms: call ``g`` of the
-    forward pass runs sample ``i``'s rows alone through the tiled
-    executor under ``config.stream.spawn(request_key).spawn((g,))``."""
+    """The serving draw order in absolute terms, written from DESIGN
+    section 4 with ``matmul`` and ``spawn`` alone: call ``g`` of the
+    forward pass runs sample ``i``'s rows under ``group =
+    config.stream.spawn(request_key).spawn((g,))``; it draws a call key
+    of 4 x 16-bit values from ``group``, and row block ``j`` runs
+    under ``group.spawn(call_key + (0, j))``."""
 
     def test_conv_then_linear(self, rng):
         conv = Conv2d(2, 3, 3, rng=np.random.default_rng(1))
@@ -125,15 +128,20 @@ class TestDrawOrderPin:
                                    config)
         xs = [rng.normal(size=(2, 9, 9)) for _ in range(2)]
         got = session.predict_batch(xs)
-        scheduler = TileScheduler(workers=1)
         for x, logits in zip(xs, got):
             stream = config.stream.spawn(session.content_key(x)[1])
 
             def call(g, a, b):
-                return parallel_matmul_batched(
-                    a[None], b[None],
-                    replace(config, stream=stream.spawn((g,))),
-                    scheduler=scheduler)[0]
+                group = stream.spawn((g,))
+                key = tuple(int(v) for v in
+                            np.asarray(group.integers(16, (4,))).ravel())
+                out = np.empty((a.shape[0], b.shape[1]))
+                for j, r0 in enumerate(range(0, a.shape[0], BLOCK_ROWS)):
+                    rows = slice(r0, r0 + BLOCK_ROWS)
+                    block = replace(config,
+                                    stream=group.spawn(key + (0, j)))
+                    out[rows] = matmul(a[rows], b, block)
+                return out
 
             cols, (oh, ow) = im2col(x[None], 3, 1, 1)
             hidden = call(0, cols, w_conv.T).reshape(oh, ow, 3)
