@@ -1,10 +1,10 @@
-"""Shared machine-description block for every ``bench_*.py`` JSON report.
+"""Shared machine-description block for every benchmark JSON report.
 
-All benchmark snapshots (``BENCH_*.json`` and the CI artifacts) embed
-the same ``"machine"`` object, so numbers recorded in different
-environments are comparable at a glance — in particular, a 1-CPU
-container's honest ~1x parallel "speedups" carry their explanation in
-the artifact itself instead of a prose caveat.
+The ``bench_*.py`` reports (and CI's artifacts of them) and srbench's
+report embed the same ``"machine"`` object, so numbers recorded in
+different environments are comparable at a glance — in particular, a
+1-CPU container's honest ~1x parallel "speedups" carry their
+explanation in the report itself instead of a prose caveat.
 
 Example::
 
@@ -18,7 +18,7 @@ import platform
 import numpy as np
 
 #: Bump when the machine-info layout changes, so downstream consumers
-#: comparing BENCH_*.json snapshots can detect incompatible blocks.
+#: comparing reports can detect incompatible blocks.
 MACHINE_SCHEMA = 1
 
 

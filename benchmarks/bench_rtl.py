@@ -8,7 +8,7 @@ word-level datapath (:mod:`repro.rtl.vectorized`) under the same LFSR
 lane draws.  The two are asserted **bit-identical** before timing, so
 the speedup is like-for-like.  Target: >= 100x.
 
-Run standalone for the JSON artifact (committed as ``BENCH_rtl.json``)::
+Run standalone for the JSON report::
 
     PYTHONPATH=src python benchmarks/bench_rtl.py
     PYTHONPATH=src python benchmarks/bench_rtl.py --size 32 --json rtl.json

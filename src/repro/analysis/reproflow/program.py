@@ -44,7 +44,7 @@ def module_name(relpath: str) -> str:
 
     ``src/`` is the import root (``src/repro/serve/pool.py`` ->
     ``repro.serve.pool``); trees outside it keep their directory as a
-    namespace (``benchmarks/bench_pool.py`` -> ``benchmarks.bench_pool``)
+    namespace (``benchmarks/bench_rtl.py`` -> ``benchmarks.bench_rtl``)
     so ids stay unique without pretending they are importable packages.
     """
     path = relpath[4:] if relpath.startswith("src/") else relpath

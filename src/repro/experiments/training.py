@@ -4,15 +4,17 @@ The paper trains ResNet-20/VGG16 on CIFAR-10 and ResNet-50 on Imagewoof
 for 100-200 epochs; the reproduction runs the same pipeline at selectable
 scale on the synthetic datasets (DESIGN.md, substitutions 4-5).  Scales:
 
-* ``tiny``   — MLP, a few epochs; used by the benchmark suite / CI.
-* ``small``  — CNN/ResNet-8 on 8px images; the default for
-  EXPERIMENTS.md numbers (minutes per row).
+* ``tiny``   — MLP, a few epochs; used by the tier-1 tests.
+* ``small``  — CNN/ResNet-8 on 8px images; the scale the docs quote
+  (minutes per table).
 * ``medium`` — ResNet-8/VGG-small on 12px images, more epochs (tens of
   minutes per table).
 
-What must reproduce is the *shape* of the tables: r=4 collapses, accuracy
-is monotone in r, r=13 lands near the FP32 baseline and at least matches
-RN-FP16, and subnormal support stops mattering for r >= 11.
+The paper's tables have a shape: r=4 collapses, accuracy is monotone
+in r, r=13 lands near the FP32 baseline and at least matches RN-FP16,
+and subnormal support stops mattering for r >= 11.  These presets do
+not reproduce the r=4 collapse (docs/reproducing-tables.md quotes a
+``small`` run); only the subnormal rows agree.
 """
 
 from __future__ import annotations

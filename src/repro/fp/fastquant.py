@@ -9,9 +9,10 @@ frexp/ldexp-based reference in :mod:`repro.fp.quantize` and is verified
 bit-for-bit against it by the test suite (including a hypothesis
 property test).
 
-Only finite-dominated arrays benefit; NaN/inf inputs and deep-tail
-magnitudes (more than ~60 discarded bits) are routed through the
-reference implementation.
+NaN/inf inputs pass through unchanged; deep-tail magnitudes (a cut
+past the float64 fraction field), modes other than RN and discretized
+SR, and formats wider than ``MAX_MANTISSA_BITS`` take the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _quantize_fused_into(
 ) -> np.ndarray:
     """Allocation-free rounding of ``x`` into ``out`` (both float64).
 
-    Bit-identical to the allocating path below, restructured around
-    ufunc ``out=`` chains and two algebraic fusions:
+    The NumPy bit-pattern rounding, restructured around ufunc ``out=``
+    chains and two algebraic fusions:
 
     * SR:  ``keep + (((top + draw) >> r) << d)`` equals
       ``((mag >> (d - r)) + draw) >> r << d`` because the kept part has
@@ -120,7 +121,7 @@ def _quantize_fused_into(
     (``discard > 51``: float64 zeros/subnormals and deep-tail values) are
     clamped; exact zeros then round to signed zero for free, and the rare
     nonzero deep-tail elements are patched through the reference
-    implementation, exactly like the allocating path.
+    implementation.
     """
     spec = _fused_spec(fmt)
     bits = x.view(np.int64)
@@ -260,17 +261,30 @@ def quantize_fast(
     is written into ``out`` through the allocation-free fused kernel,
     reusing ``workspace`` buffers; ``values`` must then be a contiguous
     float64 array distinct from ``out``.  Stochastic mode additionally
-    requires pre-drawn ``random_ints`` on this path.
+    requires pre-drawn ``random_ints`` on this path.  Without ``out``
+    the same kernel writes into a new array, drawing the SR integers
+    from ``rng`` when ``random_ints`` is not given.
     """
-    wide_format = fmt.mantissa_bits > MAX_MANTISSA_BITS
-    rbits_too_deep = rbits is not None and rbits >= 52 - fmt.mantissa_bits
-    if out is not None:
-        fused_ok = (
-            not wide_format and not rbits_too_deep
-            and (mode == "nearest"
-                 or (mode == "stochastic" and rbits is not None
-                     and random_ints is not None))
-        )
+    fused_ok = (
+        fmt.mantissa_bits <= MAX_MANTISSA_BITS
+        and (rbits is None or rbits < 52 - fmt.mantissa_bits)
+        and (mode == "nearest"
+             or (mode == "stochastic" and rbits is not None))
+    )
+    if out is None:
+        if not fused_ok:
+            return _reference_quantize(values, fmt, mode, rng=rng,
+                                       rbits=rbits, random_ints=random_ints,
+                                       saturate=saturate)
+        # ascontiguousarray promotes a 0-d input to shape (1,).
+        x = np.ascontiguousarray(values, dtype=np.float64)
+        if mode == "stochastic" and random_ints is None:
+            if rng is None:
+                raise ValueError("stochastic mode requires rng or random_ints")
+            random_ints = rng.integers(0, 1 << rbits, size=x.shape,
+                                       dtype=np.int64)
+        out = np.empty_like(x)
+    else:
         x = np.asarray(values, dtype=np.float64)
         if not x.flags.c_contiguous or np.shares_memory(x, out):
             raise ValueError("out= path needs contiguous values, not aliased"
@@ -279,100 +293,20 @@ def quantize_fast(
                 or not out.flags.c_contiguous:
             raise ValueError("out must be a contiguous float64 array matching"
                              " values' shape")
-        if not fused_ok:
+        if not fused_ok or (mode == "stochastic" and random_ints is None):
             np.copyto(out, _reference_quantize(
                 x, fmt, mode, rng=rng, rbits=rbits,
                 random_ints=random_ints, saturate=saturate))
             return out
-        if workspace is None or workspace.shape != x.shape:
-            workspace = QuantizeWorkspace(x.shape)
-        draws = None
-        if mode == "stochastic":
-            draws = np.asarray(random_ints)
-            if draws.shape != x.shape:
-                draws = np.broadcast_to(draws, x.shape)
-            if draws.dtype != np.int64:
-                draws = draws.astype(np.int64) if draws.dtype != np.uint64 \
-                    else draws.view(np.int64)
-        return _quantize_fused_into(x, fmt, mode, rbits, draws, saturate,
-                                    out, workspace)
-    if (mode not in ("nearest", "stochastic")
-            or (mode == "stochastic" and rbits is None)
-            or wide_format or rbits_too_deep):
-        return _reference_quantize(values, fmt, mode, rng=rng, rbits=rbits,
-                                   random_ints=random_ints, saturate=saturate)
-
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    bits = x.view(np.int64)
-    sign = bits & _SIGN_MASK
-    mag = bits & _MAG_MASK
-    exp_field = mag >> _EXP_SHIFT
-
-    special = exp_field == 0x7FF  # inf / NaN pass through
-    # Exact zeros stay (signed) zero.  A float64 subnormal has the
-    # exponent of field 1: with 11 exponent bits it can land on the
-    # format's grid, otherwise it is deep tail for the reference.
-    zero_tail = mag == 0
-
-    exp_unbiased = np.maximum(exp_field, np.int64(1)) - _F64_BIAS
-    discard = (_EXP_SHIFT - fmt.mantissa_bits) + np.maximum(
-        np.int64(0), np.int64(fmt.emin) - exp_unbiased
-    )
-    deep = discard > _MAX_DISCARD
-
-    discard_safe = np.minimum(discard, np.int64(_MAX_DISCARD))
-    keep = (mag >> discard_safe) << discard_safe
-    dropped = mag - keep
-
-    if mode == "nearest":
-        half = np.int64(1) << (discard_safe - np.int64(1))
-        lsb_odd = ((mag >> discard_safe) & np.int64(1)) == 1
-        round_up = (dropped > half) | ((dropped == half) & lsb_odd)
-    else:
-        top = dropped >> (discard_safe - np.int64(rbits))
-        if random_ints is not None:
-            draws = np.asarray(random_ints)
-            if draws.shape != x.shape:
-                draws = np.broadcast_to(draws, x.shape)
-            draws = draws.astype(np.int64)
-        else:
-            if rng is None:
-                raise ValueError("stochastic mode requires rng or random_ints")
-            draws = rng.integers(0, 1 << rbits, size=x.shape, dtype=np.int64)
-        round_up = (top + draws) >= np.int64(1 << rbits)
-
-    rounded = keep + (round_up.astype(np.int64) << discard_safe)
-
-    # Overflow beyond the format's largest finite value.
-    max_bits = np.float64(fmt.max_value).view(np.int64)
-    if saturate:
-        rounded = np.minimum(rounded, max_bits)
-    else:
-        inf_bits = np.float64(np.inf).view(np.int64)
-        rounded = np.where(rounded > max_bits, inf_bits, rounded)
-
-    # Flush-to-zero below the normal range when subnormals are off.
-    if not fmt.subnormals:
-        min_bits = np.float64(fmt.min_normal).view(np.int64)
-        rounded = np.where(rounded < min_bits, np.int64(0), rounded)
-
-    rounded = np.where(zero_tail, np.int64(0), rounded)
-    out_bits = sign | rounded
-    out_bits = np.where(special, bits, out_bits)
-    out = out_bits.view(np.float64)
-
-    if np.any(deep & ~special & ~zero_tail):
-        # Rare deep-tail magnitudes: exact handling via the reference.
-        mask = deep & ~special & ~zero_tail
-        ref_kwargs = {}
-        if mode == "stochastic":
-            ref_kwargs = {
-                "rbits": rbits,
-                "random_ints": draws[mask] if mode == "stochastic" else None,
-            }
-        out = out.copy()
-        out[mask] = _reference_quantize(
-            x[mask], fmt, mode, rng=rng, saturate=saturate, **ref_kwargs
-        )
-        return out
-    return out
+    if workspace is None or workspace.shape != x.shape:
+        workspace = QuantizeWorkspace(x.shape)
+    draws = None
+    if mode == "stochastic":
+        draws = np.asarray(random_ints)
+        if draws.shape != x.shape:
+            draws = np.broadcast_to(draws, x.shape)
+        if draws.dtype != np.int64:
+            draws = draws.astype(np.int64) if draws.dtype != np.uint64 \
+                else draws.view(np.int64)
+    return _quantize_fused_into(x, fmt, mode, rbits, draws, saturate,
+                                out, workspace)

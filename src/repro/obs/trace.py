@@ -2,8 +2,7 @@
 
 The tracer is **off by default** and the disabled path is a single
 module-attribute read (:data:`active`) — a few nanoseconds per hook,
-pinned by ``benchmarks/bench_obs.py`` and ``tests/obs``.  The pattern
-hot paths use::
+held under a ceiling by ``tests/obs``.  The pattern hot paths use::
 
     from repro.obs import trace as _trace
 

@@ -98,6 +98,15 @@ class TestBias:
         assert biases[4] == pytest.approx(-fmt.machine_eps / 64, rel=1e-9)
         assert abs(biases[13]) < fmt.machine_eps / 64
 
+    def test_r13_bias_under_a_quarter_of_r4(self):
+        fmt = FP12_E6M5
+        value = 1.0 + fmt.machine_eps / 64
+        biases = rbits_bias_curve(fmt, value, rbits_values=[4, 9, 13],
+                                  trials=3000)
+        # r=4 cannot represent P = 1/64: SR degenerates to truncation.
+        assert biases[4] == -fmt.machine_eps / 64
+        assert abs(biases[13]) < abs(biases[4]) / 4
+
 
 class TestVarianceByAlgorithm:
     def test_short_chains_reduce_sr_variance(self):

@@ -94,6 +94,29 @@ class TestSRBehavior:
         out = matmul(rng.normal(size=(4, 16)), rng.normal(size=(16, 4)), cfg)
         assert np.all(np.isfinite(out))
 
+    def test_lfsr_error_comparable_to_software_stream(self):
+        """LFSR-driven SR matches software-PRNG SR statistically."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(16, 128))
+        b = rng.normal(size=(128, 16))
+        exact = matmul(a, b, GemmConfig.fp32_baseline())
+        software = GemmConfig.sr(9, subnormals=False, seed=1)
+        hardware = GemmConfig.sr(9, subnormals=False, seed=1)
+        hardware.stream = LFSRStream(lanes=1024, seed=2)
+        sw_err = np.abs(matmul(a, b, software) - exact).mean()
+        hw_err = np.abs(matmul(a, b, hardware) - exact).mean()
+        assert hw_err < 3 * sw_err + 1e-6
+
+    def test_subnormals_change_nothing_at_normal_magnitudes(self):
+        """Why Table III sees no difference with and without subnormals
+        at r >= 11: ordinary magnitudes never reach the subnormal range."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(8, 64))
+        b = rng.normal(size=(64, 8))
+        with_sub = matmul(a, b, GemmConfig.sr(13, subnormals=True, seed=5))
+        without = matmul(a, b, GemmConfig.sr(13, subnormals=False, seed=5))
+        assert np.mean(with_sub == without) > 0.95
+
     def test_results_on_accumulator_grid(self, rng):
         cfg = GemmConfig.sr(9, subnormals=False)
         out = matmul(rng.normal(size=(5, 12)), rng.normal(size=(12, 5)), cfg)
@@ -125,6 +148,25 @@ class TestPerStepAblation:
         got_shot = matmul(a, b, one_shot)[0, 0]
         assert abs(got_shot - exact) / exact < 0.02
         assert got_step < 0.8 * exact  # stagnated well below the true sum
+
+    def test_sr_per_step_recovers_what_rn_swamps(self):
+        """SR tracks the sum (unbiased, ~10% single-run noise) where RN
+        loses most of it; a few seeds average out the noise."""
+        k = 2048
+        a = np.full((1, k), 1.0)
+        b = np.full((k, 1), 1.0 / 64)
+        exact = k / 64
+
+        def error(config):
+            return abs(matmul(a, b, config)[0, 0] - exact) / exact
+
+        rn_error = error(GemmConfig.rn(FP12_E6M5))
+        sr_error = np.mean([error(GemmConfig.sr(13, subnormals=False,
+                                                seed=seed))
+                            for seed in range(6)])
+        assert rn_error > 0.2
+        assert sr_error < 0.2
+        assert sr_error < rn_error / 2
 
 
 class TestOverflowAndStats:

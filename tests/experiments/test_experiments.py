@@ -15,7 +15,10 @@ from repro.experiments.hardware import (
     run_table2,
     run_table5,
 )
-from repro.experiments.validation import validate_eager_sr
+from repro.experiments.validation import (
+    monte_carlo_validation,
+    validate_eager_sr,
+)
 
 
 class TestRecords:
@@ -47,6 +50,22 @@ class TestTable1:
         text = format_table1(run_table1())
         assert "SR eager" in text and "E8M23" not in text.split("\n")[0][:10]
 
+    def test_every_row_within_25_percent_of_paper(self):
+        for row in run_table1():
+            paper = records.TABLE1[row.key]
+            assert abs(row.area_um2 / paper.area_um2 - 1) < 0.25, row.key
+            assert abs(row.delay_ns / paper.delay_ns - 1) < 0.25, row.key
+
+    def test_eager_below_lazy_on_every_pair(self):
+        """Paper Sec. III-C2: eager beats lazy on area and delay."""
+        by_key = {r.key: r for r in run_table1()}
+        for key, row in by_key.items():
+            rounding, sub, e, m, r = key
+            if rounding == "sr_lazy":
+                eager = by_key[("sr_eager", sub, e, m, r)]
+                assert eager.area_um2 < row.area_um2, key
+                assert eager.delay_ns < row.delay_ns, key
+
     def test_mac_level_rows_larger(self):
         adder_rows = {r.key: r for r in run_table1()}
         mac_rows = {r.key: r for r in run_table1(mac_level=True)}
@@ -59,6 +78,15 @@ class TestTable2:
         rows = {(r.config.rounding): r for r in run_table2()}
         assert rows["sr_eager"].luts < rows["sr_lazy"].luts
 
+    def test_eager_delay_below_lazy(self):
+        rows = {(r.config.rounding): r for r in run_table2()}
+        assert rows["sr_eager"].delay_ns < rows["sr_lazy"].delay_ns
+
+    def test_every_row_within_25_percent_of_paper(self):
+        for row in run_table2():
+            assert abs(row.luts / row.paper.luts - 1) < 0.25
+            assert abs(row.delay_ns / row.paper.delay_ns - 1) < 0.25
+
     def test_formatting(self):
         assert "LUT" in format_table2(run_table2())
 
@@ -68,6 +96,16 @@ class TestTable5:
         rows = [r for r in run_table5() if r.label.startswith("SR")]
         areas = [r.area_um2 for r in rows]
         assert areas == sorted(areas)
+
+    def test_energy_increases_with_r(self):
+        rows = [r for r in run_table5() if r.label.startswith("SR")]
+        energies = [r.energy for r in rows]
+        assert energies == sorted(energies)
+
+    def test_delay_nearly_flat_in_r(self):
+        rows = [r for r in run_table5() if r.label.startswith("SR")]
+        delays = [r.delay_ns for r in rows]
+        assert max(delays) - min(delays) < 0.15 * min(delays)
 
     def test_all_sr_rows_beat_fp16_reference(self):
         rows = run_table5()
@@ -97,6 +135,19 @@ class TestFig5:
                 lazy = groups[f"SR lazy, {sub}"]
                 eager = groups[f"SR eager, {sub}"]
                 assert all(e < l for e, l in zip(eager, lazy)), metric
+
+    def test_every_series_falls_toward_narrow_formats(self):
+        """Monotone decreasing across E8M23 -> E5M10 -> E8M7 -> E6M5."""
+        for metric, groups in run_fig5().items():
+            for label, values in groups.items():
+                assert values == sorted(values, reverse=True), (metric, label)
+
+    def test_rn_at_most_eager_in_every_series(self):
+        for metric, groups in run_fig5().items():
+            for sub in ("Sub ON", "Sub OFF"):
+                rn = groups[f"RN, {sub}"]
+                eager = groups[f"SR eager, {sub}"]
+                assert all(n <= e for n, e in zip(rn, eager)), metric
 
     def test_formatting(self):
         assert "E6M5" in format_fig5(run_fig5())
@@ -129,6 +180,17 @@ class TestValidationExperiment:
         report = validate_eager_sr(pair_stride=24, rbits=4)
         assert "PASS" in report.summary()
 
+    def test_stride8_r6_validation_passes(self):
+        report = validate_eager_sr(pair_stride=8, rbits=6)
+        assert report.passed, report.summary()
+        assert report.pairs_tested >= 500
+
+    def test_monte_carlo_paper_procedure(self):
+        """The paper's setup (input pairs x random draws) at reduced count."""
+        report = monte_carlo_validation(n_pairs=300, n_draws=200, rbits=9)
+        assert report.probability_mismatches == 0
+        assert report.max_probability_error < 0.20  # 5-sigma at 200 draws
+
 
 class TestTrainingTinyScale:
     def test_train_once_runs(self):
@@ -142,6 +204,21 @@ class TestTrainingTinyScale:
         assert 0.0 <= baseline <= 100.0
         quantized = train_once(ds, scale, GemmConfig.sr(11, seed=1), seed=1)
         assert 0.0 <= quantized <= 100.0
+
+    def test_table4_rows(self):
+        from repro.experiments.training import run_table4
+
+        results = run_table4("tiny", seed=1)
+        assert set(results) == {"vgg16_cifar10", "resnet50_imagewoof"}
+        for workload, rows in results.items():
+            labels = [r.label for r in rows]
+            assert labels == ["FP32 Baseline", "RN W/ Sub", "SR W/O Sub"]
+            baseline, _, sr13 = (r.accuracy for r in rows)
+            # SR E6M5 r=13 stays in the neighborhood of the FP32 baseline
+            # (Table IV: within ~0.6% at paper scale; generous at tiny
+            # scale).
+            assert sr13 > baseline - 30.0, workload
+            assert all(0.0 <= r.accuracy <= 100.0 for r in rows)
 
     def test_gemm_config_factory_rejects_unknown(self):
         from repro.experiments.training import _gemm_config_for

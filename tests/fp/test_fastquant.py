@@ -65,6 +65,20 @@ class TestBitExactEquivalence:
                           random_ints=draws),
         )
 
+    @pytest.mark.parametrize("rbits", [4, 9, 13])
+    def test_stochastic_rng_draws(self, fmt, rng, rbits):
+        """Given ``rng=``, the fast path draws exactly the integers the
+        reference takes as ``random_ints``: one int64 draw per value."""
+        values = _stress_sample(rng)
+        draws = np.random.default_rng(7).integers(
+            0, 1 << rbits, size=values.shape, dtype=np.int64)
+        _assert_same(
+            quantize(values, fmt, "stochastic", rbits=rbits,
+                     random_ints=draws),
+            quantize_fast(values, fmt, "stochastic", rbits=rbits,
+                          rng=np.random.default_rng(7)),
+        )
+
     def test_saturate(self, fmt, rng):
         values = _stress_sample(rng)
         _assert_same(quantize(values, fmt, "nearest", saturate=True),

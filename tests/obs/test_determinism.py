@@ -5,8 +5,8 @@ any workload must reproduce the untraced result *bitwise* — across the
 SR datapath (several ``r``), RN, the tiled-parallel executor, and a
 training step.  The disabled path must also be cheap enough to leave
 permanently compiled into the hot loops; the microbenchmark here pins
-a generous CI-safe budget (the honest numbers live in
-``benchmarks/bench_obs.py`` / ``BENCH_obs.json``).
+a generous CI-safe budget (srbench's ``--trace 1`` runs report the
+enabled cost on real workloads as ``trace.overhead_frac``).
 """
 
 import time
@@ -94,7 +94,7 @@ class TestTrainerBitwise:
 
 class TestDisabledOverhead:
     #: CI-safe per-hook budget for the *disabled* path (the honest
-    #: number is ~tens of ns; see BENCH_obs.json).
+    #: number is ~200 ns on a 2-CPU x86-64 container).
     BUDGET_US = 5.0
 
     def test_disabled_guard_overhead_is_negligible(self):

@@ -132,6 +132,10 @@ class TestSystolicNetlist:
         big = build_systolic_netlist(SystolicConfig(8, 8))
         assert big.delay_tau == pytest.approx(small.delay_tau)
 
+    def test_eager_smaller_on_8x8_array(self):
+        results = array_comparison(rows=8, cols=8)
+        assert results["sr_eager"]["area_um2"] < results["sr_lazy"]["area_um2"]
+
     def test_eager_advantage_compounds(self):
         results = array_comparison(rows=4, cols=4)
         assert results["sr_eager"]["area_um2"] < results["sr_lazy"]["area_um2"]
