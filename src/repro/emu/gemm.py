@@ -155,8 +155,7 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     if config.acc_format is None:
         return a @ b
     if not config.per_step:
-        exact = a @ b
-        return _round_acc(exact, config)
+        return round_partial(a @ b, config)
 
     m, k = a.shape
     n = b.shape[1]
@@ -164,13 +163,8 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     for step in range(k):
         # outer product of column step — exact in float64
         product = a[:, step, None] * b[None, step, :]
-        acc = _round_acc(acc + product, config)
+        acc = round_partial(acc + product, config)
     return acc
-
-
-def _round_acc(values: np.ndarray, config: GemmConfig) -> np.ndarray:
-    """Round a (exactly computed) partial sum into the accumulator format."""
-    return round_partial(values, config)
 
 
 def dot(x: np.ndarray, w: np.ndarray, config: GemmConfig) -> float:

@@ -10,7 +10,7 @@ Keys use the configuration tuple ``(rounding, subnormals, E, M, r)`` with
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 ConfigKey = Tuple[str, bool, int, int, int]
 
@@ -83,14 +83,15 @@ TABLE2_ANCHOR: ConfigKey = ("rn", True, 5, 10, 0)
 
 # ---------------------------------------------------------------------------
 # Table III: ResNet20 / CIFAR10 accuracy vs format and random bits
-# rows: (label, rounding, subnormals, E, M, r) -> accuracy %
-# rounding "baseline" marks the FP32 reference.
+# rows: (label, kind, subnormals, E, M, r) -> accuracy %
+# kind is a repro.emu.paper_table3_config row kind; "baseline" marks the
+# FP32 reference.
 # ---------------------------------------------------------------------------
 TABLE3 = [
     ("FP32 Baseline", "baseline", True, 8, 23, None, 91.47),
-    ("RN W/ Sub", "rn", True, 5, 10, None, 91.10),
-    ("RN W/ Sub", "rn", True, 8, 7, None, 88.79),
-    ("RN W/ Sub", "rn", True, 6, 5, None, 83.03),
+    ("RN W/ Sub", "rn_fp16", True, 5, 10, None, 91.10),
+    ("RN W/ Sub", "rn_bf16", True, 8, 7, None, 88.79),
+    ("RN W/ Sub", "rn_e6m5", True, 6, 5, None, 83.03),
     ("SR W/ Sub", "sr", True, 6, 5, 4, 43.11),
     ("SR W/ Sub", "sr", True, 6, 5, 9, 89.34),
     ("SR W/ Sub", "sr", True, 6, 5, 11, 90.70),
@@ -106,12 +107,12 @@ TABLE3 = [
 TABLE4 = {
     "vgg16_cifar10": [
         ("FP32 Baseline", "baseline", True, 8, 23, None, 93.46),
-        ("RN W/ Sub", "rn", True, 5, 10, None, 93.06),
+        ("RN W/ Sub", "rn_fp16", True, 5, 10, None, 93.06),
         ("SR W/O Sub", "sr", False, 6, 5, 13, 93.11),
     ],
     "resnet50_imagewoof": [
         ("FP32 Baseline", "baseline", True, 8, 23, None, 80.94),
-        ("RN W/ Sub", "rn", True, 5, 10, None, 80.30),
+        ("RN W/ Sub", "rn_fp16", True, 5, 10, None, 80.30),
         ("SR W/O Sub", "sr", False, 6, 5, 13, 80.33),
     ],
 }
@@ -146,7 +147,3 @@ CLAIMED_SAVINGS = {
     # eager vs lazy: up to 26.6% latency and 18.5% area savings
     "eager_vs_lazy_max": {"delay": 0.266, "area": 0.185},
 }
-
-
-def table1_row(key: ConfigKey) -> Optional[AsicRow]:
-    return TABLE1.get(key)

@@ -24,8 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..data import loaders_for, make_cifar10_like, make_imagewoof_like
 from ..data.synthetic import Dataset
-from ..emu import GemmConfig, QuantizedGemm
-from ..fp.formats import BF16, FP12_E6M5, FP16
+from ..emu import GemmConfig, QuantizedGemm, paper_table3_config
 from ..models import MLP, SimpleCNN, resnet8, resnet50_style, vgg_small
 from ..nn import Trainer
 
@@ -118,20 +117,19 @@ class AccuracyRow:
     paper_accuracy: float
 
 
-def _gemm_config_for(kind: str, e_bits: int, m_bits: int,
-                     subnormals: bool, rbits: Optional[int],
-                     seed: int,
-                     accum_order: str = "sequential") -> Optional[GemmConfig]:
+def row_gemm_config(kind: str, rbits: Optional[int], subnormals: bool,
+                    seed: int,
+                    accum_order: str = "sequential") -> Optional[GemmConfig]:
+    """The datapath of one Table III/IV or transformer-sweep row.
+
+    ``kind`` is a :func:`repro.emu.paper_table3_config` row kind.  The
+    baseline row gets ``None``: it trains on the plain FP64
+    ``default_gemm``, not through the executor.
+    """
     if kind == "baseline":
         return None
-    if kind == "rn":
-        fmt = {(5, 10): FP16, (8, 7): BF16, (6, 5): FP12_E6M5}[(e_bits, m_bits)]
-        return GemmConfig.rn(fmt, subnormals=subnormals,
-                             accum_order=accum_order)
-    if kind == "sr":
-        return GemmConfig.sr(rbits, subnormals=subnormals, seed=seed,
-                             accum_order=accum_order)
-    raise ValueError(f"unknown row kind {kind!r}")
+    return paper_table3_config(kind, rbits, subnormals=subnormals,
+                               seed=seed, accum_order=accum_order)
 
 
 def run_table3(scale_name: str = "small", seed: int = 1,
@@ -154,8 +152,8 @@ def run_table3(scale_name: str = "small", seed: int = 1,
     rows = []
     for label, kind, subnormals, e_bits, m_bits, rbits, paper_acc \
             in records.TABLE3:
-        config = _gemm_config_for(kind, e_bits, m_bits, subnormals, rbits,
-                                  seed, accum_order)
+        config = row_gemm_config(kind, rbits, subnormals, seed,
+                                 accum_order)
         if log is not None:
             log(f"[table3/{scale_name}] {label} E{e_bits}M{m_bits} r={rbits}"
                 + ("" if accum_order == "sequential"
@@ -203,8 +201,8 @@ def run_table4(scale_name: str = "small", seed: int = 1,
         rows = []
         for label, kind, subnormals, e_bits, m_bits, rbits, paper_acc \
                 in records.TABLE4[workload_name]:
-            config = _gemm_config_for(kind, e_bits, m_bits, subnormals,
-                                      rbits, seed, accum_order)
+            config = row_gemm_config(kind, rbits, subnormals, seed,
+                                     accum_order)
             if log is not None:
                 log(f"[table4/{workload_name}] {label}"
                     + ("" if accum_order == "sequential"

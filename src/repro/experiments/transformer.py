@@ -30,10 +30,9 @@ from typing import Callable, Dict, List, Optional
 
 from ..data.sequences import make_sequence_classification, sequence_loaders_for
 from ..emu import GemmConfig
-from ..emu.config import paper_table3_config
 from ..models.transformer import TinyTransformer
 from ..nn import Trainer
-from .training import build_gemm
+from .training import build_gemm, row_gemm_config
 
 
 @dataclass
@@ -133,8 +132,7 @@ def run_transformer(scale_name: str = "tiny", seed: int = 1,
     rows: List[TransformerRow] = []
     baseline: Optional[float] = None
     for label, kind, rbits in TRANSFORMER_ROWS:
-        config = None if kind == "baseline" else paper_table3_config(
-            kind, rbits, subnormals=True, seed=seed, accum_order=accum_order)
+        config = row_gemm_config(kind, rbits, True, seed, accum_order)
         if log is not None:
             suffix = "" if rbits is None else f" r={rbits}"
             order = "" if accum_order == "sequential" else f" [{accum_order}]"

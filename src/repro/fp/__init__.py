@@ -18,7 +18,7 @@ from .formats import (
     get_format,
 )
 from .encode import all_finite_values, decode, decode_one, encode, encode_one
-from .quantize import Quantizer, identity_quantizer, quantize
+from .quantize import quantize
 from .rounding import (
     OVERFLOW,
     ROUNDING_MODES,
@@ -53,8 +53,6 @@ __all__ = [
     "decode_one",
     "all_finite_values",
     "quantize",
-    "Quantizer",
-    "identity_quantizer",
     "round_to_format",
     "round_float",
     "rounding_candidates",

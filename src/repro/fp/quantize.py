@@ -156,50 +156,3 @@ def _round_up_mask(
             raise ValueError("stochastic mode requires rng or random_ints")
         draws = rng.integers(0, 1 << rbits, size=frac.shape).astype(np.float64)
     return (kept + draws >= float(1 << rbits)).astype(np.float64)
-
-
-class Quantizer:
-    """A reusable quantization policy: format + rounding mode + randomness.
-
-    Instances are callable on arrays and are the object the neural-network
-    layers carry around.  A ``Quantizer`` with ``fmt=None`` is the identity
-    (used for FP32-baseline runs).
-    """
-
-    def __init__(
-        self,
-        fmt: Optional[FPFormat],
-        mode: str = "nearest",
-        *,
-        rbits: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        saturate: bool = False,
-    ) -> None:
-        self.fmt = fmt
-        self.mode = mode
-        self.rbits = rbits
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.saturate = saturate
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        if self.fmt is None:
-            return np.asarray(values, dtype=np.float64)
-        return quantize(
-            values,
-            self.fmt,
-            self.mode,
-            rng=self.rng,
-            rbits=self.rbits,
-            saturate=self.saturate,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.fmt is None:
-            return "Quantizer(identity)"
-        extra = f", rbits={self.rbits}" if self.mode == "stochastic" else ""
-        return f"Quantizer({self.fmt.name}, {self.mode}{extra})"
-
-
-def identity_quantizer() -> Quantizer:
-    """The do-nothing quantizer used for full-precision baselines."""
-    return Quantizer(None)

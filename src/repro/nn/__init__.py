@@ -39,7 +39,7 @@ from .checkpoint import (
 from .loss import CrossEntropyLoss, MSELoss
 from .loss_scaler import DynamicLossScaler
 from .lr_scheduler import CosineAnnealingLR, MultiStepLR
-from .module import Module, Parameter, Sequential, StateDict, default_gemm
+from .module import Module, Parameter, Sequential, default_gemm
 from .optim import SGD
 from .trainer import EpochStats, Trainer, TrainingResult
 
@@ -47,7 +47,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
-    "StateDict",
     "default_gemm",
     "Checkpoint",
     "save_checkpoint",

@@ -4,9 +4,9 @@ A checkpoint is two files written side by side:
 
 * ``ckpt.npz`` — every parameter under its module-path-qualified name
   (:meth:`repro.nn.module.Module.named_parameters`), e.g.
-  ``features.layers.0.weight``.  Named storage survives architecture
-  refactors that keep layer names, unlike the legacy positional form
-  (which :meth:`Module.load_state_dict` still accepts).
+  ``features.layers.0.weight``, then every buffer (batch-norm running
+  statistics) the same way.  Named storage survives architecture
+  refactors that keep layer names.
 * ``ckpt.json`` — the sidecar: a model spec
   (:mod:`repro.models.registry`) that rebuilds the architecture, the
   :class:`repro.emu.GemmConfig` spec of the datapath the weights were
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .module import Module, StateDict
+from .module import Module
 
 #: Bumped when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -56,18 +56,13 @@ def state_fingerprint(state: dict, gemm_spec: Optional[dict]) -> str:
     answer identically exactly when their fingerprints match.
     """
     digest = hashlib.sha256()
-    for name in sorted(str(k) for k in state.keys()):
+    for name in sorted(state):
         value = np.ascontiguousarray(np.asarray(state[name], np.float64))
         digest.update(name.encode())
         digest.update(str(value.shape).encode())
         digest.update(value.tobytes())
     digest.update(json.dumps(gemm_spec, sort_keys=True).encode())
     return digest.hexdigest()[:16]
-
-
-def state_nbytes(state: dict) -> int:
-    """Total payload bytes of a named state dict (shared-memory sizing)."""
-    return sum(int(np.asarray(value).nbytes) for value in state.values())
 
 
 def rebind_parameters(model: Module, state: dict) -> None:
@@ -134,7 +129,7 @@ def save_checkpoint(model: Module, path, *, model_spec: Optional[dict] = None,
 class Checkpoint:
     """A loaded checkpoint: named state + sidecar metadata."""
 
-    state: StateDict
+    state: dict
     meta: dict
     path: Path
 
@@ -182,8 +177,8 @@ def load_checkpoint(path, *, verify: bool = True) -> Checkpoint:
     """
     path = Path(path)
     with np.load(path) as archive:
-        state = StateDict((name, np.asarray(archive[name], np.float64))
-                          for name in archive.files)
+        state = {name: np.asarray(archive[name], np.float64)
+                 for name in archive.files}
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(

@@ -1,4 +1,4 @@
-"""Weight initializers (Kaiming / Xavier families)."""
+"""Weight initializers (He / Kaiming normal)."""
 
 from __future__ import annotations
 
@@ -9,10 +9,3 @@ def kaiming_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """He initialization for ReLU networks: N(0, sqrt(2 / fan_in))."""
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot uniform initialization."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)

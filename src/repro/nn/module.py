@@ -14,31 +14,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 
-class StateDict(dict):
-    """Named parameter state with positional fallback.
-
-    Keys are module-path-qualified parameter names (``"head.weight"``);
-    integer indices keep working for callers written against the old
-    positional form — index ``i`` resolves to the ``i``-th entry in
-    parameter-discovery order (the order :meth:`Module.parameters`
-    returns).
-
-    Example::
-
-        state = model.state_dict()
-        state["head.weight"]              # named access
-        state[0]                          # positional access, same order
-    """
-
-    def __getitem__(self, key):
-        if isinstance(key, int) and not super().__contains__(key):
-            values = list(self.values())
-            if not -len(values) <= key < len(values):
-                raise KeyError(key)
-            return values[key]
-        return super().__getitem__(key)
-
-
 class Parameter:
     """A trainable tensor with its gradient accumulator.
 
@@ -113,9 +88,8 @@ class Module:
         Names are module paths built from attribute names (list/tuple
         entries contribute their index), e.g.
         ``"features.layers.0.weight"``.  The order is identical to
-        :meth:`parameters`, so positional indices stay meaningful; a
-        parameter reachable through several paths appears once, under
-        the first path found.
+        :meth:`parameters`; a parameter reachable through several
+        paths appears once, under the first path found.
 
         Example::
 
@@ -185,41 +159,27 @@ class Module:
     def parameter_count(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.parameters())
 
-    def state_dict(self) -> "StateDict":
+    def state_dict(self) -> dict:
         """Snapshot of every parameter and buffer, keyed by qualified name.
 
         Parameters come first (in :meth:`parameters` order), then
-        buffers, so integer indices into the returned :class:`StateDict`
-        still resolve the legacy positional parameter layout:
-        ``state[0]`` and ``state["weight"]`` read the same array on a
-        bare layer.
+        buffers.
         """
-        state = StateDict((name, p.data.copy())
-                          for name, p in self.named_parameters())
+        state = {name: p.data.copy() for name, p in self.named_parameters()}
         for name, value in self.named_buffers():
             state[name] = np.asarray(value).copy()
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Load a named or positional state dict (see :meth:`state_dict`).
+        """Load a state dict keyed by qualified name (see :meth:`state_dict`).
 
-        Parameters accept qualified-name keys, integer positions, or
-        stringified integer positions (how ``.npz`` archives round-trip
-        positional dicts).  Buffers load by name when present; a legacy
-        positional dict without them leaves buffers untouched.
+        Every parameter must have an entry; buffers load when present.
         """
-        for i, (name, p) in enumerate(self.named_parameters()):
-            if name in state:
-                value = state[name]
-            elif i in state:
-                value = state[i]
-            elif str(i) in state:
-                value = state[str(i)]
-            else:
+        for name, p in self.named_parameters():
+            if name not in state:
                 raise KeyError(
-                    f"state dict has no entry for parameter {name!r} "
-                    f"(position {i})")
-            p.data[...] = value
+                    f"state dict has no entry for parameter {name!r}")
+            p.data[...] = state[name]
         for name, buffer in self.named_buffers():
             if name in state:
                 buffer[...] = state[name]

@@ -42,9 +42,8 @@ import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Default bounded-window size for histogram quantiles — the serving
-#: tier's sliding latency window (must match the historical
-#: ``repro.serve.server.LATENCY_WINDOW`` so ``/stats`` is unchanged).
+#: Default bounded-window size for histogram quantiles; the serving
+#: tier's latency histograms (the ``/stats`` percentiles) use it.
 DEFAULT_WINDOW = 4096
 
 

@@ -64,12 +64,20 @@ import numpy as np
 
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
-from .server import LATENCY_WINDOW, ServerApp, stats_view
+from .server import ServerApp, stats_view
 from .session import InferenceSession, request_content_key, validate_payload
 from .shm import SharedCheckpoint
 
 #: Cross-process message size guard is left to the OS pipe; request
 #: ids are per-replica monotonic ints.
+
+#: How many times a request stranded by a worker crash is re-routed
+#: after respawn.  Safe at any value: responses are pure functions of
+#: the request, so re-execution is idempotent.
+CRASH_REROUTES = 2
+
+#: Crash-detection poll period (seconds).
+CRASH_POLL_S = 0.1
 
 
 class ReplicaError(RuntimeError):
@@ -309,12 +317,6 @@ class ReplicaPool:
         created before heavy threading).
     request_timeout, ready_timeout:
         Seconds to wait for a routed answer / for a replica to come up.
-    crash_retries:
-        How many times a request stranded by a worker crash is
-        re-routed after respawn.  Safe at any value: responses are pure
-        functions of the request, so re-execution is idempotent.
-    monitor_interval:
-        Crash-detection poll period (seconds).
     """
 
     def __init__(self, checkpoint, *, replicas: int = 2, workers: int = 1,
@@ -323,9 +325,7 @@ class ReplicaPool:
                  handler_threads: Optional[int] = None,
                  warm: bool = True, start_method: str = "spawn",
                  request_timeout: float = 120.0,
-                 ready_timeout: float = 120.0,
-                 crash_retries: int = 2,
-                 monitor_interval: float = 0.1):
+                 ready_timeout: float = 120.0):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.n_replicas = int(replicas)
@@ -341,8 +341,6 @@ class ReplicaPool:
         }
         self.request_timeout = float(request_timeout)
         self.ready_timeout = float(ready_timeout)
-        self.crash_retries = int(crash_retries)
-        self.monitor_interval = float(monitor_interval)
         self._ctx = multiprocessing.get_context(start_method)
         self._started = time.monotonic()
 
@@ -371,8 +369,7 @@ class ReplicaPool:
         self._router_misses = self.registry.counter(
             "router_cache_misses_total")
         self._restarts = self.registry.counter("pool_restarts_total")
-        self._latency = self.registry.histogram("router_latency_ms",
-                                                window=LATENCY_WINDOW)
+        self._latency = self.registry.histogram("router_latency_ms")
         # Counters and histograms of drained replicas (DESIGN.md
         # section 13).
         #: guarded-by: _stats_lock
@@ -489,7 +486,7 @@ class ReplicaPool:
         answer when re-executed.
         """
         last_error: Optional[Exception] = None
-        for _ in range(self.crash_retries + 1):
+        for _ in range(CRASH_REROUTES + 1):
             replica = self._route(cache_key)
             try:
                 future = replica.request("predict", message)
@@ -502,7 +499,7 @@ class ReplicaPool:
                     f"{self.request_timeout}s") from error
         raise ReplicaError(
             f"request could not be served after "
-            f"{self.crash_retries + 1} attempts") from last_error
+            f"{CRASH_REROUTES + 1} attempts") from last_error
 
     def predict_on(self, index: int, payload: dict) -> dict:
         """Serve on a *specific* replica, bypassing the router.
@@ -636,7 +633,7 @@ class ReplicaPool:
 
     def _monitor_loop(self) -> None:
         while not self._closing:
-            time.sleep(self.monitor_interval)
+            time.sleep(CRASH_POLL_S)
             for position, replica in enumerate(self.replicas()):
                 if self._closing:
                     return
@@ -743,7 +740,7 @@ class ReplicaPool:
             return
         self._closing = True
         if self._monitor.is_alive():
-            self._monitor.join(timeout=self.monitor_interval + 1.0)
+            self._monitor.join(timeout=CRASH_POLL_S + 1.0)
         self._drain(self.replicas())
         self._shared.close()
 

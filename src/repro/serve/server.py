@@ -50,9 +50,6 @@ from .batcher import MicroBatcher
 from .cache import ResponseCache
 from .session import InferenceSession
 
-#: Sliding latency window for the percentile report.
-LATENCY_WINDOW = 4096
-
 #: Largest request body the handler reads, in bytes.  The largest valid
 #: payload, a 3x32x32 image as JSON, is under 100 KB; a longer declared
 #: ``Content-Length`` is answered 413 before any of the body is read.
@@ -153,8 +150,7 @@ class ServerApp:
         self.cache = ResponseCache(cache_entries, registry=self.registry)
         self._requests = self.registry.counter("requests_total")
         self._errors = self.registry.counter("errors_total")
-        self._latency = self.registry.histogram("request_latency_ms",
-                                                window=LATENCY_WINDOW)
+        self._latency = self.registry.histogram("request_latency_ms")
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------

@@ -35,6 +35,40 @@ class TestRecords:
         assert sorted(records.TABLE5_SR_EAGER) == [4, 7, 9, 11, 13]
 
 
+class TestRowConfigs:
+    """Every Table III/IV row trains on the datapath the paper names."""
+
+    @staticmethod
+    def _labels(rows, **kwargs):
+        from repro.experiments.training import row_gemm_config
+
+        configs = [row_gemm_config(kind, rbits, subnormals, **kwargs)
+                   for _, kind, subnormals, _, _, rbits, _ in rows]
+        return [None if c is None else c.label for c in configs]
+
+    def test_table3_labels(self):
+        assert self._labels(records.TABLE3, seed=1) == [
+            None, "RN FP16", "RN BF16", "RN E6M5", "SR E6M5 r=4",
+            "SR E6M5 r=9", "SR E6M5 r=11", "SR E6M5 r=13",
+            "SR E6M5-fz r=11 w/o sub", "SR E6M5-fz r=13 w/o sub"]
+
+    def test_table4_labels(self):
+        for workload, rows in records.TABLE4.items():
+            assert self._labels(rows, seed=1) == [
+                None, "RN FP16", "SR E6M5-fz r=13 w/o sub"], workload
+
+    def test_seed_and_accum_order_reach_the_config(self):
+        from repro.experiments.training import row_gemm_config
+
+        sr = row_gemm_config("sr", 13, False, seed=7,
+                             accum_order="pairwise")
+        assert sr.to_spec()["stream"] == {"kind": "software", "seed": 7}
+        assert sr.accum_order == "pairwise"
+        rn = row_gemm_config("rn_bf16", None, True, seed=7,
+                             accum_order="chunked(4)")
+        assert rn.accum_order == "chunked(4)"
+
+
 class TestTable1:
     def test_rows_and_paper_refs(self):
         rows = run_table1()
@@ -219,12 +253,6 @@ class TestTrainingTinyScale:
             # scale).
             assert sr13 > baseline - 30.0, workload
             assert all(0.0 <= r.accuracy <= 100.0 for r in rows)
-
-    def test_gemm_config_factory_rejects_unknown(self):
-        from repro.experiments.training import _gemm_config_for
-
-        with pytest.raises(ValueError):
-            _gemm_config_for("bogus", 6, 5, True, None, 0)
 
     def test_scales_defined(self):
         from repro.experiments.training import SCALES

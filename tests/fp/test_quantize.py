@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fp.formats import FP8_E5M2, FP12_E6M5, FP16, FPFormat
-from repro.fp.quantize import Quantizer, identity_quantizer, quantize
+from repro.fp.formats import FP12_E6M5, FP16, FPFormat
+from repro.fp.quantize import quantize
 from repro.fp.rounding import round_float
 
 
@@ -110,17 +110,7 @@ class TestStochasticStatistics:
         assert np.all(out == 1.0)
 
 
-class TestQuantizerObject:
-    def test_identity(self, rng):
-        q = identity_quantizer()
-        values = rng.normal(size=10)
-        assert np.array_equal(q(values), values)
-
-    def test_callable_policy(self, rng):
-        q = Quantizer(FP8_E5M2, "nearest")
-        out = q(rng.normal(size=50))
-        assert np.array_equal(out, quantize(out, FP8_E5M2, "nearest"))
-
+class TestArgumentValidation:
     def test_validation_errors(self, rng):
         with pytest.raises(ValueError):
             quantize(np.ones(3), FP16, "bogus")

@@ -38,20 +38,12 @@ class TestNamedStateDict:
         named = [p for _, p in model.named_parameters()]
         assert [id(p) for p in named] == [id(p) for p in model.parameters()]
 
-    def test_positional_fallback(self, rng):
-        model = Linear(3, 3, rng=rng)
-        state = model.state_dict()
-        assert np.array_equal(state[0], state["weight"])
-        assert np.array_equal(state[1], state["bias"])
-        with pytest.raises(KeyError):
-            state[99]
-
-    def test_load_accepts_legacy_positional_dict(self, rng):
+    def test_load_rejects_positional_dict(self, rng):
         model = Linear(3, 2, rng=rng)
-        legacy = {i: p.data.copy() + 1.0
-                  for i, p in enumerate(model.parameters())}
-        model.load_state_dict(legacy)
-        assert np.array_equal(model.weight.data, legacy[0])
+        positional = {i: p.data.copy() + 1.0
+                      for i, p in enumerate(model.parameters())}
+        with pytest.raises(KeyError, match="weight"):
+            model.load_state_dict(positional)
 
     def test_load_missing_entry_raises(self, rng):
         model = Linear(3, 2, rng=rng)
@@ -70,13 +62,13 @@ class TestNamedStateDict:
                               state["features.layers.1.running_mean"])
 
     def test_buffers_follow_parameters(self, rng):
-        # positional indices keep addressing parameters only
         model = SimpleCNN(4, 3, 4, seed=1)
         state = model.state_dict()
-        n_params = len(model.parameters())
+        names = [n for n, _ in model.named_parameters()]
         keys = list(state.keys())
-        assert all("running" not in k for k in keys[:n_params])
-        assert np.array_equal(state[0], model.parameters()[0].data)
+        assert keys[:len(names)] == names
+        assert all("running" in k for k in keys[len(names):])
+        assert np.array_equal(state[names[0]], model.parameters()[0].data)
 
 
 class TestCheckpointRoundTrip:

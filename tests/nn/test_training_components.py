@@ -174,7 +174,7 @@ class TestModulePlumbing:
         state = model.state_dict()
         model.weight.data[...] = 0.0
         model.load_state_dict(state)
-        assert np.array_equal(model.weight.data, state[0])
+        assert np.array_equal(model.weight.data, state["weight"])
 
     def test_sequential_backward_order(self, rng):
         model = Sequential(Linear(4, 4, rng=rng), ReLU(),

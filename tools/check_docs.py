@@ -19,6 +19,8 @@ Checks, over ``README.md``, ``DESIGN.md`` and every ``docs/*.md``:
 * every ``python <script>.py`` quoted in a fenced code block names an
   existing file.
 
+``python3`` commands are checked the same way.
+
 Exits non-zero when any problem is found, so stale docs fail CI (the
 count is printed, not used as the status — exit codes wrap at 256).
 """
@@ -39,8 +41,8 @@ PAGES = ["README.md", "DESIGN.md"]
 _LINK = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^(```|~~~)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
-_PY_MODULE = re.compile(r"\bpython\s+-m\s+([A-Za-z_][\w.]*)")
-_PY_SCRIPT = re.compile(r"\bpython\s+([\w./-]+\.py)\b")
+_PY_MODULE = re.compile(r"\b(python3?)\s+-m\s+([A-Za-z_][\w.]*)")
+_PY_SCRIPT = re.compile(r"\b(python3?)\s+([\w./-]+\.py)\b")
 
 
 def _pages() -> List[Path]:
@@ -109,14 +111,14 @@ def check_page(page: Path) -> List[str]:
 
     # -- commands quoted in fenced blocks ------------------------------
     for line in commands:
-        for module in _PY_MODULE.findall(line):
+        for python, module in _PY_MODULE.findall(line):
             if module.startswith("repro") and not _module_exists(module):
                 problems.append(f"{rel}: stale module in command: "
-                                f"python -m {module}")
-        for script in _PY_SCRIPT.findall(line):
+                                f"{python} -m {module}")
+        for python, script in _PY_SCRIPT.findall(line):
             if not (REPO / script).exists():
                 problems.append(f"{rel}: stale script in command: "
-                                f"python {script}")
+                                f"{python} {script}")
     return problems
 
 
