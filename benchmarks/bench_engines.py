@@ -14,7 +14,11 @@ time ``QuantizedGemm`` on a ``train_cnn`` convolution shape, where
 narrow row blocks make NumPy dispatch, not arithmetic, the cost.  The
 ``cast`` rows time the multiplier cast (round-to-nearest into E5M2) of
 two ``train_cnn`` operands, the reference quantizer against the
-compiled cast, asserted bit-identical first.
+compiled cast, asserted bit-identical first.  The ``patch`` rows time
+the convolution's im2col gather (``PatchRows.__call__``, on a 64-row
+block and a 256-row band) and its scatter-add (``scatter_rows``, on a
+64-row block) at both ``train_cnn`` conv input shapes, the NumPy bodies
+against the compiled loops, also asserted bit-identical first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -33,8 +37,10 @@ import pytest
 
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
 from repro.emu import reference_matmul
+from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS
 from repro.fp.formats import FP8_E5M2
 from repro.fp.quantize import quantize
+from repro.nn.functional import PatchRows
 
 from _machine import machine_info
 
@@ -48,6 +54,9 @@ CONV_RBITS = 13
 CAST_SHAPES = {"patch_block": (64, 72), "conv_weight": (72, 16)}
 #: Casts per timed sample: one cast takes microseconds.
 CAST_CALLS = 200
+#: ``train_cnn`` conv inputs (N, C, H, W), 3x3 kernel, pad 1: the image
+#: batch of the first conv and the activations of the later ones.
+PATCH_SHAPES = {"conv_in": (128, 3, 8, 8), "conv_hidden": (128, 8, 8, 8)}
 
 
 def _config(accum_order="sequential"):
@@ -142,6 +151,59 @@ def _cast_rows(repeats):
     return rows
 
 
+def _patch_rows(repeats):
+    """NumPy bodies vs compiled patch loops, microseconds per call.
+
+    Rows are gathered as the executor does: one row block of the
+    forward and input-gradient GEMMs, one band of the weight-gradient
+    reduction; the input-gradient scatter-adds one block.
+    """
+    rng = np.random.default_rng(17)
+    variants = ["numpy"] + (["kernel"] if kernel.library() is not None
+                            else [])
+    rows = {}
+    for name, shape in PATCH_SHAPES.items():
+        x = np.maximum(rng.normal(size=shape), 0.0)  # post-ReLU
+        patches = PatchRows(x, 3, 1, 1)
+        r0 = BLOCK_ROWS  # an inner block, not the first
+        grad = rng.normal(size=(BLOCK_ROWS, patches.n_cols))
+
+        def make(op, variant):
+            """A call of ``op`` on ``variant``; a scatter gets a fresh
+            buffer and returns it."""
+            compiled = variant == "kernel"
+            if op == "scatter_block":
+                fn = patches.scatter_rows if compiled \
+                    else patches.numpy_scatter_rows
+                buffer = patches.padded_zeros()
+                return lambda: fn(grad, r0, buffer) or buffer
+            fn = patches if compiled else patches.numpy_rows
+            stop = r0 + (BLOCK_ROWS if op == "gather_block"
+                         else REDUCE_BAND_ROWS)
+            return lambda: fn(r0, stop)
+
+        def calls(fn):
+            for _ in range(CAST_CALLS):
+                fn()
+
+        rows[name] = {"shape": list(shape), "kernel": 3, "pad": 1}
+        for op in ("gather_block", "gather_band", "scatter_block"):
+            if "kernel" in variants:
+                got, want = make(op, "kernel")(), make(op, "numpy")()
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), \
+                    f"patch {name} {op}: kernel and NumPy body disagree"
+            micros = {variant: _time(calls, make(op, variant),
+                                     repeats=repeats) / CAST_CALLS * 1e6
+                      for variant in variants}
+            rows[name][op] = {
+                "us_per_call": micros,
+                "kernel_speedup": micros["numpy"] / micros["kernel"]
+                if "kernel" in micros else None,
+            }
+    return rows
+
+
 def run_benchmark(size=256, repeats=3):
     """Time every engine (plus the seed path) on one SR GEMM."""
     rng = np.random.default_rng(7)
@@ -183,6 +245,7 @@ def run_benchmark(size=256, repeats=3):
                             for name, t in results.items()},
         "executor_conv": _conv_rows(repeats),
         "cast": _cast_rows(repeats),
+        "patch": _patch_rows(repeats),
     }
     return report
 
@@ -237,6 +300,11 @@ def main(argv=None) -> int:
         if row["kernel_speedup"] is not None:
             print(f"{name} cast, compiled vs reference quantizer: "
                   f"{row['kernel_speedup']:.2f}x", file=sys.stderr)
+    for name, row in report["patch"].items():
+        for op in ("gather_block", "gather_band", "scatter_block"):
+            if row[op]["kernel_speedup"] is not None:
+                print(f"{name} patch {op}, compiled vs NumPy body: "
+                      f"{row[op]['kernel_speedup']:.2f}x", file=sys.stderr)
     return 0
 
 

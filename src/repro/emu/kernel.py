@@ -1,4 +1,4 @@
-"""The compiled add-and-round loop and multiplier cast of the emulator.
+"""The compiled add-and-round loop, multiplier cast and conv patch loops.
 
 :class:`repro.emu.engine.SequentialEngine` spends its time in the K
 loop of the MAC chain: add one product onto the accumulator, round the
@@ -6,33 +6,47 @@ sum into the accumulator format, repeat.  In NumPy that is about ten
 ufunc calls per step on blocks of a few thousand elements, so call
 dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs the
 whole K loop of one (chunk, batch entry) in one foreign call.  The same
-file runs the executor's multiplier cast, the round-to-nearest cast of
-every GEMM operand into the FP8 multiplier format, in one foreign call
-per operand block (:meth:`MacKernel.cast`), where the reference
-quantizer makes about 25 NumPy passes.
+file has two more jobs:
 
-The engine's NumPy loop stays the specification of the K loop, and
-:func:`repro.fp.quantize.quantize` the specification of the cast.  The
-kernel is built and admitted once per process, on the first multiplier
-cast or fused GEMM:
+* the executor's multiplier cast, the round-to-nearest cast of every
+  GEMM operand into the FP8 multiplier format, in one foreign call per
+  operand and GEMM call (:meth:`MacKernel.cast`), where the reference
+  quantizer makes about 25 NumPy passes;
+* the convolution's im2col row gather and its adjoint scatter-add
+  (:meth:`MacKernel.patch_gather`, :meth:`MacKernel.patch_scatter`),
+  which :class:`repro.nn.functional.PatchRows` calls in place of its
+  NumPy fancy indexing and ``np.add.at``.  The gather stays a call of
+  its own, not a table of row bases read inside ``mac_gemm``, so the
+  patch stage stays a separate, timeable step.
+
+The engine's NumPy loop stays the specification of the K loop,
+:func:`repro.fp.quantize.quantize` the specification of the cast, and
+the NumPy bodies ``PatchRows.numpy_rows`` and
+``PatchRows.numpy_scatter_rows`` that of the patch loops.  The kernel
+is built and admitted once per process, on the first multiplier cast,
+fused GEMM or patch gather:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
   ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
   source, the flags and the machine, and published with ``os.replace``
   so concurrent processes never load a partial file;
-* it is loaded with :mod:`ctypes` and checked twice on fixed operands.
-  The loops must match :func:`repro.fp.fastquant._quantize_fused_into`:
-  RN and SR (uint32 and uint64 draws), subnormals on and off, saturate
-  on and off, an overflow, a deep tail, RN ties and inf/NaN.  The cast
-  must match :func:`repro.fp.quantize.quantize` on E5M2 and E4M3,
-  subnormals and saturate on and off: RN ties of both parities in the
-  normal and the subnormal range, the overflow tie, half the smallest
-  subnormal and its neighbours, float64 subnormals, signed zeros,
-  infinities and a NaN payload;
+* it is loaded with :mod:`ctypes` and checked three times on fixed
+  operands.  The loops must match
+  :func:`repro.fp.fastquant._quantize_fused_into`: RN and SR (uint32
+  and uint64 draws), subnormals on and off, saturate on and off, an
+  overflow, a deep tail, RN ties and inf/NaN.  The cast must match
+  :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, subnormals and
+  saturate on and off: RN ties of both parities in the normal and the
+  subnormal range, the overflow tie, half the smallest subnormal and
+  its neighbours, float64 subnormals, signed zeros, infinities and a
+  NaN payload.  The patch gather and scatter-add must match the NumPy
+  bodies on a non-square two-image input, 3x3 windows at stride 1 and
+  2, pad 0 and 1, row ranges that cross images, and scatter terms
+  whose sums change with their order;
 * on any failure (no compiler, unwritable cache, compile error, load
   error, self-check mismatch) :func:`library` returns ``None``; the
-  NumPy loop and the reference quantizer run, silently.  Nothing
-  selects between the two paths.
+  NumPy loop, the reference quantizer and the NumPy patch bodies run,
+  silently.  Nothing selects between the two paths.
 
 The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
 bits, the engine's bound on the loops; :func:`cast_kernel` makes that
@@ -40,7 +54,9 @@ choice, and wider formats take the reference quantizer.  The executor
 hands the kernel to ``quantize(..., kernel=...)``, so the compiled cast
 still runs inside a call of :func:`repro.fp.quantize.quantize`, and
 anything that wraps that function (a profiler, the benchmark's cast
-span) sees every multiplier cast on both paths.
+span) sees every multiplier cast on both paths.  The patch loops run
+inside ``PatchRows.__call__`` and ``PatchRows.scatter_rows`` in the
+same way.
 
 SR draws stay in NumPy: the engine draws them in bulk, exactly as the
 NumPy loop does, and hands them to the kernel, so the bit stream and
@@ -118,7 +134,7 @@ def _check_layout(name: str, array: np.ndarray, shape) -> None:
 
 
 class MacKernel:
-    """The loaded library, with argument checks around its two loops.
+    """The loaded library, with argument checks around its loops.
 
     Example (what the engine does per chunk of ``steps`` MAC steps)::
 
@@ -141,6 +157,11 @@ class MacKernel:
         self._cast = lib.mac_cast
         self._cast.argtypes = [ptr, ptr, i64, spec]
         self._cast.restype = None
+        self._gather = lib.mac_patch_gather
+        self._scatter = lib.mac_patch_scatter
+        for loop in (self._gather, self._scatter):
+            loop.argtypes = [ptr] + [i64] * 9 + [ptr]
+            loop.restype = None
         self._specs: dict = {}
 
     def _spec(self, fmt: FPFormat, rbits: Optional[int], saturate: bool):
@@ -235,12 +256,68 @@ class MacKernel:
                    ctypes.byref(self._spec(fmt, None, saturate)))
         return out
 
+    def patch_gather(self, xp: np.ndarray, kernel: int, stride: int,
+                     out_hw, r0: int, r1: int) -> np.ndarray:
+        """Rows ``[r0, r1)`` of the im2col matrix of the padded input
+        ``xp``, compiled: a new ``(r1 - r0, C * kernel**2)`` array.
+
+        ``xp`` is a C-contiguous float64 ``(N, C, Hp, Wp)`` array and
+        ``out_hw`` the output size ``(OH, OW)``; row ``(n * OH + oy) *
+        OW + ox`` holds the window at ``(oy * stride, ox * stride)``,
+        columns in ``(c, ky, kx)`` order.  Specification:
+        :meth:`repro.nn.functional.PatchRows.numpy_rows`.
+        """
+        geometry = _patch_geometry(xp, kernel, stride, out_hw, r0, r1)
+        out = np.empty((r1 - r0, xp.shape[1] * kernel * kernel))
+        self._gather(xp.ctypes.data, *geometry, out.ctypes.data)
+        return out
+
+    def patch_scatter(self, values: np.ndarray, r0: int, xp: np.ndarray,
+                      kernel: int, stride: int, out_hw) -> None:
+        """Scatter-add patch rows ``r0 ..`` back onto ``xp`` in place:
+        the adjoint of :meth:`patch_gather`.
+
+        The adds run in ``np.add.at``'s ``(row, c, ky, kx)`` order, so
+        every float64 sum is that of
+        :meth:`repro.nn.functional.PatchRows.numpy_scatter_rows`.
+        ``values`` is ``(rows, C * kernel**2)``, converted to
+        C-contiguous float64 if it is not.
+        """
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        r1 = r0 + values.shape[0]
+        geometry = _patch_geometry(xp, kernel, stride, out_hw, r0, r1)
+        _check_layout("values", values,
+                      (r1 - r0, xp.shape[1] * kernel * kernel))
+        self._scatter(values.ctypes.data, *geometry, xp.ctypes.data)
+
+
+def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
+                    r0: int, r1: int):
+    """The patch loops' integer arguments, after the checks that keep
+    every read and write inside ``xp``."""
+    if xp.ndim != 4 or xp.dtype != np.float64:
+        raise ValueError(f"xp must be a float64 (N, C, H, W) array, got "
+                         f"{xp.dtype} {xp.shape}")
+    _check_layout("xp", xp, xp.shape)
+    n, c, hp, wp = xp.shape
+    oh, ow = out_hw
+    if not 0 <= r0 <= r1 <= n * oh * ow:
+        raise IndexError(f"rows {r0}..{r1} outside the patch matrix")
+    if r1 > r0 and not (oh >= 1 and ow >= 1 and kernel >= 1
+                        and stride >= 1
+                        and (oh - 1) * stride + kernel <= hp
+                        and (ow - 1) * stride + kernel <= wp):
+        raise ValueError(f"{kernel}x{kernel} windows at stride {stride} "
+                         f"for a {oh}x{ow} output leave the {hp}x{wp} "
+                         "input")
+    return c, hp, wp, kernel, stride, oh, ow, r0, r1
+
 
 _UNBUILT = object()
-#: The process's kernel: ``_UNBUILT`` until the first multiplier cast or
-#: fused GEMM asks for it, then a :class:`MacKernel`, or ``None`` when
-#: the NumPy loop and the reference quantizer run.  Process-wide because
-#: the loaded library is.
+#: The process's kernel: ``_UNBUILT`` until the first multiplier cast,
+#: fused GEMM or patch gather asks for it, then a :class:`MacKernel`, or
+#: ``None`` when the NumPy loop, the reference quantizer and the NumPy
+#: patch bodies run.  Process-wide because the loaded library is.
 _lib = _UNBUILT
 _lock = threading.Lock()
 
@@ -248,8 +325,8 @@ _lock = threading.Lock()
 def library() -> Optional[MacKernel]:
     """The checked kernel, built on first use; ``None`` if unavailable.
 
-    The cast and the loops come and go together: a library that fails
-    either self-check is not used at all.
+    The loops, the cast and the patch loops come and go together: a
+    library that fails any self-check is not used at all.
 
     Example::
 
@@ -290,7 +367,9 @@ def _load() -> Optional[MacKernel]:
         mac = MacKernel(ctypes.CDLL(str(path)))
     except (OSError, AttributeError):
         return None
-    return mac if _self_check(mac) and _cast_self_check(mac) else None
+    if _self_check(mac) and _cast_self_check(mac) and _patch_self_check(mac):
+        return mac
+    return None
 
 
 def _build() -> Optional[Path]:
@@ -448,4 +527,45 @@ def _cast_self_check(mac: MacKernel) -> bool:
                 if not np.array_equal(got.view(np.int64),
                                       want.view(np.int64)):
                     return False
+    return True
+
+
+def _patch_self_check(mac: MacKernel) -> bool:
+    """Whether the patch gather and scatter-add reproduce the NumPy
+    bodies of :class:`repro.nn.functional.PatchRows` bit for bit.
+
+    Two 3-channel 5x7 images, a 3x3 kernel at stride 1 and 2, pad 0
+    and 1.  The gathered row ranges start and end inside an image and
+    cross from one image into the next; the scatter adds terms of
+    magnitudes 2**-30 to 2**30 in two such chunks, so a pixel whose
+    terms were added in another order shows in its last bits.
+    """
+    # Imported here, not at the top: repro.nn.functional imports this
+    # module.
+    from ..nn.functional import PatchRows
+
+    index = np.arange(2 * 3 * 5 * 7)
+    x = (np.sin(index) * 2.0 ** (index % 7)).reshape(2, 3, 5, 7)
+    for stride in (1, 2):
+        for pad in (0, 1):
+            patches = PatchRows(x, 3, stride, pad)
+            rows, cols = patches.n_rows, patches.n_cols
+            geometry = (patches.xp, 3, stride, patches.out_hw)
+            for r0, r1 in ((0, rows), (1, rows - 1)):
+                got = mac.patch_gather(*geometry, r0, r1)
+                want = patches.numpy_rows(r0, r1)
+                if not np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)):
+                    return False
+            flat = np.arange(rows * cols)
+            values = (np.sin(flat) * 2.0 ** (flat % 61 - 30)).reshape(
+                rows, cols)
+            split = rows // 2 + 1
+            want, got = patches.padded_zeros(), patches.padded_zeros()
+            for r0, r1 in ((0, split), (split, rows)):
+                patches.numpy_scatter_rows(values[r0:r1], r0, want)
+                mac.patch_scatter(values[r0:r1], r0, got, 3, stride,
+                                  patches.out_hw)
+            if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                return False
     return True

@@ -1,5 +1,5 @@
-/* The sequential engine's add-and-round loop and the multiplier cast,
- * compiled.
+/* The sequential engine's add-and-round loop, the multiplier cast and
+ * the convolution patch loops, compiled.
  *
  * Each output element runs the paper's MAC chain: add one exact
  * float64 product (or reduction term) onto the accumulator, then round
@@ -13,6 +13,12 @@
  * operands: the RN cast into the multiplier format.  Its specification
  * is the reference quantizer, repro.fp.quantize.quantize, which
  * repro.emu.kernel also checks it against before first use.
+ *
+ * mac_patch_gather and mac_patch_scatter are the im2col row gather of
+ * a convolution and its adjoint scatter-add, read straight from the
+ * padded input as Exo/Gemmini's conv reads inp[b, orow + krow - pad,
+ * ...].  Their specification is the NumPy bodies of
+ * repro.nn.functional.PatchRows, checked before first use too.
  *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
@@ -273,4 +279,75 @@ void mac_cast(const double *x, double *out, int64_t n, const mac_spec *s)
     const lane l = make_lane(s);
     for (int64_t i = 0; i < n; i++)
         out[i] = round_one(x[i], 0, s, &l, 0);
+}
+
+/* Where im2col row r starts in xp, a contiguous (batch, c, hp, wp)
+ * array: row r = (b * oh + oy) * ow + ox reads the k x k window at
+ * (oy * stride, ox * stride) of every channel of image b. */
+static inline int64_t
+patch_offset(int64_t r, int64_t c, int64_t hp, int64_t wp, int64_t stride,
+             int64_t oh, int64_t ow)
+{
+    const int64_t ox = r % ow, oy = (r / ow) % oh, b = r / ow / oh;
+    return (b * c * hp + oy * stride) * wp + ox * stride;
+}
+
+static inline __attribute__((always_inline)) void
+gather_loop(const double *xp, int64_t c, int64_t hp, int64_t wp, int64_t k,
+            int64_t stride, int64_t oh, int64_t ow, int64_t r0, int64_t r1,
+            double *out)
+{
+    for (int64_t r = r0; r < r1; r++) {
+        const double *base = xp + patch_offset(r, c, hp, wp, stride, oh, ow);
+        for (int64_t ci = 0; ci < c; ci++)
+            for (int64_t ky = 0; ky < k; ky++) {
+                const double *src = base + (ci * hp + ky) * wp;
+                for (int64_t kx = 0; kx < k; kx++)
+                    *out++ = src[kx];
+            }
+    }
+}
+
+/* out[r - r0, (ci * k + ky) * k + kx] = xp[b, ci, oy * stride + ky,
+ * ox * stride + kx] for the im2col rows r0 <= r < r1: out is a
+ * contiguous (r1 - r0, c * k * k) block.  The 3x3 window gets its own
+ * copy of the loop, with the window rows unrolled. */
+void mac_patch_gather(const double *xp, int64_t c, int64_t hp, int64_t wp,
+                      int64_t k, int64_t stride, int64_t oh, int64_t ow,
+                      int64_t r0, int64_t r1, double *out)
+{
+    if (k == 3)
+        gather_loop(xp, c, hp, wp, 3, stride, oh, ow, r0, r1, out);
+    else
+        gather_loop(xp, c, hp, wp, k, stride, oh, ow, r0, r1, out);
+}
+
+static inline __attribute__((always_inline)) void
+scatter_loop(const double *values, int64_t c, int64_t hp, int64_t wp,
+             int64_t k, int64_t stride, int64_t oh, int64_t ow, int64_t r0,
+             int64_t r1, double *xp)
+{
+    for (int64_t r = r0; r < r1; r++) {
+        double *base = xp + patch_offset(r, c, hp, wp, stride, oh, ow);
+        for (int64_t ci = 0; ci < c; ci++)
+            for (int64_t ky = 0; ky < k; ky++) {
+                double *dst = base + (ci * hp + ky) * wp;
+                for (int64_t kx = 0; kx < k; kx++)
+                    dst[kx] += *values++;
+            }
+    }
+}
+
+/* The adjoint of mac_patch_gather: xp[b, ci, oy * stride + ky, ox *
+ * stride + kx] += values[r - r0, (ci * k + ky) * k + kx].  The adds run
+ * in np.add.at's (row, ci, ky, kx) order, so each pixel's float64 sum
+ * takes its terms in the same sequence as the NumPy scatter. */
+void mac_patch_scatter(const double *values, int64_t c, int64_t hp,
+                       int64_t wp, int64_t k, int64_t stride, int64_t oh,
+                       int64_t ow, int64_t r0, int64_t r1, double *xp)
+{
+    if (k == 3)
+        scatter_loop(values, c, hp, wp, 3, stride, oh, ow, r0, r1, xp);
+    else
+        scatter_loop(values, c, hp, wp, k, stride, oh, ow, r0, r1, xp);
 }

@@ -88,18 +88,28 @@ class ArrayRows:
         return self.a[r0:r1]
 
 
-def _as_producer(source) -> Callable[[int, int], np.ndarray]:
-    if callable(source):
-        return source
-    return ArrayRows(np.asarray(source, np.float64))
+def _cast_rows(source, config) -> Callable[[int, int], np.ndarray]:
+    """A producer of ``source``'s rows in the multiplier format.
+
+    Each operand is cast once per GEMM call, not once per row block or
+    band.  ``source`` is a matrix, cast whole, or an im2col producer
+    (:class:`repro.nn.functional.PatchRows`): its padded input is cast
+    whole and the blocks gather from the result.  The RN cast is
+    elementwise and a gather only copies elements, so every row holds
+    the bits that casting the row itself gives.
+    """
+    if hasattr(source, "map_padded"):
+        return source.map_padded(lambda xp: _cast_operand(xp, config))
+    return ArrayRows(_cast_operand(source, config))
 
 
 @dataclass
 class _RowBlockTask:
     """One ``(batch, row-block)`` task: ``producer rows @ b_shared``.
 
-    Each block runs the serial dispatch (:func:`repro.emu.gemm.matmul`),
-    so the executor can never diverge from the engines it shards.
+    Each block runs the serial dispatch (:func:`repro.emu.gemm.matmul`)
+    on rows the producer already holds in the multiplier format, so the
+    executor can never diverge from the engines it shards.
     """
 
     key: Tuple[int, ...]
@@ -109,9 +119,9 @@ class _RowBlockTask:
     producer: Callable[[int, int], np.ndarray]
 
     def run(self, b_shared, config) -> np.ndarray:
-        a_rows = _cast_operand(self.producer(self.r0, self.r1), config)
         b2d = b_shared if b_shared.ndim == 2 else b_shared[self.bi]
-        return matmul(a_rows, b2d, config, cast=False)
+        return matmul(self.producer(self.r0, self.r1), b2d, config,
+                      cast=False)
 
 
 @dataclass
@@ -126,8 +136,8 @@ class _OuterBandTask:
     b_producer: Callable[[int, int], np.ndarray]
 
     def run(self, b_shared, config) -> np.ndarray:
-        a_rows = _cast_operand(self.a_producer(self.r0, self.r1), config)
-        b_rows = _cast_operand(self.b_producer(self.r0, self.r1), config)
+        a_rows = self.a_producer(self.r0, self.r1)
+        b_rows = self.b_producer(self.r0, self.r1)
         return matmul(np.ascontiguousarray(a_rows.T), b_rows, config,
                       cast=False)
 
@@ -302,16 +312,16 @@ class QuantizedGemm:
 
     The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
     ``gemm_outer_rows``) serve the tiled-im2col convolution path, which
-    keeps peak memory bounded by one row block instead of the full
-    column matrix.
+    keeps column memory bounded by one row block (plus one cast copy of
+    the padded input) instead of the full column matrix.
 
     **Streams.**  A call splits its operands' leading axis (rows of a 2D
     ``A``, entries of a 3D stack) into one group per stream.  By default
     there is one group, under ``config.stream``: that is training.
     :meth:`arm` installs one stream per group: that is serving, where
     each request's draws are keyed by its content
-    (:mod:`repro.serve.session`).  The weight operand is cast once per
-    call, whatever the group count.
+    (:mod:`repro.serve.session`).  Each operand is cast once per call,
+    whatever the group, block or band count.
 
     Statistics live in a :class:`repro.obs.MetricsRegistry` (a private
     one unless the owner passes a shared ``registry``):
@@ -465,21 +475,22 @@ class QuantizedGemm:
         cm = self._span(*group_shape, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
+            aq = _cast_operand(a, config)
             bq = _cast_operand(b, config)
             for stream, start in groups:
                 rows = slice(start, start + size)
                 if stacked:
-                    a_g, b_g, out_g = a[rows], bq[rows], out[rows]
+                    a_g, b_g, out_g = aq[rows], bq[rows], out[rows]
                 else:
-                    a_g, b_g, out_g = a[:, rows], bq, out[:, rows]
-                group_config = self._group_config(config, stream)
+                    a_g, b_g, out_g = aq[:, rows], bq, out[:, rows]
                 if config.acc_format is None:
-                    out_g[...] = _cast_operand(a_g, group_config) @ b_g
+                    out_g[...] = a_g @ b_g
                     continue
                 if out.size == 0:
                     continue
+                group_config = self._group_config(config, stream)
                 # A stride-0 (broadcast-weight) stack ships one shared 2D
-                # operand; A's rows are cast inside each block task.
+                # operand.
                 b_shared = b_g[0] if (b_g.shape[0] == 1
                                       or b_g.strides[0] == 0) else b_g
                 tasks = [task for bi in range(a_g.shape[0])
@@ -503,7 +514,6 @@ class QuantizedGemm:
         ``run_streamed`` draws its call key even for an empty product;
         ``run`` is skipped for one (no call key, no span).
         """
-        producer = _as_producer(source)
         size, groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
         k, n = bq.shape
@@ -512,6 +522,7 @@ class QuantizedGemm:
         cm = self._span(1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
+            producer = _cast_rows(source, self.config)
             for stream, start in groups:
                 tasks = _row_block_tasks(producer, size, start=start)
                 config = self._group_config(self.config, stream)
@@ -526,9 +537,12 @@ class QuantizedGemm:
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
         """Row-streamed emulated ``A @ b2d``.
 
-        ``source`` is either the matrix ``A`` or a picklable producer
-        ``source(r0, r1) -> A[r0:r1]`` (e.g. on-demand im2col patches);
-        only one block of ``A`` rows is ever materialized per worker.
+        ``source`` is either the matrix ``A`` or the im2col producer
+        :class:`repro.nn.functional.PatchRows`.  Each operand is cast
+        into the multiplier format once per call: a matrix whole, a
+        ``PatchRows`` through its padded input, from which each block
+        then gathers already-cast rows.  Only one block of patch rows
+        is ever materialized per worker.
         """
         out = np.empty((n_rows, np.shape(b2d)[1]), dtype=np.float64)
 
@@ -576,8 +590,6 @@ class QuantizedGemm:
         ``A`` is the output gradient and ``B`` the im2col patches.  The
         rows are reduced together, so this runs as one group only.
         """
-        a_producer = _as_producer(a_source)
-        b_producer = _as_producer(b_source)
         _, groups = self._split(n_rows)
         if len(groups) != 1:
             raise ValueError("a row-streamed A.T @ B reduces across its "
@@ -588,6 +600,8 @@ class QuantizedGemm:
         config = self._group_config(self.config, groups[0][0])
         cm = self._span(1, m, n_rows, n) if _trace.active else _trace.NULL
         with cm:
+            a_producer = _cast_rows(a_source, config)
+            b_producer = _cast_rows(b_source, config)
             tasks = []
             for band, r0 in enumerate(range(0, n_rows, REDUCE_BAND_ROWS)):
                 tasks.append(_OuterBandTask(

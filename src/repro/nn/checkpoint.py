@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .module import Module
+from .module import Module, _state_entry
 
 #: Bumped when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -78,23 +78,16 @@ def rebind_parameters(model: Module, state: dict) -> None:
     running statistics) are small and owned per-module, so they are
     copied, not rebound.
 
-    Raises ``KeyError`` on a missing entry and ``ValueError`` on a
-    shape mismatch — a shared segment published from a different
-    architecture must fail loudly, not serve garbage.
+    Raises ``KeyError`` on a missing parameter or buffer and
+    ``ValueError`` on a shape mismatch, as the copying loader does — a
+    shared segment published from a different architecture must fail
+    loudly, not serve garbage.
     """
     for name, param in model.named_parameters():
-        if name not in state:
-            raise KeyError(
-                f"shared state has no entry for parameter {name!r}")
-        value = np.asarray(state[name])
-        if value.shape != param.data.shape:
-            raise ValueError(
-                f"parameter {name!r}: shared shape {value.shape} != "
-                f"model shape {param.data.shape}")
-        param.data = value
+        param.data = _state_entry(state, name, "parameter",
+                                  param.data.shape)
     for name, buffer in model.named_buffers():
-        if name in state:
-            buffer[...] = state[name]
+        buffer[...] = _state_entry(state, name, "buffer", buffer.shape)
 
 
 def save_checkpoint(model: Module, path, *, model_spec: Optional[dict] = None,

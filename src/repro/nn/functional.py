@@ -15,9 +15,12 @@ public function carries a runnable usage example, executed by
 
 from __future__ import annotations
 
+import copy
 from typing import Tuple
 
 import numpy as np
+
+from ..emu import kernel as _kernel
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -94,10 +97,19 @@ class PatchRows:
     of materializing it whole, so peak im2col memory is bounded by one
     row block.  ``PatchRows`` is the producer: it pads the input once
     (memory of order the *input*, not the K^2-times-larger column
-    matrix) and gathers arbitrary flat row ranges ``[r0, r1)`` with the
-    exact layout of :func:`im2col` — row ``((n * OH) + oy) * OW + ox``,
-    columns ordered ``(c, ky, kx)``.  Instances are picklable, so pool
-    workers rebuild their own tiles from one shipped copy of the input.
+    matrix) into a C-contiguous float64 array (an exact conversion) and
+    gathers arbitrary flat row ranges ``[r0, r1)`` with the exact layout
+    of :func:`im2col` — row ``((n * OH) + oy) * OW + ox``, columns
+    ordered ``(c, ky, kx)``.  Instances are picklable, so pool workers
+    rebuild their own tiles from one shipped copy of the input.
+
+    The gather and its adjoint scatter-add run in the compiled MAC
+    kernel (:mod:`repro.emu.kernel`) whenever it loaded;
+    :meth:`numpy_rows` and :meth:`numpy_scatter_rows` are their
+    specification, checked bit for bit before the kernel is used, and
+    the path on machines without a compiler.  The GEMM executor casts
+    the padded input once per call (:meth:`map_padded`) and gathers
+    already-cast rows.
 
     Example::
 
@@ -118,14 +130,35 @@ class PatchRows:
         self.pad = pad
         self.oh = conv_output_size(h, kernel, stride, pad)
         self.ow = conv_output_size(w, kernel, stride, pad)
-        self.xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) \
-            if pad else np.asarray(x)
+        x = np.asarray(x, dtype=np.float64)
+        self.xp = np.ascontiguousarray(
+            np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad
+            else x)
         self.n_rows = n * self.oh * self.ow
         self.n_cols = c * kernel * kernel
 
     @property
     def out_hw(self) -> Tuple[int, int]:
         return (self.oh, self.ow)
+
+    def map_padded(self, fn) -> "PatchRows":
+        """These patches, gathered from ``fn(padded input)``.
+
+        For an elementwise ``fn`` (the executor's multiplier cast),
+        ``self.map_padded(fn)(r0, r1)`` equals ``fn(self(r0, r1))`` bit
+        for bit: a gather only copies elements, padding included.
+
+        Example::
+
+            >>> x = np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2)
+            >>> rows = PatchRows(x, kernel=2, pad=1)
+            >>> bool(np.array_equal(rows.map_padded(np.negative)(0, 9),
+            ...                     -rows(0, 9)))
+            True
+        """
+        mapped = copy.copy(self)
+        mapped.xp = np.ascontiguousarray(fn(self.xp), dtype=np.float64)
+        return mapped
 
     def _indices(self, r0: int, r1: int):
         rows = np.arange(r0, r1)
@@ -141,6 +174,14 @@ class PatchRows:
 
     def __call__(self, r0: int, r1: int) -> np.ndarray:
         """Rows ``[r0, r1)`` of the im2col matrix, shape ``(r1-r0, C*K*K)``."""
+        mac = _kernel.library()
+        if mac is None:
+            return self.numpy_rows(r0, r1)
+        return mac.patch_gather(self.xp, self.kernel, self.stride,
+                                self.out_hw, r0, r1)
+
+    def numpy_rows(self, r0: int, r1: int) -> np.ndarray:
+        """:meth:`__call__` in NumPy: the compiled gather's specification."""
         ni, ci, ys, xs = self._indices(r0, r1)
         return self.xp[ni, ci, ys, xs].reshape(r1 - r0, self.n_cols)
 
@@ -151,7 +192,20 @@ class PatchRows:
     def scatter_rows(self, values: np.ndarray, r0: int,
                      out_padded: np.ndarray) -> None:
         """Adjoint of :meth:`__call__`: scatter-add patch-gradient rows
-        back onto the padded image buffer."""
+        back onto the padded image buffer (one from
+        :meth:`padded_zeros`)."""
+        mac = _kernel.library()
+        if mac is None:
+            self.numpy_scatter_rows(values, r0, out_padded)
+            return
+        mac.patch_scatter(values, r0, out_padded, self.kernel, self.stride,
+                          self.out_hw)
+
+    def numpy_scatter_rows(self, values: np.ndarray, r0: int,
+                           out_padded: np.ndarray) -> None:
+        """:meth:`scatter_rows` in NumPy: the compiled scatter-add's
+        specification.  ``np.add.at`` adds in ``(row, c, ky, kx)``
+        order, so a pixel's terms are summed in row order."""
         r1 = r0 + values.shape[0]
         ni, ci, ys, xs = self._indices(r0, r1)
         c, k = self.x_shape[1], self.kernel

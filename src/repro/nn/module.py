@@ -173,16 +173,30 @@ class Module:
     def load_state_dict(self, state: dict) -> None:
         """Load a state dict keyed by qualified name (see :meth:`state_dict`).
 
-        Every parameter must have an entry; buffers load when present.
+        Every parameter and every buffer must have an entry of its own
+        shape: a missing one raises ``KeyError``, a mis-shaped one
+        ``ValueError``, each naming the entry.
         """
         for name, p in self.named_parameters():
-            if name not in state:
-                raise KeyError(
-                    f"state dict has no entry for parameter {name!r}")
-            p.data[...] = state[name]
+            p.data[...] = _state_entry(state, name, "parameter",
+                                       p.data.shape)
         for name, buffer in self.named_buffers():
-            if name in state:
-                buffer[...] = state[name]
+            buffer[...] = _state_entry(state, name, "buffer", buffer.shape)
+
+
+def _state_entry(state: dict, name: str, kind: str, shape) -> np.ndarray:
+    """``state[name]`` as an array, checked against the model's ``shape``.
+
+    Both loaders use it, so neither leaves a tensor at its fresh value
+    nor broadcasts a mis-shaped entry into it.
+    """
+    if name not in state:
+        raise KeyError(f"state dict has no entry for {kind} {name!r}")
+    value = np.asarray(state[name])
+    if value.shape != tuple(shape):
+        raise ValueError(f"{kind} {name!r}: state shape {value.shape} != "
+                         f"model shape {tuple(shape)}")
+    return value
 
 
 class Sequential(Module):

@@ -1,11 +1,13 @@
 """The compiled kernel: build, self-checks, the cast, and fallback.
 
 The engine-level bit-identity suites (``test_engines.py``) run once on
-the kernel and once on the NumPy loop and reference cast.  This file
-pins the loader: the loops and the multiplier cast agree with their
-specifications on more formats than the load-time self-checks cover,
-the build is cached, and every way the build can fail leaves the NumPy
-loop and the reference quantizer running with the same bits.
+the kernel and once on the NumPy loop and reference cast, and the patch
+gather and scatter-add suites (``test_parallel.py``) once on the kernel
+and once on the NumPy bodies.  This file pins the loader: the loops and
+the multiplier cast agree with their specifications on more formats
+than the load-time self-checks cover, the build is cached, and every
+way the build can fail leaves the NumPy loop and the reference
+quantizer running with the same bits.
 """
 
 import shutil
@@ -27,6 +29,7 @@ from repro.emu.gemm import _cast_operand
 from repro.fp.encode import all_finite_values
 from repro.fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FP16, FPFormat
 from repro.fp.quantize import quantize
+from repro.nn.functional import PatchRows
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
@@ -164,6 +167,22 @@ class TestKernel:
             mac.gemm(a, b, np.zeros((1, 2, 4)),
                      np.zeros((2, 1, 2, 4), np.uint32), 0, 3, FP12_E6M5,
                      9, False)
+
+    def test_patch_argument_checks(self):
+        mac = kernel.library()
+        xp = np.zeros((2, 3, 6, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mac.patch_gather(np.zeros((2, 3, 6, 6)).transpose(0, 1, 3, 2)
+                             [:, :, :, :5], 3, 1, (4, 3), 0, 4)
+        with pytest.raises(ValueError, match="float64"):
+            mac.patch_gather(xp.astype(np.float32), 3, 1, (4, 4), 0, 4)
+        with pytest.raises(IndexError, match="outside the patch matrix"):
+            mac.patch_gather(xp, 3, 1, (4, 4), 0, 33)
+        with pytest.raises(ValueError, match="leave the 6x6 input"):
+            mac.patch_gather(xp, 3, 2, (4, 4), 0, 4)
+        with pytest.raises(ValueError, match="values"):
+            mac.patch_scatter(np.zeros((2, 26)), 0, xp, 3, 1, (4, 4))
+        assert mac.patch_gather(xp, 9, 1, (0, 0), 0, 0).shape == (0, 243)
 
 
 @needs_cc
@@ -380,6 +399,21 @@ class TestFallback:
             return out
 
         monkeypatch.setattr(kernel, "_quantize_fused_into", off_by_one_ulp)
+        self._assert_numpy_loop_runs(rng)
+
+    @needs_cc
+    @pytest.mark.parametrize("body", ["numpy_rows", "numpy_scatter_rows"])
+    def test_patch_self_check_mismatch(self, monkeypatch, rng, body):
+        """A patch loop that disagrees with its NumPy body keeps the
+        whole library out: the K loop and the cast go too."""
+        rows, scatter = PatchRows.numpy_rows, PatchRows.numpy_scatter_rows
+        off_by_one_ulp = {
+            "numpy_rows": lambda self, r0, r1: np.nextafter(
+                rows(self, r0, r1), np.inf),
+            "numpy_scatter_rows": lambda self, values, r0, out: scatter(
+                self, np.nextafter(values, np.inf), r0, out),
+        }
+        monkeypatch.setattr(PatchRows, body, off_by_one_ulp[body])
         self._assert_numpy_loop_runs(rng)
 
     @needs_cc

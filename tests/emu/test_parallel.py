@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from repro.emu import GemmConfig, matmul, resolve_workers
+from repro.emu import gemm as gemm_module
+from repro.emu.gemm import _cast_operand
 from repro.emu.parallel import (
     BLOCK_ROWS,
+    REDUCE_BAND_ROWS,
     ParallelQuantizedGemm,
     QuantizedGemm,
     TileScheduler,
+    _cast_rows,
 )
 from repro.fp.formats import FP12_E6M5
 from repro.fp.quantize import quantize
@@ -132,6 +136,11 @@ class TestDrawOrderPin:
         assert np.array_equal(gemm(a2, b2),
                               self._reference(a2[None], b2[None], want)[0])
         assert np.array_equal(gemm(a3, b3), self._reference(a3, b3, want))
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestDrawOrderPinNumpyLoop(TestDrawOrderPin):
+    """The same pin on the NumPy loop and the reference cast."""
 
 
 class TestDeterminism:
@@ -307,7 +316,19 @@ class TestConvStreaming:
         assert gemm.call_count == 3  # fwd + dW + dX
 
 
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestConvStreamingNumpyLoop(TestConvStreaming):
+    """The same cases on the NumPy loop, the reference cast and the
+    NumPy patch gather and scatter-add."""
+
+
 class TestPatchRows:
+    """The patch gather and scatter-add, compiled and NumPy.
+
+    :class:`TestPatchRowsNumpyLoop` runs every case again on the NumPy
+    bodies, the compiled loops' specification.
+    """
+
     def test_rows_match_im2col(self, rng):
         x = rng.normal(size=(3, 4, 9, 9))
         for kernel, stride, pad in [(3, 1, 1), (3, 2, 0), (1, 1, 0),
@@ -331,3 +352,185 @@ class TestPatchRows:
         patches.scatter_rows(grad_cols[split:], split, buffer)
         want = col2im(grad_cols, x.shape, 3, 1, 1)
         assert np.allclose(patches.unpad(buffer), want, atol=1e-12)
+        # ... and bit for bit np.add.at, which adds in row order
+        assert _same_bits(buffer,
+                          _add_at(patches.xp.shape, grad_cols, 0, 3, 1,
+                                  patches.out_hw))
+
+    @staticmethod
+    def _cases(rng):
+        """``(x, kernel, stride, pad)``: strides 1 and 2, pads 0 to 2,
+        non-square inputs, one channel, float32, and the transposed
+        (non-C-contiguous) activation ``Conv2d.forward`` returns."""
+        activation = rng.normal(size=(3, 7, 9, 5)).transpose(0, 3, 1, 2)
+        assert not activation.flags.c_contiguous
+        return [
+            (rng.normal(size=(3, 2, 7, 9)), 3, 1, 1),
+            (rng.normal(size=(3, 2, 7, 9)), 3, 2, 0),
+            (rng.normal(size=(2, 1, 6, 5)), 3, 2, 2),
+            (rng.normal(size=(4, 1, 5, 5)), 3, 1, 0),
+            (rng.normal(size=(2, 3, 8, 7)).astype(np.float32), 3, 1, 1),
+            (activation, 3, 1, 1),
+            (rng.normal(size=(2, 2, 6, 7)), 5, 1, 2),
+            (rng.normal(size=(2, 2, 9, 6)), 3, 2, 1),
+        ]
+
+    @staticmethod
+    def _ranges(patches):
+        """Executor-sized blocks with a short last block, the whole
+        matrix, and a range from inside one image into the next."""
+        n, per_image = patches.n_rows, patches.oh * patches.ow
+        assert n % BLOCK_ROWS, "want a short last block"
+        ranges = [(r0, min(n, r0 + BLOCK_ROWS))
+                  for r0 in range(0, n, BLOCK_ROWS)]
+        return ranges + [(0, n), (per_image - 3, per_image + 4)]
+
+    def test_gather_matches_numpy_bits(self, rng):
+        for x, kernel, stride, pad in self._cases(rng):
+            patches = PatchRows(x, kernel, stride, pad)
+            assert patches.xp.dtype == np.float64
+            assert patches.xp.flags.c_contiguous
+            cols, _ = im2col(np.asarray(x, np.float64), kernel, stride, pad)
+            for r0, r1 in self._ranges(patches):
+                got = patches(r0, r1)
+                assert _same_bits(got, patches.numpy_rows(r0, r1)), \
+                    (x.shape, kernel, stride, pad, r0, r1)
+                assert _same_bits(got, cols[r0:r1])
+
+    def test_scatter_matches_add_at_bits(self, rng):
+        for x, kernel, stride, pad in self._cases(rng):
+            patches = PatchRows(x, kernel, stride, pad)
+            n = patches.n_rows
+            # Magnitudes 2**-30 .. 2**30, so a pixel whose terms are
+            # added in another order shows in its last bits.
+            values = rng.normal(size=(n, patches.n_cols)) \
+                * 2.0 ** rng.integers(-30, 31, size=(n, patches.n_cols))
+            got = patches.padded_zeros()
+            spec = patches.padded_zeros()
+            for r0, r1 in self._ranges(patches)[:-2]:
+                patches.scatter_rows(values[r0:r1], r0, got)
+                patches.numpy_scatter_rows(values[r0:r1], r0, spec)
+            want = _add_at(patches.xp.shape, values, 0, kernel, stride,
+                           patches.out_hw)
+            assert _same_bits(got, want), (x.shape, kernel, stride, pad)
+            assert _same_bits(spec, want)
+            # a range that crosses an image boundary, onto a used buffer
+            r0, r1 = self._ranges(patches)[-1]
+            patches.scatter_rows(values[r0:r1], r0, got)
+            patches.numpy_scatter_rows(values[r0:r1], r0, spec)
+            assert _same_bits(got, spec)
+
+    def test_gather_of_cast_input_is_cast_of_gather(self):
+        """The executor casts the padded input once and gathers from
+        it; that equals casting the gathered rows, bit for bit, on
+        signed zeros, a NaN payload, infinities, float64 subnormals and
+        E5M2 round-to-nearest ties."""
+        nan = np.array(0x7FF8000000000123, np.uint64).view(np.float64)
+        # E5M2 ties: 1.125 and 1.375 in the normal range, 2**-17 (half
+        # the smallest subnormal), 1.5 and 2.5 times 2**-16 below it,
+        # and 61440, the overflow tie above max_value.
+        special = np.array([-0.0, nan, np.inf, -np.inf, 5e-324, -3e-310,
+                            1.125, 1.375, -1.125, 2.0 ** -17,
+                            1.5 * 2.0 ** -16, -2.5 * 2.0 ** -16, 0.3,
+                            61440.0])
+        x = np.resize(special, 2 * 3 * 5 * 6).reshape(2, 3, 5, 6)
+        config = GemmConfig.sr(9, seed=1)
+        for stride, pad in ((1, 1), (2, 0), (1, 2)):
+            patches = PatchRows(x, 3, stride, pad)
+            cast = _cast_rows(patches, config)
+            for r0, r1 in ((0, patches.n_rows), (5, patches.n_rows - 1)):
+                want = _cast_operand(patches(r0, r1), config)
+                assert _same_bits(cast(r0, r1), want), (stride, pad, r0)
+
+    def test_rows_outside_the_matrix_raise(self, rng):
+        patches = PatchRows(rng.normal(size=(2, 3, 5, 5)), 3, 1, 1)
+        with pytest.raises(IndexError):
+            patches(0, patches.n_rows + 1)
+        with pytest.raises(IndexError):
+            patches.scatter_rows(np.zeros((2, patches.n_cols)),
+                                 patches.n_rows - 1, patches.padded_zeros())
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestPatchRowsNumpyLoop(TestPatchRows):
+    """The same cases on the NumPy gather and scatter-add."""
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64))
+
+
+def _add_at(padded_shape, values, r0, kernel, stride, out_hw):
+    """``np.add.at`` of patch rows ``r0 ..`` onto a zero padded buffer,
+    the indices spelled out from the im2col layout."""
+    oh, ow = out_hw
+    c = padded_shape[1]
+    rows = np.arange(r0, r0 + values.shape[0])[:, None, None, None]
+    ci, ky, kx = np.meshgrid(np.arange(c), np.arange(kernel),
+                             np.arange(kernel), indexing="ij")
+    index = (rows // (oh * ow), ci[None],
+             (rows // ow) % oh * stride + ky[None],
+             rows % ow * stride + kx[None])
+    out = np.zeros(padded_shape)
+    np.add.at(out, index, values.reshape(-1, c, kernel, kernel))
+    return out
+
+
+class TestOneCastPerCall:
+    """Each operand is cast once per GEMM call, whatever the number of
+    row blocks or bands: a counter on the executor's ``quantize``."""
+
+    @pytest.fixture(params=["kernel", "numpy"])
+    def casts(self, request, monkeypatch):
+        if request.param == "numpy":
+            request.getfixturevalue("numpy_mac_loop")
+        sizes = []
+
+        def counted(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return quantize(values, *args, **kwargs)
+
+        monkeypatch.setattr(gemm_module, "quantize", counted)
+        return sizes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_entry_point(self, rng, casts, workers):
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=5), workers=workers,
+                             backend="thread")
+        m = 3 * BLOCK_ROWS + 5                      # four row blocks
+        a, b = rng.normal(size=(m, 12)), rng.normal(size=(12, 4))
+        stack = rng.normal(size=(3, m, 12))
+        x = rng.normal(size=(5, 2, 8, 8))           # 320 patch rows
+        patches = PatchRows(x, 3, 1, 1)
+        weight = rng.normal(size=(patches.n_cols, 4))
+        grad = rng.normal(size=(patches.n_rows, 4))
+
+        def calls():
+            yield "2d", lambda: gemm(a, b), [a.size, b.size]
+            yield "3d", lambda: gemm(stack, np.stack([b] * 3)), \
+                [stack.size, 3 * b.size]
+            yield "3d shared weight", \
+                lambda: gemm(stack, np.broadcast_to(b, (3, 12, 4))), \
+                [stack.size, b.size]
+            yield "gemm_rows", lambda: gemm.gemm_rows(a, m, b), \
+                [a.size, b.size]
+            yield "gemm_rows patches", \
+                lambda: gemm.gemm_rows(patches, patches.n_rows, weight), \
+                [patches.xp.size, weight.size]
+            yield "gemm_rows_streamed", \
+                lambda: gemm.gemm_rows_streamed(
+                    grad, patches.n_rows, weight.T,
+                    lambda r0, r1, rows: None), \
+                [grad.size, weight.size]
+            yield "gemm_outer_rows", \
+                lambda: gemm.gemm_outer_rows(grad, patches, patches.n_rows,
+                                             4, patches.n_cols), \
+                [grad.size, patches.xp.size]
+
+        assert patches.n_rows > REDUCE_BAND_ROWS  # two bands
+        for name, call, want in calls():
+            casts.clear()
+            call()
+            assert sorted(casts) == sorted(want), name

@@ -18,6 +18,7 @@ from repro.models import (
 from repro.nn import Linear
 from repro.nn.checkpoint import (
     load_checkpoint,
+    rebind_parameters,
     save_checkpoint,
     state_fingerprint,
 )
@@ -49,6 +50,41 @@ class TestNamedStateDict:
         model = Linear(3, 2, rng=rng)
         with pytest.raises(KeyError, match="bias"):
             model.load_state_dict({"weight": model.weight.data})
+
+    @staticmethod
+    def _trained_state(rng):
+        model = SimpleCNN(4, 3, 4, seed=1)
+        model(rng.normal(size=(8, 3, 8, 8)))   # advance running stats
+        return model.state_dict()
+
+    @pytest.mark.parametrize("load", ["copy", "rebind"])
+    def test_load_requires_every_buffer(self, rng, load):
+        """A parameter-only dict must not leave fresh running stats."""
+        state = self._trained_state(rng)
+        del state["features.layers.1.running_mean"]
+        fresh = SimpleCNN(4, 3, 4, seed=2)
+        with pytest.raises(KeyError,
+                           match="buffer 'features.layers.1.running_mean'"):
+            if load == "copy":
+                fresh.load_state_dict(state)
+            else:
+                rebind_parameters(fresh, state)
+
+    @pytest.mark.parametrize("name", ["features.layers.0.weight",
+                                      "features.layers.1.running_var"])
+    @pytest.mark.parametrize("load", ["copy", "rebind"])
+    def test_load_rejects_misshaped_entry(self, rng, load, name):
+        """A wrong-shaped entry must not broadcast into the tensor."""
+        state = self._trained_state(rng)
+        state[name] = np.zeros(1)
+        fresh = SimpleCNN(4, 3, 4, seed=2)
+        before = fresh.state_dict()[name]
+        with pytest.raises(ValueError, match=f"'{name}'.*\\(1,\\)"):
+            if load == "copy":
+                fresh.load_state_dict(state)
+            else:
+                rebind_parameters(fresh, state)
+        assert np.array_equal(fresh.state_dict()[name], before)
 
     def test_batchnorm_buffers_round_trip(self, rng):
         model = SimpleCNN(4, 3, 4, seed=1)
