@@ -65,8 +65,9 @@ def _gemm_section(size, workers, repeats):
     def tiled(n):
         return QuantizedGemm(_config(), workers=n)(a, b)
 
-    # warm-up (also forks the pool once, outside the timed region) plus
-    # the contract check: workers=1 vs pool must agree bit for bit
+    # warm-up (also starts the thread pool once, outside the timed
+    # region) plus the contract check: workers=1 vs pool must agree bit
+    # for bit
     serial()
     assert np.array_equal(tiled(1), tiled(workers)), \
         "parallel GEMM not bit-identical across worker counts"
@@ -177,7 +178,7 @@ class TestParallelWallClock:
     def test_tiled_workers2(self, benchmark, operands):
         a, b = operands
         gemm = QuantizedGemm(_config(), workers=2)
-        gemm(a, b)  # fork the pool outside the timed region
+        gemm(a, b)  # start the thread pool outside the timed region
         benchmark(lambda: gemm(a, b))
 
 

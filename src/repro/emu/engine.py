@@ -10,10 +10,9 @@ scenario is a registry entry instead of a fork of the GEMM loop:
 * ``sequential`` — the paper's MAC chain, bit-identical to the original
   per-step loop but *fused*: one bulk random draw for the whole
   reduction, then the K loop of adds and in-place roundings, run by the
-  compiled kernel of :mod:`repro.emu.kernel` when it builds and by the
-  NumPy loop (its specification, through
-  :func:`repro.fp.fastquant.quantize_fast`'s ``out=`` kernel) otherwise.
-  This is the default hot path for everything in the repo.
+  compiled kernel of :mod:`repro.emu.kernel`.  Where the kernel does not
+  build, the seed per-step loop runs instead.  This is the default hot
+  path for everything in the repo.
 * ``pairwise`` — balanced adder-tree reduction; every 2-input adder
   output is rounded into the accumulator format, so error grows
   O(log K) instead of O(K).
@@ -41,15 +40,10 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from typing import Optional
 
 import numpy as np
 
-from ..fp.fastquant import (
-    QuantizeWorkspace,
-    _quantize_fused_into,
-    quantize_fast,
-)
+from ..fp.fastquant import quantize_fast
 from ..fp.quantize import quantize
 from ..prng.streams import bulk_draws
 from . import kernel
@@ -60,11 +54,6 @@ from . import kernel
 #: page-fault on every draw (measurably slower than the locality loss
 #: of chunking) — while huge GEMMs stream in bounded memory.
 _BULK_BYTES = 8 << 20
-
-#: Row-block target (elements) for the fused sequential loop: all ~10
-#: live buffers of a block stay L2-resident across the whole reduction,
-#: which roughly doubles effective bandwidth over full-matrix passes.
-_BLOCK_ELEMS = 16384
 
 #: FROZEN — part of the pairwise engine's SR draw-order definition, not
 #: a tuning knob.  Pairwise consumes stream randomness per N-block, so
@@ -79,18 +68,14 @@ _PAIRWISE_BLOCK_BYTES = 32 << 20
 DEFAULT_CHUNK = 32
 
 
-def round_partial(values: np.ndarray, config, *,
-                  draws: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None,
-                  workspace: Optional[QuantizeWorkspace] = None
-                  ) -> np.ndarray:
+def round_partial(values: np.ndarray, config) -> np.ndarray:
     """Round an exactly-computed partial sum into the accumulator format.
 
     The single rounding primitive shared by every engine (and by the
-    seed-identical reference loop in :mod:`repro.emu.gemm`).  ``draws``
-    supplies pre-drawn SR integers; when omitted, they are drawn from
-    ``config.stream`` on the spot — the two are bit-identical by the
-    bulk-draw contract of :mod:`repro.prng.streams`.
+    seed-identical reference loop in :mod:`repro.emu.gemm`).  SR draws
+    come from ``config.stream`` on the spot; by the bulk-draw contract
+    of :mod:`repro.prng.streams` they are the bits a bulk draw of the
+    same steps would hand the compiled kernel.
 
     Example (the one call a custom engine needs — docs/extending.md)::
 
@@ -98,8 +83,7 @@ def round_partial(values: np.ndarray, config, *,
     """
     fmt = config.acc_format
     if config.rounding == "nearest":
-        return quantize_fast(values, fmt, "nearest", saturate=config.saturate,
-                             out=out, workspace=workspace)
+        return quantize_fast(values, fmt, "nearest", saturate=config.saturate)
     if config.rbits is None:
         # Exact SR (infinite random bits) — ablation path, reference impl.
         rng = getattr(config.stream, "rng", None)
@@ -108,20 +92,13 @@ def round_partial(values: np.ndarray, config, *,
                 "exact SR (rbits=None) draws uniform floats from the "
                 "stream's numpy Generator (.rng); this stream has none — "
                 "use a SoftwareStream or a finite rbits")
-        result = quantize(values, fmt, "stochastic", rng=rng,
-                          saturate=config.saturate)
-        if out is not None:
-            np.copyto(out, result)
-            return out
-        return result
-    if draws is None:
-        draws = config.stream.integers(config.rbits, np.shape(values))
+        return quantize(values, fmt, "stochastic", rng=rng,
+                        saturate=config.saturate)
     return quantize_fast(
         values, fmt, "stochastic",
         rbits=config.rbits,
-        random_ints=draws,
+        random_ints=config.stream.integers(config.rbits, np.shape(values)),
         saturate=config.saturate,
-        out=out, workspace=workspace,
     )
 
 
@@ -154,22 +131,6 @@ class AccumulationEngine(ABC):
         return f"{type(self).__name__}({self.name!r})"
 
 
-def _kernel_draws(draws: np.ndarray) -> np.ndarray:
-    """Reinterpret stream draws for the fused kernel without copying.
-
-    The kernel adds draws onto an int64 buffer: int64 is used as-is,
-    uint64 is reinterpreted (values < 2**62, always in range), and
-    narrower unsigned dtypes (e.g. the uint32 compact draws of
-    :class:`repro.prng.streams.SoftwareStream`) are left for numpy's
-    buffered ufunc casting, which beats materializing an int64 copy.
-    """
-    if draws.dtype == np.uint64:
-        return draws.view(np.int64)
-    if draws.dtype in (np.int64, np.uint32, np.uint16, np.uint8):
-        return draws
-    return draws.astype(np.int64)
-
-
 class SequentialEngine(AccumulationEngine):
     """The paper's MAC chain, fused for speed.
 
@@ -178,11 +139,10 @@ class SequentialEngine(AccumulationEngine):
     the original per-step loop, but with the K random draws pulled in
     bulk up front.  The K loop itself runs in the compiled kernel
     (:mod:`repro.emu.kernel`), one foreign call per chunk and batch
-    entry; where the kernel is unavailable, the NumPy loop it is checked
-    against runs instead, with preallocated buffers and the rounding
-    routed through the allocation-free ``out=`` kernel.  Both paths are
-    verified bit-identical to the seed implementation by the
-    engine-equivalence test suite.
+    entry.  Where the kernel is unavailable, or the config or operands
+    are outside what it models, the seed per-step loop runs instead.
+    Both paths are verified bit-identical to the seed implementation by
+    the engine-equivalence test suite.
 
     Example::
 
@@ -197,33 +157,16 @@ class SequentialEngine(AccumulationEngine):
         acc = np.zeros((batch, m, n), dtype=np.float64)
         if k == 0 or acc.size == 0:
             return acc
-        if not self._fusable(config, a, b):
+        mac = kernel.library()
+        if mac is None or not self._fusable(config, a, b):
             for step in range(k):
                 product = a[:, :, step, None] * b[:, None, step, :]
                 acc = round_partial(acc + product, config)
             return acc
 
-        fmt = config.acc_format
-        mode = config.rounding
-        rbits = config.rbits
-        saturate = config.saturate
-        stochastic = mode == "stochastic"
-        mac = kernel.library()
-        if mac is not None:
-            a = np.ascontiguousarray(a, dtype=np.float64)
-            b = np.ascontiguousarray(b, dtype=np.float64)
-        else:
-            # (K, B, M) layout makes each step's multiplier column a
-            # contiguous read in the hot loop.
-            a_t = np.ascontiguousarray(a.transpose(2, 0, 1))
-            work = np.empty((m, n), dtype=np.float64)
-            rows = max(1, min(m, _BLOCK_ELEMS // max(1, n)))
-            workspaces = {}
-            for r0 in range(0, m, rows):
-                shape = (min(m, r0 + rows) - r0, n)
-                if shape not in workspaces:
-                    workspaces[shape] = QuantizeWorkspace(shape)
-
+        stochastic = config.rounding == "stochastic"
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
         chunk = k
         if stochastic:
             chunk = max(1, min(k, _BULK_BYTES // (8 * acc.size)))
@@ -236,34 +179,9 @@ class SequentialEngine(AccumulationEngine):
                 # stream order (the bulk-draw contract).
                 draws = bulk_draws(
                     config.stream, config.rbits, steps, acc.shape)
-            if mac is not None:
-                # One foreign call per batch entry runs the whole chunk.
-                mac.gemm(a, b, acc, draws, start, steps, fmt,
-                         rbits if stochastic else None, saturate)
-                continue
-            # The NumPy loop: the kernel's specification, and the path
-            # wherever the kernel is unavailable.
-            if stochastic:
-                draws = _kernel_draws(draws)
-            for bi in range(batch):
-                b2, acc2 = b[bi], acc[bi]
-                for r0 in range(0, m, rows):
-                    r1 = min(m, r0 + rows)
-                    acc_v = acc2[r0:r1]
-                    work_v = work[r0:r1]
-                    ws = workspaces[(r1 - r0, n)]
-                    # Innermost loop over reduction steps keeps this
-                    # row-block's buffers hot in cache for the whole
-                    # chunk of the accumulation chain.
-                    for i in range(steps):
-                        step = start + i
-                        np.multiply(a_t[step, bi, r0:r1, None], b2[step],
-                                    out=work_v)
-                        np.add(acc_v, work_v, out=work_v)
-                        _quantize_fused_into(
-                            work_v, fmt, mode, rbits,
-                            draws[i, bi, r0:r1] if stochastic else None,
-                            saturate, acc_v, ws)
+            # One foreign call per batch entry runs the whole chunk.
+            mac.gemm(a, b, acc, draws, start, steps, config.acc_format,
+                     config.rbits if stochastic else None, config.saturate)
         return acc
 
     def reduce(self, terms: np.ndarray, config) -> np.ndarray:
@@ -271,18 +189,14 @@ class SequentialEngine(AccumulationEngine):
         acc = np.zeros(terms.shape[1:], dtype=np.float64)
         if k == 0:
             return acc
-        if acc.ndim == 0 or not self._fusable(config, terms):
+        mac = kernel.library()
+        if mac is None or acc.ndim == 0 or not self._fusable(config, terms):
             for step in range(k):
                 acc = round_partial(acc + terms[step], config)
             return acc
 
         stochastic = config.rounding == "stochastic"
-        mac = kernel.library()
-        if mac is not None:
-            terms = np.ascontiguousarray(terms, dtype=np.float64)
-        else:
-            work = np.empty_like(acc)
-            ws = QuantizeWorkspace(acc.shape)
+        terms = np.ascontiguousarray(terms, dtype=np.float64)
         chunk = k
         if stochastic:
             chunk = max(1, min(k, _BULK_BYTES // (8 * max(1, acc.size))))
@@ -292,24 +206,15 @@ class SequentialEngine(AccumulationEngine):
             if stochastic:
                 draws = bulk_draws(
                     config.stream, config.rbits, steps, acc.shape)
-            if mac is not None:
-                mac.reduce(terms[start:start + steps], acc, draws,
-                           config.acc_format,
-                           config.rbits if stochastic else None,
-                           config.saturate)
-                continue
-            if stochastic:
-                draws = _kernel_draws(draws)
-            for i in range(steps):
-                np.add(acc, terms[start + i], out=work)
-                round_partial(work, config,
-                              draws=draws[i] if stochastic else None,
-                              out=acc, workspace=ws)
+            mac.reduce(terms[start:start + steps], acc, draws,
+                       config.acc_format,
+                       config.rbits if stochastic else None,
+                       config.saturate)
         return acc
 
     @staticmethod
     def _fusable(config, *operands: np.ndarray) -> bool:
-        """Whether the allocation-free kernel applies.
+        """Whether the compiled kernel applies.
 
         Wide accumulator formats, too-deep ``rbits``, the exact-SR
         ablation, and non-finite inputs (whose NaN propagation the fused

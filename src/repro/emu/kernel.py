@@ -19,21 +19,20 @@ file has two more jobs:
   its own, not a table of row bases read inside ``mac_gemm``, so the
   patch stage stays a separate, timeable step.
 
-The engine's NumPy loop stays the specification of the K loop,
-:func:`repro.fp.quantize.quantize` the specification of the cast, and
-the NumPy bodies ``PatchRows.numpy_rows`` and
-``PatchRows.numpy_scatter_rows`` that of the patch loops.  The kernel
-is built and admitted once per process, on the first multiplier cast,
-fused GEMM or patch gather:
+:func:`_spec_loop`, a NumPy loop over the bit-pattern rounding of
+:mod:`repro.fp.fastquant`, is the specification of the K loop,
+:func:`repro.fp.quantize.quantize` that of the cast, and the NumPy
+bodies ``PatchRows.numpy_rows`` and ``PatchRows.numpy_scatter_rows``
+that of the patch loops.  The kernel is built and admitted once per
+process, on the first multiplier cast, GEMM or patch gather:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
   ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
   source, the flags and the machine, and published with ``os.replace``
   so concurrent processes never load a partial file;
 * it is loaded with :mod:`ctypes` and checked three times on fixed
-  operands.  The loops must match
-  :func:`repro.fp.fastquant._quantize_fused_into`: RN and SR (uint32
-  and uint64 draws), subnormals on and off, saturate on and off, an
+  operands.  The loops must match :func:`_spec_loop`: RN and SR
+  (uint32 and uint64 draws), subnormals on and off, saturate on and off, an
   overflow, a deep tail, RN ties and inf/NaN.  The cast must match
   :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, subnormals and
   saturate on and off: RN ties of both parities in the normal and the
@@ -45,8 +44,8 @@ fused GEMM or patch gather:
   whose sums change with their order;
 * on any failure (no compiler, unwritable cache, compile error, load
   error, self-check mismatch) :func:`library` returns ``None``; the
-  NumPy loop, the reference quantizer and the NumPy patch bodies run,
-  silently.  Nothing selects between the two paths.
+  engine's seed per-step loop, the reference quantizer and the NumPy
+  patch bodies run, silently.  Nothing selects between the two paths.
 
 The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
 bits, the engine's bound on the loops; :func:`cast_kernel` makes that
@@ -58,9 +57,10 @@ span) sees every multiplier cast on both paths.  The patch loops run
 inside ``PatchRows.__call__`` and ``PatchRows.scatter_rows`` in the
 same way.
 
-SR draws stay in NumPy: the engine draws them in bulk, exactly as the
-NumPy loop does, and hands them to the kernel, so the bit stream and
-every draw count are the same on both paths.
+SR draws stay in NumPy: the engine draws them in bulk and hands them
+to the kernel.  Without the kernel the seed loop draws the same bits
+one step at a time (the bulk-draw contract of
+:mod:`repro.prng.streams`).
 """
 
 from __future__ import annotations
@@ -315,8 +315,8 @@ def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
 
 _UNBUILT = object()
 #: The process's kernel: ``_UNBUILT`` until the first multiplier cast,
-#: fused GEMM or patch gather asks for it, then a :class:`MacKernel`, or
-#: ``None`` when the NumPy loop, the reference quantizer and the NumPy
+#: GEMM or patch gather asks for it, then a :class:`MacKernel`, or
+#: ``None`` when the seed loop, the reference quantizer and the NumPy
 #: patch bodies run.  Process-wide because the loaded library is.
 _lib = _UNBUILT
 _lock = threading.Lock()
@@ -331,7 +331,7 @@ def library() -> Optional[MacKernel]:
     Example::
 
         mac = library()
-        print("compiled" if mac is not None else "NumPy loop")
+        print("compiled" if mac is not None else "seed loop")
     """
     global _lib
     lib = _lib
@@ -436,7 +436,8 @@ def _check_draws(shape, rbits: int, dtype) -> np.ndarray:
 
 
 def _spec_loop(terms, draws, fmt, mode, rbits, saturate) -> np.ndarray:
-    """The NumPy loop: ``acc += terms[k]``, rounded in place, per step."""
+    """The kernel's specification: ``acc += terms[k]``, rounded in place
+    by :func:`repro.fp.fastquant._quantize_fused_into`, per step."""
     acc = np.zeros(terms.shape[1:])
     work = np.empty_like(acc)
     ws = QuantizeWorkspace(acc.shape)
@@ -452,7 +453,7 @@ def _spec_loop(terms, draws, fmt, mode, rbits, saturate) -> np.ndarray:
 
 
 def _self_check(mac: MacKernel) -> bool:
-    """Whether ``mac`` reproduces the NumPy loop bit for bit."""
+    """Whether ``mac`` reproduces :func:`_spec_loop` bit for bit."""
     terms = _CHECK_TERMS
     k = terms.shape[0]
     # Two batch entries of (2, K) @ (K, N) with power-of-two multipliers:

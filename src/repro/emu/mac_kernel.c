@@ -6,7 +6,7 @@
  * the sum into the accumulator format with that step's SR draw.  The
  * rounding is the integer bit-pattern arithmetic of
  * repro.fp.fastquant._quantize_fused_into, element by element; the
- * NumPy loop in repro.emu.engine is the specification and
+ * NumPy loop repro.emu.kernel._spec_loop is the specification and
  * repro.emu.kernel checks this file against it before first use.
  *
  * mac_cast runs the same rounding, round-to-nearest, over the GEMM

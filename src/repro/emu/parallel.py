@@ -7,10 +7,9 @@ module removes that serialization with key-derived substreams
 (``RandomBitStream.spawn``): the ``(B, M)`` output plane is cut into
 frozen-size row blocks, each block's reduction draws its SR bits from a
 substream keyed by ``(call key, batch, block)``, and blocks are
-scheduled across a process or thread pool.  Results are **bit-identical
-for any worker count and either pool backend**, because the randomness
-a block consumes depends only on its key — never on which worker ran
-it.
+scheduled across a thread pool.  Results are **bit-identical for any
+worker count**, because the randomness a block consumes depends only on
+its key — never on which worker ran it.
 
 Draw-order contract (FROZEN, like the pairwise engine's block width):
 
@@ -25,8 +24,8 @@ Draw-order contract (FROZEN, like the pairwise engine's block width):
   substream key ``(bi, j)``.  A block is also the scheduler's work
   item.
 * Per GEMM call, one *call key* (:data:`CALL_KEY_DRAWS` draws of
-  :data:`CALL_KEY_RBITS` bits) is drawn from the group's stream in the
-  parent process — a serial, schedule-independent advance that makes
+  :data:`CALL_KEY_RBITS` bits) is drawn from the group's stream on the
+  calling thread — a serial, schedule-independent advance that makes
   successive calls statistically independent.
 * The substream of block ``(bi, j)`` is
   ``stream.spawn(call_key + (bi, j))``; row-streamed reductions
@@ -41,9 +40,8 @@ absolute terms by ``tests/emu/test_parallel.py``.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -149,32 +147,19 @@ def _run_task(task, config, call_key: Tuple[int, ...],
     return task.run(b_shared, replace(config, stream=substream))
 
 
-def _run_bundle(payload) -> List[np.ndarray]:
-    """Pool worker entry: run a bundle of tasks under their substreams.
-
-    Tasks in one bundle share producer/operand objects by reference, so
-    pickling the bundle ships each shared array to the worker once.
-    """
-    config, call_key, b_shared, tasks = payload
+def _run_bundle(tasks, config, call_key: Tuple[int, ...],
+                b_shared) -> List[np.ndarray]:
+    """Pool worker entry: run a bundle of tasks under their substreams."""
     return [_run_task(task, config, call_key, b_shared) for task in tasks]
 
 
 _POOLS: dict = {}
 
 
-def _get_pool(backend: str, workers: int):
-    key = (backend, workers)
-    pool = _POOLS.get(key)
+def _get_pool(workers: int) -> ThreadPoolExecutor:
+    pool = _POOLS.get(workers)
     if pool is None:
-        if backend == "thread":
-            pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=context)
-        _POOLS[key] = pool
+        pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
     return pool
 
 
@@ -187,8 +172,8 @@ def shutdown_pools() -> None:
 
 atexit.register(shutdown_pools)
 if hasattr(os, "register_at_fork"):
-    # A forked child inherits the cached pools but none of their threads
-    # or worker processes: a task submitted to one would never run.
+    # A forked child inherits the cached pools but none of their
+    # threads: a task submitted to one would never run.
     os.register_at_fork(after_in_child=_POOLS.clear)
 
 
@@ -214,33 +199,32 @@ def resolve_workers(value, *, default: int = 1) -> int:
 class TileScheduler:
     """Shards row-block tasks of an emulated GEMM across a worker pool.
 
-    ``workers=1`` is the serial fallback: the same tasks run in-process
-    under the same substreams, so it is bit-identical to any parallel
-    run.  With more workers, each worker gets one contiguous bundle of
-    blocks.  ``backend`` selects process workers (default; true
-    parallelism for the python-loop engines) or threads (zero-copy; what
-    serving uses, since per-request GEMMs are small).
+    ``workers=1`` is the serial fallback: the same tasks run on the
+    calling thread under the same substreams, so it is bit-identical to
+    any parallel run.  With more workers, each worker thread gets one
+    contiguous bundle of blocks; the compiled kernel releases the GIL,
+    so the bundles run concurrently.  Engines that hold the GIL (the
+    ``rtl_*`` datapaths, the seed loop without the kernel) run slower
+    on several threads than on one (DESIGN.md section 4).
 
     Example::
 
-        gemm = QuantizedGemm(GemmConfig.sr(9), workers=4, backend="thread")
-        gemm.scheduler.workers, gemm.scheduler.backend   # (4, "thread")
+        gemm = QuantizedGemm(GemmConfig.sr(9), workers=4)
+        gemm.scheduler.workers      # 4
         out = gemm(a, b)            # its row blocks run on the scheduler
     """
 
-    def __init__(self, workers: int = 1, backend: str = "process"):
-        if backend not in ("process", "thread"):
-            raise ValueError(f"unknown backend {backend!r}; "
-                             "expected 'process' or 'thread'")
+    def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def _bundles(self, tasks: Sequence) -> List[Sequence]:
         """Contiguous per-worker bundles of tasks.
 
-        One pool submission per worker: shared operand objects inside a
-        bundle are pickled once per worker, not once per task.
+        The calling thread waits on one future per worker.  With one
+        future per task it would wake, and contend for the GIL, once
+        per row block: an SR conv forward and backward (16x8x32x32,
+        ``workers=2``, 2 CPUs) ran about 20% slower that way.
         """
         per_worker = -(-len(tasks) // min(self.workers, len(tasks)))
         return [tasks[i:i + per_worker]
@@ -252,17 +236,17 @@ class TileScheduler:
         """The task loop of :meth:`run` and :meth:`run_streamed`.
 
         Runs every task under its substream and hands each result to
-        ``consume(task, result)`` in task order.  The parent holds at
+        ``consume(task, result)`` in task order.  The caller holds at
         most the finished bundles whose turn has not come.
         """
         if self.workers == 1 or len(tasks) <= 1:
             for task in tasks:
                 consume(task, _run_task(task, config, call_key, b_shared))
             return
-        pool = _get_pool(self.backend, self.workers)
+        pool = _get_pool(self.workers)
         bundles = self._bundles(tasks)
-        futures = [pool.submit(_run_bundle,
-                               (config, call_key, b_shared, bundle))
+        futures = [pool.submit(_run_bundle, bundle, config, call_key,
+                               b_shared)
                    for bundle in bundles]
         for bundle, future in zip(bundles, futures):
             for task, result in zip(bundle, future.result()):
@@ -306,8 +290,8 @@ class QuantizedGemm:
     Accepts 2D ``(M, K) @ (K, N)`` or stacked 3D ``(B, M, K) @ (B, K,
     N)`` operands and shards the output plane into :data:`BLOCK_ROWS`
     row blocks on the tile scheduler, each under its key-derived
-    substream (the draw-order contract above).  ``workers`` and
-    ``backend`` only choose where blocks run: results are bit-identical
+    substream (the draw-order contract above).  ``workers`` only
+    chooses how many threads run the blocks: results are bit-identical
     for any choice.
 
     The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
@@ -343,7 +327,7 @@ class QuantizedGemm:
     #: Span name recorded around every dispatched GEMM when tracing.
     SPAN_NAME = "emu/gemm"
 
-    def __init__(self, config, *, workers: int = 1, backend: str = "process",
+    def __init__(self, config, *, workers: int = 1,
                  registry: Optional[MetricsRegistry] = None):
         self.config = config
         self.metrics = registry if registry is not None \
@@ -358,7 +342,7 @@ class QuantizedGemm:
             if (config.rounding == "stochastic"
                 and config.acc_format is not None) else None
         self._shape_counters: dict = {}
-        self.scheduler = TileScheduler(workers=workers, backend=backend)
+        self.scheduler = TileScheduler(workers=workers)
         self._streams: Optional[List] = None
         self._call_index = 0
 
@@ -443,15 +427,14 @@ class QuantizedGemm:
         """A live ``emu/gemm`` span for one dispatched GEMM.
 
         Only called when tracing is active; ``batch, m, k, n`` is one
-        group's shape.  Records the schedule (tile count, workers,
-        backend) alongside the shape so trace summaries show where the
-        scheduler spent its time.
+        group's shape.  Records the schedule (tile count, workers)
+        alongside the shape so trace summaries show where the scheduler
+        spent its time.
         """
         tiles = groups * batch * (-(-m // BLOCK_ROWS))
         return _trace.span(self.SPAN_NAME, shape=f"{batch}x{m}x{k}x{n}",
                            engine=self.config.accum_order, tiles=tiles,
-                           groups=groups, workers=self.scheduler.workers,
-                           backend=self.scheduler.backend)
+                           groups=groups, workers=self.scheduler.workers)
 
     # -- entry points ----------------------------------------------------
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

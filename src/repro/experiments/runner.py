@@ -19,13 +19,16 @@ turning Tables III/IV into per-datapath ablations.  The ``rtl_*``
 family runs every accumulation through the bit-true adder models; on
 RN rows it degrades to the RN adder, so one flag covers a whole table.
 
-``--workers N`` shards every emulated GEMM across ``N`` processes via
+``--workers N`` shards every emulated GEMM across ``N`` threads via
 the deterministic tiled executor (:mod:`repro.emu.parallel`); its
 key-derived substream draw order makes results bit-identical for any
 ``N`` at the same seed, for the training tables and the ``transformer``
 attention sweep (:mod:`repro.experiments.transformer`) alike.
 
-``--workers auto`` resolves to ``os.cpu_count()``.
+``--workers auto`` resolves to ``os.cpu_count()``.  The ``rtl_*``
+engines and a run without the compiled kernel hold the GIL and run
+slower on several threads than on one (DESIGN.md section 4), so run
+them at ``--workers 1``.
 """
 
 from __future__ import annotations
@@ -118,9 +121,11 @@ def main(argv=None) -> int:
                              "or the bit-true RTL datapath rtl_rn / "
                              "rtl_lazy / rtl_eager")
     parser.add_argument("--workers", default="1",
-                        help="worker processes for the tiled GEMM "
+                        help="worker threads for the tiled GEMM "
                              "executor; results do not depend on it; "
-                             "'auto' = os.cpu_count()")
+                             "'auto' = os.cpu_count(); the rtl_* "
+                             "engines and a run without the compiled "
+                             "kernel run slower above 1 (~1.4x on 2)")
     parser.add_argument("--trace", default=None, metavar="TRACE.json",
                         help="record a span trace of the run and write "
                              "Chrome trace_event JSON to this path "

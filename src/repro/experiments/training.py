@@ -82,7 +82,7 @@ def build_gemm(gemm_config: Optional[GemmConfig],
                workers: int = 1) -> Optional[QuantizedGemm]:
     """The GEMM executor for a run (``None`` for the FP64 baseline).
 
-    ``workers`` shards every GEMM across that many processes without
+    ``workers`` shards every GEMM across that many threads without
     changing a bit: the executor's draw order depends only on the
     config's stream (DESIGN.md section 4), so a run is bit-identical
     for any ``workers`` at the same seed.
@@ -142,7 +142,7 @@ def run_table3(scale_name: str = "small", seed: int = 1,
     row (datapath ablation: ``sequential`` reproduces the paper's MAC
     chain, ``pairwise``/``chunked(c)`` model adder-tree and blocked
     accumulators); ``workers`` shards every emulated GEMM across that
-    many processes (see :func:`build_gemm`).
+    many threads (see :func:`build_gemm`).
     """
     from . import records
 

@@ -43,12 +43,12 @@ MAX_MANTISSA_BITS = 40
 
 
 class QuantizeWorkspace:
-    """Preallocated scratch buffers for the fused ``out=`` quantize path.
+    """Scratch buffers of :func:`_quantize_fused_into`, one set per shape.
 
-    The GEMM accumulation engines round one ``(B, M, N)`` partial sum per
-    reduction step; reusing these buffers across steps removes every
-    per-step allocation (the large-array mallocs otherwise dominate the
-    hot loop via mmap/page-fault churn).
+    :func:`quantize_fast` makes one per call.  The compiled kernel's
+    specification loop (``repro.emu.kernel._spec_loop``) rounds one
+    partial sum per reduction step into the same buffers, so its steps
+    allocate nothing.
     """
 
     def __init__(self, shape):
@@ -248,22 +248,13 @@ def quantize_fast(
     rbits: Optional[int] = None,
     random_ints: Optional[np.ndarray] = None,
     saturate: bool = False,
-    out: Optional[np.ndarray] = None,
-    workspace: Optional[QuantizeWorkspace] = None,
 ) -> np.ndarray:
     """Drop-in fast replacement for :func:`repro.fp.quantize.quantize`.
 
     Supports the ``"nearest"`` and ``"stochastic"``-with-``rbits`` modes
     used by the training emulation; other modes delegate to the
-    reference implementation.
-
-    When ``out`` is given (the accumulation-engine hot path) the result
-    is written into ``out`` through the allocation-free fused kernel,
-    reusing ``workspace`` buffers; ``values`` must then be a contiguous
-    float64 array distinct from ``out``.  Stochastic mode additionally
-    requires pre-drawn ``random_ints`` on this path.  Without ``out``
-    the same kernel writes into a new array, drawing the SR integers
-    from ``rng`` when ``random_ints`` is not given.
+    reference implementation.  The result is a new array; SR integers
+    are drawn from ``rng`` when ``random_ints`` is not given.
     """
     fused_ok = (
         fmt.mantissa_bits <= MAX_MANTISSA_BITS
@@ -271,35 +262,17 @@ def quantize_fast(
         and (mode == "nearest"
              or (mode == "stochastic" and rbits is not None))
     )
-    if out is None:
-        if not fused_ok:
-            return _reference_quantize(values, fmt, mode, rng=rng,
-                                       rbits=rbits, random_ints=random_ints,
-                                       saturate=saturate)
-        # ascontiguousarray promotes a 0-d input to shape (1,).
-        x = np.ascontiguousarray(values, dtype=np.float64)
-        if mode == "stochastic" and random_ints is None:
-            if rng is None:
-                raise ValueError("stochastic mode requires rng or random_ints")
-            random_ints = rng.integers(0, 1 << rbits, size=x.shape,
-                                       dtype=np.int64)
-        out = np.empty_like(x)
-    else:
-        x = np.asarray(values, dtype=np.float64)
-        if not x.flags.c_contiguous or np.shares_memory(x, out):
-            raise ValueError("out= path needs contiguous values, not aliased"
-                             " with out")
-        if out.shape != x.shape or out.dtype != np.float64 \
-                or not out.flags.c_contiguous:
-            raise ValueError("out must be a contiguous float64 array matching"
-                             " values' shape")
-        if not fused_ok or (mode == "stochastic" and random_ints is None):
-            np.copyto(out, _reference_quantize(
-                x, fmt, mode, rng=rng, rbits=rbits,
-                random_ints=random_ints, saturate=saturate))
-            return out
-    if workspace is None or workspace.shape != x.shape:
-        workspace = QuantizeWorkspace(x.shape)
+    if not fused_ok:
+        return _reference_quantize(values, fmt, mode, rng=rng,
+                                   rbits=rbits, random_ints=random_ints,
+                                   saturate=saturate)
+    # ascontiguousarray promotes a 0-d input to shape (1,).
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    if mode == "stochastic" and random_ints is None:
+        if rng is None:
+            raise ValueError("stochastic mode requires rng or random_ints")
+        random_ints = rng.integers(0, 1 << rbits, size=x.shape,
+                                   dtype=np.int64)
     draws = None
     if mode == "stochastic":
         draws = np.asarray(random_ints)
@@ -309,4 +282,4 @@ def quantize_fast(
             draws = draws.astype(np.int64) if draws.dtype != np.uint64 \
                 else draws.view(np.int64)
     return _quantize_fused_into(x, fmt, mode, rbits, draws, saturate,
-                                out, workspace)
+                                np.empty_like(x), QuantizeWorkspace(x.shape))

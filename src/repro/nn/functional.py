@@ -100,8 +100,8 @@ class PatchRows:
     matrix) into a C-contiguous float64 array (an exact conversion) and
     gathers arbitrary flat row ranges ``[r0, r1)`` with the exact layout
     of :func:`im2col` — row ``((n * OH) + oy) * OW + ox``, columns
-    ordered ``(c, ky, kx)``.  Instances are picklable, so pool workers
-    rebuild their own tiles from one shipped copy of the input.
+    ordered ``(c, ky, kx)``.  The executor's worker threads gather their
+    own tiles from the one padded input.
 
     The gather and its adjoint scatter-add run in the compiled MAC
     kernel (:mod:`repro.emu.kernel`) whenever it loaded;

@@ -19,7 +19,7 @@ Both streams are additionally *splittable*: :meth:`spawn` derives a
 child stream from an integer key (or tuple of keys).  The child is a
 pure function of the parent's **root identity** (seed plus spawn path)
 and the key — never of the parent's current draw position — so any
-process can re-derive any substream from the pickled parent.  This is
+worker can re-derive any substream from the parent, in any order.  This is
 the foundation of the deterministic tiled-parallel GEMM executor
 (:mod:`repro.emu.parallel`): each ``(batch, row-block)`` tile draws SR
 bits from its own key-derived substream, making results bit-identical

@@ -129,9 +129,8 @@ class InferenceSession:
     config:
         Datapath config (``None`` = exact FP64 baseline).
     workers:
-        Tiled-parallel GEMM workers.  Serving schedules row blocks on
-        threads: per-request GEMMs are small, so zero-copy threads beat
-        process pools.
+        Tiled-parallel GEMM workers: threads that run the executor's
+        row blocks.
     fingerprint:
         Checkpoint identity for cache keys / ``/healthz``; computed
         from the weights when omitted.
@@ -165,7 +164,7 @@ class InferenceSession:
         #: lock-order: 80
         self._lock = threading.Lock()
         self._gemm = QuantizedGemm(self.config, workers=self.workers,
-                                   backend="thread", registry=self.metrics)
+                                   registry=self.metrics)
         self._gemm.arm([])   # disarmed outside predict_batch
         for module in model.modules():
             if hasattr(module, "gemm"):

@@ -224,7 +224,7 @@ class TestSequentialBitIdentity:
         st.integers(min_value=0, max_value=2**31 - 1),  # seed
     )
     # TestSequentialBitIdentityNumpyLoop inherits this property to run
-    # it on the NumPy loop too; both share one example database.
+    # it on the seed loop too; both share one example database.
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.differing_executors])
     def test_property_fused_equals_seed(self, m, k, n, e_bits, m_bits,
@@ -530,17 +530,20 @@ class TestSumReduce:
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestSequentialBitIdentityNumpyLoop(TestSequentialBitIdentity):
-    """The same cases on the NumPy loop (the kernel's specification)."""
+    """The same cases on the no-compiler tier: the seed loop and the
+    reference cast."""
 
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestSumReduceNumpyLoop(TestSumReduce):
-    """The same cases on the NumPy loop (the kernel's specification)."""
+    """The same cases on the no-compiler tier: the seed loop and the
+    reference cast."""
 
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestBatchedNumpyLoop(TestBatched):
-    """The same cases on the NumPy loop (the kernel's specification)."""
+    """The same cases on the no-compiler tier: the seed loop and the
+    reference cast."""
 
 
 class TestExactSRStream:

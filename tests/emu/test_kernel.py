@@ -1,12 +1,12 @@
 """The compiled kernel: build, self-checks, the cast, and fallback.
 
 The engine-level bit-identity suites (``test_engines.py``) run once on
-the kernel and once on the NumPy loop and reference cast, and the patch
+the kernel and once on the seed loop and reference cast, and the patch
 gather and scatter-add suites (``test_parallel.py``) once on the kernel
 and once on the NumPy bodies.  This file pins the loader: the loops and
 the multiplier cast agree with their specifications on more formats
 than the load-time self-checks cover, the build is cached, and every
-way the build can fail leaves the NumPy loop and the reference
+way the build can fail leaves the seed loop and the reference
 quantizer running with the same bits.
 """
 
@@ -55,7 +55,7 @@ def _same_bits(got, want) -> bool:
 
 def _reference_steps(terms, fmt, mode, rbits, draws, saturate):
     """``acc = quantize(acc + terms[k])`` per step, the reference
-    quantizer's own chain (not the fused NumPy loop)."""
+    quantizer's own chain (not the kernel's ``_spec_loop``)."""
     acc = np.zeros(terms.shape[1:])
     for k in range(terms.shape[0]):
         kwargs = {} if rbits is None \
@@ -108,8 +108,9 @@ class TestKernel:
     def test_float64_subnormal_sums_match_reference_quantizer(self, rng,
                                                               rbits):
         """With 11 exponent bits the format's subnormal grid reaches
-        float64 subnormals, which cut as exponent field 1.  The fused
-        NumPy loop is no witness here, so the reference quantizer is."""
+        float64 subnormals, which cut as exponent field 1.  The kernel's
+        ``_spec_loop`` is no witness here, so the reference quantizer
+        is."""
         mode = "nearest" if rbits is None else "stochastic"
         for fmt in (FPFormat(11, 5), FPFormat(11, 5, subnormals=False),
                     FPFormat(11, 2)):
@@ -347,7 +348,7 @@ class TestCast:
 
 
 class TestFallback:
-    """Every failed build leaves the NumPy loop and the reference cast,
+    """Every failed build leaves the seed loop and the reference cast,
     silently, with the same bits."""
 
     @pytest.fixture(autouse=True)
@@ -356,7 +357,7 @@ class TestFallback:
         monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path / "cache")
 
     @staticmethod
-    def _assert_numpy_loop_runs(rng):
+    def _assert_seed_loop_runs(rng):
         a = rng.normal(size=(9, 17))
         b = rng.normal(size=(17, 5))
         got = matmul(a, b, GemmConfig.sr(9, seed=3))
@@ -366,20 +367,20 @@ class TestFallback:
 
     def test_no_compiler(self, monkeypatch, tmp_path, rng):
         monkeypatch.setenv("PATH", str(tmp_path))
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
 
     @needs_cc
     def test_compile_error(self, monkeypatch, tmp_path, rng):
         broken = tmp_path / "mac_kernel.c"
         broken.write_text("this is not C\n")
         monkeypatch.setattr(kernel, "_SOURCE", broken)
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
         assert not list((tmp_path / "cache").iterdir())  # no temp left
 
     @needs_cc
     def test_compile_timeout(self, monkeypatch, rng):
         monkeypatch.setattr(kernel, "_COMPILE_TIMEOUT_S", 1e-6)
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
 
     def test_unwritable_cache(self, monkeypatch, tmp_path, rng):
         # A cache path under a regular file cannot be created, even by
@@ -387,7 +388,7 @@ class TestFallback:
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(kernel, "_CACHE_DIR",
                             tmp_path / "file" / "__pycache__")
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
 
     @needs_cc
     def test_self_check_mismatch(self, monkeypatch, rng):
@@ -399,7 +400,7 @@ class TestFallback:
             return out
 
         monkeypatch.setattr(kernel, "_quantize_fused_into", off_by_one_ulp)
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
 
     @needs_cc
     @pytest.mark.parametrize("body", ["numpy_rows", "numpy_scatter_rows"])
@@ -414,7 +415,7 @@ class TestFallback:
                 self, np.nextafter(values, np.inf), r0, out),
         }
         monkeypatch.setattr(PatchRows, body, off_by_one_ulp[body])
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
 
     @needs_cc
     def test_cast_self_check_mismatch(self, monkeypatch, rng):
@@ -424,7 +425,7 @@ class TestFallback:
             return out
 
         monkeypatch.setattr(kernel, "quantize", off_by_one_ulp)
-        self._assert_numpy_loop_runs(rng)
+        self._assert_seed_loop_runs(rng)
         a = rng.normal(size=(70, 12))
         b = rng.normal(size=(12, 5))
         config = GemmConfig.rn(FP12_E6M5)

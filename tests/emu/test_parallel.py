@@ -2,9 +2,9 @@
 
 The load-bearing guarantee of :mod:`repro.emu.parallel`: for every
 registered engine, the parallel GEMM output is **bit-identical across
-worker counts and pool backends**, because each ``(batch, row-block)``
-block draws its SR bits from a key-derived substream.  ``workers=1`` is
-the serial fallback running the same substream schedule in-process.
+worker counts**, because each ``(batch, row-block)`` block draws its SR
+bits from a key-derived substream.  ``workers=1`` is the serial
+fallback running the same substream schedule on the calling thread.
 """
 
 import multiprocessing
@@ -22,7 +22,6 @@ from repro.emu.parallel import (
     REDUCE_BAND_ROWS,
     ParallelQuantizedGemm,
     QuantizedGemm,
-    TileScheduler,
     _cast_rows,
 )
 from repro.fp.formats import FP12_E6M5
@@ -36,12 +35,11 @@ def _operands(rng, batch=2, m=100, k=40, n=8):
     return rng.normal(size=(batch, m, k)), rng.normal(size=(batch, k, n))
 
 
-def _run(a, b, *, workers, backend="thread", order="sequential",
-         stream=None):
+def _run(a, b, *, workers, order="sequential", stream=None):
     config = GemmConfig.sr(9, seed=7, accum_order=order)
     if stream is not None:
         config.stream = stream
-    return QuantizedGemm(config, workers=workers, backend=backend)(a, b)
+    return QuantizedGemm(config, workers=workers)(a, b)
 
 
 def _run_and_send(a, b, conn):
@@ -50,7 +48,7 @@ def _run_and_send(a, b, conn):
 
 
 class TestBitIdentity:
-    """Same output for any worker count and backend, per engine."""
+    """Same output for any worker count, per engine."""
 
     @pytest.mark.parametrize("order", ["sequential", "pairwise",
                                        "chunked(8)"])
@@ -61,12 +59,6 @@ class TestBitIdentity:
             got = _run(a, b, workers=workers, order=order)
             assert np.array_equal(reference, got), \
                 f"{order} workers={workers}"
-
-    def test_process_backend_matches_threads(self, rng):
-        a, b = _operands(rng)
-        want = _run(a, b, workers=1)
-        got = _run(a, b, workers=2, backend="process")
-        assert np.array_equal(want, got)
 
     def test_lfsr_stream_worker_invariant(self, rng):
         a, b = _operands(rng, batch=1, m=70, k=20, n=5)
@@ -140,7 +132,7 @@ class TestDrawOrderPin:
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestDrawOrderPinNumpyLoop(TestDrawOrderPin):
-    """The same pin on the NumPy loop and the reference cast."""
+    """The same pin on the seed loop and the reference cast."""
 
 
 class TestDeterminism:
@@ -151,8 +143,7 @@ class TestDeterminism:
     def test_successive_calls_draw_fresh_keys(self, rng):
         """Two calls on one config must not reuse SR randomness."""
         a, b = _operands(rng, batch=1)
-        gemm = QuantizedGemm(GemmConfig.sr(9, seed=7), workers=2,
-                             backend="thread")
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=7), workers=2)
         first = gemm(a, b)
         second = gemm(a, b)
         assert not np.array_equal(first, second)
@@ -169,16 +160,14 @@ class TestSemantics:
         from repro.emu import matmul_batched
 
         a, b = _operands(rng)
-        gemm = QuantizedGemm(GemmConfig.rn(FP12_E6M5), workers=2,
-                             backend="thread")
+        gemm = QuantizedGemm(GemmConfig.rn(FP12_E6M5), workers=2)
         got = gemm(a, b)
         want = matmul_batched(a, b, GemmConfig.rn(FP12_E6M5))
         assert np.array_equal(got, want)
 
     def test_exact_baseline_is_plain_matmul(self, rng):
         a, b = _operands(rng)
-        gemm = QuantizedGemm(GemmConfig.fp32_baseline(), workers=2,
-                             backend="thread")
+        gemm = QuantizedGemm(GemmConfig.fp32_baseline(), workers=2)
         got = gemm(a, b)
         assert np.allclose(got, a @ b, rtol=0, atol=0)
 
@@ -188,25 +177,19 @@ class TestSemantics:
         for workers in (1, 3):
             config = GemmConfig.sr(9, seed=2)
             config.per_step = False
-            gemm = QuantizedGemm(config, workers=workers, backend="thread")
+            gemm = QuantizedGemm(config, workers=workers)
             outs.append(gemm(a, b))
         assert np.array_equal(outs[0], outs[1])
 
     def test_shape_validation_and_empty(self, rng):
-        gemm = QuantizedGemm(GemmConfig.sr(9, seed=1), workers=2,
-                             backend="thread")
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=1), workers=2)
         with pytest.raises(ValueError):
             gemm(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 2)))
         out = gemm(np.zeros((1, 0, 4)), np.zeros((1, 4, 3)))
         assert out.shape == (1, 0, 3)
 
-    def test_scheduler_validation(self):
-        with pytest.raises(ValueError):
-            TileScheduler(backend="gpu")
-
     def test_quantized_gemm_protocol(self, rng):
-        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1), workers=2,
-                                     backend="thread")
+        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1), workers=2)
         out = gemm(rng.normal(size=(2, 40, 8)), rng.normal(size=(2, 8, 3)))
         assert out.shape == (2, 40, 3)
         assert gemm.call_count == 1
@@ -214,8 +197,7 @@ class TestSemantics:
             gemm(rng.normal(size=(2, 4, 8)), rng.normal(size=(8, 3)))
 
     def test_overflow_counted(self):
-        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=7), workers=2,
-                                     backend="thread")
+        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=7), workers=2)
         big = np.full((3, 64), 3e4)
         gemm(big, big.T)
         assert gemm.overflow_count == 1
@@ -255,8 +237,7 @@ class TestConvStreaming:
         x = self._input()
         config = GemmConfig.rn(FP12_E6M5)
         legacy = self._layer(lambda a, b: matmul(a, b, config))
-        tiled = self._layer(ParallelQuantizedGemm(config, workers=2,
-                                                  backend="thread"))
+        tiled = self._layer(ParallelQuantizedGemm(config, workers=2))
         assert np.array_equal(legacy.forward(x), tiled.forward(x))
         assert tiled._cols is None  # column matrix never materialized
 
@@ -265,7 +246,7 @@ class TestConvStreaming:
 
         def run(workers):
             gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=3),
-                                         workers=workers, backend="thread")
+                                         workers=workers)
             layer = self._layer(gemm)
             out = layer.forward(x)
             grad_x = layer.backward(np.ones_like(out))
@@ -277,6 +258,8 @@ class TestConvStreaming:
             assert np.array_equal(want, got)
 
     def test_sr_backward_through_process_pool(self):
+        """Both backward GEMMs on a pool of two worker threads match the
+        serial run."""
         x = self._input()
 
         def run(workers):
@@ -297,8 +280,7 @@ class TestConvStreaming:
         x = self._input()
         config = GemmConfig.fp32_baseline()
         legacy = self._layer(lambda a, b: matmul(a, b, config))
-        tiled = self._layer(ParallelQuantizedGemm(config, workers=2,
-                                                  backend="thread"))
+        tiled = self._layer(ParallelQuantizedGemm(config, workers=2))
         out_l, out_t = legacy.forward(x), tiled.forward(x)
         assert np.allclose(out_l, out_t, atol=1e-12)
         grad = np.ones_like(out_l)
@@ -318,7 +300,7 @@ class TestConvStreaming:
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestConvStreamingNumpyLoop(TestConvStreaming):
-    """The same cases on the NumPy loop, the reference cast and the
+    """The same cases on the seed loop, the reference cast and the
     NumPy patch gather and scatter-add."""
 
 
@@ -497,8 +479,7 @@ class TestOneCastPerCall:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_entry_point(self, rng, casts, workers):
-        gemm = QuantizedGemm(GemmConfig.sr(9, seed=5), workers=workers,
-                             backend="thread")
+        gemm = QuantizedGemm(GemmConfig.sr(9, seed=5), workers=workers)
         m = 3 * BLOCK_ROWS + 5                      # four row blocks
         a, b = rng.normal(size=(m, 12)), rng.normal(size=(12, 4))
         stack = rng.normal(size=(3, m, 12))

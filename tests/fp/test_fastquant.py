@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.fp.fastquant import quantize_fast
+from repro.fp.fastquant import (
+    QuantizeWorkspace,
+    _quantize_fused_into,
+    quantize_fast,
+)
 from repro.fp.formats import FP8_E5M2, FP12_E6M5, FP16, FP32, FPFormat
 from repro.fp.quantize import quantize
 
@@ -126,85 +130,46 @@ class TestDeepTail:
 
 
 class TestFusedOutPath:
-    """quantize_fast(out=...) — the engine hot path — must match the
-    allocating path bit for bit, write in place, and not allocate the
-    result."""
+    """``_quantize_fused_into`` — the in-place form the compiled kernel's
+    specification loop (``repro.emu.kernel._spec_loop``) runs once per
+    reduction step — must match the allocating path bit for bit and
+    write into ``out``, with one workspace reused across calls."""
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
     def test_nearest_matches_allocating_path(self, fmt, rng):
-        from repro.fp.fastquant import QuantizeWorkspace
-
-        values = np.ascontiguousarray(_stress_sample(rng))
-        out = np.empty_like(values)
-        ws = QuantizeWorkspace(values.shape)
-        got = quantize_fast(values, fmt, "nearest", out=out, workspace=ws)
-        assert got is out
-        _assert_same(out, quantize_fast(values, fmt, "nearest"))
+        sample = np.ascontiguousarray(_stress_sample(rng))
+        out = np.empty_like(sample)
+        ws = QuantizeWorkspace(sample.shape)
+        for values in (sample, -sample * 3.0):
+            got = _quantize_fused_into(values, fmt, "nearest", None, None,
+                                       False, out, ws)
+            assert got is out
+            _assert_same(out, quantize_fast(values, fmt, "nearest"))
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
     @pytest.mark.parametrize("rbits", [4, 9, 13])
     @pytest.mark.parametrize("saturate", [False, True])
     def test_stochastic_matches_allocating_path(self, fmt, rng, rbits,
                                                 saturate):
-        values = np.ascontiguousarray(_stress_sample(rng))
-        draws = rng.integers(0, 1 << rbits, size=values.shape,
-                             dtype=np.uint64)
-        out = np.empty_like(values)
-        got = quantize_fast(values, fmt, "stochastic", rbits=rbits,
-                            random_ints=draws, saturate=saturate, out=out)
-        assert got is out
-        _assert_same(out, quantize_fast(values, fmt, "stochastic",
-                                        rbits=rbits, random_ints=draws,
-                                        saturate=saturate))
-
-    def test_uint32_draws_supported(self, rng):
-        values = np.ascontiguousarray(rng.normal(size=256))
-        draws = rng.integers(0, 512, size=values.shape, dtype=np.uint64)
-        out32 = np.empty_like(values)
-        out64 = np.empty_like(values)
-        quantize_fast(values, FP12_E6M5, "stochastic", rbits=9,
-                      random_ints=draws.astype(np.uint32), out=out32)
-        quantize_fast(values, FP12_E6M5, "stochastic", rbits=9,
-                      random_ints=draws, out=out64)
-        _assert_same(out32, out64)
-
-    def test_out_path_rejects_aliasing_and_bad_shapes(self, rng):
-        values = np.ascontiguousarray(rng.normal(size=16))
-        with pytest.raises(ValueError):
-            quantize_fast(values, FP12_E6M5, "nearest", out=values)
-        with pytest.raises(ValueError):
-            quantize_fast(values, FP12_E6M5, "nearest",
-                          out=np.empty(8))
-        with pytest.raises(ValueError):
-            quantize_fast(values[::2], FP12_E6M5, "nearest",
-                          out=np.empty(8))
-
-    def test_out_path_rejects_a_view_of_out(self):
-        """A view of ``out`` is aliased too: the special-value patch would
-        re-read the input after the rounding overwrote it."""
-        a = np.array([1.0, np.nan, np.inf, 3e-11, 0.3, -5e-12])
-        with pytest.raises(ValueError, match="not aliased"):
-            quantize_fast(a[:], FP12_E6M5, out=a)
-        assert np.isnan(a[1])  # rejected before anything was written
-
-    def test_out_path_falls_back_for_unsupported_modes(self, rng):
-        values = np.ascontiguousarray(rng.normal(size=64))
-        out = np.empty_like(values)
-        got = quantize_fast(values, FP12_E6M5, "toward_zero", out=out)
-        assert got is out
-        _assert_same(out, quantize(values, FP12_E6M5, "toward_zero"))
-        # wide format also delegates through the reference into out
-        got = quantize_fast(values, FP32, "nearest", out=out)
-        _assert_same(out, quantize(values, FP32, "nearest"))
+        sample = np.ascontiguousarray(_stress_sample(rng))
+        out = np.empty_like(sample)
+        ws = QuantizeWorkspace(sample.shape)
+        for values in (sample, -sample * 3.0):
+            draws = rng.integers(0, 1 << rbits, size=values.shape,
+                                 dtype=np.int64)
+            got = _quantize_fused_into(values, fmt, "stochastic", rbits,
+                                       draws, saturate, out, ws)
+            assert got is out
+            _assert_same(out, quantize_fast(values, fmt, "stochastic",
+                                            rbits=rbits, random_ints=draws,
+                                            saturate=saturate))
 
     def test_workspace_reuse_across_calls(self, rng):
-        from repro.fp.fastquant import QuantizeWorkspace
-
         ws = QuantizeWorkspace((128,))
         out = np.empty(128)
         for trial in range(4):
             values = np.ascontiguousarray(rng.normal(size=128) *
                                           10.0 ** (3 * trial - 5))
-            quantize_fast(values, FP12_E6M5, "nearest", out=out,
-                          workspace=ws)
+            _quantize_fused_into(values, FP12_E6M5, "nearest", None, None,
+                                 False, out, ws)
             _assert_same(out, quantize_fast(values, FP12_E6M5, "nearest"))

@@ -264,8 +264,7 @@ class TestEngineSemantics:
         outs = []
         for workers in (1, 2):
             config = GemmConfig.sr(9, seed=4, accum_order="rtl_eager")
-            outs.append(QuantizedGemm(config, workers=workers,
-                                      backend="thread")(a, b))
+            outs.append(QuantizedGemm(config, workers=workers)(a, b))
         assert np.array_equal(outs[0], outs[1])
 
     def test_overflow_propagates_to_inf(self):
