@@ -19,7 +19,11 @@ compiled cast, asserted bit-identical first.  The ``patch`` rows time
 the convolution's im2col gather (``PatchRows.__call__``, on a 64-row
 block and a 256-row band) and its scatter-add (``scatter_rows``, on a
 64-row block) at both ``train_cnn`` conv input shapes, the NumPy bodies
-against the compiled loops, also asserted bit-identical first.
+against the compiled loops, also asserted bit-identical first.  The
+``lanes`` rows time ``MacKernel.gemm``, one chunk of MAC steps, on
+every lane this CPU runs (the report's ``kernel_lanes``; the kernel
+uses ``kernel_lane``), on the three ``train_cnn`` conv tiles and a
+transformer projection, all lanes asserted bit-identical first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -39,7 +43,7 @@ import pytest
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
 from repro.emu import reference_matmul
 from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS
-from repro.fp.formats import FP8_E5M2
+from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
 
@@ -58,6 +62,14 @@ CAST_CALLS = 200
 #: ``train_cnn`` conv inputs (N, C, H, W), 3x3 kernel, pad 1: the image
 #: batch of the first conv and the activations of the later ones.
 PATCH_SHAPES = {"conv_in": (128, 3, 8, 8), "conv_hidden": (128, 8, 8, 8)}
+#: K-loop tiles (M, K, N) of one engine call: a ``train_cnn`` conv
+#: forward row block, input-gradient row block and weight-gradient band,
+#: and a ``train_transformer`` projection block.
+LANE_SHAPES = {"conv_forward": (64, 72, 16), "conv_input_grad": (64, 16, 72),
+               "conv_weight_grad": (16, 256, 72),
+               "attn_projection": (24, 64, 64)}
+#: Kernel calls per timed sample.
+LANE_CALLS = 30
 
 
 def _config(accum_order="sequential"):
@@ -203,6 +215,61 @@ def _patch_rows(repeats):
     return rows
 
 
+@contextlib.contextmanager
+def on_lane(mac, lane):
+    """Run ``mac.gemm`` on ``lane`` inside the block."""
+    saved = mac.lane
+    mac._lane = lane
+    try:
+        yield
+    finally:
+        mac._lane = saved
+
+
+def _lane_rows(repeats):
+    """``MacKernel.gemm`` per lane, microseconds per call: E6M5, SR
+    r=13 with uint32 draws, the whole K loop in one call."""
+    mac = kernel.library()
+    if mac is None:
+        return {}
+    rng = np.random.default_rng(19)
+    rows = {}
+    for name, (m, k, n) in LANE_SHAPES.items():
+        a = rng.normal(size=(1, m, k))
+        b = rng.normal(size=(1, k, n))
+        draws = rng.integers(0, 1 << CONV_RBITS, size=(k, 1, m, n),
+                             dtype=np.uint32)
+
+        def run(acc):
+            mac.gemm(a, b, acc, draws, 0, k, FP12_E6M5, CONV_RBITS, False)
+            return acc
+
+        results = {}
+        for lane in mac.lanes:
+            with on_lane(mac, lane):
+                results[lane] = run(np.zeros((1, m, n))).view(np.int64)
+        assert all(np.array_equal(got, results["scalar"])
+                   for got in results.values()), \
+            f"lanes {name}: the kernel's lanes disagree"
+
+        def calls(acc):
+            for _ in range(LANE_CALLS):
+                run(acc)
+
+        micros = {}
+        for lane in mac.lanes:
+            with on_lane(mac, lane):
+                micros[lane] = _time(calls, np.zeros((1, m, n)),
+                                     repeats=repeats) / LANE_CALLS * 1e6
+        rows[name] = {
+            "shape": [m, k, n],
+            "us_per_call": micros,
+            "speedup_vs_scalar": {lane: micros["scalar"] / t
+                                  for lane, t in micros.items()},
+        }
+    return rows
+
+
 def run_benchmark(size=256, repeats=3):
     """Time every engine (plus the seed path) on one SR GEMM."""
     rng = np.random.default_rng(7)
@@ -233,6 +300,8 @@ def run_benchmark(size=256, repeats=3):
         "benchmark": "sr_gemm",
         "machine": machine_info(),
         "kernel_loaded": kernel.library() is not None,
+        "kernel_lane": getattr(kernel.library(), "lane", None),
+        "kernel_lanes": list(getattr(kernel.library(), "lanes", [])),
         "shape": [size, size, size],
         "rbits": RBITS,
         "seconds": results,
@@ -243,6 +312,7 @@ def run_benchmark(size=256, repeats=3):
         "executor_conv": _conv_rows(repeats),
         "cast": _cast_rows(repeats),
         "patch": _patch_rows(repeats),
+        "lanes": _lane_rows(repeats),
     }
     return report
 
@@ -302,6 +372,12 @@ def main(argv=None) -> int:
             if row[op]["kernel_speedup"] is not None:
                 print(f"{name} patch {op}, compiled vs NumPy body: "
                       f"{row[op]['kernel_speedup']:.2f}x", file=sys.stderr)
+    for name, row in report["lanes"].items():
+        speedups = ", ".join(f"{lane} {x:.2f}x" for lane, x
+                             in row["speedup_vs_scalar"].items()
+                             if lane != "scalar")
+        print(f"{name} K loop {row['shape']}, lanes vs scalar: {speedups} "
+              f"(in use: {report['kernel_lane']})", file=sys.stderr)
     return 0
 
 

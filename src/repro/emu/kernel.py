@@ -5,8 +5,12 @@ loop of the MAC chain: add one product onto the accumulator, round the
 sum into the accumulator format, repeat.  In NumPy that is about ten
 ufunc calls per step on blocks of a few thousand elements, so call
 dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs the
-whole K loop of one (chunk, batch entry) in one foreign call.  The same
-file has two more jobs:
+whole K loop of one (chunk, batch entry) in one foreign call, on one of
+its lanes, which give the same bits: a scalar loop that runs anywhere,
+and on x86-64 a branch-free vector body compiled for AVX2 and for
+AVX-512F.  :attr:`MacKernel.lanes` lists the lanes the CPU runs, widest
+first; :attr:`MacKernel.lane`, the widest, is the one in use, and
+nothing selects another.  The same file has two more jobs:
 
 * the executor's multiplier cast, the round-to-nearest cast of every
   GEMM operand into the FP8 multiplier format, in one foreign call per
@@ -31,8 +35,9 @@ process, on the first multiplier cast, GEMM or patch gather:
   source, the flags and the machine, and published with ``os.replace``
   so concurrent processes never load a partial file;
 * it is loaded with :mod:`ctypes` and checked three times on fixed
-  operands.  The loops must match :func:`_spec_loop`: RN and SR
-  (uint32 and uint64 draws), subnormals on and off, saturate on and off, an
+  operands.  The loops, ``gemm`` on every lane in ``lanes``, must match
+  :func:`_spec_loop`, run once per configuration: RN and SR (uint32 and
+  uint64 draws), subnormals on and off, saturate on and off, an
   overflow, a deep tail, RN ties and inf/NaN.  The cast must match
   :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, subnormals and
   saturate on and off: RN ties of both parities in the normal and the
@@ -43,9 +48,10 @@ process, on the first multiplier cast, GEMM or patch gather:
   2, pad 0 and 1, row ranges that cross images, and scatter terms
   whose sums change with their order;
 * on any failure (no compiler, unwritable cache, compile error, load
-  error, self-check mismatch) :func:`library` returns ``None``; the
-  engine's seed per-step loop, the reference quantizer and the NumPy
-  patch bodies run, silently.  Nothing selects between the two paths.
+  error, a self-check mismatch on any lane) :func:`library` returns
+  ``None``; the engine's seed per-step loop, the reference quantizer
+  and the NumPy patch bodies run, silently.  Nothing selects between
+  the two paths.
 
 The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
 bits, the engine's bound on the loops; :func:`cast_kernel` makes that
@@ -89,11 +95,20 @@ from ..fp.quantize import quantize
 
 _SOURCE = Path(__file__).with_name("mac_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
-#: No -ffast-math and no -march: with contraction on, GCC fuses
-#: ``acc + a * b`` into an FMA wherever the target has one, and an
-#: unrounded product moves result bits.
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: -ffp-contract=off and no -ffast-math: with contraction on, GCC fuses
+#: ``acc + a * b`` into an FMA wherever the target has one (both vector
+#: lanes' targets do), and an unrounded product moves result bits.  No
+#: -march: the cache key holds the machine type, not the CPU, so one
+#: build must run on every CPU, each lane it can.  At plain -O2, GCC
+#: 12's cost model leaves the vector lane's loops scalar; the two
+#: vectorizer flags vectorize them.
+_FLAGS = ("-O2", "-ftree-vectorize", "-fvect-cost-model=dynamic",
+          "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
+#: ``mac_gemm``'s vector lanes, widest first: name and ``LANE_*`` id in
+#: ``mac_kernel.c``, which is also the lane's bit in ``mac_lanes()``.
+_VECTOR_LANES = (("avx512f", 2), ("avx2", 1))
+_LANE_IDS = {"scalar": 0, **dict(_VECTOR_LANES)}
 
 
 class _Spec(ctypes.Structure):
@@ -147,9 +162,15 @@ class MacKernel:
         self._lib = lib  # keeps the library loaded
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         spec = ctypes.POINTER(_Spec)
+        lib.mac_lanes.argtypes = []
+        lib.mac_lanes.restype = i64
+        cpu = lib.mac_lanes()
+        self._lanes = tuple(name for name, bit in _VECTOR_LANES
+                            if cpu >> bit & 1) + ("scalar",)
+        self._lane = self._lanes[0]
         self._gemm = lib.mac_gemm
         self._gemm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64,
-                               ptr, i64, i64, spec]
+                               ptr, i64, i64, spec, i64]
         self._gemm.restype = None
         self._reduce = lib.mac_reduce
         self._reduce.argtypes = [ptr, ptr, i64, i64, ptr, i64, spec]
@@ -163,6 +184,18 @@ class MacKernel:
             loop.argtypes = [ptr] + [i64] * 9 + [ptr]
             loop.restype = None
         self._specs: dict = {}
+
+    @property
+    def lanes(self) -> tuple:
+        """The ``gemm`` lanes this CPU runs, widest first: ``"avx512f"``
+        and ``"avx2"`` where the CPU has them, ``"scalar"`` always."""
+        return self._lanes
+
+    @property
+    def lane(self) -> str:
+        """The lane ``gemm`` runs: ``lanes[0]``.  Every lane gives the
+        same bits, and the load-time self-check ran each of them."""
+        return self._lane
 
     def _spec(self, fmt: FPFormat, rbits: Optional[int], saturate: bool):
         key = (fmt, rbits, bool(saturate))
@@ -206,11 +239,12 @@ class MacKernel:
         b_ptr = b.ctypes.data + 8 * start * n
         acc_ptr = acc.ctypes.data
         d_base = draws.ctypes.data if draws is not None else None
+        lane = _LANE_IDS[self._lane]
         for bi in range(batch):
             d_ptr = None if d_base is None else d_base + width * bi * m * n
             self._gemm(a_ptr + 8 * bi * m * k, k, b_ptr + 8 * bi * k * n, n,
                        acc_ptr + 8 * bi * m * n, m, n, steps,
-                       d_ptr, batch * m * n, width, spec)
+                       d_ptr, batch * m * n, width, spec, lane)
 
     def reduce(self, terms: np.ndarray, acc: np.ndarray,
                draws: Optional[np.ndarray], fmt: FPFormat,
@@ -453,7 +487,8 @@ def _spec_loop(terms, draws, fmt, mode, rbits, saturate) -> np.ndarray:
 
 
 def _self_check(mac: MacKernel) -> bool:
-    """Whether ``mac`` reproduces :func:`_spec_loop` bit for bit."""
+    """Whether ``mac`` reproduces :func:`_spec_loop` bit for bit, its
+    ``gemm`` on every lane in ``mac.lanes``."""
     terms = _CHECK_TERMS
     k = terms.shape[0]
     # Two batch entries of (2, K) @ (K, N) with power-of-two multipliers:
@@ -473,20 +508,28 @@ def _self_check(mac: MacKernel) -> bool:
             if rbits is not None:
                 draws = _check_draws(products.shape, rbits, dtype)
             for saturate in (False, True):
+                # One specification run per configuration, however many
+                # lanes the CPU has.
                 want = _spec_loop(products, draws, fmt, mode, rbits,
                                   saturate).view(np.int64)
-                got = np.zeros(products.shape[1:])
-                # Two chunks, so the start offset and strides count.
-                for start, steps in ((0, 2), (2, k - 2)):
-                    mac.gemm(a, b, got,
-                             None if draws is None
-                             else draws[start:start + steps],
-                             start, steps, fmt, rbits, saturate)
                 summed = np.zeros(products.shape[1:])
                 mac.reduce(products, summed, draws, fmt, rbits, saturate)
-                if not (np.array_equal(got.view(np.int64), want)
-                        and np.array_equal(summed.view(np.int64), want)):
+                if not np.array_equal(summed.view(np.int64), want):
                     return False
+                # ``mac`` is not published yet, so no other thread sees
+                # its lane switch.
+                for lane in mac.lanes:
+                    mac._lane = lane
+                    got = np.zeros(products.shape[1:])
+                    # Two chunks, so the start offset and strides count.
+                    for start, steps in ((0, 2), (2, k - 2)):
+                        mac.gemm(a, b, got,
+                                 None if draws is None
+                                 else draws[start:start + steps],
+                                 start, steps, fmt, rbits, saturate)
+                    if not np.array_equal(got.view(np.int64), want):
+                        return False
+    mac._lane = mac.lanes[0]
     return True
 
 

@@ -20,10 +20,17 @@
  * ...].  Their specification is the NumPy bodies of
  * repro.nn.functional.PatchRows, checked before first use too.
  *
+ * mac_gemm has lanes with the same bits: the portable scalar loop and,
+ * on x86-64, one branch-free vector body compiled for AVX2 and for
+ * AVX-512F.  mac_lanes() reports which vector lanes the CPU runs;
+ * repro.emu.kernel checks every one of them and runs the widest.
+ *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
  * float64 and moving result bits.  repro.emu.kernel compiles with
- * -ffp-contract=off and without -ffast-math.
+ * -ffp-contract=off, with -ftree-vectorize -fvect-cost-model=dynamic
+ * (so GCC vectorizes the vector body at -O2), and without -ffast-math
+ * or -march: one build runs on every CPU of the machine type.
  *
  * No global state: ctypes releases the GIL around every call, so
  * several threads may run these functions at once.
@@ -225,23 +232,154 @@ gemm_loop(const double *a, int64_t lda, const double *b, int64_t ldb,
     }
 }
 
+/* The vector lane: the same MAC steps as gemm_loop, reordered so the
+ * rounding runs without a branch over a flat run of elements.
+ *
+ * A tile is whole accumulator rows, at most TILE elements, or a span
+ * of TILE columns of one row when a row is wider than that.  acc is a
+ * contiguous (m, n) block and one step's draws are laid out the same
+ * way, so either kind of tile is one flat run of both.  The tile runs
+ * its steps in order (step-outer): each element still sees every step
+ * in order with that step's draw; only the order of independent
+ * elements changes.  Per step, a first pass writes the float64 sums
+ * acc + a * b into a stack buffer; a second runs round_one's
+ * normal-range arithmetic over the buffer with no branch, ORing
+ * round_one's "outside the lane" test.  Only when that flag is set
+ * does a scalar pass redo the flagged elements from the saved sums
+ * through round_general. */
+#define TILE 1024  /* elements: 8 KB of sums, 8 KB of accumulators */
+
+static inline __attribute__((always_inline)) void
+vector_loop(const double *a, int64_t lda, const double *b, int64_t ldb,
+            double *acc, int64_t m, int64_t n, int64_t steps,
+            const void *draws, int64_t ldd, const mac_spec *s, int kind)
+{
+    /* A local copy, not a lane *: stores to acc may alias what a
+     * pointer reaches, so every element would reload the constants. */
+    const lane l = make_lane(s);
+    double sums[TILE];
+    if (n <= 0)
+        return;
+    const int64_t rows = n < TILE ? TILE / n : 1;
+    const int64_t cols = n < TILE ? n : TILE;
+    for (int64_t i0 = 0; i0 < m; i0 += rows) {
+        const int64_t i1 = i0 + rows < m ? i0 + rows : m;
+        for (int64_t j0 = 0; j0 < n; j0 += cols) {
+            const int64_t width = j0 + cols < n ? cols : n - j0;
+            const int64_t len = (i1 - i0) * width;
+            double *out = acc + i0 * n + j0;
+            for (int64_t k = 0; k < steps; k++) {
+                const double *brow = b + k * ldb + j0;
+                for (int64_t i = i0; i < i1; i++) {
+                    const double av = a[i * lda + k];
+                    const double *row = acc + i * n + j0;
+                    double *sum = sums + (i - i0) * width;
+                    for (int64_t j = 0; j < width; j++)
+                        sum[j] = row[j] + av * brow[j];
+                }
+                const int64_t off = k * ldd + i0 * n + j0;
+                uint64_t outside = 0;
+                for (int64_t e = 0; e < len; e++) {
+                    uint64_t bits;
+                    memcpy(&bits, &sums[e], sizeof bits);
+                    uint64_t mag = bits & MAG_MASK;
+                    outside |= (mag - l.min_bits >= l.span) & (mag != 0);
+                    if (kind != DRAWS_NONE)
+                        mag = (mag + (draw_at(draws, off + e, kind)
+                                      << l.sr_shift)) & l.keep;
+                    else
+                        mag = (mag + l.half_m1 + ((mag >> l.c1) & 1u))
+                              & l.keep;
+                    mag = mag > l.max_bits ? l.over : mag;
+                    bits = (bits & SIGN_MASK) | mag;
+                    memcpy(&out[e], &bits, sizeof bits);
+                }
+                if (!outside)
+                    continue;
+                for (int64_t e = 0; e < len; e++) {
+                    uint64_t bits;
+                    memcpy(&bits, &sums[e], sizeof bits);
+                    const uint64_t mag = bits & MAG_MASK;
+                    if (mag - l.min_bits >= l.span && mag != 0)
+                        out[e] = round_general(
+                            sums[e], draw_at(draws, off + e, kind), s,
+                            kind != DRAWS_NONE);
+                }
+            }
+        }
+    }
+}
+
+/* Lanes of mac_gemm: the portable scalar loop, and on x86-64 the
+ * vector loop compiled for AVX2 and for AVX-512F; mac_lanes() says
+ * which vector lanes the CPU runs. */
+#define LANE_SCALAR 0
+#define LANE_AVX2 1
+#define LANE_AVX512F 2
+
+#define GEMM_PARAMS                                                       \
+    const double *a, int64_t lda, const double *b, int64_t ldb,          \
+    double *acc, int64_t m, int64_t n, int64_t steps, const void *draws, \
+    int64_t ldd, int64_t draw_bytes, const mac_spec *s
+#define GEMM_LOOP(loop)                                                   \
+    do {                                                                  \
+        if (draw_bytes == DRAWS_U32)                                      \
+            loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,         \
+                 DRAWS_U32);                                              \
+        else if (draw_bytes == DRAWS_U64)                                 \
+            loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,         \
+                 DRAWS_U64);                                              \
+        else                                                              \
+            loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,         \
+                 DRAWS_NONE);                                             \
+    } while (0)
+
+#if defined(__x86_64__)
+static __attribute__((target("avx2"))) void gemm_avx2(GEMM_PARAMS)
+{
+    GEMM_LOOP(vector_loop);
+}
+
+static __attribute__((target("avx512f"))) void gemm_avx512f(GEMM_PARAMS)
+{
+    GEMM_LOOP(vector_loop);
+}
+#endif
+
+/* Bit LANE_x is set when the CPU runs vector lane x. */
+int64_t mac_lanes(void)
+{
+    int64_t lanes = 0;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        lanes |= 1 << LANE_AVX2;
+    if (__builtin_cpu_supports("avx512f"))
+        lanes |= 1 << LANE_AVX512F;
+#endif
+    return lanes;
+}
+
 /* acc[i, j] runs `steps` MAC steps: acc += a[i, k] * b[k, j], then
  * round with draws[k, i, j].  Row strides: a by lda, b by ldb, draws
- * by ldd per step; acc is a contiguous (m, n) block. */
-void mac_gemm(const double *a, int64_t lda, const double *b, int64_t ldb,
-              double *acc, int64_t m, int64_t n, int64_t steps,
-              const void *draws, int64_t ldd, int64_t draw_bytes,
-              const mac_spec *s)
+ * by ldd per step; acc is a contiguous (m, n) block.  Every lane gives
+ * the same bits; `lane` must be one that mac_lanes() reports, or
+ * LANE_SCALAR. */
+void mac_gemm(GEMM_PARAMS, int64_t lane)
 {
-    if (draw_bytes == DRAWS_U32)
-        gemm_loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,
-                  DRAWS_U32);
-    else if (draw_bytes == DRAWS_U64)
-        gemm_loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,
-                  DRAWS_U64);
-    else
-        gemm_loop(a, lda, b, ldb, acc, m, n, steps, draws, ldd, s,
-                  DRAWS_NONE);
+#if defined(__x86_64__)
+    if (lane == LANE_AVX512F) {
+        gemm_avx512f(a, lda, b, ldb, acc, m, n, steps, draws, ldd,
+                     draw_bytes, s);
+        return;
+    }
+    if (lane == LANE_AVX2) {
+        gemm_avx2(a, lda, b, ldb, acc, m, n, steps, draws, ldd, draw_bytes,
+                  s);
+        return;
+    }
+#endif
+    GEMM_LOOP(gemm_loop);
 }
 
 static inline __attribute__((always_inline)) void

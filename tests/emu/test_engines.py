@@ -546,6 +546,16 @@ class TestBatchedNumpyLoop(TestBatched):
     reference cast."""
 
 
+@pytest.mark.usefixtures("mac_lane")
+class TestSequentialBitIdentityLanes(TestSequentialBitIdentity):
+    """The same cases on every lane of the compiled K loop."""
+
+
+@pytest.mark.usefixtures("mac_lane")
+class TestBatchedLanes(TestBatched):
+    """The same cases on every lane of the compiled K loop."""
+
+
 class TestExactSRStream:
     def test_exact_sr_without_rng_rejected(self, rng):
         """Exact SR draws uniform floats from ``stream.rng``; a stream

@@ -1,13 +1,14 @@
 """The compiled kernel: build, self-checks, the cast, and fallback.
 
 The engine-level bit-identity suites (``test_engines.py``) run once on
-the kernel and once on the seed loop and reference cast, and the patch
-gather and scatter-add suites (``test_parallel.py``) once on the kernel
-and once on the NumPy bodies.  This file pins the loader: the loops and
-the multiplier cast agree with their specifications on more formats
-than the load-time self-checks cover, the build is cached, and every
-way the build can fail leaves the seed loop and the reference
-quantizer running with the same bits.
+the kernel, once on each lane of its K loop and once on the seed loop
+and reference cast, and the patch gather and scatter-add suites
+(``test_parallel.py``) once on the kernel and once on the NumPy bodies.
+This file pins the loader: the loops (``gemm`` on every lane) and the
+multiplier cast agree with their specifications on more formats and
+shapes than the load-time self-checks cover, the build is cached, and
+every way the build can fail, a wrong vector lane included, leaves the
+seed loop and the reference quantizer running with the same bits.
 """
 
 import shutil
@@ -46,6 +47,24 @@ def _stress_terms(rng, fmt, shape):
     terms[1, 1] = -np.inf
     terms[2, 2] = np.nan
     return terms
+
+
+def _stress_operands(rng, fmt, batch, m, k, n):
+    """``(batch, m, k)`` and ``(batch, k, n)`` operands whose running
+    sums visit every lane: products from below the deep tail to past
+    overflow, exact zeros, and infinities and a NaN in the last steps."""
+    def operand(shape):
+        scale = 2.0 ** rng.integers((fmt.emin - fmt.mantissa_bits - 4) // 2,
+                                    (fmt.emax + 2) // 2 + 1, size=shape)
+        values = rng.normal(size=shape) * scale
+        values[rng.random(shape) < 0.05] = 0.0
+        return values
+
+    a, b = operand((batch, m, k)), operand((batch, k, n))
+    a[0, 0, -1] = np.inf
+    b[-1, -1, -1] = np.nan
+    b[0, -2, 0] = -np.inf
+    return a, b
 
 
 def _same_bits(got, want) -> bool:
@@ -103,6 +122,51 @@ class TestKernel:
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), \
                     (fmt.name, saturate)
+
+    @pytest.mark.parametrize("e_bits,m_bits", [(4, 3), (5, 2), (6, 5),
+                                               (5, 10), (8, 7)])
+    @pytest.mark.parametrize("rbits,dtype", [(None, None), (4, np.uint32),
+                                             (13, np.uint32),
+                                             (20, np.uint64)])
+    def test_gemm_matches_specification(self, rng, e_bits, m_bits, rbits,
+                                        dtype):
+        """Every lane of the K loop against :func:`kernel._spec_loop` of
+        the products: rows of 1 to 1100 columns (both vector widths'
+        tails, and a row wider than a tile), 1 to 64 rows, two batch
+        entries and two chunks, so the draw stride and the ``start``
+        offset count."""
+        mode = "nearest" if rbits is None else "stochastic"
+        mac = kernel.library()
+        k = 6
+        for subnormals in (True, False):
+            fmt = FPFormat(e_bits, m_bits, subnormals)
+            for m in (1, 5, 64):
+                for n in (1, 7, 8, 9, 27, 72, 1100):
+                    a, b = _stress_operands(rng, fmt, 2, m, k, n)
+                    with np.errstate(invalid="ignore"):  # inf * 0
+                        products = np.ascontiguousarray(
+                            a.transpose(2, 0, 1)[..., None]
+                            * b.transpose(1, 0, 2)[:, :, None, :])
+                    draws = None
+                    if rbits is not None:
+                        draws = rng.integers(0, 1 << rbits,
+                                             size=products.shape,
+                                             dtype=np.uint64).astype(dtype)
+                    for saturate in (False, True):
+                        want = kernel._spec_loop(products, draws, fmt, mode,
+                                                 rbits, saturate)
+                        for lane in mac.lanes:
+                            got = np.zeros(want.shape)
+                            with pytest.MonkeyPatch.context() as mp:
+                                mp.setattr(mac, "_lane", lane)
+                                for start, steps in ((0, 2), (2, k - 2)):
+                                    mac.gemm(a, b, got,
+                                             None if draws is None
+                                             else draws[start:start + steps],
+                                             start, steps, fmt, rbits,
+                                             saturate)
+                            assert _same_bits(got, want), \
+                                (lane, fmt.name, m, n, saturate)
 
     @pytest.mark.parametrize("rbits", [None, 4, 13])
     def test_float64_subnormal_sums_match_reference_quantizer(self, rng,
@@ -400,6 +464,23 @@ class TestFallback:
             return out
 
         monkeypatch.setattr(kernel, "_quantize_fused_into", off_by_one_ulp)
+        self._assert_seed_loop_runs(rng)
+
+    @needs_cc
+    @pytest.mark.parametrize("lane", ["avx512f", "avx2"])
+    def test_vector_lane_mismatch(self, monkeypatch, rng, lane):
+        """One vector lane that flips a result bit keeps the whole
+        library out, however right the other lanes are."""
+        if lane not in kernel._load().lanes:
+            pytest.skip(f"this CPU has no {lane} lane")
+        gemm = kernel.MacKernel.gemm
+
+        def flips_a_bit(self, a, b, acc, *args):
+            gemm(self, a, b, acc, *args)
+            if self.lane == lane:
+                acc.view(np.int64)[..., -1] ^= 1
+
+        monkeypatch.setattr(kernel.MacKernel, "gemm", flips_a_bit)
         self._assert_seed_loop_runs(rng)
 
     @needs_cc

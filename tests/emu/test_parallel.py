@@ -135,6 +135,11 @@ class TestDrawOrderPinNumpyLoop(TestDrawOrderPin):
     """The same pin on the seed loop and the reference cast."""
 
 
+@pytest.mark.usefixtures("mac_lane")
+class TestDrawOrderPinLanes(TestDrawOrderPin):
+    """The same pin on every lane of the compiled K loop."""
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self, rng):
         a, b = _operands(rng)
