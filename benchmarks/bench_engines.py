@@ -23,7 +23,13 @@ against the compiled loops, also asserted bit-identical first.  The
 ``lanes`` rows time ``MacKernel.gemm``, one chunk of MAC steps, on
 every lane this CPU runs (the report's ``kernel_lanes``; the kernel
 uses ``kernel_lane``), on the three ``train_cnn`` conv tiles and a
-transformer projection, all lanes asserted bit-identical first.
+transformer projection, all lanes asserted bit-identical first.  The
+``draws`` rows time one block's SR randomness, ``spawn`` plus
+``integers_bulk`` of its whole K loop at r=13, on a ``train_cnn`` conv
+block and a transformer projection: the NumPy specification
+(``SeedSequence``, ``PCG64`` and ``Generator.integers``, the
+``no_compiler`` tier) against the kernel's PCG64, asserted
+bit-identical first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -46,6 +52,7 @@ from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS
 from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
+from repro.prng.streams import SoftwareStream
 
 from _machine import machine_info
 
@@ -70,6 +77,10 @@ LANE_SHAPES = {"conv_forward": (64, 72, 16), "conv_input_grad": (64, 16, 72),
                "attn_projection": (24, 64, 64)}
 #: Kernel calls per timed sample.
 LANE_CALLS = 30
+#: Draw blocks (M, K, N) of one engine call: a ``train_cnn`` conv
+#: forward row block and a ``train_transformer`` projection block.
+DRAW_SHAPES = {"conv_forward": (64, 72, 16),
+               "attn_projection": (24, 64, 64)}
 
 
 def _config(accum_order="sequential"):
@@ -270,6 +281,42 @@ def _lane_rows(repeats):
     return rows
 
 
+def _draw_rows(repeats):
+    """One block's ``spawn`` plus ``integers_bulk``, microseconds per
+    block: the NumPy specification against the kernel, r=13."""
+    parent = SoftwareStream(SEED)
+    # The executor's key of block j: a 4-word call key, batch, block.
+    keys = [(40123, 5021, 17, 60000, 0, j) for j in range(LANE_CALLS)]
+    tiers = {"numpy": numpy_mac_loop}
+    if kernel.library() is not None:
+        tiers["kernel"] = contextlib.nullcontext
+    rows = {}
+    for name, (m, k, n) in DRAW_SHAPES.items():
+        def block(key, m=m, k=k, n=n):
+            return parent.spawn(key).integers_bulk(CONV_RBITS, k, (1, m, n))
+
+        def calls(tier):
+            with tier():
+                for key in keys:
+                    block(key)
+
+        if "kernel" in tiers:
+            with numpy_mac_loop():
+                want = block(keys[0])
+            assert np.array_equal(block(keys[0]), want), \
+                f"draws {name}: kernel and NumPy specification disagree"
+        micros = {tier: _time(calls, context, repeats=repeats)
+                  / len(keys) * 1e6 for tier, context in tiers.items()}
+        rows[name] = {
+            "shape": [m, k, n],
+            "rbits": CONV_RBITS,
+            "us_per_block": micros,
+            "kernel_speedup": micros["numpy"] / micros["kernel"]
+            if "kernel" in micros else None,
+        }
+    return rows
+
+
 def run_benchmark(size=256, repeats=3):
     """Time every engine (plus the seed path) on one SR GEMM."""
     rng = np.random.default_rng(7)
@@ -313,6 +360,7 @@ def run_benchmark(size=256, repeats=3):
         "cast": _cast_rows(repeats),
         "patch": _patch_rows(repeats),
         "lanes": _lane_rows(repeats),
+        "draws": _draw_rows(repeats),
     }
     return report
 
@@ -372,6 +420,10 @@ def main(argv=None) -> int:
             if row[op]["kernel_speedup"] is not None:
                 print(f"{name} patch {op}, compiled vs NumPy body: "
                       f"{row[op]['kernel_speedup']:.2f}x", file=sys.stderr)
+    for name, row in report["draws"].items():
+        if row["kernel_speedup"] is not None:
+            print(f"{name} spawn + draws {row['shape']}, kernel vs NumPy: "
+                  f"{row['kernel_speedup']:.2f}x", file=sys.stderr)
     for name, row in report["lanes"].items():
         speedups = ", ".join(f"{lane} {x:.2f}x" for lane, x
                              in row["speedup_vs_scalar"].items()

@@ -1,4 +1,5 @@
-"""The compiled add-and-round loop, multiplier cast and conv patch loops.
+"""The compiled add-and-round loop, multiplier cast, conv patch loops
+and SR draws.
 
 :class:`repro.emu.engine.SequentialEngine` spends its time in the K
 loop of the MAC chain: add one product onto the accumulator, round the
@@ -10,7 +11,7 @@ its lanes, which give the same bits: a scalar loop that runs anywhere,
 and on x86-64 a branch-free vector body compiled for AVX2 and for
 AVX-512F.  :attr:`MacKernel.lanes` lists the lanes the CPU runs, widest
 first; :attr:`MacKernel.lane`, the widest, is the one in use, and
-nothing selects another.  The same file has two more jobs:
+nothing selects another.  The same file has three more jobs:
 
 * the executor's multiplier cast, the round-to-nearest cast of every
   GEMM operand into the FP8 multiplier format, in one foreign call per
@@ -21,20 +22,26 @@ nothing selects another.  The same file has two more jobs:
   which :class:`repro.nn.functional.PatchRows` calls in place of its
   NumPy fancy indexing and ``np.add.at``.  The gather stays a call of
   its own, not a table of row bases read inside ``mac_gemm``, so the
-  patch stage stays a separate, timeable step.
+  patch stage stays a separate, timeable step;
+* the SR randomness of :class:`repro.prng.streams.SoftwareStream`
+  (:meth:`MacKernel.pcg_seed`, :meth:`MacKernel.pcg_draws`): a
+  substream's PCG64 state derived from its seed and spawn path, and
+  its draws of at most 32 bits.
 
 :func:`_spec_loop`, a NumPy loop over the bit-pattern rounding of
 :mod:`repro.fp.fastquant`, is the specification of the K loop,
-:func:`repro.fp.quantize.quantize` that of the cast, and the NumPy
+:func:`repro.fp.quantize.quantize` that of the cast, the NumPy
 bodies ``PatchRows.numpy_rows`` and ``PatchRows.numpy_scatter_rows``
-that of the patch loops.  The kernel is built and admitted once per
-process, on the first multiplier cast, GEMM or patch gather:
+that of the patch loops, and NumPy's ``SeedSequence``, ``PCG64`` and
+``Generator.integers`` that of the draws.  The kernel is built and
+admitted once per process, on the first multiplier cast, GEMM, patch
+gather or software-stream draw:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
   ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
   source, the flags and the machine, and published with ``os.replace``
   so concurrent processes never load a partial file;
-* it is loaded with :mod:`ctypes` and checked three times on fixed
+* it is loaded with :mod:`ctypes` and checked four times on fixed
   operands.  The loops, ``gemm`` on every lane in ``lanes``, must match
   :func:`_spec_loop`, run once per configuration: RN and SR (uint32 and
   uint64 draws), subnormals on and off, saturate on and off, an
@@ -46,12 +53,15 @@ process, on the first multiplier cast, GEMM or patch gather:
   NaN payload.  The patch gather and scatter-add must match the NumPy
   bodies on a non-square two-image input, 3x3 windows at stride 1 and
   2, pad 0 and 1, row ranges that cross images, and scatter terms
-  whose sums change with their order;
+  whose sums change with their order.  The PCG loops must derive
+  NumPy's state for the streams of :data:`_PCG_CHECK_STREAMS` and draw
+  what ``Generator.integers`` draws, odd and even totals, uint32 and
+  uint64 buffers;
 * on any failure (no compiler, unwritable cache, compile error, load
   error, a self-check mismatch on any lane) :func:`library` returns
-  ``None``; the engine's seed per-step loop, the reference quantizer
-  and the NumPy patch bodies run, silently.  Nothing selects between
-  the two paths.
+  ``None``; the engine's seed per-step loop, the reference quantizer,
+  the NumPy patch bodies and NumPy's generator run, silently.  Nothing
+  selects between the two paths.
 
 The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
 bits, the engine's bound on the loops; :func:`cast_kernel` makes that
@@ -63,10 +73,12 @@ span) sees every multiplier cast on both paths.  The patch loops run
 inside ``PatchRows.__call__`` and ``PatchRows.scatter_rows`` in the
 same way.
 
-SR draws stay in NumPy: the engine draws them in bulk and hands them
-to the kernel.  Without the kernel the seed loop draws the same bits
-one step at a time (the bulk-draw contract of
-:mod:`repro.prng.streams`).
+The engine still draws SR bits in bulk, one ``bulk_draws`` call per
+chunk, and hands the buffer to the K loop, so the draws stay a
+separate, timeable step; for a ``SoftwareStream`` that call runs
+:meth:`MacKernel.pcg_draws`.  Without the kernel the seed loop draws
+the same bits one step at a time from NumPy's generator (the bulk-draw
+contract of :mod:`repro.prng.streams`).
 """
 
 from __future__ import annotations
@@ -92,6 +104,7 @@ from ..fp.fastquant import (
 )
 from ..fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FPFormat
 from ..fp.quantize import quantize
+from ..prng.streams import uint32_words
 
 _SOURCE = Path(__file__).with_name("mac_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -127,6 +140,28 @@ class _Spec(ctypes.Structure):
         ("max_value", ctypes.c_double),
         ("min_normal", ctypes.c_double),
     ]
+
+
+#: A :class:`repro.prng.streams.SoftwareStream`'s PCG64 state, as
+#: ``mac_pcg_seed`` writes it and ``mac_pcg_draws`` advances it: the
+#: 128-bit LCG state and increment, high word first, then PCG64's
+#: half-word cache, ``has_uint32`` and ``uinteger``
+#: (``mac_kernel.c``'s ``PCG_*`` word order).
+PcgState = ctypes.c_uint64 * 6
+
+
+def pcg64_state(state: PcgState) -> dict:
+    """``state`` in the form of ``np.random.PCG64.state``.
+
+    Example (the kernel's seeding of ``default_rng(5)``)::
+
+        state = library().pcg_seed((5,), ())
+        assert pcg64_state(state) == np.random.PCG64(5).state
+    """
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = state
+    return {"bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32, "uinteger": uinteger}
 
 
 def _draw_buffer(draws: Optional[np.ndarray]):
@@ -183,6 +218,13 @@ class MacKernel:
         for loop in (self._gather, self._scatter):
             loop.argtypes = [ptr] + [i64] * 9 + [ptr]
             loop.restype = None
+        words = ctypes.POINTER(ctypes.c_uint64)
+        self._pcg_seed = lib.mac_pcg_seed
+        self._pcg_seed.argtypes = [ptr, i64, i64, words]
+        self._pcg_seed.restype = None
+        self._pcg_draws = lib.mac_pcg_draws
+        self._pcg_draws.argtypes = [words, i64, ptr, i64, i64]
+        self._pcg_draws.restype = None
         self._specs: dict = {}
 
     @property
@@ -324,6 +366,46 @@ class MacKernel:
                       (r1 - r0, xp.shape[1] * kernel * kernel))
         self._scatter(values.ctypes.data, *geometry, xp.ctypes.data)
 
+    def pcg_seed(self, entropy: tuple, spawn_path: tuple) -> PcgState:
+        """``PCG64(SeedSequence(seed, spawn_key=spawn_path)).state``,
+        compiled, as a new :data:`PcgState`.
+
+        ``entropy`` is the seed as ``SeedSequence`` splits it, uint32
+        words (:func:`repro.prng.streams.uint32_words`), and
+        ``spawn_path`` a tuple of non-negative integers.
+
+        Example::
+
+            state = library().pcg_seed(uint32_words(5), (1, 2))
+        """
+        key = spawn_path
+        if key and max(key) >> 32:  # a key of more than one word
+            key = tuple(word for k in key for word in uint32_words(k))
+        words = entropy + key
+        state = PcgState()
+        self._pcg_seed((ctypes.c_uint32 * len(words))(*words),
+                       len(entropy), len(key), state)
+        return state
+
+    def pcg_draws(self, state: PcgState, rbits: int,
+                  out: np.ndarray) -> None:
+        """Fill ``out`` with the next ``out.size`` draws of ``state``
+        and advance it: ``Generator.integers(0, 2**rbits,
+        dtype=np.uint64)`` for ``1 <= rbits <= 32``, compiled.
+
+        ``out`` is a C-contiguous uint32 or uint64 array.  An odd size
+        parks a half-word in ``state``'s cache, as NumPy does, so the
+        next call continues the same sequence.
+        """
+        if not 1 <= rbits <= 32:
+            raise ValueError(f"rbits must be in 1..32, got {rbits}")
+        if out.dtype not in (np.uint32, np.uint64) \
+                or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous uint32 or uint64 "
+                             f"array, got {out.dtype}")
+        self._pcg_draws(state, rbits, out.ctypes.data, out.size,
+                        out.itemsize)
+
 
 def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
                     r0: int, r1: int):
@@ -349,9 +431,10 @@ def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
 
 _UNBUILT = object()
 #: The process's kernel: ``_UNBUILT`` until the first multiplier cast,
-#: GEMM or patch gather asks for it, then a :class:`MacKernel`, or
-#: ``None`` when the seed loop, the reference quantizer and the NumPy
-#: patch bodies run.  Process-wide because the loaded library is.
+#: GEMM, patch gather or software-stream draw asks for it, then a
+#: :class:`MacKernel`, or ``None`` when the seed loop, the reference
+#: quantizer, the NumPy patch bodies and NumPy's generator run.
+#: Process-wide because the loaded library is.
 _lib = _UNBUILT
 _lock = threading.Lock()
 
@@ -359,8 +442,8 @@ _lock = threading.Lock()
 def library() -> Optional[MacKernel]:
     """The checked kernel, built on first use; ``None`` if unavailable.
 
-    The loops, the cast and the patch loops come and go together: a
-    library that fails any self-check is not used at all.
+    The loops, the cast, the patch loops and the PCG loops come and go
+    together: a library that fails any self-check is not used at all.
 
     Example::
 
@@ -401,7 +484,8 @@ def _load() -> Optional[MacKernel]:
         mac = MacKernel(ctypes.CDLL(str(path)))
     except (OSError, AttributeError):
         return None
-    if _self_check(mac) and _cast_self_check(mac) and _patch_self_check(mac):
+    if (_self_check(mac) and _cast_self_check(mac)
+            and _patch_self_check(mac) and _pcg_self_check(mac)):
         return mac
     return None
 
@@ -612,4 +696,44 @@ def _patch_self_check(mac: MacKernel) -> bool:
                                   patches.out_hw)
             if not np.array_equal(got.view(np.int64), want.view(np.int64)):
                 return False
+    return True
+
+
+#: ``(seed, spawn path)`` pairs of the PCG self-check: the root stream
+#: (no spawn key, so no padding), seeds of one, two and four words, keys
+#: of one and two words, and entropy longer than SeedSequence's 4-word
+#: pool.
+_PCG_CHECK_STREAMS = ((0, ()), (2 ** 63 + 5, ()), (1, (0,)),
+                      (2 ** 32, (7, 2 ** 32 + 3)), (2 ** 100 + 9, (4, 1)),
+                      (5, tuple(range(9))))
+
+
+def _pcg_self_check(mac: MacKernel) -> bool:
+    """Whether ``mac.pcg_seed`` and ``mac.pcg_draws`` reproduce NumPy's
+    ``SeedSequence``, ``PCG64`` and ``Generator.integers`` bit for bit.
+
+    Each stream of :data:`_PCG_CHECK_STREAMS` must derive NumPy's state,
+    then draw at one ``rbits`` of 1, 13 and 32 what ``Generator.integers``
+    draws, into uint32 and uint64 buffers of odd and even sizes, so the
+    half-word cache is parked, used and refilled, and end in NumPy's
+    state.
+    """
+    for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
+        bits = np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=path))
+        state = mac.pcg_seed(uint32_words(seed), path)
+        if pcg64_state(state) != bits.state:
+            return False
+        rbits = (1, 13, 32)[index % 3]
+        reference = np.random.Generator(bits)
+        for size, dtype in ((7, np.uint32), (10, np.uint64),
+                            (3, np.uint64), (1, np.uint32), (4, np.uint32)):
+            got = np.empty(size, dtype)
+            mac.pcg_draws(state, rbits, got)
+            want = reference.integers(0, 1 << rbits, size=size,
+                                      dtype=np.uint64)
+            if not np.array_equal(got.astype(np.uint64), want):
+                return False
+        if pcg64_state(state) != bits.state:
+            return False
     return True

@@ -25,6 +25,12 @@
  * AVX-512F.  mac_lanes() reports which vector lanes the CPU runs;
  * repro.emu.kernel checks every one of them and runs the widest.
  *
+ * mac_pcg_seed and mac_pcg_draws are the SR randomness of
+ * repro.prng.streams.SoftwareStream: NumPy's SeedSequence and PCG64
+ * seeding of a substream, and the draws of Generator.integers(0, 2**r,
+ * dtype=np.uint64) for r <= 32.  NumPy is their specification, and
+ * repro.emu.kernel checks them against it before first use too.
+ *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
  * float64 and moving result bits.  repro.emu.kernel compiles with
@@ -33,7 +39,8 @@
  * or -march: one build runs on every CPU of the machine type.
  *
  * No global state: ctypes releases the GIL around every call, so
- * several threads may run these functions at once.
+ * several threads may run these functions at once (on one PCG64 state
+ * at a time: the caller serializes the draws of one stream).
  */
 
 #include <math.h>
@@ -488,4 +495,194 @@ void mac_patch_scatter(const double *values, int64_t c, int64_t hp,
         scatter_loop(values, c, hp, wp, 3, stride, oh, ow, r0, r1, xp);
     else
         scatter_loop(values, c, hp, wp, k, stride, oh, ow, r0, r1, xp);
+}
+
+/* SR randomness: a SoftwareStream substream is the PCG64 generator that
+ * NumPy seeds from SeedSequence(entropy=seed, spawn_key=path), and a
+ * draw of r <= 32 bits is Generator.integers(0, 2**r, dtype=np.uint64).
+ *
+ * A stream's state is six uint64 words, PCG64.state in the order
+ * repro.emu.kernel.PcgState keeps it: the 128-bit LCG state and
+ * increment, high word first, then PCG64's half-word cache. */
+#define PCG_STATE_HI 0
+#define PCG_STATE_LO 1
+#define PCG_INC_HI 2
+#define PCG_INC_LO 3
+#define PCG_HAS_UINT32 4  /* 1 while a drawn upper half-word waits */
+#define PCG_UINTEGER 5    /* that half-word */
+
+/* The hash constants of numpy.random.SeedSequence, pool size 4. */
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+#define SS_XSHIFT 16
+
+static inline uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> SS_XSHIFT);
+}
+
+static inline uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = SS_MIX_L * x - SS_MIX_R * y;
+    return result ^ (result >> SS_XSHIFT);
+}
+
+/* Word i of SeedSequence's assembled entropy: the n_run run-entropy
+ * words, zero-padded to the pool (the pad words) when a spawn key
+ * follows, then the spawn key's words.  `words` holds the run words
+ * and then the key words, without the padding. */
+static inline uint32_t ss_word(const uint32_t *words, int64_t n_run,
+                               int64_t pad, int64_t i)
+{
+    if (i < n_run)
+        return words[i];
+    return i < n_run + pad ? 0 : words[i - pad];
+}
+
+/* PCG64's 128-bit LCG multiplier, high and low words. */
+#define PCG_MULT_HI 0x2360ED051FC65DA4ULL
+#define PCG_MULT_LO 0x4385DF649FCCF645ULL
+
+/* One LCG step, state = state * multiplier + inc mod 2**128, on 64-bit
+ * halves: a 128-bit loop variable makes GCC keep the state on the
+ * stack, where every step waits on a store and a load. */
+static inline __attribute__((always_inline)) void
+pcg_step(uint64_t *hi, uint64_t *lo, uint64_t inc_hi, uint64_t inc_lo)
+{
+    const uint64_t carry_in =
+        (uint64_t)(((unsigned __int128)*lo * PCG_MULT_LO) >> 64);
+    const uint64_t next_lo = *lo * PCG_MULT_LO + inc_lo;
+    *hi = carry_in + *lo * PCG_MULT_HI + *hi * PCG_MULT_LO + inc_hi
+          + (next_lo < inc_lo);
+    *lo = next_lo;
+}
+
+/* PCG64's XSL-RR output of an LCG state. */
+static inline uint64_t pcg_output(uint64_t hi, uint64_t lo)
+{
+    const uint64_t folded = hi ^ lo;
+    const unsigned rot = (unsigned)(hi >> 58);
+    return (folded >> rot) | (folded << ((-rot) & 63u));
+}
+
+/* st = PCG64(SeedSequence(entropy=run, spawn_key=key)).state: the run
+ * entropy's n_run uint32 words followed by the spawn key's n_key, each
+ * integer split into little-endian words as SeedSequence splits it. */
+void mac_pcg_seed(const uint32_t *words, int64_t n_run, int64_t n_key,
+                  uint64_t *st)
+{
+    const int64_t pad = n_key > 0 && n_run < SS_POOL ? SS_POOL - n_run : 0;
+    const int64_t n = n_run + pad + n_key;
+    uint32_t pool[SS_POOL];
+    uint32_t hash_const = SS_INIT_A;
+    /* SeedSequence.mix_entropy: hash the first words into the pool,
+     * mix every pool word into every other, then mix each remaining
+     * word into every pool word. */
+    for (int64_t i = 0; i < SS_POOL; i++)
+        pool[i] = ss_hashmix(i < n ? ss_word(words, n_run, pad, i) : 0,
+                             &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst],
+                                   ss_hashmix(pool[src], &hash_const));
+    for (int64_t src = SS_POOL; src < n; src++) {
+        const uint32_t word = ss_word(words, n_run, pad, src);
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(word, &hash_const));
+    }
+    /* SeedSequence.generate_state(4, np.uint64): eight hashed uint32
+     * words cycling through the pool, paired little-endian. */
+    uint64_t seed[4];
+    hash_const = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        value *= hash_const;
+        value ^= value >> SS_XSHIFT;
+        if (i % 2 == 0)
+            seed[i / 2] = value;
+        else
+            seed[i / 2] |= (uint64_t)value << 32;
+    }
+    /* PCG64's set_seed, pcg_setseq_128_srandom_r: the increment is
+     * (seed[2], seed[3]) << 1 | 1, high word first; the state starts at
+     * 0, steps, adds (seed[0], seed[1]) and steps again. */
+    const uint64_t inc_hi = seed[2] << 1 | seed[3] >> 63;
+    const uint64_t inc_lo = seed[3] << 1 | 1u;
+    uint64_t lo = inc_lo + seed[1];
+    uint64_t hi = inc_hi + seed[0] + (lo < seed[1]);
+    pcg_step(&hi, &lo, inc_hi, inc_lo);
+    st[PCG_STATE_HI] = hi;
+    st[PCG_STATE_LO] = lo;
+    st[PCG_INC_HI] = inc_hi;
+    st[PCG_INC_LO] = inc_lo;
+    st[PCG_HAS_UINT32] = 0;
+    st[PCG_UINTEGER] = 0;
+}
+
+static inline __attribute__((always_inline)) void
+put_draw(void *out, int64_t i, uint32_t value, int kind)
+{
+    if (kind == DRAWS_U32)
+        ((uint32_t *)out)[i] = value;
+    else
+        ((uint64_t *)out)[i] = value;
+}
+
+static inline __attribute__((always_inline)) void
+pcg_loop(uint64_t *st, int64_t rbits, void *out, int64_t n, int kind)
+{
+    uint64_t hi = st[PCG_STATE_HI], lo = st[PCG_STATE_LO];
+    const uint64_t inc_hi = st[PCG_INC_HI], inc_lo = st[PCG_INC_LO];
+    const int shift = (int)(32 - rbits);
+    /* NumPy's next_uint32 keeps the upper half of every word it draws
+     * in uinteger, and leaves it there once the half-word is used. */
+    uint64_t upper = st[PCG_UINTEGER];
+    int64_t i = 0;
+    if (n > 0 && st[PCG_HAS_UINT32]) {
+        put_draw(out, 0, (uint32_t)upper >> shift, kind);
+        st[PCG_HAS_UINT32] = 0;
+        i = 1;
+    }
+    for (; i + 2 <= n; i += 2) {
+        pcg_step(&hi, &lo, inc_hi, inc_lo);  /* step, then output */
+        const uint64_t word = pcg_output(hi, lo);
+        upper = word >> 32;
+        put_draw(out, i, (uint32_t)word >> shift, kind);
+        put_draw(out, i + 1, (uint32_t)upper >> shift, kind);
+    }
+    if (i < n) {
+        pcg_step(&hi, &lo, inc_hi, inc_lo);
+        const uint64_t word = pcg_output(hi, lo);
+        upper = word >> 32;
+        put_draw(out, i, (uint32_t)word >> shift, kind);
+        st[PCG_HAS_UINT32] = 1;
+    }
+    st[PCG_STATE_HI] = hi;
+    st[PCG_STATE_LO] = lo;
+    st[PCG_UINTEGER] = upper;
+}
+
+/* out[0 .. n) = Generator.integers(0, 2**rbits, size=n, dtype=np.uint64)
+ * for 1 <= rbits <= 32, advancing the state st in place: each draw is
+ * the top rbits bits of one 32-bit half-word of the PCG64 output, low
+ * half first.  An odd n parks the last upper half in the half-word
+ * cache, and the next call starts with it, as NumPy's next_uint32
+ * does.  out holds uint32 (out_bytes 4) or uint64 (8) draws. */
+void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
+                   int64_t out_bytes)
+{
+    if (out_bytes == DRAWS_U32)
+        pcg_loop(st, rbits, out, n, DRAWS_U32);
+    else
+        pcg_loop(st, rbits, out, n, DRAWS_U64);
 }

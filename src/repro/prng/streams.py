@@ -1,7 +1,7 @@
 """Random-bit stream sources for stochastic rounding.
 
 The emulation flow lets experiments choose where the SR random bits come
-from: a fast software generator (numpy PCG64, the default for training
+from: a fast software generator (NumPy's PCG64, the default for training
 runs) or the bit-accurate LFSR bank that mirrors the hardware PRNG.  Both
 implement the same protocol: per-call draws (:meth:`integers`) and bulk
 multi-step draws (:meth:`integers_bulk`) used by the fused accumulation
@@ -12,8 +12,8 @@ The bulk contract is strict: ``integers_bulk(r, steps, shape)[i]`` must be
 ``integers(r, shape)`` calls would have returned, so pre-drawing the
 randomness of a whole GEMM reduction never changes its result.  The
 dtype may be any unsigned integer type wide enough for ``r`` bits
-(:class:`SoftwareStream` returns uint32 draws for ``r <= 32`` to halve
-the unpack bandwidth).
+(:class:`SoftwareStream` returns uint32 bulk draws for ``r <= 32``,
+which halves what the compiled K loop reads).
 
 Both streams are additionally *splittable*: :meth:`spawn` derives a
 child stream from an integer key (or tuple of keys).  The child is a
@@ -29,11 +29,22 @@ construction); :class:`LFSRStream` children are leapfrog/offset
 variants — the same lane banks fast-forwarded to a key-derived offset
 of their Galois sequences via GF(2) matrix exponentiation
 (:meth:`repro.prng.lfsr.VectorLFSR.jump`).
+
+NumPy's ``SeedSequence``, ``PCG64`` and ``Generator.integers`` are the
+specification of :class:`SoftwareStream`, and where no C compiler is
+found they are its only path.  Where the compiled kernel
+(:mod:`repro.emu.kernel`) loaded, a stream's first draw derives its
+PCG64 state there, and the kernel runs its draws of at most 32 bits,
+bit for bit NumPy's (the kernel checks that before first use).  The
+kernel is imported on that first draw, not at the top, because the
+``repro.emu`` package imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Tuple
+import operator
+import threading
+from typing import Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -73,10 +84,13 @@ def as_key_path(key) -> Tuple[int, ...]:
         assert as_key_path(7) == (7,)
     """
     if isinstance(key, (tuple, list)):
-        path: Tuple[int, ...] = ()
+        path = []
         for item in key:
-            path += as_key_path(item)
-        return path
+            if type(item) is int and item >= 0:  # a flat key: no call
+                path.append(item)
+            else:
+                path.extend(as_key_path(item))
+        return tuple(path)
     value = int(key)
     if value < 0:
         raise ValueError(f"spawn keys must be non-negative, got {value}")
@@ -102,7 +116,19 @@ def bulk_draws(stream, rbits: int, steps: int, shape) -> np.ndarray:
 
 
 class SoftwareStream:
-    """numpy-PCG64-backed stream (fast path for training emulation).
+    """PCG64 stream, NumPy's generator drawn by the compiled kernel.
+
+    The stream with root ``seed`` and spawn path ``spawn_path`` is the
+    PCG64 generator that NumPy seeds from ``SeedSequence(entropy=seed,
+    spawn_key=spawn_path)``, and a draw of ``rbits`` bits is
+    ``Generator.integers(0, 2**rbits, dtype=np.uint64)`` on it.  Those
+    NumPy calls are the specification.  Where the compiled kernel
+    (:mod:`repro.emu.kernel`) loaded, it derives the state on the
+    stream's first draw and runs every draw of at most 32 bits.  The
+    :attr:`rng` property, draws of more than 32 bits and a missing
+    kernel hand the stream to a NumPy ``Generator`` at its current
+    position, and it draws there from then on.  Either way the bits are
+    NumPy's.
 
     Example::
 
@@ -111,80 +137,123 @@ class SoftwareStream:
         draws = child.integers(13, (8,))
     """
 
-    #: Per-``rbits`` result of the one-time self-check that the raw-word
-    #: unpack below reproduces ``Generator.integers`` bit for bit on this
-    #: numpy build (class-level: the check probes fixed-seed generators).
-    _raw_unpack_ok: dict = {}
-
     def __init__(self, seed: int = 0, spawn_path: Tuple[int, ...] = ()):
+        self._setup(seed, uint32_words(seed),
+                    as_key_path(spawn_path) if spawn_path else ())
+
+    def _setup(self, seed, entropy: Tuple[int, ...],
+               spawn_path: Tuple[int, ...]) -> None:
         self.seed = seed
-        self.spawn_path = as_key_path(spawn_path) if spawn_path else ()
-        if self.spawn_path:
-            # SeedSequence-derived PCG64 child: the documented numpy
-            # spawn construction, but with an explicit caller-chosen
-            # key path instead of the stateful spawn counter.
-            sequence = np.random.SeedSequence(
-                entropy=seed, spawn_key=self.spawn_path)
-            self.rng = np.random.Generator(np.random.PCG64(sequence))
-        else:
-            self.rng = np.random.default_rng(seed)
+        self.spawn_path = spawn_path
+        #: ``seed`` as SeedSequence's entropy words, shared by children.
+        self._entropy = entropy
+        # The stream holds at most one of these: the kernel's state
+        # words (:data:`repro.emu.kernel.PcgState`), derived on the
+        # first draw, or the NumPy Generator it was handed to.  The
+        # lock serializes draws, as the Generator's own lock does.
+        self._state = None
+        self._rng: Optional[np.random.Generator] = None
+        self._lock = threading.Lock()
 
     def spawn(self, key) -> "SoftwareStream":
-        """Key-derived child stream (pure in root seed + path + key)."""
+        """Key-derived child stream (pure in root seed + path + key).
+
+        Nothing is derived here: the child's state comes on its first
+        draw.
+        """
         path = as_key_path(key)
         if not path:
             # an empty key would alias the parent's draw sequence
             raise ValueError("spawn key must be non-empty")
-        return SoftwareStream(self.seed, self.spawn_path + path)
+        child = SoftwareStream.__new__(SoftwareStream)
+        child._setup(self.seed, self._entropy, self.spawn_path + path)
+        return child
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream as a NumPy ``Generator``, at its current position.
+
+        The stream draws through it from then on (exact SR samples
+        uniform floats from it).
+        """
+        with self._lock:
+            if self._rng is None:
+                bits = np.random.PCG64(np.random.SeedSequence(
+                    entropy=self.seed, spawn_key=self.spawn_path))
+                if self._state is not None:
+                    bits.state = _kernel().pcg64_state(self._state)
+                    self._state = None
+                self._rng = np.random.Generator(bits)
+            return self._rng
 
     def integers(self, rbits: int, shape) -> np.ndarray:
-        return self.rng.integers(0, 1 << rbits, size=shape, dtype=np.uint64)
+        return self._draw(rbits, shape, np.uint64)
 
     def integers_bulk(self, rbits: int, steps: int, shape) -> np.ndarray:
-        # numpy draws bounded uint64 with a power-of-two range through
-        # Lemire's algorithm on 32-bit half-words (low half first on
-        # little endian, no rejection): each output is the top ``rbits``
-        # bits of one half-word.  Unpacking raw 64-bit words ourselves
-        # is ~2x faster than the bounded path and reads half-words in
-        # the same order, hence is bit-identical — *except* around
-        # PCG64's internal half-word cache: an odd-length request parks
-        # its unused upper half inside the bit generator, which
-        # ``random_raw`` neither honors nor refills.  The fast path
-        # therefore requires an even total and an empty cache, and its
-        # equivalence is asserted once per process against
-        # ``Generator.integers``; anything else takes the plain bounded
-        # call.
-        total = int(steps) * int(np.prod(shape, dtype=np.int64))
-        out_shape = (steps, *tuple(shape))
-        if (1 <= rbits <= 32 and total > 0 and total % 2 == 0
-                and not self.rng.bit_generator.state.get("has_uint32", 1)
-                and self._verify_raw_unpack(rbits)):
-            words = self.rng.bit_generator.random_raw(total // 2)
-            halves = words.view(np.uint32)
-            draws = halves >> np.uint32(32 - rbits) if rbits < 32 else halves
-            return draws.reshape(out_shape)
-        return self.rng.integers(0, 1 << rbits, size=out_shape,
-                                 dtype=np.uint64)
+        return self._draw(rbits, (steps, *tuple(shape)), np.uint32)
 
-    @classmethod
-    def _verify_raw_unpack(cls, rbits: int) -> bool:
-        ok = cls._raw_unpack_ok.get(rbits)
-        if ok is None:
-            ok = True
-            for size in (4096, 10):  # even draw counts only (see above)
-                ref = np.random.Generator(np.random.PCG64(0xC0FFEE))
-                raw = np.random.Generator(np.random.PCG64(0xC0FFEE))
-                for _ in range(2):  # two rounds: values AND state advance
-                    expect = ref.integers(0, 1 << rbits, size=size,
-                                          dtype=np.uint64)
-                    halves = raw.bit_generator.random_raw(
-                        size // 2).view(np.uint32)
-                    got = (halves >> np.uint32(32 - rbits)) if rbits < 32 \
-                        else halves
-                    ok = ok and np.array_equal(expect,
-                                               got.astype(np.uint64))
-            cls._raw_unpack_ok[rbits] = ok
-        return ok
+    def _draw(self, rbits: int, shape, dtype) -> np.ndarray:
+        if 1 <= rbits <= 32:
+            mac = _kernel().library()
+            if mac is not None:
+                out = np.empty(shape, dtype)
+                with self._lock:
+                    if self._rng is None:
+                        if self._state is None:
+                            self._state = mac.pcg_seed(self._entropy,
+                                                       self.spawn_path)
+                        mac.pcg_draws(self._state, rbits, out)
+                        return out
+        return self.rng.integers(0, 1 << rbits, size=shape, dtype=np.uint64)
+
+    def __getstate__(self) -> dict:
+        with self._lock:
+            state = None if self._state is None else tuple(self._state)
+            return {"seed": self.seed, "spawn_path": self.spawn_path,
+                    "state": state, "rng": self._rng}
+
+    def __setstate__(self, saved: dict) -> None:
+        self._setup(saved["seed"], uint32_words(saved["seed"]),
+                    saved["spawn_path"])
+        if saved["state"] is not None:
+            self._state = _kernel().PcgState(*saved["state"])
+        self._rng = saved["rng"]
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def uint32_words(value) -> Tuple[int, ...]:
+    """A non-negative integer as ``SeedSequence`` splits it into entropy:
+    uint32 words, least significant first, one word for zero.
+
+    Example::
+
+        assert uint32_words(2**32 + 5) == (5, 1)
+    """
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return tuple(words)
+
+
+_KERNEL = None
+
+
+def _kernel():
+    """:mod:`repro.emu.kernel`, imported on the first draw: the
+    ``repro.emu`` package imports this module."""
+    global _KERNEL
+    if _KERNEL is None:
+        from ..emu import kernel
+
+        _KERNEL = kernel
+    return _KERNEL
 
 
 _MIX_MULT1 = 0xBF58476D1CE4E5B9

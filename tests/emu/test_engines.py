@@ -546,6 +546,12 @@ class TestBatchedNumpyLoop(TestBatched):
     reference cast."""
 
 
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestBulkDrawDeterminismNumpyLoop(TestBulkDrawDeterminism):
+    """The same cases on the no-compiler tier: every ``SoftwareStream``
+    draw through its NumPy ``Generator``."""
+
+
 @pytest.mark.usefixtures("mac_lane")
 class TestSequentialBitIdentityLanes(TestSequentialBitIdentity):
     """The same cases on every lane of the compiled K loop."""

@@ -31,6 +31,7 @@ from repro.fp.encode import all_finite_values
 from repro.fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FP16, FPFormat
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
+from repro.prng.streams import SoftwareStream
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
@@ -248,6 +249,19 @@ class TestKernel:
         with pytest.raises(ValueError, match="values"):
             mac.patch_scatter(np.zeros((2, 26)), 0, xp, 3, 1, (4, 4))
         assert mac.patch_gather(xp, 9, 1, (0, 0), 0, 0).shape == (0, 243)
+
+    def test_pcg_argument_checks(self):
+        mac = kernel.library()
+        state = mac.pcg_seed((1,), ())
+        for rbits in (0, 33):
+            with pytest.raises(ValueError, match="rbits"):
+                mac.pcg_draws(state, rbits, np.empty(4, np.uint32))
+        with pytest.raises(ValueError, match="uint32 or uint64"):
+            mac.pcg_draws(state, 9, np.empty(4, np.int64))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mac.pcg_draws(state, 9, np.empty((4, 2), np.uint32).T)
+        assert kernel.pcg64_state(state) \
+            == np.random.default_rng(1).bit_generator.state
 
 
 @needs_cc
@@ -497,6 +511,28 @@ class TestFallback:
         }
         monkeypatch.setattr(PatchRows, body, off_by_one_ulp[body])
         self._assert_seed_loop_runs(rng)
+
+    @needs_cc
+    @pytest.mark.parametrize("loop", ["pcg_seed", "pcg_draws"])
+    def test_pcg_self_check_mismatch(self, monkeypatch, rng, loop):
+        """A derivation or a draw that leaves NumPy's sequence keeps the
+        whole library out, and streams draw through NumPy."""
+        body = getattr(kernel.MacKernel, loop)
+
+        def flips_a_bit(self, *args):
+            out = body(self, *args)
+            state = args[0] if loop == "pcg_draws" else out
+            state[1] ^= 1
+            return out
+
+        monkeypatch.setattr(kernel.MacKernel, loop, flips_a_bit)
+        self._assert_seed_loop_runs(rng)
+        stream = SoftwareStream(2).spawn(5)
+        assert np.array_equal(
+            stream.integers_bulk(13, 3, (4,)),
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                2, spawn_key=(5,)))).integers(0, 1 << 13, size=(3, 4)))
+        assert stream._state is None
 
     @needs_cc
     def test_cast_self_check_mismatch(self, monkeypatch, rng):

@@ -1,14 +1,18 @@
 """Tests for the random-bit stream sources."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.emu import kernel
 from repro.prng.streams import (
     LFSRStream,
     SoftwareStream,
     as_key_path,
+    uint32_words,
 )
 
 
@@ -28,6 +32,175 @@ class TestSoftwareStream:
     def test_roughly_uniform(self):
         draws = SoftwareStream(seed=2).integers(13, (200000,))
         assert abs(draws.mean() / (1 << 13) - 0.5) < 0.01
+
+
+def numpy_stream(seed, path=()):
+    """The specification of ``SoftwareStream(seed).spawn(path)``."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=path)))
+
+
+def numpy_draws(generator, rbits, shape):
+    return generator.integers(0, 1 << rbits, size=shape, dtype=np.uint64)
+
+
+class TestPcgPins:
+    """``SoftwareStream`` against NumPy's ``SeedSequence``, ``PCG64``
+    and ``Generator.integers``, absolutely: the references are built
+    with NumPy alone, never with ``spawn``.  Here the compiled kernel
+    derives and draws; :class:`TestPcgPinsNumpyLoop` runs the same
+    pins on the NumPy tier.
+    """
+
+    SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5)
+    #: Paths of 1 to 9 keys: one-word and two-word keys, and with the
+    #: 4-word padded seed, entropy longer than SeedSequence's pool.
+    PATHS = ((0,), (7, 2 ** 32), (1, 2, 3), (2 ** 63 + 1, 0, 5, 9),
+             (3, 1, 4, 1, 5), tuple(range(6)), (2 ** 40,) * 7,
+             (9, 8, 7, 6, 5, 4, 3, 2), tuple(range(2 ** 32 - 4, 2 ** 32 + 5)))
+
+    @staticmethod
+    def derived_state(stream):
+        """The stream's state right after its derivation, as
+        ``np.random.PCG64.state``: on the kernel tier, the kernel's."""
+        stream.integers(13, (0,))  # derives, draws nothing
+        compiled = kernel.library() is not None
+        assert (stream._state is not None) == compiled
+        return stream.rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_root_state(self, seed):
+        """The root stream: no spawn key, so no padding."""
+        want = np.random.PCG64(np.random.SeedSequence(entropy=seed)).state
+        assert self.derived_state(SoftwareStream(seed)) == want
+        assert want == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("path", PATHS, ids=lambda p: f"{len(p)}keys")
+    def test_substream_state(self, seed, path):
+        want = np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=path)).state
+        assert self.derived_state(SoftwareStream(seed).spawn(path)) == want
+        assert self.derived_state(SoftwareStream(seed, path)) == want
+
+    def test_entropy_longer_than_the_pool(self):
+        """A 5-word seed: the run entropy alone overflows the pool."""
+        seed = 2 ** 130 + 3
+        assert len(uint32_words(seed)) == 5
+        for path in ((), (1,), (2 ** 33, 4)):
+            want = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=path)).state
+            stream = SoftwareStream(seed).spawn(path) if path \
+                else SoftwareStream(seed)
+            assert self.derived_state(stream) == want
+
+    @pytest.mark.parametrize("rbits", [1, 4, 9, 13, 16, 27, 32])
+    def test_draws(self, rbits):
+        """Even and odd totals, per call and in bulk, dtype aside."""
+        stream = SoftwareStream(11).spawn((3, 2 ** 32 + 1))
+        reference = numpy_stream(11, (3, 2 ** 32 + 1))
+        for steps, shape in ((4, (2, 3)), (3, (5,)), (1, (1,)), (2, (2,)),
+                             (7, (3, 3))):
+            got = stream.integers_bulk(rbits, steps, shape)
+            assert got.shape == (steps, *shape)
+            assert np.array_equal(got, numpy_draws(reference, rbits,
+                                                   (steps, *shape)))
+            got = stream.integers(rbits, shape)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, numpy_draws(reference, rbits, shape))
+        assert stream.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_interleaved_around_a_parked_half_word(self):
+        """An odd draw parks the upper half-word of its last PCG64
+        output; the next call, per step or bulk, must start with it."""
+        stream, reference = SoftwareStream(4), numpy_stream(4)
+        for rbits, shape, bulk in ((9, (3,), False), (9, (1, 2), True),
+                                   (13, (5,), False), (13, (1,), False),
+                                   (13, (3, 1), True), (32, (1,), False),
+                                   (9, (1, 1), True), (4, (2,), False)):
+            got = stream.integers_bulk(rbits, shape[0], shape[1:]) if bulk \
+                else stream.integers(rbits, shape)
+            assert np.array_equal(got, numpy_draws(reference, rbits, shape))
+        assert stream.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_rng_materialized_mid_stream(self):
+        """``.rng`` hands the stream to NumPy at its current position,
+        half-word cache included, and the stream draws there after."""
+        stream, reference = SoftwareStream(6).spawn(1), numpy_stream(6, (1,))
+        assert np.array_equal(stream.integers_bulk(13, 3, (1,)),
+                              numpy_draws(reference, 13, (3, 1)))
+        generator = stream.rng
+        assert generator.bit_generator.state == reference.bit_generator.state
+        assert stream.rng is generator and stream._state is None
+        assert np.array_equal(stream.integers_bulk(13, 2, (2,)),
+                              numpy_draws(reference, 13, (2, 2)))
+        assert np.array_equal(generator.random(3), reference.random(3))
+        # over 32 bits the Generator draws, on the same sequence
+        assert np.array_equal(stream.integers(40, (3,)),
+                              numpy_draws(reference, 40, (3,)))
+
+    def test_wide_draws_continue_the_sequence(self):
+        stream, reference = SoftwareStream(6), numpy_stream(6)
+        for rbits in (13, 40, 9):
+            assert np.array_equal(stream.integers_bulk(rbits, 3, (1,)),
+                                  numpy_draws(reference, rbits, (3, 1)))
+
+    def test_pickle_mid_stream(self):
+        stream, reference = SoftwareStream(8).spawn((5, 6)), \
+            numpy_stream(8, (5, 6))
+        assert np.array_equal(stream.integers(9, (5,)),
+                              numpy_draws(reference, 9, (5,)))
+        clone = pickle.loads(pickle.dumps(stream))
+        want = numpy_draws(reference, 9, (4, 3))
+        assert np.array_equal(clone.integers_bulk(9, 4, (3,)), want)
+        assert np.array_equal(stream.integers_bulk(9, 4, (3,)), want)
+        assert clone.spawn(1).integers(9, (4,)).tolist() \
+            == numpy_draws(numpy_stream(8, (5, 6, 1)), 9, (4,)).tolist()
+
+    def test_spawn_derives_nothing(self):
+        child = SoftwareStream(3).spawn((1, 2))
+        assert child._state is None and child._rng is None
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            SoftwareStream(-1)
+
+    def test_threads_share_one_stream(self):
+        """Threads drawing bulk chunks from one stream get, between
+        them, the chunks of a serial run: each draw is one piece of the
+        sequence, never interleaved with another."""
+        workers, chunks, shape = 4, 40, (64, 37)  # odd: the cache moves
+        serial = SoftwareStream(9).spawn(4)
+        want = sorted(serial.integers_bulk(13, 3, shape).tobytes()
+                      for _ in range(chunks))
+        shared = SoftwareStream(9).spawn(4)
+        got, start = [], threading.Barrier(workers)
+
+        def worker():
+            start.wait()
+            for _ in range(chunks // workers):
+                got.append(shared.integers_bulk(13, 3, shape).tobytes())
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == want
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestPcgPinsNumpyLoop(TestPcgPins):
+    """The same pins on the no-compiler tier: every draw through the
+    stream's NumPy ``Generator``."""
 
 
 class TestLFSRStream:
