@@ -15,7 +15,8 @@ timed.  The ``executor_conv`` rows time ``QuantizedGemm`` on a
 ratio is what a machine without a C compiler pays.  The
 ``cast`` rows time the multiplier cast (round-to-nearest into E5M2) of
 two ``train_cnn`` operands, the reference quantizer against the
-compiled cast, asserted bit-identical first.  The ``patch`` rows time
+compiled rounding (``quantize(..., kernel=round_kernel(fmt))``, the
+executor's call), asserted bit-identical first.  The ``patch`` rows time
 the convolution's im2col gather (``PatchRows.__call__``, on a 64-row
 block and a 256-row band) and its scatter-add (``scatter_rows``, on a
 64-row block) at both ``train_cnn`` conv input shapes, the NumPy bodies
@@ -138,20 +139,22 @@ def _conv_rows(repeats):
 
 
 def _cast_rows(repeats):
-    """Reference quantizer vs compiled cast, microseconds per call."""
+    """Reference quantizer vs compiled rounding, microseconds per
+    multiplier cast."""
     rng = np.random.default_rng(13)
     operands = {
         "patch_block": np.maximum(
             rng.normal(size=CAST_SHAPES["patch_block"]), 0.0),
         "conv_weight": rng.normal(size=CAST_SHAPES["conv_weight"]) * 0.2,
     }
-    mac = kernel.library()
+    mac = kernel.round_kernel(FP8_E5M2)
     rows = {}
     for name, x in operands.items():
         variants = {"reference": lambda x=x: quantize(x, FP8_E5M2,
                                                       "nearest")}
         if mac is not None:
-            variants["kernel"] = lambda x=x: mac.cast(x, FP8_E5M2, False)
+            variants["kernel"] = lambda x=x: quantize(x, FP8_E5M2,
+                                                      "nearest", kernel=mac)
             assert np.array_equal(
                 variants["kernel"]().view(np.int64),
                 variants["reference"]().view(np.int64)), \
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
           file=sys.stderr)
     for name, row in report["cast"].items():
         if row["kernel_speedup"] is not None:
-            print(f"{name} cast, compiled vs reference quantizer: "
+            print(f"{name} cast, compiled rounding vs reference quantizer: "
                   f"{row['kernel_speedup']:.2f}x", file=sys.stderr)
     for name, row in report["patch"].items():
         for op in ("gather_block", "gather_band", "scatter_block"):

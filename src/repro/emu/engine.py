@@ -43,7 +43,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..fp.fastquant import quantize_fast
 from ..fp.quantize import quantize
 from ..prng.streams import bulk_draws
 from . import kernel
@@ -75,15 +74,25 @@ def round_partial(values: np.ndarray, config) -> np.ndarray:
     seed-identical reference loop in :mod:`repro.emu.gemm`).  SR draws
     come from ``config.stream`` on the spot; by the bulk-draw contract
     of :mod:`repro.prng.streams` they are the bits a bulk draw of the
-    same steps would hand the compiled kernel.
+    same steps would hand the compiled kernel.  The rounding is one
+    :func:`repro.fp.quantize.quantize` call, carrying the compiled
+    rounding where :func:`repro.emu.kernel.round_kernel` has it.
 
     Example (the one call a custom engine needs — docs/extending.md)::
 
         acc = round_partial(acc + product, config)
     """
+    return _round(values, config, compiled=True)
+
+
+def _round(values: np.ndarray, config, compiled: bool) -> np.ndarray:
+    """:func:`round_partial`, on the kernel only when ``compiled``: the
+    oracle, :func:`repro.emu.gemm.reference_matmul`, never reaches it."""
     fmt = config.acc_format
     if config.rounding == "nearest":
-        return quantize_fast(values, fmt, "nearest", saturate=config.saturate)
+        return quantize(values, fmt, "nearest", saturate=config.saturate,
+                        kernel=kernel.round_kernel(fmt) if compiled
+                        else None)
     if config.rbits is None:
         # Exact SR (infinite random bits) — ablation path, reference impl.
         rng = getattr(config.stream, "rng", None)
@@ -94,12 +103,42 @@ def round_partial(values: np.ndarray, config) -> np.ndarray:
                 "use a SoftwareStream or a finite rbits")
         return quantize(values, fmt, "stochastic", rng=rng,
                         saturate=config.saturate)
-    return quantize_fast(
+    return quantize(
         values, fmt, "stochastic",
         rbits=config.rbits,
         random_ints=config.stream.integers(config.rbits, np.shape(values)),
         saturate=config.saturate,
+        kernel=kernel.round_kernel(fmt, config.rbits) if compiled else None,
     )
+
+
+def _kernel_chain(mac, a: np.ndarray, b: np.ndarray, acc: np.ndarray,
+                  config, draw_shape) -> None:
+    """Run ``acc += a @ b`` as the MAC chain on the kernel, in place:
+    ``(B, M, K) @ (B, K, N)`` into a zero C-contiguous ``(B, M, N)``
+    ``acc``, one foreign call per chunk and batch entry.
+
+    SR draws come in bulk, one ``bulk_draws`` call per chunk of steps,
+    each step's draws shaped ``draw_shape``: a flat run of ``B * M *
+    N`` draws, in exactly the per-step stream order (the bulk-draw
+    contract).
+    """
+    k = a.shape[-1]
+    stochastic = config.rounding == "stochastic"
+    rbits = config.rbits if stochastic else None
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    chunk = k
+    if stochastic:
+        chunk = max(1, min(k, _BULK_BYTES // (8 * max(1, acc.size))))
+    for start in range(0, k, chunk):
+        steps = min(chunk, k - start)
+        draws = None
+        if stochastic:
+            draws = bulk_draws(config.stream, rbits, steps,
+                               draw_shape).reshape((steps, *acc.shape))
+        mac.gemm(a, b, acc, draws, start, steps, config.acc_format, rbits,
+                 config.saturate)
 
 
 class AccumulationEngine(ABC):
@@ -157,31 +196,13 @@ class SequentialEngine(AccumulationEngine):
         acc = np.zeros((batch, m, n), dtype=np.float64)
         if k == 0 or acc.size == 0:
             return acc
-        mac = kernel.library()
-        if mac is None or not self._fusable(config, a, b):
+        mac = self._kernel_for(config, a, b)
+        if mac is None:
             for step in range(k):
                 product = a[:, :, step, None] * b[:, None, step, :]
                 acc = round_partial(acc + product, config)
             return acc
-
-        stochastic = config.rounding == "stochastic"
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        chunk = k
-        if stochastic:
-            chunk = max(1, min(k, _BULK_BYTES // (8 * acc.size)))
-        for start in range(0, k, chunk):
-            steps = min(chunk, k - start)
-            draws = None
-            if stochastic:
-                # One bulk draw covers every (batch, m, n) rounding of
-                # the next `steps` MAC steps, in exactly the per-step
-                # stream order (the bulk-draw contract).
-                draws = bulk_draws(
-                    config.stream, config.rbits, steps, acc.shape)
-            # One foreign call per batch entry runs the whole chunk.
-            mac.gemm(a, b, acc, draws, start, steps, config.acc_format,
-                     config.rbits if stochastic else None, config.saturate)
+        _kernel_chain(mac, a, b, acc, config, acc.shape)
         return acc
 
     def reduce(self, terms: np.ndarray, config) -> np.ndarray:
@@ -189,47 +210,38 @@ class SequentialEngine(AccumulationEngine):
         acc = np.zeros(terms.shape[1:], dtype=np.float64)
         if k == 0:
             return acc
-        mac = kernel.library()
-        if mac is None or acc.ndim == 0 or not self._fusable(config, terms):
+        mac = self._kernel_for(config, terms)
+        if mac is None:
             for step in range(k):
                 acc = round_partial(acc + terms[step], config)
             return acc
-
-        stochastic = config.rounding == "stochastic"
-        terms = np.ascontiguousarray(terms, dtype=np.float64)
-        chunk = k
-        if stochastic:
-            chunk = max(1, min(k, _BULK_BYTES // (8 * max(1, acc.size))))
-        for start in range(0, k, chunk):
-            steps = min(chunk, k - start)
-            draws = None
-            if stochastic:
-                draws = bulk_draws(
-                    config.stream, config.rbits, steps, acc.shape)
-            mac.reduce(terms[start:start + steps], acc, draws,
-                       config.acc_format,
-                       config.rbits if stochastic else None,
-                       config.saturate)
+        # A (1, K) @ (K, S) chain with unit multipliers: 1.0 * t == t,
+        # so every step adds the term itself.  Each step draws in the
+        # terms' own shape, the same flat run as (1, 1, S).
+        chain = np.asarray(terms, dtype=np.float64).reshape(1, k, acc.size)
+        _kernel_chain(mac, np.ones((1, 1, k)), chain,
+                      acc.reshape(1, 1, acc.size), config, acc.shape)
         return acc
 
     @staticmethod
-    def _fusable(config, *operands: np.ndarray) -> bool:
-        """Whether the compiled kernel applies.
+    def _kernel_for(config, *operands: np.ndarray):
+        """The kernel if it runs this chain, else ``None``.
 
-        Wide accumulator formats, too-deep ``rbits``, the exact-SR
-        ablation, and non-finite inputs (whose NaN propagation the fused
-        kernel does not model step-by-step) take the seed-identical
-        reference loop instead.
+        :func:`repro.emu.kernel.round_kernel` decides the formats and
+        ``rbits`` it rounds; the exact-SR ablation and non-finite
+        operands take the seed-identical reference loop instead.  With
+        both addends NaN the two paths may keep different NaN bit
+        patterns (finite elements agree), and NaN bits are output bits.
         """
-        fmt = config.acc_format
-        if fmt.mantissa_bits > kernel.MAX_MANTISSA_BITS:
-            return False
-        if config.rounding == "stochastic":
-            if config.rbits is None or config.rbits >= 52 - fmt.mantissa_bits:
-                return False
-        elif config.rounding != "nearest":
-            return False
-        return all(np.isfinite(op).all() for op in operands)
+        if config.rounding == "nearest":
+            mac = kernel.round_kernel(config.acc_format)
+        elif config.rounding == "stochastic" and config.rbits is not None:
+            mac = kernel.round_kernel(config.acc_format, config.rbits)
+        else:
+            return None
+        if mac is None or not all(np.isfinite(op).all() for op in operands):
+            return None
+        return mac
 
 
 class PairwiseEngine(AccumulationEngine):

@@ -36,7 +36,7 @@ import numpy as np
 from ..fp.quantize import quantize
 from . import kernel
 from .config import GemmConfig
-from .engine import get_engine, round_partial
+from .engine import _round, get_engine, round_partial
 
 
 def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
@@ -44,8 +44,8 @@ def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
 
     Every multiplier cast of the executor comes here, as one
     :func:`repro.fp.quantize.quantize` call.  It carries the compiled
-    cast (:func:`repro.emu.kernel.cast_kernel`) when the kernel loaded
-    and the format is inside its domain; otherwise the reference
+    rounding (:func:`repro.emu.kernel.round_kernel`) when the kernel
+    loaded and the format is inside its domain; otherwise the reference
     quantizer, its specification, runs, with the same bits.  The cast
     is elementwise, so casting a whole operand equals casting it per
     row block.  A stride-0 batch (a shared weight broadcast to ``(B,
@@ -59,7 +59,7 @@ def _cast_operand(x: np.ndarray, config: GemmConfig) -> np.ndarray:
     if x.ndim == 3 and x.shape[0] > 1 and x.strides[0] == 0:
         return np.broadcast_to(_cast_operand(x[0], config), x.shape)
     return quantize(x, fmt, "nearest", saturate=config.saturate,
-                    kernel=kernel.cast_kernel(fmt))
+                    kernel=kernel.round_kernel(fmt))
 
 
 def cast_inputs(a: np.ndarray, b: np.ndarray,
@@ -134,7 +134,9 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     Re-allocates the accumulator and draws randomness once per reduction
     step — the unfused implementation the ``sequential`` engine is
     verified bit-identical against (and benchmarked against in
-    ``benchmarks/bench_engines.py``).
+    ``benchmarks/bench_engines.py``).  It casts and rounds with the
+    reference quantizer only, never the compiled kernel, so it stays an
+    independent oracle.
 
     Example::
 
@@ -155,7 +157,7 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     if config.acc_format is None:
         return a @ b
     if not config.per_step:
-        return round_partial(a @ b, config)
+        return _round(a @ b, config, compiled=False)
 
     m, k = a.shape
     n = b.shape[1]
@@ -163,7 +165,7 @@ def reference_matmul(a: np.ndarray, b: np.ndarray, config: GemmConfig,
     for step in range(k):
         # outer product of column step — exact in float64
         product = a[:, step, None] * b[None, step, :]
-        acc = round_partial(acc + product, config)
+        acc = _round(acc + product, config, compiled=False)
     return acc
 
 
@@ -200,6 +202,6 @@ def sum_reduce(values: np.ndarray, config: GemmConfig,
         out = round_partial(moved.sum(axis=0), config)
     else:
         out = get_engine(config.accum_order).reduce(moved, config)
-    # The quantizers promote 0-d to (1,); normalize so the result shape
-    # is the reduced shape regardless of the engine.
+    # The rtl_* adders promote 0-d to (1,); normalize so the result
+    # shape is the reduced shape regardless of the engine.
     return np.asarray(out, dtype=np.float64).reshape(moved.shape[1:])

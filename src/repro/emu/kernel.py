@@ -1,22 +1,26 @@
-"""The compiled add-and-round loop, multiplier cast, conv patch loops
+"""The compiled add-and-round loop, one-shot rounding, conv patch loops
 and SR draws.
 
 :class:`repro.emu.engine.SequentialEngine` spends its time in the K
 loop of the MAC chain: add one product onto the accumulator, round the
-sum into the accumulator format, repeat.  In NumPy that is about ten
-ufunc calls per step on blocks of a few thousand elements, so call
-dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs the
-whole K loop of one (chunk, batch entry) in one foreign call, on one of
-its lanes, which give the same bits: a scalar loop that runs anywhere,
-and on x86-64 a branch-free vector body compiled for AVX2 and for
-AVX-512F.  :attr:`MacKernel.lanes` lists the lanes the CPU runs, widest
-first; :attr:`MacKernel.lane`, the widest, is the one in use, and
-nothing selects another.  The same file has three more jobs:
+sum into the accumulator format, repeat.  In NumPy that is about
+twenty-five ufunc calls per step on blocks of a few thousand elements,
+so call dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs
+the whole K loop of one (chunk, batch entry) in one foreign call, on
+one of its lanes, which give the same bits: a scalar loop that runs
+anywhere, and on x86-64 a branch-free vector body compiled for AVX2 and
+for AVX-512F.  :attr:`MacKernel.lanes` lists the lanes the CPU runs,
+widest first; :attr:`MacKernel.lane`, the widest, is the one in use,
+and nothing selects another.  A reduction ``(K, ...)`` runs the same
+loop as a ``(1, K) @ (K, S)`` chain with unit multipliers.  The same
+file has three more jobs:
 
-* the executor's multiplier cast, the round-to-nearest cast of every
-  GEMM operand into the FP8 multiplier format, in one foreign call per
-  operand and GEMM call (:meth:`MacKernel.cast`), where the reference
-  quantizer makes about 25 NumPy passes;
+* one-shot rounding (:meth:`MacKernel.round`): the rounding of the K
+  loop once over a buffer, to nearest or r-bit SR with the caller's
+  draws.  The executor's multiplier cast, ``round_partial`` (the
+  ``pairwise`` and ``chunked`` engines, a custom engine), the ``rtl_*``
+  re-encodes and :class:`repro.fp.summation.RoundingPolicy` run it, one
+  foreign call each;
 * the convolution's im2col row gather and its adjoint scatter-add
   (:meth:`MacKernel.patch_gather`, :meth:`MacKernel.patch_scatter`),
   which :class:`repro.nn.functional.PatchRows` calls in place of its
@@ -28,14 +32,15 @@ nothing selects another.  The same file has three more jobs:
   substream's PCG64 state derived from its seed and spawn path, and
   its draws of at most 32 bits.
 
-:func:`_spec_loop`, a NumPy loop over the bit-pattern rounding of
-:mod:`repro.fp.fastquant`, is the specification of the K loop,
-:func:`repro.fp.quantize.quantize` that of the cast, the NumPy
-bodies ``PatchRows.numpy_rows`` and ``PatchRows.numpy_scatter_rows``
-that of the patch loops, and NumPy's ``SeedSequence``, ``PCG64`` and
-``Generator.integers`` that of the draws.  The kernel is built and
-admitted once per process, on the first multiplier cast, GEMM, patch
-gather or software-stream draw:
+:func:`repro.fp.quantize.quantize`, the reference quantizer, is the one
+specification of the rounding: of the one-shot rounding directly, and
+of the K loop through :func:`_spec_loop`, which rounds each step with
+it.  The reference is itself checked against the exact scalar rounding
+of :mod:`repro.fp.rounding`.  The NumPy bodies ``PatchRows.numpy_rows``
+and ``PatchRows.numpy_scatter_rows`` specify the patch loops, and
+NumPy's ``SeedSequence``, ``PCG64`` and ``Generator.integers`` the
+draws.  The kernel is built and admitted once per process, on the first
+compiled rounding, GEMM, patch gather or software-stream draw:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
   ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
@@ -45,29 +50,30 @@ gather or software-stream draw:
   operands.  The loops, ``gemm`` on every lane in ``lanes``, must match
   :func:`_spec_loop`, run once per configuration: RN and SR (uint32 and
   uint64 draws), subnormals on and off, saturate on and off, an
-  overflow, a deep tail, RN ties and inf/NaN.  The cast must match
-  :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, subnormals and
-  saturate on and off: RN ties of both parities in the normal and the
-  subnormal range, the overflow tie, half the smallest subnormal and
-  its neighbours, float64 subnormals, signed zeros, infinities and a
-  NaN payload.  The patch gather and scatter-add must match the NumPy
-  bodies on a non-square two-image input, 3x3 windows at stride 1 and
-  2, pad 0 and 1, row ranges that cross images, and scatter terms
-  whose sums change with their order.  The PCG loops must derive
-  NumPy's state for the streams of :data:`_PCG_CHECK_STREAMS` and draw
-  what ``Generator.integers`` draws, odd and even totals, uint32 and
-  uint64 buffers;
+  overflow, a deep tail, RN ties and inf/NaN.  The one-shot rounding
+  must match :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, RN
+  and SR (uint32 and uint64 draws), subnormals and saturate on and off:
+  RN ties of both parities in the normal and the subnormal range, the
+  overflow tie, half the smallest subnormal and its neighbours, float64
+  subnormals, signed zeros, infinities and a NaN payload.  The patch
+  gather and scatter-add must match the NumPy bodies on a non-square
+  two-image input, 3x3 windows at stride 1 and 2, pad 0 and 1, row
+  ranges that cross images, and scatter terms whose sums change with
+  their order.  The PCG loops must derive NumPy's state for the streams
+  of :data:`_PCG_CHECK_STREAMS` and draw what ``Generator.integers``
+  draws, odd and even totals, uint32 and uint64 buffers;
 * on any failure (no compiler, unwritable cache, compile error, load
   error, a self-check mismatch on any lane) :func:`library` returns
   ``None``; the engine's seed per-step loop, the reference quantizer,
   the NumPy patch bodies and NumPy's generator run, silently.  Nothing
   selects between the two paths.
 
-The cast takes formats of at most :data:`MAX_MANTISSA_BITS` fraction
-bits, the engine's bound on the loops; :func:`cast_kernel` makes that
-choice, and wider formats take the reference quantizer.  The executor
-hands the kernel to ``quantize(..., kernel=...)``, so the compiled cast
-still runs inside a call of :func:`repro.fp.quantize.quantize`, and
+The kernel rounds into formats of at most :data:`MAX_MANTISSA_BITS`
+fraction bits, with SR of fewer than ``52 - M`` random bits;
+:func:`round_kernel` is the one place that decides that domain, and
+outside it the reference quantizer and the seed loop run.  Every
+one-shot rounding hands the kernel to ``quantize(..., kernel=...)``, so
+it still runs inside a call of :func:`repro.fp.quantize.quantize`, and
 anything that wraps that function (a profiler, the benchmark's cast
 span) sees every multiplier cast on both paths.  The patch loops run
 inside ``PatchRows.__call__`` and ``PatchRows.scatter_rows`` in the
@@ -97,11 +103,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..fp.fastquant import (
-    MAX_MANTISSA_BITS,
-    QuantizeWorkspace,
-    _quantize_fused_into,
-)
 from ..fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FPFormat
 from ..fp.quantize import quantize
 from ..prng.streams import uint32_words
@@ -122,6 +123,10 @@ _COMPILE_TIMEOUT_S = 120
 #: ``mac_kernel.c``, which is also the lane's bit in ``mac_lanes()``.
 _VECTOR_LANES = (("avx512f", 2), ("avx2", 1))
 _LANE_IDS = {"scalar": 0, **dict(_VECTOR_LANES)}
+#: The widest format the kernel rounds into, in fraction bits: every
+#: format of the emulator (FP32's 23 at most) fits, and at 52 bits the
+#: RN tie bias ``1 << (c1 - 1)`` of ``mac_kernel.c`` is undefined in C.
+MAX_MANTISSA_BITS = 40
 
 
 class _Spec(ctypes.Structure):
@@ -168,7 +173,7 @@ def _draw_buffer(draws: Optional[np.ndarray]):
     """``(array, bytes per draw)`` the kernel reads; ``(None, 0)`` for RN.
 
     uint32 and uint64 draws are read in place; any other dtype is
-    converted to uint64 once per chunk.
+    converted to uint64 once per call.
     """
     if draws is None:
         return None, 0
@@ -207,12 +212,9 @@ class MacKernel:
         self._gemm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64,
                                ptr, i64, i64, spec, i64]
         self._gemm.restype = None
-        self._reduce = lib.mac_reduce
-        self._reduce.argtypes = [ptr, ptr, i64, i64, ptr, i64, spec]
-        self._reduce.restype = None
-        self._cast = lib.mac_cast
-        self._cast.argtypes = [ptr, ptr, i64, spec]
-        self._cast.restype = None
+        self._round = lib.mac_round
+        self._round.argtypes = [ptr, ptr, i64, ptr, i64, spec]
+        self._round.restype = None
         self._gather = lib.mac_patch_gather
         self._scatter = lib.mac_patch_scatter
         for loop in (self._gather, self._scatter):
@@ -243,6 +245,9 @@ class MacKernel:
         key = (fmt, rbits, bool(saturate))
         spec = self._specs.get(key)
         if spec is None:
+            if not _in_domain(fmt, rbits):
+                raise ValueError(f"{fmt.name} with rbits={rbits} is outside "
+                                 "the kernel's domain (see round_kernel)")
             c1 = 52 - fmt.mantissa_bits
             spec = self._specs[key] = _Spec(
                 c1=c1, c2=c1 + fmt.emin + 1023, rbits=rbits or 0,
@@ -288,48 +293,36 @@ class MacKernel:
                        acc_ptr + 8 * bi * m * n, m, n, steps,
                        d_ptr, batch * m * n, width, spec, lane)
 
-    def reduce(self, terms: np.ndarray, acc: np.ndarray,
-               draws: Optional[np.ndarray], fmt: FPFormat,
-               rbits: Optional[int], saturate: bool) -> None:
-        """Run ``acc += terms[k]``, rounded, for every ``k`` of ``terms``.
-
-        ``terms`` is a C-contiguous ``(steps, *acc.shape)`` float64
-        chunk and ``acc`` is C-contiguous float64; ``draws`` is ``None``
-        (RN) or the chunk's SR draws, shaped like ``terms``.
-        """
-        _check_layout("terms", terms, (terms.shape[0], *acc.shape))
-        _check_layout("acc", acc, acc.shape)
-        if terms.dtype != np.float64 or acc.dtype != np.float64:
-            raise ValueError("terms and acc must be float64")
-        draws, width = _draw_buffer(draws)
-        if draws is not None:
-            _check_layout("draws", draws, terms.shape)
-        self._reduce(terms.ctypes.data, acc.ctypes.data, acc.size,
-                     terms.shape[0],
-                     draws.ctypes.data if draws is not None else None,
-                     width, ctypes.byref(self._spec(fmt, rbits, saturate)))
-
-    def cast(self, x: np.ndarray, fmt: FPFormat,
-             saturate: bool) -> np.ndarray:
-        """``quantize(x, fmt, "nearest", saturate=saturate)``, compiled.
+    def round(self, x: np.ndarray, fmt: FPFormat, rbits: Optional[int],
+              draws: Optional[np.ndarray], saturate: bool) -> np.ndarray:
+        """``quantize(x, fmt, mode, rbits=rbits, random_ints=draws,
+        saturate=saturate)``, compiled: to nearest when ``rbits`` is
+        ``None``, else r-bit SR with ``draws``.
 
         ``x`` may have any shape (0-d too) and any layout; the result is
-        a new C-contiguous float64 array of the same shape.  ``fmt`` has
-        at most :data:`MAX_MANTISSA_BITS` fraction bits (the executor
-        asks :func:`cast_kernel` first).
+        a new C-contiguous float64 array of the same shape.  ``draws``
+        broadcast to ``x``'s shape and lie in ``[0, 2**rbits)``; the
+        kernel does not check them, ``quantize`` does.  Reached through
+        ``quantize(..., kernel=round_kernel(fmt, rbits))``.
 
         Example::
 
-            wq = library().cast(weight.T, FP8_E5M2, saturate=False)
+            wq = library().round(weight.T, FP8_E5M2, None, None, False)
         """
+        if (rbits is None) != (draws is None):
+            raise ValueError("SR takes rbits and draws, RN neither")
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape)
         src = x
         if not x.flags.c_contiguous:
-            np.copyto(out, x)  # the cast then runs in place
+            np.copyto(out, x)  # the rounding then runs in place
             src = out
-        self._cast(src.ctypes.data, out.ctypes.data, out.size,
-                   ctypes.byref(self._spec(fmt, None, saturate)))
+        if draws is not None:
+            draws = np.broadcast_to(draws, x.shape)
+        draws, width = _draw_buffer(draws)
+        self._round(src.ctypes.data, out.ctypes.data, out.size,
+                    draws.ctypes.data if draws is not None else None, width,
+                    ctypes.byref(self._spec(fmt, rbits, saturate)))
         return out
 
     def patch_gather(self, xp: np.ndarray, kernel: int, stride: int,
@@ -430,7 +423,7 @@ def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
 
 
 _UNBUILT = object()
-#: The process's kernel: ``_UNBUILT`` until the first multiplier cast,
+#: The process's kernel: ``_UNBUILT`` until the first compiled rounding,
 #: GEMM, patch gather or software-stream draw asks for it, then a
 #: :class:`MacKernel`, or ``None`` when the seed loop, the reference
 #: quantizer, the NumPy patch bodies and NumPy's generator run.
@@ -442,8 +435,8 @@ _lock = threading.Lock()
 def library() -> Optional[MacKernel]:
     """The checked kernel, built on first use; ``None`` if unavailable.
 
-    The loops, the cast, the patch loops and the PCG loops come and go
-    together: a library that fails any self-check is not used at all.
+    The loops, the rounding, the patch loops and the PCG loops come and
+    go together: a library that fails any self-check is not used at all.
 
     Example::
 
@@ -460,18 +453,26 @@ def library() -> Optional[MacKernel]:
     return lib
 
 
-def cast_kernel(fmt: FPFormat) -> Optional[MacKernel]:
-    """The checked kernel if it casts into ``fmt``, else ``None``.
+def _in_domain(fmt: FPFormat, rbits: Optional[int]) -> bool:
+    return fmt.mantissa_bits <= MAX_MANTISSA_BITS and (
+        rbits is None or 1 <= rbits < 52 - fmt.mantissa_bits)
 
-    The one place that decides which multiplier casts are compiled:
-    :func:`library` for formats of at most :data:`MAX_MANTISSA_BITS`
-    fraction bits; wider formats take the reference quantizer.
+
+def round_kernel(fmt: FPFormat,
+                 rbits: Optional[int] = None) -> Optional[MacKernel]:
+    """The checked kernel if it rounds into ``fmt``, else ``None``.
+
+    The one place that decides the kernel's domain: :func:`library`
+    for formats of at most :data:`MAX_MANTISSA_BITS` fraction bits,
+    rounding to nearest (``rbits=None``) or r-bit SR with ``1 <= rbits
+    < 52 - M`` (a deeper cut would leave the float64 fraction field).
+    Outside it the reference quantizer and the engine's seed loop run.
 
     Example (the executor's multiplier cast)::
 
-        wq = quantize(w, fmt, "nearest", kernel=cast_kernel(fmt))
+        wq = quantize(w, fmt, "nearest", kernel=round_kernel(fmt))
     """
-    if fmt.mantissa_bits > MAX_MANTISSA_BITS:
+    if not _in_domain(fmt, rbits):
         return None
     return library()
 
@@ -484,7 +485,7 @@ def _load() -> Optional[MacKernel]:
         mac = MacKernel(ctypes.CDLL(str(path)))
     except (OSError, AttributeError):
         return None
-    if (_self_check(mac) and _cast_self_check(mac)
+    if (_self_check(mac) and _round_self_check(mac)
             and _patch_self_check(mac) and _pcg_self_check(mac)):
         return mac
     return None
@@ -554,19 +555,15 @@ def _check_draws(shape, rbits: int, dtype) -> np.ndarray:
 
 
 def _spec_loop(terms, draws, fmt, mode, rbits, saturate) -> np.ndarray:
-    """The kernel's specification: ``acc += terms[k]``, rounded in place
-    by :func:`repro.fp.fastquant._quantize_fused_into`, per step."""
+    """The K loop's specification: ``acc = quantize(acc + terms[k])``
+    per step, the reference quantizer with step ``k``'s draws."""
     acc = np.zeros(terms.shape[1:])
-    work = np.empty_like(acc)
-    ws = QuantizeWorkspace(acc.shape)
-    if draws is not None:
-        draws = draws.astype(np.int64)
     with np.errstate(invalid="ignore"):
         for step in range(terms.shape[0]):
-            np.add(acc, terms[step], out=work)
-            _quantize_fused_into(work, fmt, mode, rbits,
-                                 None if draws is None else draws[step],
-                                 saturate, acc, ws)
+            kwargs = {} if draws is None \
+                else {"rbits": rbits, "random_ints": draws[step]}
+            acc = quantize(acc + terms[step], fmt, mode, saturate=saturate,
+                           **kwargs)
     return acc
 
 
@@ -577,8 +574,8 @@ def _self_check(mac: MacKernel) -> bool:
     k = terms.shape[0]
     # Two batch entries of (2, K) @ (K, N) with power-of-two multipliers:
     # row 0 of entry 0 is all ones, so its products are the chains
-    # themselves; the other rows change at every step, so a stride slip
-    # shows.  ``reduce`` then runs on the same products.
+    # themselves (a reduction's unit multipliers); the other rows change
+    # at every step, so a stride slip shows.
     scale = 2.0 ** np.array([[0, 0, 0, 0, 0], [-2, -1, 0, -2, 1]])
     a = np.stack([scale, -scale[::-1]])
     b = np.stack([terms, terms * 0.5])
@@ -596,10 +593,6 @@ def _self_check(mac: MacKernel) -> bool:
                 # lanes the CPU has.
                 want = _spec_loop(products, draws, fmt, mode, rbits,
                                   saturate).view(np.int64)
-                summed = np.zeros(products.shape[1:])
-                mac.reduce(products, summed, draws, fmt, rbits, saturate)
-                if not np.array_equal(summed.view(np.int64), want):
-                    return False
                 # ``mac`` is not published yet, so no other thread sees
                 # its lane switch.
                 for lane in mac.lanes:
@@ -617,8 +610,8 @@ def _self_check(mac: MacKernel) -> bool:
     return True
 
 
-def _cast_check_values(fmt: FPFormat) -> np.ndarray:
-    """Fixed cast operands for ``fmt``, each with both signs.
+def _round_check_values(fmt: FPFormat) -> np.ndarray:
+    """Fixed rounding operands for ``fmt``, each with both signs.
 
     RN ties to even of both parities in the normal range (at 1 and at
     ``emin``) and the subnormal range, the subnormal tie that carries
@@ -643,18 +636,26 @@ def _cast_check_values(fmt: FPFormat) -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def _cast_self_check(mac: MacKernel) -> bool:
-    """Whether ``mac.cast`` reproduces the reference quantizer bit for
-    bit on :func:`_cast_check_values`."""
+def _round_self_check(mac: MacKernel) -> bool:
+    """Whether ``mac.round`` reproduces the reference quantizer bit for
+    bit on :func:`_round_check_values`, to nearest and r-bit SR."""
     for base in (FP8_E5M2, FP8_E4M3):
         for fmt in (base, base.with_subnormals(False)):
-            values = _cast_check_values(fmt)
-            for saturate in (False, True):
-                want = quantize(values, fmt, "nearest", saturate=saturate)
-                got = mac.cast(values, fmt, saturate)
-                if not np.array_equal(got.view(np.int64),
-                                      want.view(np.int64)):
-                    return False
+            values = _round_check_values(fmt)
+            for rbits, dtype in ((None, None), (4, np.uint32),
+                                 (40, np.uint64)):
+                mode, kwargs, draws = "nearest", {}, None
+                if rbits is not None:
+                    mode = "stochastic"
+                    draws = _check_draws(values.shape, rbits, dtype)
+                    kwargs = {"rbits": rbits, "random_ints": draws}
+                for saturate in (False, True):
+                    want = quantize(values, fmt, mode, saturate=saturate,
+                                    **kwargs)
+                    got = mac.round(values, fmt, rbits, draws, saturate)
+                    if not np.array_equal(got.view(np.int64),
+                                          want.view(np.int64)):
+                        return False
     return True
 
 

@@ -1,18 +1,20 @@
-/* The sequential engine's add-and-round loop, the multiplier cast and
+/* The sequential engine's add-and-round loop, the one-shot rounding and
  * the convolution patch loops, compiled.
  *
  * Each output element runs the paper's MAC chain: add one exact
- * float64 product (or reduction term) onto the accumulator, then round
- * the sum into the accumulator format with that step's SR draw.  The
- * rounding is the integer bit-pattern arithmetic of
- * repro.fp.fastquant._quantize_fused_into, element by element; the
- * NumPy loop repro.emu.kernel._spec_loop is the specification and
- * repro.emu.kernel checks this file against it before first use.
+ * float64 product onto the accumulator, then round the sum into the
+ * accumulator format with that step's SR draw (Fig. 1: r random bits
+ * added below the kept significand).  round_one is that rounding, as
+ * integer arithmetic on the float64 bit pattern.  Its specification is
+ * the reference quantizer, repro.fp.quantize.quantize: the NumPy loop
+ * repro.emu.kernel._spec_loop rounds each step with it, and
+ * repro.emu.kernel checks this file against both before first use.
  *
- * mac_cast runs the same rounding, round-to-nearest, over the GEMM
- * operands: the RN cast into the multiplier format.  Its specification
- * is the reference quantizer, repro.fp.quantize.quantize, which
- * repro.emu.kernel also checks it against before first use.
+ * mac_round runs round_one once over a flat buffer: the RN cast of a
+ * GEMM operand into the multiplier format, and every one-shot rounding
+ * (RN, or SR with caller-supplied draws) that reaches quantize with the
+ * kernel.  A reduction has no loop of its own: the engine runs it
+ * through mac_gemm as a chain with unit multipliers.
  *
  * mac_patch_gather and mac_patch_scatter are the im2col row gather of
  * a convolution and its adjoint scatter-add, read straight from the
@@ -76,8 +78,7 @@ typedef struct {
 
 /* repro.fp.quantize.quantize for one finite nonzero value: the
  * ldexp/floor decomposition, exact for every magnitude.  Only the deep
- * tail (cuts past the float64 fraction field) comes here, as in the
- * NumPy path. */
+ * tail (cuts past the float64 fraction field) comes here. */
 static double reference_round(double x, uint64_t draw, const mac_spec *s,
                               int stochastic)
 {
@@ -112,9 +113,9 @@ static double reference_round(double x, uint64_t draw, const mac_spec *s,
     return sign * result;
 }
 
-/* The general lane of _quantize_fused_into, element by element: the
- * cut t = max(c1, c2 - exponent field) moves below emin, values past
- * the float64 fraction field take the reference, inf and NaN pass
+/* Rounding outside the normal range, by bit pattern: the cut t =
+ * max(c1, c2 - exponent field) moves below emin, values past the
+ * float64 fraction field take reference_round, inf and NaN pass
  * through.  Sums outside the format's normal range come here.  A
  * float64 subnormal (field 0) has the exponent of field 1, so it cuts
  * as field 1 does; only formats with 11 exponent bits reach it with a
@@ -179,8 +180,8 @@ make_lane(const mac_spec *s)
 }
 
 /* Round one float64 sum into the accumulator format.  In the normal
- * range the cut is the constant c1, so _quantize_fused_into's scalar
- * lane reduces to one add and one mask:
+ * range the cut is the constant c1, so the bit-pattern rounding
+ * reduces to one add and one mask:
  *   SR: ((mag >> (c1 - r)) + draw) >> r << c1
  *       == (mag + (draw << (c1 - r))) & keep   (floor of a sum with
  *          an integer addend),
@@ -390,40 +391,29 @@ void mac_gemm(GEMM_PARAMS, int64_t lane)
 }
 
 static inline __attribute__((always_inline)) void
-reduce_loop(const double *terms, double *acc, int64_t n, int64_t steps,
-            const void *draws, const mac_spec *s, int kind)
-{
-    const lane l = make_lane(s);
-    for (int64_t k = 0; k < steps; k++) {
-        const double *term = terms + k * n;
-        const int64_t off = k * n;
-        for (int64_t j = 0; j < n; j++)
-            acc[j] = round_one(acc[j] + term[j], draw_at(draws, off + j, kind),
-                               s, &l, kind != DRAWS_NONE);
-    }
-}
-
-/* acc[j] runs `steps` steps: acc += terms[k, j], then round with
- * draws[k, j]; terms and draws are contiguous (steps, n) blocks. */
-void mac_reduce(const double *terms, double *acc, int64_t n, int64_t steps,
-                const void *draws, int64_t draw_bytes, const mac_spec *s)
-{
-    if (draw_bytes == DRAWS_U32)
-        reduce_loop(terms, acc, n, steps, draws, s, DRAWS_U32);
-    else if (draw_bytes == DRAWS_U64)
-        reduce_loop(terms, acc, n, steps, draws, s, DRAWS_U64);
-    else
-        reduce_loop(terms, acc, n, steps, draws, s, DRAWS_NONE);
-}
-
-/* out[i] = x[i] rounded to nearest, ties to even, into the format:
- * repro.fp.quantize.quantize(x, fmt, "nearest"), the RN cast of a GEMM
- * operand into the multiplier format.  out may alias x. */
-void mac_cast(const double *x, double *out, int64_t n, const mac_spec *s)
+round_loop(const double *x, double *out, int64_t n, const void *draws,
+           const mac_spec *s, int kind)
 {
     const lane l = make_lane(s);
     for (int64_t i = 0; i < n; i++)
-        out[i] = round_one(x[i], 0, s, &l, 0);
+        out[i] = round_one(x[i], draw_at(draws, i, kind), s, &l,
+                           kind != DRAWS_NONE);
+}
+
+/* out[i] = x[i] rounded into the format: to nearest, ties to even,
+ * without draws (draw_bytes 0), or r-bit SR with draws[i], uint32
+ * (draw_bytes 4) or uint64 (8).  repro.fp.quantize.quantize(x, fmt,
+ * mode, rbits=..., random_ints=draws) over a flat buffer; out may
+ * alias x. */
+void mac_round(const double *x, double *out, int64_t n, const void *draws,
+               int64_t draw_bytes, const mac_spec *s)
+{
+    if (draw_bytes == DRAWS_U32)
+        round_loop(x, out, n, draws, s, DRAWS_U32);
+    else if (draw_bytes == DRAWS_U64)
+        round_loop(x, out, n, draws, s, DRAWS_U64);
+    else
+        round_loop(x, out, n, draws, s, DRAWS_NONE);
 }
 
 /* Where im2col row r starts in xp, a contiguous (batch, c, hp, wp)

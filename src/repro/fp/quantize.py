@@ -62,12 +62,15 @@ def quantize(
     saturate:
         Clamp overflow to ``max_value`` instead of rounding to infinity.
     kernel:
-        Optional compiled cast for ``"nearest"`` mode, an object whose
-        ``kernel.cast(values, fmt, saturate)`` returns this function's
-        bits (:class:`repro.emu.kernel.MacKernel`, checked against this
-        function before first use).  It then runs in place of the NumPy
-        passes below, so a cast on the compiled path is still a call of
-        this function.
+        Optional compiled rounding, an object whose ``kernel.round(
+        values, fmt, rbits, random_ints, saturate)`` returns this
+        function's bits (:class:`repro.emu.kernel.MacKernel`, checked
+        against this function before first use; callers pass
+        ``repro.emu.kernel.round_kernel(fmt, rbits)``, which is ``None``
+        outside its domain).  It rounds ``"nearest"``, and
+        ``"stochastic"`` with ``rbits`` and ``random_ints``; it never
+        draws from ``rng``.  It then runs in place of the NumPy passes
+        below, so a compiled rounding is still a call of this function.
 
     Returns
     -------
@@ -75,9 +78,21 @@ def quantize(
     ``inf``/``nan`` passed through).
     """
     if kernel is not None:
-        if mode != "nearest":
-            raise ValueError(f"a compiled cast cannot round {mode!r}")
-        return kernel.cast(values, fmt, saturate)
+        if mode == "nearest":
+            return kernel.round(values, fmt, None, None, saturate)
+        if mode != "stochastic":
+            raise ValueError(f"a compiled rounding cannot round {mode!r}")
+        if rbits is None or random_ints is None:
+            raise ValueError("a compiled SR rounding takes rbits and "
+                             "random_ints")
+        if not 1 <= rbits <= _MAX_RBITS:
+            raise ValueError(f"rbits must be in [1, {_MAX_RBITS}], "
+                             f"got {rbits}")
+        draws = np.asarray(random_ints)
+        if draws.size and (draws.min() < 0
+                           or draws.max() >= 1 << rbits):
+            raise ValueError("random_ints out of range for rbits")
+        return kernel.round(values, fmt, rbits, draws, saturate)
     a = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(a)
     nonzero = finite & (a != 0.0)

@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fastquant import quantize_fast
 from .formats import FPFormat
+from .quantize import quantize
 
 
 @dataclass
@@ -46,10 +46,26 @@ class RoundingPolicy:
         default_factory=lambda: np.random.default_rng(0))
 
     def round(self, values: np.ndarray) -> np.ndarray:
+        """``values`` rounded into the policy's format.  RN and r-bit SR
+        run the compiled rounding where the kernel has it; SR draws one
+        ``integers(0, 2**r)`` per value from ``rng`` first, the draws
+        the reference quantizer would take from it itself."""
+        values = np.asarray(values, dtype=np.float64)
         if self.fmt is None:
-            return np.asarray(values, dtype=np.float64)
-        return quantize_fast(values, self.fmt, self.mode,
-                             rng=self.rng, rbits=self.rbits)
+            return values
+        # Imported here, not at the top: repro.emu imports repro.fp.
+        from ..emu.kernel import round_kernel
+
+        if self.mode == "nearest":
+            return quantize(values, self.fmt, "nearest",
+                            kernel=round_kernel(self.fmt))
+        if self.mode != "stochastic" or self.rbits is None:
+            return quantize(values, self.fmt, self.mode, rng=self.rng,
+                            rbits=self.rbits)
+        draws = self.rng.integers(0, 1 << self.rbits, size=values.shape)
+        return quantize(values, self.fmt, "stochastic", rbits=self.rbits,
+                        random_ints=draws,
+                        kernel=round_kernel(self.fmt, self.rbits))
 
     def round_scalar(self, value: float) -> float:
         return float(self.round(np.array([value]))[0])

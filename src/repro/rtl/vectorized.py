@@ -62,8 +62,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..fp.fastquant import quantize_fast
+from ..emu import kernel
 from ..fp.formats import FPFormat
+from ..fp.quantize import quantize
 from ..prng.streams import bulk_draws
 from .multiplier import product_format
 
@@ -393,8 +394,9 @@ def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config, design: str,
                     product = np.where(tiny, np.copysign(0.0, product),
                                        product)
             if reencode:
-                product = quantize_fast(product, acc_fmt, "nearest",
-                                        saturate=config.saturate)
+                product = quantize(product, acc_fmt, "nearest",
+                                   saturate=config.saturate,
+                                   kernel=kernel.round_kernel(acc_fmt))
             acc = adder.add(acc, product,
                             draws[i] if stochastic else None)
         start += steps
@@ -447,8 +449,9 @@ def rtl_reduce(terms: np.ndarray, config, design: str) -> np.ndarray:
         return acc
     adder = adder_for_config(config, design)
     stochastic = adder.design != "rn"
-    terms = quantize_fast(terms, config.acc_format, "nearest",
-                          saturate=config.saturate)
+    terms = quantize(terms, config.acc_format, "nearest",
+                     saturate=config.saturate,
+                     kernel=kernel.round_kernel(config.acc_format))
     chunk = kdim
     if stochastic:
         chunk = max(1, min(kdim, _BULK_BYTES // (8 * max(1, acc.size))))

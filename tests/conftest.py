@@ -6,7 +6,7 @@ so an out-of-bounds access or undefined behaviour in ``mac_kernel.c``
 aborts the run.  The sanitizer runtime must be loaded first::
 
     LD_PRELOAD=$(gcc -print-file-name=libasan.so) ASAN_OPTIONS=detect_leaks=0 \
-      PYTHONPATH=src python -m pytest tests/emu tests/nn tests/prng -q --sanitized-kernel
+      PYTHONPATH=src python -m pytest tests/emu tests/fp tests/nn tests/prng -q --sanitized-kernel
 """
 
 import numpy as np
@@ -48,11 +48,11 @@ def numpy_mac_loop(monkeypatch):
 
     The compiled kernel's library handle reads as unavailable, exactly
     as on a machine without a C compiler: the sequential engine runs
-    the seed per-step loop, every multiplier cast the reference
-    quantizer, the conv patch gather and scatter-add their NumPy
-    bodies, and every ``SoftwareStream`` draws through its NumPy
-    ``Generator``.  So every bit-identity case that uses this fixture
-    covers both tiers.
+    the seed per-step loop, every rounding (the multiplier cast
+    included) the reference quantizer, the conv patch gather and
+    scatter-add their NumPy bodies, and every ``SoftwareStream`` draws
+    through its NumPy ``Generator``.  So every bit-identity case that
+    uses this fixture covers both tiers.
     """
     from repro.emu import kernel
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.emu import QuantizedGemm
+from repro.emu import QuantizedGemm, kernel
 from repro.emu.config import GemmConfig
 from repro.emu.engine import (
     ChunkedEngine,
@@ -181,7 +181,7 @@ class TestSequentialBitIdentity:
         assert SoftwareStream(1).integers_bulk(40, 2, (4,)).dtype \
             == np.uint64
         cfg1, cfg2 = GemmConfig.sr(40, seed=4), GemmConfig.sr(40, seed=4)
-        assert SequentialEngine._fusable(cfg1, a, b)
+        assert SequentialEngine._kernel_for(cfg1, a, b) is kernel.library()
         assert np.array_equal(matmul(a, b, cfg1),
                               reference_matmul(a, b, cfg2))
 

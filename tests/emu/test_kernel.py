@@ -1,14 +1,16 @@
-"""The compiled kernel: build, self-checks, the cast, and fallback.
+"""The compiled kernel: build, self-checks, the rounding, and fallback.
 
 The engine-level bit-identity suites (``test_engines.py``) run once on
 the kernel, once on each lane of its K loop and once on the seed loop
 and reference cast, and the patch gather and scatter-add suites
 (``test_parallel.py``) once on the kernel and once on the NumPy bodies.
 This file pins the loader: the loops (``gemm`` on every lane) and the
-multiplier cast agree with their specifications on more formats and
+one-shot rounding agree with their specifications on more formats and
 shapes than the load-time self-checks cover, the build is cached, and
 every way the build can fail, a wrong vector lane included, leaves the
 seed loop and the reference quantizer running with the same bits.
+(``tests/fp/test_round_kernel.py`` holds the rounding's bit-exact
+format sweep.)
 """
 
 import shutil
@@ -26,10 +28,19 @@ from repro.emu import (
     matmul,
     reference_matmul,
 )
+from repro.emu.engine import get_engine
 from repro.emu.gemm import _cast_operand
 from repro.fp.encode import all_finite_values
-from repro.fp.formats import FP8_E4M3, FP8_E5M2, FP12_E6M5, FP16, FPFormat
+from repro.fp.formats import (
+    FP8_E4M3,
+    FP8_E5M2,
+    FP12_E6M5,
+    FP16,
+    FP32,
+    FPFormat,
+)
 from repro.fp.quantize import quantize
+from repro.fp.summation import RoundingPolicy, kahan_sum, pairwise_sum
 from repro.nn.functional import PatchRows
 from repro.prng.streams import SoftwareStream
 
@@ -73,16 +84,20 @@ def _same_bits(got, want) -> bool:
                           np.asarray(want).view(np.int64))
 
 
-def _reference_steps(terms, fmt, mode, rbits, draws, saturate):
-    """``acc = quantize(acc + terms[k])`` per step, the reference
-    quantizer's own chain (not the kernel's ``_spec_loop``)."""
-    acc = np.zeros(terms.shape[1:])
-    for k in range(terms.shape[0]):
-        kwargs = {} if rbits is None \
-            else {"rbits": rbits, "random_ints": draws[k]}
-        acc = quantize(acc + terms[k], fmt, mode, saturate=saturate,
-                       **kwargs)
-    return acc
+def _unit_chain(mac, terms, draws, fmt, rbits, saturate):
+    """``terms`` (K, S) reduced as ``SequentialEngine.reduce`` runs it
+    on the kernel: a ``(1, K) @ (K, S)`` chain with unit multipliers,
+    in two chunks."""
+    k, size = terms.shape
+    ones = np.ones((1, 1, k))
+    chain = np.ascontiguousarray(terms).reshape(1, k, size)
+    got = np.zeros((1, 1, size))
+    for start, steps in ((0, 2), (2, k - 2)):
+        chunk = None if draws is None \
+            else draws[start:start + steps].reshape(steps, 1, 1, size)
+        mac.gemm(ones, chain, got, chunk, start, steps, fmt, rbits,
+                 saturate)
+    return got.reshape(size)
 
 
 def _random_bit_patterns(rng, size) -> np.ndarray:
@@ -104,9 +119,12 @@ class TestKernel:
                                              (20, np.uint64)])
     def test_reduce_matches_specification(self, rng, e_bits, m_bits, rbits,
                                           dtype):
-        """The load-time self-check covers E6M5 only; here every lane
-        runs on five formats, subnormals and saturation on and off."""
+        """A reduction's unit-multiplier chain, every lane, against
+        :func:`kernel._spec_loop` of the terms: the load-time self-check
+        covers E6M5 only; here five formats, subnormals and saturation
+        on and off."""
         mode = "nearest" if rbits is None else "stochastic"
+        mac = kernel.library()
         for subnormals in (True, False):
             fmt = FPFormat(e_bits, m_bits, subnormals)
             terms = _stress_terms(rng, fmt, (12, 40))
@@ -115,14 +133,14 @@ class TestKernel:
                 draws = rng.integers(0, 1 << rbits, size=terms.shape,
                                      dtype=np.uint64).astype(dtype)
             for saturate in (False, True):
-                got = np.zeros(terms.shape[1:])
-                kernel.library().reduce(terms, got, draws, fmt, rbits,
-                                        saturate)
                 want = kernel._spec_loop(terms, draws, fmt, mode, rbits,
                                          saturate)
-                assert np.array_equal(got.view(np.int64),
-                                      want.view(np.int64)), \
-                    (fmt.name, saturate)
+                for lane in mac.lanes:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(mac, "_lane", lane)
+                        got = _unit_chain(mac, terms, draws, fmt, rbits,
+                                          saturate)
+                    assert _same_bits(got, want), (lane, fmt.name, saturate)
 
     @pytest.mark.parametrize("e_bits,m_bits", [(4, 3), (5, 2), (6, 5),
                                                (5, 10), (8, 7)])
@@ -169,13 +187,52 @@ class TestKernel:
                             assert _same_bits(got, want), \
                                 (lane, fmt.name, m, n, saturate)
 
+    def test_nonfinite_operands_move_only_nan_bits(self, rng):
+        """What the engine's ``np.isfinite`` scan guards: ``gemm`` on
+        every lane, fed ±inf and NaN operands, matches
+        :func:`kernel._spec_loop` in every finite element, bit for bit.
+        Only the NaN bit pattern may differ, when both addends are NaN
+        (which one propagates is the adder's choice); NaN bits are
+        output bits, so such operands take the seed loop."""
+        mac = kernel.library()
+        specials = np.array([np.inf, -np.inf, np.nan])
+        for block in range(200):
+            m, k, n = rng.integers(1, 20, size=3)
+            rbits = None if block % 2 == 0 else 13
+            a = rng.normal(size=(1, m, k))
+            b = rng.normal(size=(1, k, n))
+            for operand in (a, b):
+                hit = rng.random(operand.shape) < 0.05
+                operand[hit] = rng.choice(specials, size=hit.sum())
+            with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
+                products = np.ascontiguousarray(
+                    a.transpose(2, 0, 1)[..., None]
+                    * b.transpose(1, 0, 2)[:, :, None, :])
+            draws = None
+            if rbits is not None:
+                draws = rng.integers(0, 1 << rbits, size=products.shape,
+                                     dtype=np.uint32)
+            mode = "nearest" if rbits is None else "stochastic"
+            want = kernel._spec_loop(products, draws, FP12_E6M5, mode,
+                                     rbits, False)
+            finite = np.isfinite(want)
+            for lane in mac.lanes:
+                got = np.zeros(want.shape)
+                with pytest.MonkeyPatch.context() as mp, \
+                        np.errstate(invalid="ignore"):
+                    mp.setattr(mac, "_lane", lane)
+                    mac.gemm(a, b, got, draws, 0, k, FP12_E6M5, rbits,
+                             False)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), lane
+                assert _same_bits(got[finite], want[finite]), (lane, block)
+
     @pytest.mark.parametrize("rbits", [None, 4, 13])
     def test_float64_subnormal_sums_match_reference_quantizer(self, rng,
                                                               rbits):
         """With 11 exponent bits the format's subnormal grid reaches
-        float64 subnormals, which cut as exponent field 1.  The kernel's
-        ``_spec_loop`` is no witness here, so the reference quantizer
-        is."""
+        float64 subnormals, which the kernel cuts as exponent field 1;
+        the reference quantizer, through ``_spec_loop``, is the
+        witness."""
         mode = "nearest" if rbits is None else "stochastic"
         for fmt in (FPFormat(11, 5), FPFormat(11, 5, subnormals=False),
                     FPFormat(11, 2)):
@@ -186,11 +243,10 @@ class TestKernel:
                 draws = rng.integers(0, 1 << rbits, size=terms.shape,
                                      dtype=np.uint64)
             for saturate in (False, True):
-                got = np.zeros(terms.shape[1:])
-                kernel.library().reduce(terms, got, draws, fmt, rbits,
-                                        saturate)
-                want = _reference_steps(terms, fmt, mode, rbits, draws,
-                                        saturate)
+                got = _unit_chain(kernel.library(), terms, draws, fmt, rbits,
+                                  saturate)
+                want = kernel._spec_loop(terms, draws, fmt, mode, rbits,
+                                         saturate)
                 assert _same_bits(got, want), (fmt.name, saturate)
 
     @pytest.mark.parametrize("numpy_loop", [False, True])
@@ -203,8 +259,8 @@ class TestKernel:
         b = np.array([[1.0], [0.5], [1.5], [-0.5]]) * 2.0 ** -514
         fmt = FPFormat(11, 5)
         config = GemmConfig(acc_format=fmt)
-        want = _reference_steps(a[0, :, None, None] * b[:, None, :], fmt,
-                                "nearest", None, None, False)
+        want = kernel._spec_loop(a[0, :, None, None] * b[:, None, :], None,
+                                 fmt, "nearest", None, False)
         assert want[0, 0] != 0.0
         assert _same_bits(matmul(a, b, config), want)
         assert _same_bits(reference_matmul(a, b, config), want)
@@ -233,6 +289,13 @@ class TestKernel:
             mac.gemm(a, b, np.zeros((1, 2, 4)),
                      np.zeros((2, 1, 2, 4), np.uint32), 0, 3, FP12_E6M5,
                      9, False)
+        with pytest.raises(ValueError, match="rbits and draws"):
+            mac.round(np.ones(3), FP12_E6M5, 9, None, False)
+        with pytest.raises(ValueError, match="domain"):
+            mac.round(np.ones(3), FP32, 29, np.zeros(3, np.uint32), False)
+        with pytest.raises(ValueError, match="domain"):
+            mac.gemm(a, b, np.zeros((1, 2, 4)), None, 0, 3,
+                     FPFormat(8, 41), None, False)
 
     def test_patch_argument_checks(self):
         mac = kernel.library()
@@ -265,8 +328,10 @@ class TestKernel:
 
 
 @needs_cc
-class TestCast:
-    """The compiled multiplier cast equals the reference quantizer."""
+class TestRound:
+    """The compiled one-shot rounding equals the reference quantizer,
+    and every one-shot rounding of the program reaches it only through
+    ``quantize(..., kernel=...)``."""
 
     @pytest.mark.parametrize("e_bits,m_bits", [(4, 3), (5, 2), (6, 5),
                                                (5, 10), (8, 7), (8, 23),
@@ -284,7 +349,8 @@ class TestCast:
                     want = quantize(values, fmt, "nearest",
                                     saturate=saturate)
                     assert _same_bits(
-                        kernel.library().cast(values, fmt, saturate),
+                        kernel.library().round(values, fmt, None, None,
+                                               saturate),
                         want), (fmt.name, saturate)
 
     @pytest.mark.parametrize("fmt", [FP8_E5M2, FP8_E4M3, FP16],
@@ -302,22 +368,29 @@ class TestCast:
             f = fmt.with_subnormals(subnormals)
             for saturate in (False, True):
                 assert _same_bits(
-                    kernel.library().cast(sweep, f, saturate),
+                    kernel.library().round(sweep, f, None, None, saturate),
                     quantize(sweep, f, "nearest", saturate=saturate)), \
                     (f.name, subnormals, saturate)
 
     def test_layouts(self, rng):
         """Any layout in, a new C-contiguous array of the same shape
-        out; a strided input is left untouched."""
+        out; a strided input is left untouched.  SR draws broadcast to
+        the values' shape."""
         x = rng.normal(size=(6, 5)) * 1e3
         kept = x.copy()
+        mac = kernel.library()
         for view in (x, x.T, x[::2, 1:], x[:, 1], x[2, 3],
                      np.array(-7e4), np.empty((0, 3))):
-            got = kernel.library().cast(view, FP8_E5M2, False)
+            got = mac.round(view, FP8_E5M2, None, None, False)
             assert got.shape == np.shape(view) and got.flags.c_contiguous
             assert got.dtype == np.float64
             assert not np.shares_memory(got, x)
             assert _same_bits(got, quantize(view, FP8_E5M2, "nearest"))
+            draws = rng.integers(0, 16, size=np.shape(view)[-1:])
+            assert _same_bits(
+                mac.round(view, FP8_E5M2, 4, draws, False),
+                quantize(view, FP8_E5M2, "stochastic", rbits=4,
+                         random_ints=draws))
         assert _same_bits(x, kept)
 
     def test_broadcast_batch_casts_its_base(self, rng):
@@ -330,33 +403,51 @@ class TestCast:
         assert got.shape == stack.shape and got.strides[0] == 0
         assert _same_bits(got[4], quantize(w, FP8_E5M2, "nearest"))
 
-    def test_wide_formats_take_the_reference(self, rng, monkeypatch):
-        assert kernel.cast_kernel(FPFormat(8, 40)) is kernel.library()
-        assert kernel.cast_kernel(FPFormat(8, 41)) is None
+    def test_domain(self, rng, monkeypatch):
+        """``round_kernel`` decides the domain: at most 40 fraction
+        bits, SR with ``1 <= rbits < 52 - M``; outside it the reference
+        quantizer runs."""
+        mac = kernel.library()
+        assert kernel.round_kernel(FPFormat(8, 40)) is mac
+        assert kernel.round_kernel(FPFormat(8, 41)) is None
+        assert kernel.round_kernel(FP32, 27) is mac
+        assert kernel.round_kernel(FP32, 28) is mac
+        assert kernel.round_kernel(FP32, 29) is None
+        assert kernel.round_kernel(FP12_E6M5, 0) is None
 
         def not_called(*args, **kwargs):
-            raise AssertionError("compiled cast outside its domain")
+            raise AssertionError("compiled rounding outside its domain")
 
-        monkeypatch.setattr(kernel.MacKernel, "cast", not_called)
+        monkeypatch.setattr(kernel.MacKernel, "round", not_called)
+        monkeypatch.setattr(kernel.MacKernel, "gemm", not_called)
         x = rng.normal(size=(3, 4))
         for fmt in (FPFormat(8, 41), FPFormat(11, 52)):
             got = _cast_operand(x, GemmConfig(mul_format=fmt))
             assert _same_bits(got, quantize(x, fmt, "nearest"))
+        got = matmul(x, x.T, GemmConfig.sr(29, acc_format=FP32, seed=2),
+                     cast=False)
+        want = reference_matmul(x, x.T, GemmConfig.sr(
+            29, acc_format=FP32, seed=2), cast=False)
+        assert _same_bits(got, want)
 
-    def test_concurrent_casts(self, rng):
-        """The cast keeps no global state: threads casting into several
-        formats at once, on a fresh wrapper whose format constants are
-        built under contention, all get the reference bits."""
+    def test_concurrent_roundings(self, rng):
+        """The rounding keeps no global state: threads rounding into
+        several formats at once, on a fresh wrapper whose format
+        constants are built under contention, all get the reference
+        bits."""
         mac = kernel.MacKernel(kernel.library()._lib)
         x = rng.normal(size=(64, 72)) * 2.0 ** rng.integers(-20, 20,
                                                            size=(64, 72))
+        draws = rng.integers(0, 1 << 9, size=x.shape)
         formats = [FP8_E5M2, FP8_E4M3, FP16,
                    FP12_E6M5.with_subnormals(False)]
-        want = {fmt: quantize(x, fmt, "nearest", saturate=True)
+        want = {fmt: quantize(x, fmt, "stochastic", rbits=9,
+                              random_ints=draws, saturate=True)
                 for fmt in formats}
 
         def work(fmt):
-            return all(_same_bits(mac.cast(x, fmt, True), want[fmt])
+            return all(_same_bits(mac.round(x, fmt, 9, draws, True),
+                                  want[fmt])
                        for _ in range(100))
 
         interval = sys.getswitchinterval()
@@ -368,16 +459,14 @@ class TestCast:
             sys.setswitchinterval(interval)
         assert results == [True] * 8
 
-    def test_executor_casts_run_compiled_inside_quantize(self, rng,
-                                                         monkeypatch):
-        """With the kernel loaded, every multiplier cast of the executor
-        is a ``quantize`` call carrying the kernel, under whatever name
-        a module bound the function, so a wrapper on ``quantize`` sees
-        each cast; the reference's NumPy passes never run."""
-        mac = kernel.library()
-        assert mac is not None  # self-checked before the ban
+    @staticmethod
+    def _spy_on_rounding(monkeypatch):
+        """Route every ``quantize`` a ``repro`` module bound, under any
+        name, through a spy; count ``MacKernel.round`` calls; ban the
+        reference's NumPy passes.  Returns (carried kernels, compiled
+        calls)."""
         carried, compiled = [], []
-        cast = kernel.MacKernel.cast
+        body = kernel.MacKernel.round
 
         def spy(values, fmt, mode="nearest", **kwargs):
             carried.append(kwargs.get("kernel"))
@@ -385,7 +474,7 @@ class TestCast:
 
         def counted(self, *args):
             compiled.append(self)
-            return cast(self, *args)
+            return body(self, *args)
 
         def banned(*args, **kwargs):
             raise AssertionError("reference quantizer's NumPy passes ran")
@@ -398,7 +487,18 @@ class TestCast:
                     monkeypatch.setattr(module, attr, spy)
         monkeypatch.setattr(sys.modules[quantize.__module__],
                             "_round_up_mask", banned)
-        monkeypatch.setattr(kernel.MacKernel, "cast", counted)
+        monkeypatch.setattr(kernel.MacKernel, "round", counted)
+        return carried, compiled
+
+    def test_executor_casts_run_compiled_inside_quantize(self, rng,
+                                                         monkeypatch):
+        """With the kernel loaded, every multiplier cast of the executor
+        is a ``quantize`` call carrying the kernel, under whatever name
+        a module bound the function, so a wrapper on ``quantize`` sees
+        each cast; the reference's NumPy passes never run."""
+        mac = kernel.library()
+        assert mac is not None  # self-checked before the ban
+        carried, compiled = self._spy_on_rounding(monkeypatch)
         a = rng.normal(size=(70, 24))
         b = rng.normal(size=(24, 9))
         outer = rng.normal(size=(300, 5))
@@ -413,16 +513,128 @@ class TestCast:
         assert carried and all(k is mac for k in carried)
         assert len(compiled) == len(carried)
 
+    def test_one_shot_roundings_run_compiled_inside_quantize(self, rng,
+                                                            monkeypatch):
+        """``pairwise``, ``chunked``, the ``rtl_*`` re-encodes and
+        :class:`RoundingPolicy` round through ``MacKernel.round``, each
+        inside a ``quantize`` call carrying the kernel."""
+        mac = kernel.library()
+        assert mac is not None
+        carried, compiled = self._spy_on_rounding(monkeypatch)
+        a = rng.normal(size=(5, 12))
+        b = rng.normal(size=(12, 4))
+        for order, roundings in (("pairwise", "rs"), ("chunked(4)", "rs"),
+                                 ("rtl_rn", "r"), ("rtl_eager", "s")):
+            for rounding in roundings:
+                config = GemmConfig.rn(FP12_E6M5, accum_order=order) \
+                    if rounding == "r" \
+                    else GemmConfig.sr(9, seed=1, accum_order=order)
+                before = len(compiled)
+                matmul(a, b, config)
+                get_engine(order).reduce(a, config)
+                assert len(compiled) > before, (order, config.label)
+        before = len(compiled)
+        for policy in (RoundingPolicy.rn(FP12_E6M5),
+                       RoundingPolicy.sr(FP12_E6M5, 9, seed=3)):
+            pairwise_sum(a.ravel(), policy)
+            kahan_sum(a.ravel(), policy)
+        assert len(compiled) > before
+        assert carried and all(k is mac for k in carried)
+        assert len(compiled) == len(carried)
+
+    def test_reference_matmul_never_reaches_the_kernel(self, rng,
+                                                       monkeypatch):
+        """The oracle casts and rounds with the reference quantizer
+        only, per step and in the one-shot ablation."""
+        def banned(*args, **kwargs):
+            raise AssertionError("the oracle reached the kernel")
+
+        monkeypatch.setattr(kernel.MacKernel, "round", banned)
+        monkeypatch.setattr(kernel.MacKernel, "gemm", banned)
+        a = rng.normal(size=(6, 10))
+        b = rng.normal(size=(10, 3))
+        once = GemmConfig.sr(9, seed=2)
+        once.per_step = False
+        for config in (GemmConfig.sr(9, seed=2), GemmConfig.rn(FP12_E6M5),
+                       once):
+            reference_matmul(a, b, config)
+
     def test_quantize_runs_a_carried_kernel(self, rng):
-        """``quantize(..., kernel=mac)`` is ``mac.cast``; it rounds to
-        nearest only."""
+        """``quantize(..., kernel=mac)`` is ``mac.round``: to nearest,
+        and r-bit SR with given draws, of any integer dtype."""
         mac = kernel.library()
         x = rng.normal(size=(9, 4)) * 1e3
         assert _same_bits(quantize(x.T, FP8_E5M2, "nearest", kernel=mac),
                           quantize(x.T, FP8_E5M2, "nearest"))
-        with pytest.raises(ValueError, match="cannot round"):
-            quantize(x, FP8_E5M2, "stochastic", rbits=4,
-                     random_ints=np.zeros(x.shape), kernel=mac)
+        for dtype in (np.uint32, np.uint64, np.int64):
+            draws = rng.integers(0, 16, size=x.shape).astype(dtype)
+            assert _same_bits(
+                quantize(x, FP8_E5M2, "stochastic", rbits=4,
+                         random_ints=draws, kernel=mac),
+                quantize(x, FP8_E5M2, "stochastic", rbits=4,
+                         random_ints=draws))
+
+    def test_kernel_branch_rejects_what_the_reference_rejects(self, rng):
+        """Draws outside ``[0, 2**rbits)`` and ``rbits`` outside ``[1,
+        62]`` raise as they do in the reference.  SR without both
+        ``rbits`` and ``random_ints`` raises: the kernel neither runs
+        exact SR nor draws for itself.  The directed modes, which the
+        kernel does not round, raise too."""
+        mac = kernel.library()
+        x = rng.normal(size=(3, 4))
+        gen = np.random.default_rng(0)
+        for kwargs in ({"rng": gen},
+                       {"rng": gen, "random_ints": np.zeros(x.shape, int)},
+                       {"rbits": 4, "rng": gen}):
+            with pytest.raises(ValueError, match="rbits and random_ints"):
+                quantize(x, FP12_E6M5, "stochastic", kernel=mac, **kwargs)
+        for draws in (np.full(x.shape, 16), np.full(x.shape, -1),
+                      np.array([0, 1, 2, 16])):
+            with pytest.raises(ValueError, match="out of range"):
+                quantize(x, FP12_E6M5, "stochastic", rbits=4,
+                         random_ints=draws)
+            with pytest.raises(ValueError, match="out of range"):
+                quantize(x, FP12_E6M5, "stochastic", rbits=4,
+                         random_ints=draws, kernel=mac)
+        for rbits in (0, 63):
+            with pytest.raises(ValueError, match="rbits must be in"):
+                quantize(x, FP12_E6M5, "stochastic", rbits=rbits,
+                         random_ints=np.zeros(x.shape, int))
+            with pytest.raises(ValueError, match="rbits must be in"):
+                quantize(x, FP12_E6M5, "stochastic", rbits=rbits,
+                         random_ints=np.zeros(x.shape, int), kernel=mac)
+        for mode in ("toward_zero", "up", "down", "bogus"):
+            with pytest.raises(ValueError, match="cannot round"):
+                quantize(x, FP12_E6M5, mode, kernel=mac)
+
+    def test_kernel_branch_never_draws_from_rng(self, rng):
+        """The compiled rounding takes its draws from the caller; a
+        ``rng`` passed along is left where it was, drawn from or not."""
+        mac = kernel.library()
+        x = rng.normal(size=(5, 6))
+        gen = np.random.default_rng(4)
+        state = gen.bit_generator.state
+        quantize(x, FP12_E6M5, "nearest", rng=gen, kernel=mac)
+        draws = rng.integers(0, 1 << 9, size=x.shape)
+        quantize(x, FP12_E6M5, "stochastic", rng=gen, rbits=9,
+                 random_ints=draws, kernel=mac)
+        with pytest.raises(ValueError):
+            quantize(x, FP12_E6M5, "stochastic", rng=gen, rbits=9,
+                     kernel=mac)
+        assert gen.bit_generator.state == state
+
+    def test_rounding_policy_draws_what_the_reference_draws(self, rng):
+        """``RoundingPolicy`` draws ``integers(0, 2**r)`` per value from
+        its own generator, so on the kernel it rounds with the draws
+        the reference quantizer takes from that generator itself."""
+        values = rng.normal(size=200)
+        for rbits in (4, 13):
+            policy = RoundingPolicy.sr(FP12_E6M5, rbits, seed=8)
+            gen = np.random.default_rng(8)
+            for _ in range(2):
+                want = quantize(values, FP12_E6M5, "stochastic",
+                                rbits=rbits, rng=gen)
+                assert _same_bits(policy.round(values), want)
 
 
 class TestFallback:
@@ -470,14 +682,14 @@ class TestFallback:
 
     @needs_cc
     def test_self_check_mismatch(self, monkeypatch, rng):
-        spec = kernel._quantize_fused_into
+        spec = kernel._spec_loop
 
-        def off_by_one_ulp(x, fmt, mode, rbits, draws, saturate, out, ws):
-            spec(x, fmt, mode, rbits, draws, saturate, out, ws)
+        def off_by_one_ulp(*args):
+            out = spec(*args)
             out.view(np.int64)[...] ^= 1
             return out
 
-        monkeypatch.setattr(kernel, "_quantize_fused_into", off_by_one_ulp)
+        monkeypatch.setattr(kernel, "_spec_loop", off_by_one_ulp)
         self._assert_seed_loop_runs(rng)
 
     @needs_cc
@@ -501,7 +713,7 @@ class TestFallback:
     @pytest.mark.parametrize("body", ["numpy_rows", "numpy_scatter_rows"])
     def test_patch_self_check_mismatch(self, monkeypatch, rng, body):
         """A patch loop that disagrees with its NumPy body keeps the
-        whole library out: the K loop and the cast go too."""
+        whole library out: the K loop and the rounding go too."""
         rows, scatter = PatchRows.numpy_rows, PatchRows.numpy_scatter_rows
         off_by_one_ulp = {
             "numpy_rows": lambda self, r0, r1: np.nextafter(
@@ -535,13 +747,19 @@ class TestFallback:
         assert stream._state is None
 
     @needs_cc
-    def test_cast_self_check_mismatch(self, monkeypatch, rng):
-        def off_by_one_ulp(values, fmt, mode, **kwargs):
-            out = quantize(values, fmt, mode, **kwargs)
-            out.view(np.int64)[...] ^= 1
+    @pytest.mark.parametrize("mode", ["nearest", "stochastic"])
+    def test_round_self_check_mismatch(self, monkeypatch, rng, mode):
+        """A one-shot rounding that leaves the reference, to nearest or
+        SR only, keeps the whole library out."""
+        body = kernel.MacKernel.round
+
+        def flips_a_bit(self, x, fmt, rbits, draws, saturate):
+            out = body(self, x, fmt, rbits, draws, saturate)
+            if (rbits is None) == (mode == "nearest"):
+                out.view(np.int64)[...] ^= 1
             return out
 
-        monkeypatch.setattr(kernel, "quantize", off_by_one_ulp)
+        monkeypatch.setattr(kernel.MacKernel, "round", flips_a_bit)
         self._assert_seed_loop_runs(rng)
         a = rng.normal(size=(70, 12))
         b = rng.normal(size=(12, 5))

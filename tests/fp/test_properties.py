@@ -1,10 +1,11 @@
 """Hypothesis property tests for the floating-point core."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fp.fastquant import quantize_fast
+from repro.emu import kernel
 from repro.fp.formats import FPFormat
 from repro.fp.quantize import quantize
 from repro.fp.rounding import round_float, rounding_candidates
@@ -54,28 +55,36 @@ def test_sr_result_is_a_candidate(value, fmt, rbits, seed):
     assert Fraction(result) in (down, up)
 
 
+def _compiled(values, fmt, mode, **kwargs):
+    """``quantize`` on the compiled rounding, ``MacKernel.round``."""
+    mac = kernel.round_kernel(fmt, kwargs.get("rbits"))
+    if mac is None:
+        pytest.skip("the compiled rounding did not load")
+    return quantize(values, fmt, mode, kernel=mac, **kwargs)
+
+
 @given(st.lists(finite_floats, min_size=1, max_size=64), format_strategy)
 @settings(max_examples=200, deadline=None)
-def test_fast_quantizer_matches_reference_nearest(values, fmt):
+def test_compiled_rounding_matches_reference_nearest(values, fmt):
     arr = np.array(values)
     ref = quantize(arr, fmt, "nearest")
-    fast = quantize_fast(arr, fmt, "nearest")
-    assert np.array_equal(ref, fast, equal_nan=True)
+    compiled = _compiled(arr, fmt, "nearest")
+    assert np.array_equal(ref.view(np.int64), compiled.view(np.int64))
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=64),
        st.integers(min_value=3, max_value=13),
        st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=200, deadline=None)
-def test_fast_quantizer_matches_reference_sr(values, rbits, seed):
+def test_compiled_rounding_matches_reference_sr(values, rbits, seed):
     fmt = FPFormat(6, 5, subnormals=bool(seed % 2))
     arr = np.array(values)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << rbits, size=arr.shape)
     ref = quantize(arr, fmt, "stochastic", rbits=rbits, random_ints=draws)
-    fast = quantize_fast(arr, fmt, "stochastic", rbits=rbits,
+    compiled = _compiled(arr, fmt, "stochastic", rbits=rbits,
                          random_ints=draws)
-    assert np.array_equal(ref, fast, equal_nan=True)
+    assert np.array_equal(ref.view(np.int64), compiled.view(np.int64))
 
 
 @given(finite_floats, format_strategy)
