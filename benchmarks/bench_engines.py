@@ -30,7 +30,9 @@ transformer projection, all lanes asserted bit-identical first.  The
 block and a transformer projection: the NumPy specification
 (``SeedSequence``, ``PCG64`` and ``Generator.integers``, the
 ``no_compiler`` tier) against the kernel's PCG64, asserted
-bit-identical first.
+bit-identical first; they also time ``MacKernel.pcg_draws`` alone on
+every lane, in ns per 64-bit PCG64 word, its lanes asserted
+bit-identical (draws and state) first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -53,7 +55,7 @@ from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS
 from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
-from repro.prng.streams import SoftwareStream
+from repro.prng.streams import SoftwareStream, uint32_words
 
 from _machine import machine_info
 
@@ -231,7 +233,8 @@ def _patch_rows(repeats):
 
 @contextlib.contextmanager
 def on_lane(mac, lane):
-    """Run ``mac.gemm`` on ``lane`` inside the block."""
+    """Run ``mac.gemm`` and ``mac.pcg_draws`` on ``lane`` inside the
+    block."""
     saved = mac.lane
     mac._lane = lane
     try:
@@ -284,14 +287,43 @@ def _lane_rows(repeats):
     return rows
 
 
+def _draw_lane_ns(mac, key, draws, repeats):
+    """``MacKernel.pcg_draws`` of ``draws`` uint32 values at r=13 per
+    lane, ns per 64-bit word, after asserting every lane's draws and
+    final state equal."""
+    start = mac.pcg_seed(uint32_words(SEED), key)
+    out = np.empty(draws, np.uint32)
+    results = {}
+    for lane in mac.lanes:
+        with on_lane(mac, lane):
+            state = kernel.PcgState(*start)
+            mac.pcg_draws(state, CONV_RBITS, out)
+            results[lane] = (out.tobytes(), tuple(state))
+    assert all(got == results["scalar"] for got in results.values()), \
+        "draws: the kernel's PCG lanes disagree"
+
+    def calls(state):
+        for _ in range(LANE_CALLS):
+            mac.pcg_draws(state, CONV_RBITS, out)
+
+    ns = {}
+    for lane in mac.lanes:
+        with on_lane(mac, lane):
+            ns[lane] = _time(calls, kernel.PcgState(*start), repeats=repeats) \
+                / LANE_CALLS / (draws / 2) * 1e9
+    return ns
+
+
 def _draw_rows(repeats):
     """One block's ``spawn`` plus ``integers_bulk``, microseconds per
-    block: the NumPy specification against the kernel, r=13."""
+    block: the NumPy specification against the kernel, r=13; and the
+    kernel's draws alone per lane, ns per 64-bit word."""
     parent = SoftwareStream(SEED)
     # The executor's key of block j: a 4-word call key, batch, block.
     keys = [(40123, 5021, 17, 60000, 0, j) for j in range(LANE_CALLS)]
+    mac = kernel.library()
     tiers = {"numpy": numpy_mac_loop}
-    if kernel.library() is not None:
+    if mac is not None:
         tiers["kernel"] = contextlib.nullcontext
     rows = {}
     for name, (m, k, n) in DRAW_SHAPES.items():
@@ -316,6 +348,9 @@ def _draw_rows(repeats):
             "us_per_block": micros,
             "kernel_speedup": micros["numpy"] / micros["kernel"]
             if "kernel" in micros else None,
+            "lane_ns_per_word": _draw_lane_ns(mac, keys[0], m * k * n,
+                                              repeats)
+            if mac is not None else {},
         }
     return rows
 
@@ -425,8 +460,11 @@ def main(argv=None) -> int:
                       f"{row[op]['kernel_speedup']:.2f}x", file=sys.stderr)
     for name, row in report["draws"].items():
         if row["kernel_speedup"] is not None:
+            ns = ", ".join(f"{lane} {t:.2f}" for lane, t
+                           in row["lane_ns_per_word"].items())
             print(f"{name} spawn + draws {row['shape']}, kernel vs NumPy: "
-                  f"{row['kernel_speedup']:.2f}x", file=sys.stderr)
+                  f"{row['kernel_speedup']:.2f}x; draws alone, ns per "
+                  f"word: {ns}", file=sys.stderr)
     for name, row in report["lanes"].items():
         speedups = ", ".join(f"{lane} {x:.2f}x" for lane, x
                              in row["speedup_vs_scalar"].items()

@@ -9,9 +9,11 @@ so call dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs
 the whole K loop of one (chunk, batch entry) in one foreign call, on
 one of its lanes, which give the same bits: a scalar loop that runs
 anywhere, and on x86-64 a branch-free vector body compiled for AVX2 and
-for AVX-512F.  :attr:`MacKernel.lanes` lists the lanes the CPU runs,
-widest first; :attr:`MacKernel.lane`, the widest, is the one in use,
-and nothing selects another.  A reduction ``(K, ...)`` runs the same
+for AVX-512F.  The SR draws have the same lanes: the serial PCG64 loop,
+and 16 (AVX2) or 32 (AVX-512F) jump-ahead LCG lanes stepping together.
+:attr:`MacKernel.lanes` lists the lanes the CPU runs, widest first;
+:attr:`MacKernel.lane`, the widest, is the one both run, and nothing
+selects another.  A reduction ``(K, ...)`` runs the same
 loop as a ``(1, K) @ (K, S)`` chain with unit multipliers.  The same
 file has three more jobs:
 
@@ -60,8 +62,10 @@ compiled rounding, GEMM, patch gather or software-stream draw:
   two-image input, 3x3 windows at stride 1 and 2, pad 0 and 1, row
   ranges that cross images, and scatter terms whose sums change with
   their order.  The PCG loops must derive NumPy's state for the streams
-  of :data:`_PCG_CHECK_STREAMS` and draw what ``Generator.integers``
-  draws, odd and even totals, uint32 and uint64 buffers;
+  of :data:`_PCG_CHECK_STREAMS` and, ``pcg_draws`` on every lane in
+  ``lanes``, draw what ``Generator.integers`` draws and leave its state
+  after each call of :data:`_PCG_CHECK_DRAWS` (odd and even totals,
+  uint32 and uint64 buffers, totals that reach the vector lanes);
 * on any failure (no compiler, unwritable cache, compile error, load
   error, a self-check mismatch on any lane) :func:`library` returns
   ``None``; the engine's seed per-step loop, the reference quantizer,
@@ -225,20 +229,22 @@ class MacKernel:
         self._pcg_seed.argtypes = [ptr, i64, i64, words]
         self._pcg_seed.restype = None
         self._pcg_draws = lib.mac_pcg_draws
-        self._pcg_draws.argtypes = [words, i64, ptr, i64, i64]
+        self._pcg_draws.argtypes = [words, i64, ptr, i64, i64, i64]
         self._pcg_draws.restype = None
         self._specs: dict = {}
 
     @property
     def lanes(self) -> tuple:
-        """The ``gemm`` lanes this CPU runs, widest first: ``"avx512f"``
-        and ``"avx2"`` where the CPU has them, ``"scalar"`` always."""
+        """The ``gemm`` and ``pcg_draws`` lanes this CPU runs, widest
+        first: ``"avx512f"`` and ``"avx2"`` where the CPU has them,
+        ``"scalar"`` always."""
         return self._lanes
 
     @property
     def lane(self) -> str:
-        """The lane ``gemm`` runs: ``lanes[0]``.  Every lane gives the
-        same bits, and the load-time self-check ran each of them."""
+        """The lane ``gemm`` and ``pcg_draws`` run: ``lanes[0]``.  Every
+        lane gives the same bits, and the load-time self-checks ran each
+        of them."""
         return self._lane
 
     def _spec(self, fmt: FPFormat, rbits: Optional[int], saturate: bool):
@@ -388,7 +394,7 @@ class MacKernel:
 
         ``out`` is a C-contiguous uint32 or uint64 array.  An odd size
         parks a half-word in ``state``'s cache, as NumPy does, so the
-        next call continues the same sequence.
+        next call continues the same sequence.  Runs on :attr:`lane`.
         """
         if not 1 <= rbits <= 32:
             raise ValueError(f"rbits must be in 1..32, got {rbits}")
@@ -397,7 +403,7 @@ class MacKernel:
             raise ValueError("out must be a C-contiguous uint32 or uint64 "
                              f"array, got {out.dtype}")
         self._pcg_draws(state, rbits, out.ctypes.data, out.size,
-                        out.itemsize)
+                        out.itemsize, _LANE_IDS[self._lane])
 
 
 def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
@@ -707,6 +713,15 @@ def _patch_self_check(mac: MacKernel) -> bool:
 _PCG_CHECK_STREAMS = ((0, ()), (2 ** 63 + 5, ()), (1, (0,)),
                       (2 ** 32, (7, 2 ** 32 + 3)), (2 ** 100 + 9, (4, 1)),
                       (5, tuple(range(9))))
+#: ``(total, dtype)`` of each stream's draw calls in the PCG self-check,
+#: in order: the half-word cache is parked, used and refilled.  The
+#: totals of 201 and 129 reach the vector lanes' blocks of 32 (AVX2) and
+#: 64 (AVX-512F) draws: 201 starts on a parked half-word, the first 129
+#: parks one after its blocks, and the second starts on it and ends on a
+#: block, so the ``uinteger`` the lanes write back stands.
+_PCG_CHECK_DRAWS = ((7, np.uint32), (201, np.uint64), (3, np.uint64),
+                    (1, np.uint32), (129, np.uint32), (129, np.uint64),
+                    (4, np.uint32))
 
 
 def _pcg_self_check(mac: MacKernel) -> bool:
@@ -714,27 +729,38 @@ def _pcg_self_check(mac: MacKernel) -> bool:
     ``SeedSequence``, ``PCG64`` and ``Generator.integers`` bit for bit.
 
     Each stream of :data:`_PCG_CHECK_STREAMS` must derive NumPy's state,
-    then draw at one ``rbits`` of 1, 13 and 32 what ``Generator.integers``
-    draws, into uint32 and uint64 buffers of odd and even sizes, so the
-    half-word cache is parked, used and refilled, and end in NumPy's
-    state.
+    then, on every lane in ``mac.lanes``, draw at one ``rbits`` of 1, 13
+    and 32 what ``Generator.integers`` draws in the calls of
+    :data:`_PCG_CHECK_DRAWS`, and leave NumPy's state, half-word cache
+    included, after each call.
     """
     for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
         bits = np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=path))
-        state = mac.pcg_seed(uint32_words(seed), path)
-        if pcg64_state(state) != bits.state:
+        start = mac.pcg_seed(uint32_words(seed), path)
+        if pcg64_state(start) != bits.state:
             return False
         rbits = (1, 13, 32)[index % 3]
         reference = np.random.Generator(bits)
-        for size, dtype in ((7, np.uint32), (10, np.uint64),
-                            (3, np.uint64), (1, np.uint32), (4, np.uint32)):
-            got = np.empty(size, dtype)
-            mac.pcg_draws(state, rbits, got)
-            want = reference.integers(0, 1 << rbits, size=size,
-                                      dtype=np.uint64)
-            if not np.array_equal(got.astype(np.uint64), want):
+        # One NumPy run per stream, however many lanes the CPU has.
+        want, after = [], []
+        for size, _ in _PCG_CHECK_DRAWS:
+            want.append(reference.integers(0, 1 << rbits, size=size,
+                                           dtype=np.uint64))
+            after.append(bits.state)
+        want = np.concatenate(want)
+        # ``mac`` is not published yet, so no other thread sees its lane
+        # switch.
+        for lane in mac.lanes:
+            mac._lane = lane
+            state = PcgState(*start)
+            got, states = [], []
+            for size, dtype in _PCG_CHECK_DRAWS:
+                got.append(np.empty(size, dtype))
+                mac.pcg_draws(state, rbits, got[-1])
+                states.append(pcg64_state(state))
+            if states != after or not np.array_equal(np.concatenate(got),
+                                                      want):
                 return False
-        if pcg64_state(state) != bits.state:
-            return False
+    mac._lane = mac.lanes[0]
     return True

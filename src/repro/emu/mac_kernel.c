@@ -30,15 +30,19 @@
  * mac_pcg_seed and mac_pcg_draws are the SR randomness of
  * repro.prng.streams.SoftwareStream: NumPy's SeedSequence and PCG64
  * seeding of a substream, and the draws of Generator.integers(0, 2**r,
- * dtype=np.uint64) for r <= 32.  NumPy is their specification, and
- * repro.emu.kernel checks them against it before first use too.
+ * dtype=np.uint64) for r <= 32.  mac_pcg_draws has the lanes of
+ * mac_gemm: the serial LCG loop, and on x86-64 jump-ahead LCG lanes,
+ * 16 in AVX2 vectors and 32 in AVX-512F vectors, written with
+ * intrinsics.  NumPy is their specification, and repro.emu.kernel
+ * checks them, every lane, against it before first use too.
  *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
  * float64 and moving result bits.  repro.emu.kernel compiles with
  * -ffp-contract=off, with -ftree-vectorize -fvect-cost-model=dynamic
- * (so GCC vectorizes the vector body at -O2), and without -ffast-math
- * or -march: one build runs on every CPU of the machine type.
+ * (so GCC vectorizes the K loop's vector body at -O2), and without
+ * -ffast-math or -march: one build runs on every CPU of the machine
+ * type.
  *
  * No global state: ctypes releases the GIL around every call, so
  * several threads may run these functions at once (on one PCG64 state
@@ -48,6 +52,9 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #define SIGN_MASK 0x8000000000000000ULL
 #define MAG_MASK 0x7FFFFFFFFFFFFFFFULL
@@ -662,17 +669,304 @@ pcg_loop(uint64_t *st, int64_t rbits, void *out, int64_t n, int kind)
     st[PCG_UINTEGER] = upper;
 }
 
-/* out[0 .. n) = Generator.integers(0, 2**rbits, size=n, dtype=np.uint64)
- * for 1 <= rbits <= 32, advancing the state st in place: each draw is
- * the top rbits bits of one 32-bit half-word of the PCG64 output, low
- * half first.  An odd n parks the last upper half in the half-word
- * cache, and the next call starts with it, as NumPy's next_uint32
- * does.  out holds uint32 (out_bytes 4) or uint64 (8) draws. */
-void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
-                   int64_t out_bytes)
+static void pcg_scalar(uint64_t *st, int64_t rbits, void *out, int64_t n,
+                       int64_t out_bytes)
 {
     if (out_bytes == DRAWS_U32)
         pcg_loop(st, rbits, out, n, DRAWS_U32);
     else
         pcg_loop(st, rbits, out, n, DRAWS_U64);
+}
+
+#if defined(__x86_64__)
+/* The vector lanes of mac_pcg_draws: L consecutive LCG states, lane j
+ * holding the state of word j of an L-word block, each stepping L words
+ * at once by the jump-ahead map state * M**L + inc * (1 + M + ... +
+ * M**(L-1)) mod 2**128.  Four vectors make the L lanes (32 as four
+ * 8-lane AVX-512F vectors, 16 as four 4-lane AVX2 vectors), so four
+ * independent multiply chains overlap where the scalar loop waits on
+ * one. */
+#define PCG_LANES_MAX 32
+/* PCG_MULT ** 32 and ** 16 mod 2**128, high and low words. */
+#define PCG_MULT32_HI 0x2C82901AD1CB0CD1ULL
+#define PCG_MULT32_LO 0x82B631BA6B261781ULL
+#define PCG_MULT16_HI 0xB6A4239F3B315F84ULL
+#define PCG_MULT16_LO 0xF6EF6D3D288C03C1ULL
+
+/* The lanes' start: (hi[j], lo[j]) is the state after j + 1 steps, so
+ * lane j outputs word j of the first block.  jump_inc is the increment
+ * of L steps: the state that L steps reach from 0. */
+typedef struct {
+    uint64_t hi[PCG_LANES_MAX], lo[PCG_LANES_MAX];
+    uint64_t jump_inc_hi, jump_inc_lo;
+} pcg_lanes;
+
+static inline __attribute__((always_inline)) void
+pcg_lanes_start(const uint64_t *st, int64_t lanes, pcg_lanes *p)
+{
+    const uint64_t inc_hi = st[PCG_INC_HI], inc_lo = st[PCG_INC_LO];
+    uint64_t hi = st[PCG_STATE_HI], lo = st[PCG_STATE_LO];
+    uint64_t jump_hi = 0, jump_lo = 0;
+    for (int64_t j = 0; j < lanes; j++) {
+        pcg_step(&hi, &lo, inc_hi, inc_lo);
+        p->hi[j] = hi;
+        p->lo[j] = lo;
+        pcg_step(&jump_hi, &jump_lo, inc_hi, inc_lo);
+    }
+    p->jump_inc_hi = jump_hi;
+    p->jump_inc_lo = jump_lo;
+}
+
+/* The sequential state after the lanes' last block: the last lane's
+ * state, with uinteger the upper half of its word, as NumPy's
+ * next_uint32 leaves it.  The cache is empty: blocks are whole words. */
+static inline void pcg_lanes_finish(uint64_t *st, uint64_t hi, uint64_t lo)
+{
+    st[PCG_STATE_HI] = hi;
+    st[PCG_STATE_LO] = lo;
+    st[PCG_HAS_UINT32] = 0;
+    st[PCG_UINTEGER] = pcg_output(hi, lo) >> 32;
+}
+
+/* The body of each lane: per block, every vector's XSL-RR words are
+ * stored as their uint32 halves, low half first (NumPy's draw order),
+ * shifted right by 32 - rbits, then every lane steps L words.  The
+ * 64x64-bit products are built from vpmuludq's 32x32 -> 64-bit pieces
+ * (AVX-512F has no 64-bit multiply without DQ):
+ *   lo * m_lo = p00 + (p01 + p10) << 32 + p11 << 64   (all 128 bits),
+ *   hi * m_lo + lo * m_hi = only their low 64 bits. */
+static inline __attribute__((always_inline, target("avx512f"))) void
+pcg_jump_avx512f(__m512i *hi, __m512i *lo, const __m512i *m,
+                 __m512i inc_hi, __m512i inc_lo)
+{
+    /* m: the multiplier's 32-bit pieces, lo word low and high, then
+     * hi word low and high, one per 64-bit lane. */
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFFu);
+    const __m512i lo_up = _mm512_srli_epi64(*lo, 32);
+    const __m512i hi_up = _mm512_srli_epi64(*hi, 32);
+    const __m512i p00 = _mm512_mul_epu32(*lo, m[0]);
+    const __m512i p01 = _mm512_mul_epu32(*lo, m[1]);
+    const __m512i p10 = _mm512_mul_epu32(lo_up, m[0]);
+    const __m512i p11 = _mm512_mul_epu32(lo_up, m[1]);
+    const __m512i mid = _mm512_add_epi64(
+        _mm512_srli_epi64(p00, 32),
+        _mm512_add_epi64(_mm512_and_si512(p01, low32),
+                         _mm512_and_si512(p10, low32)));
+    const __m512i prod_lo = _mm512_or_si512(_mm512_and_si512(p00, low32),
+                                            _mm512_slli_epi64(mid, 32));
+    const __m512i prod_hi = _mm512_add_epi64(
+        _mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+        _mm512_add_epi64(_mm512_srli_epi64(p01, 32),
+                         _mm512_srli_epi64(p10, 32)));
+    const __m512i cross = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_mul_epu32(*hi, m[0]),
+                         _mm512_mul_epu32(*lo, m[2])),
+        _mm512_slli_epi64(_mm512_add_epi64(
+            _mm512_add_epi64(_mm512_mul_epu32(*hi, m[1]),
+                             _mm512_mul_epu32(hi_up, m[0])),
+            _mm512_add_epi64(_mm512_mul_epu32(*lo, m[3]),
+                             _mm512_mul_epu32(lo_up, m[2]))), 32));
+    const __m512i next_lo = _mm512_add_epi64(prod_lo, inc_lo);
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(next_lo, inc_lo);
+    const __m512i next_hi = _mm512_add_epi64(_mm512_add_epi64(prod_hi, cross),
+                                             inc_hi);
+    *hi = _mm512_mask_add_epi64(next_hi, carry, next_hi,
+                                _mm512_set1_epi64(1));
+    *lo = next_lo;
+}
+
+static inline __attribute__((always_inline, target("avx512f"))) void
+pcg_lanes_avx512f(uint64_t *st, int64_t rbits, void *out, int64_t blocks,
+                  int kind)
+{
+    pcg_lanes p;
+    pcg_lanes_start(st, 32, &p);
+    __m512i hi[4], lo[4];
+    for (int v = 0; v < 4; v++) {
+        hi[v] = _mm512_loadu_si512(p.hi + 8 * v);
+        lo[v] = _mm512_loadu_si512(p.lo + 8 * v);
+    }
+    const __m512i m[4] = {
+        _mm512_set1_epi64(PCG_MULT32_LO & 0xFFFFFFFFu),
+        _mm512_set1_epi64(PCG_MULT32_LO >> 32),
+        _mm512_set1_epi64(PCG_MULT32_HI & 0xFFFFFFFFu),
+        _mm512_set1_epi64(PCG_MULT32_HI >> 32)};
+    const __m512i inc_hi = _mm512_set1_epi64((long long)p.jump_inc_hi);
+    const __m512i inc_lo = _mm512_set1_epi64((long long)p.jump_inc_lo);
+    const __m128i shift = _mm_cvtsi64_si128(32 - rbits);
+    for (int64_t block = 0;;) {
+        for (int v = 0; v < 4; v++) {
+            const __m512i folded = _mm512_xor_si512(hi[v], lo[v]);
+            const __m512i words = _mm512_rorv_epi64(
+                folded, _mm512_srli_epi64(hi[v], 58));
+            const __m512i draws = _mm512_srl_epi32(words, shift);
+            if (kind == DRAWS_U32) {
+                _mm512_storeu_si512((uint32_t *)out + 16 * v, draws);
+            } else {
+                uint64_t *at = (uint64_t *)out + 16 * v;
+                _mm512_storeu_si512(at, _mm512_cvtepu32_epi64(
+                    _mm512_castsi512_si256(draws)));
+                _mm512_storeu_si512(at + 8, _mm512_cvtepu32_epi64(
+                    _mm512_extracti64x4_epi64(draws, 1)));
+            }
+        }
+        out = (char *)out + 64 * kind;
+        if (++block == blocks)
+            break;
+        for (int v = 0; v < 4; v++)
+            pcg_jump_avx512f(&hi[v], &lo[v], m, inc_hi, inc_lo);
+    }
+    _mm512_storeu_si512(p.hi + 24, hi[3]);
+    _mm512_storeu_si512(p.lo + 24, lo[3]);
+    pcg_lanes_finish(st, p.hi[31], p.lo[31]);
+}
+
+static inline __attribute__((always_inline, target("avx2"))) void
+pcg_jump_avx2(__m256i *hi, __m256i *lo, const __m256i *m, __m256i inc_hi,
+              __m256i inc_lo)
+{
+    const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFFu);
+    const __m256i lo_up = _mm256_srli_epi64(*lo, 32);
+    const __m256i hi_up = _mm256_srli_epi64(*hi, 32);
+    const __m256i p00 = _mm256_mul_epu32(*lo, m[0]);
+    const __m256i p01 = _mm256_mul_epu32(*lo, m[1]);
+    const __m256i p10 = _mm256_mul_epu32(lo_up, m[0]);
+    const __m256i p11 = _mm256_mul_epu32(lo_up, m[1]);
+    const __m256i mid = _mm256_add_epi64(
+        _mm256_srli_epi64(p00, 32),
+        _mm256_add_epi64(_mm256_and_si256(p01, low32),
+                         _mm256_and_si256(p10, low32)));
+    const __m256i prod_lo = _mm256_or_si256(_mm256_and_si256(p00, low32),
+                                            _mm256_slli_epi64(mid, 32));
+    const __m256i prod_hi = _mm256_add_epi64(
+        _mm256_add_epi64(p11, _mm256_srli_epi64(mid, 32)),
+        _mm256_add_epi64(_mm256_srli_epi64(p01, 32),
+                         _mm256_srli_epi64(p10, 32)));
+    const __m256i cross = _mm256_add_epi64(
+        _mm256_add_epi64(_mm256_mul_epu32(*hi, m[0]),
+                         _mm256_mul_epu32(*lo, m[2])),
+        _mm256_slli_epi64(_mm256_add_epi64(
+            _mm256_add_epi64(_mm256_mul_epu32(*hi, m[1]),
+                             _mm256_mul_epu32(hi_up, m[0])),
+            _mm256_add_epi64(_mm256_mul_epu32(*lo, m[3]),
+                             _mm256_mul_epu32(lo_up, m[2]))), 32));
+    const __m256i next_lo = _mm256_add_epi64(prod_lo, inc_lo);
+    /* AVX2 compares signed only: flip the sign bits for unsigned <. */
+    const __m256i sign = _mm256_set1_epi64x((long long)SIGN_MASK);
+    const __m256i carry = _mm256_cmpgt_epi64(
+        _mm256_xor_si256(inc_lo, sign), _mm256_xor_si256(next_lo, sign));
+    *hi = _mm256_sub_epi64(_mm256_add_epi64(_mm256_add_epi64(prod_hi, cross),
+                                            inc_hi),
+                           carry);  /* carry is -1 where set */
+    *lo = next_lo;
+}
+
+static inline __attribute__((always_inline, target("avx2"))) void
+pcg_lanes_avx2(uint64_t *st, int64_t rbits, void *out, int64_t blocks,
+               int kind)
+{
+    pcg_lanes p;
+    pcg_lanes_start(st, 16, &p);
+    __m256i hi[4], lo[4];
+    for (int v = 0; v < 4; v++) {
+        hi[v] = _mm256_loadu_si256((const __m256i *)(p.hi + 4 * v));
+        lo[v] = _mm256_loadu_si256((const __m256i *)(p.lo + 4 * v));
+    }
+    const __m256i m[4] = {
+        _mm256_set1_epi64x(PCG_MULT16_LO & 0xFFFFFFFFu),
+        _mm256_set1_epi64x(PCG_MULT16_LO >> 32),
+        _mm256_set1_epi64x(PCG_MULT16_HI & 0xFFFFFFFFu),
+        _mm256_set1_epi64x(PCG_MULT16_HI >> 32)};
+    const __m256i inc_hi = _mm256_set1_epi64x((long long)p.jump_inc_hi);
+    const __m256i inc_lo = _mm256_set1_epi64x((long long)p.jump_inc_lo);
+    const __m128i shift = _mm_cvtsi64_si128(32 - rbits);
+    const __m256i bits64 = _mm256_set1_epi64x(64);
+    for (int64_t block = 0;;) {
+        for (int v = 0; v < 4; v++) {
+            /* No variable rotate in AVX2: a shift count of 64 gives 0,
+             * so a rotation by 0 keeps the word. */
+            const __m256i folded = _mm256_xor_si256(hi[v], lo[v]);
+            const __m256i rot = _mm256_srli_epi64(hi[v], 58);
+            const __m256i words = _mm256_or_si256(
+                _mm256_srlv_epi64(folded, rot),
+                _mm256_sllv_epi64(folded, _mm256_sub_epi64(bits64, rot)));
+            const __m256i draws = _mm256_srl_epi32(words, shift);
+            if (kind == DRAWS_U32) {
+                _mm256_storeu_si256((__m256i *)((uint32_t *)out + 8 * v),
+                                    draws);
+            } else {
+                __m256i *at = (__m256i *)((uint64_t *)out + 8 * v);
+                _mm256_storeu_si256(at, _mm256_cvtepu32_epi64(
+                    _mm256_castsi256_si128(draws)));
+                _mm256_storeu_si256(at + 1, _mm256_cvtepu32_epi64(
+                    _mm256_extracti128_si256(draws, 1)));
+            }
+        }
+        out = (char *)out + 32 * kind;
+        if (++block == blocks)
+            break;
+        for (int v = 0; v < 4; v++)
+            pcg_jump_avx2(&hi[v], &lo[v], m, inc_hi, inc_lo);
+    }
+    _mm256_storeu_si256((__m256i *)(p.hi + 12), hi[3]);
+    _mm256_storeu_si256((__m256i *)(p.lo + 12), lo[3]);
+    pcg_lanes_finish(st, p.hi[15], p.lo[15]);
+}
+
+static __attribute__((target("avx512f"))) void
+pcg_avx512f(uint64_t *st, int64_t rbits, void *out, int64_t blocks,
+            int64_t out_bytes)
+{
+    if (out_bytes == DRAWS_U32)
+        pcg_lanes_avx512f(st, rbits, out, blocks, DRAWS_U32);
+    else
+        pcg_lanes_avx512f(st, rbits, out, blocks, DRAWS_U64);
+}
+
+static __attribute__((target("avx2"))) void
+pcg_avx2(uint64_t *st, int64_t rbits, void *out, int64_t blocks,
+         int64_t out_bytes)
+{
+    if (out_bytes == DRAWS_U32)
+        pcg_lanes_avx2(st, rbits, out, blocks, DRAWS_U32);
+    else
+        pcg_lanes_avx2(st, rbits, out, blocks, DRAWS_U64);
+}
+#endif
+
+/* out[0 .. n) = Generator.integers(0, 2**rbits, size=n, dtype=np.uint64)
+ * for 1 <= rbits <= 32, advancing the state st in place: each draw is
+ * the top rbits bits of one 32-bit half-word of the PCG64 output, low
+ * half first.  An odd n parks the last upper half in the half-word
+ * cache, and the next call starts with it, as NumPy's next_uint32
+ * does.  out holds uint32 (out_bytes 4) or uint64 (8) draws.
+ *
+ * Every lane gives the same draws and state; `lane` must be one that
+ * mac_lanes() reports, or LANE_SCALAR.  A vector lane draws whole
+ * blocks of L words; a parked half-word before them, and the words
+ * after them (an odd last half-word included), stay on the scalar
+ * loop, as does a call too short for one block. */
+void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
+                   int64_t out_bytes, int64_t lane)
+{
+    int64_t done = 0;
+#if defined(__x86_64__)
+    const int64_t lanes = lane == LANE_AVX512F ? 32
+                          : lane == LANE_AVX2 ? 16 : 0;
+    const int64_t parked = n > 0 && st[PCG_HAS_UINT32] ? 1 : 0;
+    const int64_t blocks = lanes ? (n - parked) / (2 * lanes) : 0;
+    if (blocks > 0) {
+        pcg_scalar(st, rbits, out, parked, out_bytes);
+        void *at = (char *)out + parked * out_bytes;
+        if (lane == LANE_AVX512F)
+            pcg_avx512f(st, rbits, at, blocks, out_bytes);
+        else
+            pcg_avx2(st, rbits, at, blocks, out_bytes);
+        done = parked + 2 * lanes * blocks;
+    }
+#else
+    (void)lane;
+#endif
+    pcg_scalar(st, rbits, (char *)out + done * out_bytes, n - done,
+               out_bytes);
 }

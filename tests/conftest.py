@@ -42,6 +42,24 @@ def pytest_configure(config):
             "load or pass its self-checks (is libasan in LD_PRELOAD?)")
 
 
+@pytest.fixture(params=["avx512f", "avx2", "scalar"])
+def mac_lane(request, monkeypatch):
+    """Run one test on each lane of the compiled kernel.
+
+    The loaded kernel's ``lane`` is pinned for the test, so every GEMM
+    the engine sends to the kernel and every ``SoftwareStream`` draw
+    runs that lane; a lane this CPU lacks (or a machine without the
+    kernel) skips.
+    """
+    from repro.emu import kernel
+
+    mac = kernel.library()
+    if mac is None or request.param not in mac.lanes:
+        pytest.skip(f"the kernel has no {request.param} lane here")
+    monkeypatch.setattr(mac, "_lane", request.param)
+    return request.param
+
+
 @pytest.fixture
 def numpy_mac_loop(monkeypatch):
     """Force the no-compiler tier for one test.

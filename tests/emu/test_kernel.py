@@ -747,6 +747,32 @@ class TestFallback:
         assert stream._state is None
 
     @needs_cc
+    @pytest.mark.parametrize("fault", ["draw", "uinteger"])
+    @pytest.mark.parametrize("lane", ["avx512f", "avx2"])
+    def test_pcg_vector_lane_mismatch(self, monkeypatch, rng, lane, fault):
+        """One PCG vector lane that flips a draw, or writes back a wrong
+        ``uinteger``, keeps the whole library out, however right the
+        other lanes are.  The wrong ``uinteger`` is one that no later
+        draw reads (no half-word is parked), so only the comparison of
+        the state after each call sees it."""
+        if lane not in kernel._load().lanes:
+            pytest.skip(f"this CPU has no {lane} lane")
+        body = kernel.MacKernel.pcg_draws
+        block = {"avx512f": 64, "avx2": 32}[lane]  # draws of one block
+
+        def slips(self, state, rbits, out):
+            body(self, state, rbits, out)
+            if self.lane != lane or out.size <= block:  # ran no block
+                return
+            if fault == "draw":
+                out[block // 2] ^= 1
+            elif not state[4]:  # PCG_HAS_UINT32
+                state[5] ^= 1  # PCG_UINTEGER
+
+        monkeypatch.setattr(kernel.MacKernel, "pcg_draws", slips)
+        self._assert_seed_loop_runs(rng)
+
+    @needs_cc
     @pytest.mark.parametrize("mode", ["nearest", "stochastic"])
     def test_round_self_check_mismatch(self, monkeypatch, rng, mode):
         """A one-shot rounding that leaves the reference, to nearest or

@@ -203,6 +203,45 @@ class TestPcgPinsNumpyLoop(TestPcgPins):
     stream's NumPy ``Generator``."""
 
 
+@pytest.mark.usefixtures("mac_lane")
+class TestPcgPinsLanes(TestPcgPins):
+    """The same pins on every lane of the compiled draws."""
+
+
+class TestPcgLaneSweep:
+    """``MacKernel.pcg_draws`` on every lane against
+    ``Generator.integers``, call by call: every total from 0 past five
+    blocks of the widest vector lane (32 words, so 64 draws; the AVX2
+    lane's blocks are 16 words), odd and even, each with and without a
+    parked half-word before it, the state compared after every call."""
+
+    MAX_TOTAL = 5 * 64 + 3
+
+    @pytest.mark.parametrize("rbits", [1, 13, 32])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_every_total(self, mac_lane, rbits, dtype):
+        mac = kernel.library()
+        # Two streams per case, each with its own increment.
+        for seed, path in ((rbits, ()), (2 ** 64 + rbits, (3, 2 ** 32 + 7))):
+            state = mac.pcg_seed(uint32_words(seed), path)
+            reference = numpy_stream(seed, path)
+            for total in range(self.MAX_TOTAL + 1):
+                for parked in (False, True):
+                    # A single draw parks a half-word or uses the parked
+                    # one, so the call of ``total`` starts as asked.
+                    sizes = (total,) if bool(state[4]) == parked \
+                        else (1, total)
+                    for size in sizes:
+                        got = np.empty(size, dtype)
+                        mac.pcg_draws(state, rbits, got)
+                        assert np.array_equal(
+                            got.astype(np.uint64),
+                            numpy_draws(reference, rbits, (size,))), \
+                            (total, parked)
+                        assert kernel.pcg64_state(state) \
+                            == reference.bit_generator.state, (total, parked)
+
+
 class TestLFSRStream:
     def test_shape_and_range(self):
         stream = LFSRStream(lanes=64, seed=1)
