@@ -68,14 +68,6 @@ def scoped_nodes(owner: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def scoped_statements(owner: ast.AST) -> Iterator[ast.stmt]:
-    """The statements of ``owner``'s own body, recursively through
-    compound statements but not into nested defs."""
-    for node in scoped_nodes(owner):
-        if isinstance(node, ast.stmt) and not isinstance(node, _SCOPE_NODES):
-            yield node
-
-
 @dataclass
 class FunctionInfo:
     """One function, method, or module top level in the program."""
@@ -93,10 +85,6 @@ class FunctionInfo:
     direct_method: bool = False
 
     _nodes: Optional[List[ast.AST]] = None
-
-    @property
-    def is_method(self) -> bool:
-        return self.direct_method
 
     def body_nodes(self) -> List[ast.AST]:
         """Cached :func:`scoped_nodes` of this function's own body —

@@ -170,12 +170,6 @@ class FileContext:
                 return ancestor
         return None
 
-    def enclosing_function(self, node: ast.AST):
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
     # -- name resolution -----------------------------------------------
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Fully-qualified dotted name of a Name/Attribute chain.

@@ -55,7 +55,6 @@ DRAW_OWNER_SCOPES: Tuple[Scope, ...] = (
     Scope("src/repro/emu/engine.py"),
     Scope("src/repro/emu/parallel.py"),
     Scope("src/repro/rtl/vectorized.py"),
-    Scope("src/repro/rtl/systolic.py"),
     Scope("tests/"),
 )
 

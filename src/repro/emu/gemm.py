@@ -184,15 +184,15 @@ def sum_reduce(values: np.ndarray, config: GemmConfig,
                axis: int = -1) -> np.ndarray:
     """Low-precision reduction along ``axis`` in the configured order.
 
-    Used for bias-gradient reductions so the backward pass is emulated
-    end to end.  Equivalent to a GEMM against a vector of ones without
-    the input cast; dispatches to the same accumulation engine as
-    :func:`matmul`.
+    The public entry to an engine's ``reduce``: a GEMM against a vector
+    of ones without the input cast, run by the same accumulation engine
+    as :func:`matmul`.  No layer calls it; ``Linear`` and ``Conv2d``
+    sum bias gradients in float64 (:mod:`repro.nn.layers`).
 
     Example::
 
-        grads = rng.normal(size=(128, 10))
-        bias_grad = sum_reduce(grads, GemmConfig.sr(9), axis=0)  # (10,)
+        values = rng.normal(size=(128, 10))
+        sums = sum_reduce(values, GemmConfig.sr(9), axis=0)  # (10,)
     """
     arr = np.asarray(values, np.float64)
     if config.acc_format is None:

@@ -3,9 +3,10 @@
 The emulation flow lets experiments choose where the SR random bits come
 from: a fast software generator (NumPy's PCG64, the default for training
 runs) or the bit-accurate LFSR bank that mirrors the hardware PRNG.  Both
-implement the same protocol: per-call draws (:meth:`integers`) and bulk
-multi-step draws (:meth:`integers_bulk`) used by the fused accumulation
-engines.
+implement per-call draws (:meth:`integers`); :class:`SoftwareStream` also
+has bulk multi-step draws (:meth:`integers_bulk`).  The accumulation
+engines draw through :func:`bulk_draws`, which stacks per-step draws for
+a stream without the bulk method.
 
 The bulk contract is strict: ``integers_bulk(r, steps, shape)[i]`` must be
 *value*-identical to what the ``i``-th of ``steps`` successive
@@ -311,6 +312,11 @@ class LFSRStream:
     bank state the distinguishing axis, with the offset jump modeling
     the hardware's free-running-PRNG phase.
 
+    There is no ``integers_bulk``: each draw truncates its last lane
+    chunk, so one flat draw of ``steps * prod(shape)`` values would
+    consume the lanes differently.  :func:`bulk_draws` stacks per-step
+    draws instead, which keeps the call-by-call truncation.
+
     Example::
 
         from repro.emu import GemmConfig
@@ -369,10 +375,3 @@ class LFSRStream:
 
     def integers(self, rbits: int, shape) -> np.ndarray:
         return self._bank(rbits).draw(shape)
-
-    def integers_bulk(self, rbits: int, steps: int, shape) -> np.ndarray:
-        # Each per-call draw truncates the last lane chunk, so a single
-        # flat draw of steps*prod(shape) values would consume the LFSR
-        # states differently.  Stacking per-step draws preserves the
-        # hardware's call-by-call truncation exactly.
-        return np.stack([self.integers(rbits, shape) for _ in range(steps)])

@@ -9,19 +9,7 @@ from .designs import build_adder_netlist, build_mac_netlist, build_multiplier_ne
 from .mac import MACConfig, MACUnit, ROUNDINGS, build_adder, paper_table1_configs
 from .multiplier import ExactMultiplier, product_format
 from .netlist import Component, Netlist, PRIMITIVE_AREA_GE
-from .systolic import (
-    SystolicArray,
-    SystolicConfig,
-    array_comparison,
-    build_systolic_netlist,
-)
-from .vectorized import (
-    RTL_ORDERS,
-    VectorAdder,
-    rtl_gemm_batched,
-    rtl_matmul,
-    rtl_reduce,
-)
+from .vectorized import VectorAdder, rtl_gemm_batched, rtl_reduce
 
 __all__ = [
     "AdderResult",
@@ -43,13 +31,7 @@ __all__ = [
     "build_adder_netlist",
     "build_mac_netlist",
     "build_multiplier_netlist",
-    "SystolicArray",
-    "SystolicConfig",
-    "build_systolic_netlist",
-    "array_comparison",
-    "RTL_ORDERS",
     "VectorAdder",
     "rtl_gemm_batched",
-    "rtl_matmul",
     "rtl_reduce",
 ]

@@ -61,17 +61,6 @@ class Component:
     def ff_count(self) -> float:
         return self.gates.get("ff", 0.0)
 
-    def scaled(self, factor: float, name: str = "") -> "Component":
-        """A copy with every gate count multiplied by ``factor``."""
-        return Component(
-            name or self.name,
-            self.kind,
-            self.width,
-            {g: n * factor for g, n in self.gates.items()},
-            self.delay_tau,
-            self.activity,
-        )
-
 
 class Netlist:
     """An ordered sequence of stages, each a list of parallel components."""

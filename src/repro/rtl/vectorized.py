@@ -58,11 +58,12 @@ that lane's initial state reproduces the element bit for bit
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..emu import kernel
+from ..emu.engine import _BULK_BYTES
 from ..fp.formats import FPFormat
 from ..fp.quantize import quantize
 from ..prng.streams import bulk_draws
@@ -73,13 +74,6 @@ _EXP_SHIFT = np.int64(52)
 _F64_BIAS = np.int64(1023)
 _ONE = np.int64(1)
 _ZERO = np.int64(0)
-
-#: accumulation-order name -> adder design run by the vectorized datapath
-RTL_ORDERS = {"rtl_rn": "rn", "rtl_lazy": "sr_lazy", "rtl_eager": "sr_eager"}
-
-#: Cap on transient bulk draw allocations, matching the sequential
-#: engine so the two families chunk stream randomness identically.
-_BULK_BYTES = 8 << 20
 
 
 class VectorAdder:
@@ -334,9 +328,8 @@ def adder_for_config(config, design: str) -> VectorAdder:
                        rbits=config.rbits or 0, saturate=config.saturate)
 
 
-def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config, design: str,
-                     draw_fn: Optional[Callable[[int], np.ndarray]] = None,
-                     draw_elems: Optional[int] = None) -> np.ndarray:
+def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config,
+                     design: str) -> np.ndarray:
     """Hardware-exact batched GEMM: ``(B, M, K) @ (B, K, N)``.
 
     Inputs must already be cast to ``config.mul_format`` (the engine
@@ -345,12 +338,7 @@ def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config, design: str,
     through the multiplier's output policy (flush below the product
     format's normal range when it lacks subnormals), then through the
     vectorized adder — one draw per output element per step, in the
-    sequential engine's stream order.  ``draw_fn(steps)`` overrides the
-    randomness source with pre-sliced draws of shape
-    ``(steps, B, M, N)`` (the systolic array's per-tile lane slicing);
-    ``draw_elems`` tells the chunking how many elements such a caller
-    really draws per step (the full PE grid even for a partial tile),
-    keeping bulk allocations under the cap.
+    sequential engine's stream order.
     """
     batch, m, kdim = a.shape
     n = b.shape[-1]
@@ -373,18 +361,16 @@ def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config, design: str,
     # product register would behave.
     reencode = (pfmt.exponent_bits > acc_fmt.exponent_bits
                 or pfmt.mantissa_bits > acc_fmt.mantissa_bits)
-    if stochastic and draw_fn is None:
-        def draw_fn(steps: int) -> np.ndarray:
-            return bulk_draws(config.stream, config.rbits, steps, acc.shape)
     a_t = np.ascontiguousarray(a.transpose(2, 0, 1))  # (K, B, M)
     chunk = kdim
     if stochastic:
-        per_step = max(acc.size, draw_elems or 0)
-        chunk = max(1, min(kdim, _BULK_BYTES // (8 * per_step)))
+        chunk = max(1, min(kdim, _BULK_BYTES // (8 * acc.size)))
     start = 0
     while start < kdim:
         steps = min(chunk, kdim - start)
-        draws = draw_fn(steps) if stochastic else None
+        draws = None
+        if stochastic:
+            draws = bulk_draws(config.stream, config.rbits, steps, acc.shape)
         for i in range(steps):
             step = start + i
             product = a_t[step, :, :, None] * b[:, step, :][:, None, :]
@@ -401,37 +387,6 @@ def rtl_gemm_batched(a: np.ndarray, b: np.ndarray, config, design: str,
                             draws[i] if stochastic else None)
         start += steps
     return acc
-
-
-def rtl_matmul(a: np.ndarray, b: np.ndarray, config, *,
-               design: Optional[str] = None,
-               draw_fn: Optional[Callable[[int], np.ndarray]] = None,
-               draw_elems: Optional[int] = None,
-               cast: bool = True) -> np.ndarray:
-    """2D convenience wrapper: hardware-exact ``(M, K) @ (K, N)``.
-
-    ``design`` defaults to the design named by ``config.accum_order``
-    (falling back to the rounding mode for non-rtl orders).
-
-    Example::
-
-        from repro.emu import GemmConfig
-        out = rtl_matmul(a, b, GemmConfig.sr(9, accum_order="rtl_eager"))
-    """
-    from ..emu.gemm import cast_inputs
-
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
-    if design is None:
-        design = RTL_ORDERS.get(
-            config.accum_order,
-            "sr_eager" if config.rounding == "stochastic" else "rn")
-    if cast:
-        a, b = cast_inputs(a, b, config)
-    return rtl_gemm_batched(a[None], b[None], config, design,
-                            draw_fn=draw_fn, draw_elems=draw_elems)[0]
 
 
 def rtl_reduce(terms: np.ndarray, config, design: str) -> np.ndarray:

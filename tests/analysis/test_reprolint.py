@@ -12,6 +12,7 @@ Three layers:
   be clean, which is what makes the pass a tier-1 gate.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from repro.analysis.reprolint import (
     run_paths,
 )
 from repro.analysis.reprolint.cli import main as cli_main
+from repro.analysis.reprolint.core import FileContext
 from repro.analysis.reprolint.suppress import Suppressions
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -198,7 +200,6 @@ class TestSubstreamKeying:
         "src/repro/emu/engine.py",
         "src/repro/emu/parallel.py",
         "src/repro/rtl/vectorized.py",
-        "src/repro/rtl/systolic.py",
         "src/repro/prng/streams.py",
     ])
     def test_draw_order_owners_whitelisted(self, owner):
@@ -221,6 +222,37 @@ class TestSubstreamKeying:
         src = ("def f(bank):\n"
                "    return bank.draw((4,))\n")
         assert rules_of(src) == ["SUB-DRAW"]
+
+
+# ----------------------------------------------------------------------
+# The policy's whitelists name code that exists
+# ----------------------------------------------------------------------
+class TestPolicyScopes:
+    def test_every_scope_names_existing_code(self):
+        """A deleted file or function must not leave its whitelist
+        entry behind: every scope of the default policy names an
+        existing path, and a qualname a def or class in that file."""
+        policy = Policy.default()
+        scopes = [(name, scope) for name, value in vars(policy).items()
+                  for scope in value if isinstance(scope, Scope)]
+        assert scopes
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        stale = []
+        for name, scope in scopes:
+            target = REPO / scope.path
+            if scope.qualname and target.is_file():
+                source = target.read_text(encoding="utf-8")
+                tree = ast.parse(source)
+                ctx = FileContext(scope.path, source, tree, policy,
+                                  Suppressions({}, set()))
+                found = scope.qualname in {
+                    ctx.qualname(node) for node in ast.walk(tree)
+                    if isinstance(node, defs)}
+            else:
+                found = not scope.qualname and target.exists()
+            if not found:
+                stale.append((name, scope))
+        assert stale == []
 
 
 # ----------------------------------------------------------------------
@@ -632,41 +664,9 @@ class TestSelfRun:
 
 
 # ----------------------------------------------------------------------
-# Satellite regression: the systolic invariant survives python -O
+# HYG-ASSERT: library invariants raise real exceptions, never assert
 # ----------------------------------------------------------------------
 class TestAssertConversion:
     def test_no_asserts_left_in_library_code(self):
         findings, _ = run_paths([REPO / "src"], root=REPO)
         assert [f for f in findings if f.rule == "HYG-ASSERT"] == []
-
-    def test_systolic_area_guard_raises_real_exception(self):
-        import repro.rtl.systolic as systolic
-        from types import SimpleNamespace
-
-        original = systolic.build_mac_netlist
-        fake = SimpleNamespace(stages=[], area_ge=1e9)
-        systolic.build_mac_netlist = lambda config: fake
-        try:
-            with pytest.raises(RuntimeError, match="lost PE area"):
-                systolic.build_systolic_netlist(systolic.SystolicConfig())
-        finally:
-            systolic.build_mac_netlist = original
-
-    def test_guard_survives_dash_O(self):
-        # under -O an `assert` would vanish; the raise must not
-        script = (
-            "from types import SimpleNamespace\n"
-            "import repro.rtl.systolic as systolic\n"
-            "systolic.build_mac_netlist = lambda config: "
-            "SimpleNamespace(stages=[], area_ge=1e9)\n"
-            "try:\n"
-            "    systolic.build_systolic_netlist("
-            "systolic.SystolicConfig())\n"
-            "except RuntimeError:\n"
-            "    print('GUARDED')\n")
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            cwd=REPO, capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin"})
-        assert proc.returncode == 0, proc.stderr
-        assert "GUARDED" in proc.stdout

@@ -279,7 +279,7 @@ class TestBulkDrawDeterminism:
     def test_lfsr_bulk_equals_per_step(self):
         l1 = LFSRStream(lanes=8, seed=5)
         l2 = LFSRStream(lanes=8, seed=5)
-        bulk = l1.integers_bulk(9, 4, (3, 4))
+        bulk = bulk_draws(l1, 9, 4, (3, 4))
         seq = np.stack([l2.integers(9, (3, 4)) for _ in range(4)])
         assert np.array_equal(bulk, seq)
 

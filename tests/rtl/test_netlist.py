@@ -32,12 +32,6 @@ class TestComponentCosts:
         high = Component("x", "t", 4, {"and2": 10}, activity=0.5)
         assert high.energy_weight == pytest.approx(5 * low.energy_weight)
 
-    def test_scaled_copy(self):
-        comp = ripple_adder("a", 8)
-        half = comp.scaled(0.5)
-        assert half.area_ge == pytest.approx(comp.area_ge / 2)
-        assert half.delay_tau == comp.delay_tau
-
     def test_ff_count(self):
         assert register("r", 12).ff_count == 12
         assert ripple_adder("a", 8).ff_count == 0

@@ -31,7 +31,7 @@ from repro.rtl.adder_rn import FPAdderRN
 from repro.rtl.adder_sr_eager import FPAdderSREager
 from repro.rtl.adder_sr_lazy import FPAdderSRLazy
 from repro.rtl.mac import MACConfig, MACUnit
-from repro.rtl.vectorized import RTL_ORDERS, VectorAdder, rtl_matmul
+from repro.rtl.vectorized import VectorAdder
 
 DESIGNS = ("rn", "sr_lazy", "sr_eager")
 
@@ -342,24 +342,3 @@ class TestValidationErrors:
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError, match="design"):
             VectorAdder(FP12_E6M5, "sr_exact")
-
-    def test_rtl_orders_map(self):
-        assert RTL_ORDERS == {"rtl_rn": "rn", "rtl_lazy": "sr_lazy",
-                              "rtl_eager": "sr_eager"}
-
-
-class TestRtlMatmulHelper:
-    def test_shape_validation(self, rng):
-        config = GemmConfig.rn(FP12_E6M5, accum_order="rtl_rn")
-        with pytest.raises(ValueError, match="shapes"):
-            rtl_matmul(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)),
-                       config)
-
-    def test_design_inferred_from_order(self, rng):
-        a = rng.normal(size=(4, 10))
-        b = rng.normal(size=(10, 4))
-        config = GemmConfig.sr(9, seed=8, accum_order="rtl_eager")
-        direct = rtl_matmul(a, b, config)
-        via_registry = matmul(a, b, GemmConfig.sr(9, seed=8,
-                                                  accum_order="rtl_eager"))
-        assert np.array_equal(direct, via_registry)
