@@ -13,6 +13,14 @@ timed.  The ``executor_conv`` rows time ``QuantizedGemm`` on a
 ``train_cnn`` convolution shape twice: on the kernel, and on the
 ``no_compiler`` tier (the seed loop and the reference cast), so their
 ratio is what a machine without a C compiler pays.  The
+``executor_heads`` rows time ``QuantizedGemm`` where a call is many
+small row blocks, so the executor runs stacks of them: the
+``train_transformer`` per-head product at r=13, and a served conv, an
+armed call of 32 request groups with one 64-row block each.  Each runs
+on the kernel, on the ``no_compiler`` tier, and block by block on the
+kernel (``matmul`` under each block's own ``spawn``, one engine call per
+block, the executor's draw-order contract written out), all asserted
+bit-identical first; times are microseconds per block.  The
 ``cast`` rows time the multiplier cast (round-to-nearest into E5M2) of
 two ``train_cnn`` operands, the reference quantizer against the
 compiled rounding (``quantize(..., kernel=round_kernel(fmt))``, the
@@ -49,9 +57,11 @@ import time
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
 from repro.emu import reference_matmul
-from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS
+from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS, _draw_call_key
 from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
@@ -84,6 +94,15 @@ LANE_CALLS = 30
 #: forward row block and a ``train_transformer`` projection block.
 DRAW_SHAPES = {"conv_forward": (64, 72, 16),
                "attn_projection": (24, 64, 64)}
+
+
+#: ``executor_heads``: a ``train_transformer`` per-head product
+#: (B*H, T, d_head) @ (B*H, d_head, T) at r=13, one block per head; and
+#: a served conv, (groups, rows per group, C*3*3, filters) at r=9, one
+#: request per group and one block per request.
+HEADS_SHAPE = (128, 24, 8, 24)
+SERVED_CONV = (32, 64, 72, 16)
+SERVE_RBITS = 9
 
 
 def _config(accum_order="sequential"):
@@ -138,6 +157,73 @@ def _conv_rows(repeats):
                          for name, t in seconds.items()},
         "kernel_speedup": seconds["no_compiler"] / seconds["kernel"],
     }
+
+
+def _executor_heads_rows(repeats):
+    """``QuantizedGemm`` on calls of many small row blocks: the kernel,
+    the no-compiler tier and block-by-block calls, microseconds per
+    block."""
+    rng = np.random.default_rng(17)
+    batch, m, k, n = HEADS_SHAPE
+    heads_a, heads_b = rng.normal(size=(batch, m, k)), \
+        rng.normal(size=(batch, k, n))
+    groups, rows, kc, nc = SERVED_CONV
+    conv_a = np.maximum(rng.normal(size=(groups * rows, kc)), 0.0)
+    conv_b = rng.normal(size=(kc, nc))
+    roots = [SoftwareStream(SEED).spawn((i,)) for i in range(groups)]
+
+    def heads():
+        return QuantizedGemm(GemmConfig.sr(CONV_RBITS, seed=SEED))(
+            heads_a, heads_b)
+
+    def heads_blocks():
+        config = GemmConfig.sr(CONV_RBITS, seed=SEED)
+        key = _draw_call_key(config.stream)
+        return np.stack([matmul(heads_a[bi], heads_b[bi], replace(
+            config, stream=config.stream.spawn(key + (bi, 0))))
+            for bi in range(batch)])
+
+    def served():
+        gemm = QuantizedGemm(GemmConfig.sr(SERVE_RBITS, seed=SEED))
+        gemm.arm(roots)   # call 0 of each request: spawn((0,))
+        return gemm(conv_a, conv_b)
+
+    def served_blocks():
+        config = GemmConfig.sr(SERVE_RBITS, seed=SEED)
+        out = []
+        for i, root in enumerate(roots):
+            group = root.spawn((0,))
+            block = replace(config,
+                            stream=group.spawn(_draw_call_key(group) + (0, 0)))
+            out.append(matmul(conv_a[i * rows:(i + 1) * rows], conv_b,
+                              block))
+        return np.concatenate(out)
+
+    report = {}
+    for name, shape, blocks, call, per_block in (
+            ("attn_heads", HEADS_SHAPE, batch, heads, heads_blocks),
+            ("served_conv", SERVED_CONV, groups, served, served_blocks)):
+
+        def no_compiler(call=call):
+            with numpy_mac_loop():
+                return call()
+
+        variants = {"kernel": call, "no_compiler": no_compiler,
+                    "block_by_block": per_block}
+        want = call().view(np.int64)
+        for variant, fn in variants.items():
+            assert np.array_equal(fn().view(np.int64), want), \
+                f"executor {name}: {variant} disagrees with the kernel"
+        micros = {variant: _time(fn, repeats=repeats) / blocks * 1e6
+                  for variant, fn in variants.items()}
+        report[name] = {
+            "shape": list(shape),
+            "blocks": blocks,
+            "us_per_block": micros,
+            "kernel_speedup": micros["no_compiler"] / micros["kernel"],
+            "stack_speedup": micros["block_by_block"] / micros["kernel"],
+        }
+    return report
 
 
 def _cast_rows(repeats):
@@ -395,6 +481,7 @@ def run_benchmark(size=256, repeats=3):
         "speedup_vs_seed": {name: results["seed_path"] / t
                             for name, t in results.items()},
         "executor_conv": _conv_rows(repeats),
+        "executor_heads": _executor_heads_rows(repeats),
         "cast": _cast_rows(repeats),
         "patch": _patch_rows(repeats),
         "lanes": _lane_rows(repeats),
@@ -449,6 +536,11 @@ def main(argv=None) -> int:
           f"kernel vs no-compiler tier: "
           f"{report['executor_conv']['kernel_speedup']:.2f}x",
           file=sys.stderr)
+    for name, row in report["executor_heads"].items():
+        micros = ", ".join(f"{variant} {t:.1f}" for variant, t
+                           in row["us_per_block"].items())
+        print(f"executor {name} {row['shape']}, us per block: {micros}",
+              file=sys.stderr)
     for name, row in report["cast"].items():
         if row["kernel_speedup"] is not None:
             print(f"{name} cast, compiled rounding vs reference quantizer: "

@@ -5,7 +5,10 @@ executor at ``workers in {1, N}`` against one whole-matrix engine call
 (``matmul``), and (b) a tiled-im2col conv forward at the same worker
 counts against a conv whose gemm is a plain ``matmul`` function (the
 full-im2col branch), with the peak tiled-path memory (tracemalloc)
-against the bytes a full im2col materialization would take.  The
+against the bytes a full im2col materialization would take.  The tiled
+path holds one stack of consecutive row blocks' patch rows at a time
+per worker (``blocks_per_stack`` blocks of ``BLOCK_ROWS`` rows, at most
+``repro.emu.engine._STACK_MACS`` MACs), with their SR draws.  The
 executor's results are bit-identical across worker counts (asserted
 here on the GEMM), so the speedup column is a pure scheduling effect.
 
@@ -126,10 +129,14 @@ def _conv_section(size, workers, repeats):
     }
 
     oh = ow = size  # stride 1, same padding
+    from repro.emu.engine import _STACK_MACS
     from repro.emu.parallel import BLOCK_ROWS
 
     full_im2col_bytes = n_images * oh * ow * c_in * 3 * 3 * 8
-    tile_im2col_bytes = BLOCK_ROWS * c_in * 3 * 3 * 8
+    # The executor gathers one stack of consecutive row blocks at a time.
+    blocks = min(-(-n_images * oh * ow // BLOCK_ROWS),
+                 max(1, _STACK_MACS // (BLOCK_ROWS * c_in * 9 * c_out)))
+    stack_im2col_bytes = blocks * BLOCK_ROWS * c_in * 3 * 3 * 8
     peak_tiled = _peak_bytes(lambda: forward(1))
     peak_legacy = _peak_bytes(lambda: legacy_layer().forward(x))
 
@@ -140,9 +147,11 @@ def _conv_section(size, workers, repeats):
             name: seconds["tiled_workers1"] / t
             for name, t in seconds.items()
         },
-        # the column-matrix residency: full batch (legacy) vs one tile
+        # the column-matrix residency: full batch (legacy) vs one stack
+        # of row blocks per worker
         "full_im2col_bytes": full_im2col_bytes,
-        "tile_im2col_bytes": tile_im2col_bytes,
+        "blocks_per_stack": blocks,
+        "stack_im2col_bytes": stack_im2col_bytes,
         # end-to-end peaks (include the input/output buffers both share)
         "peak_legacy_forward_bytes": peak_legacy,
         "peak_tiled_forward_bytes": peak_tiled,
@@ -209,7 +218,8 @@ def main(argv=None) -> int:
         f"tiled_workers{workers}"]
     print(f"\nSR GEMM speedup at workers={workers}: "
           f"{gemm_speedup:.2f}x ({os.cpu_count()} CPUs visible); "
-          f"tiled-conv im2col residency {conv['tile_im2col_bytes']} B/tile "
+          f"tiled-conv im2col residency {conv['stack_im2col_bytes']} B per "
+          f"stack of {conv['blocks_per_stack']} blocks "
           f"vs {conv['full_im2col_bytes']} B full, end-to-end peak "
           f"{conv['peak_ratio_tiled_vs_legacy']:.2f}x the legacy path",
           file=sys.stderr)

@@ -54,6 +54,14 @@ from . import kernel
 #: of chunking) — while huge GEMMs stream in bounded memory.
 _BULK_BYTES = 8 << 20
 
+#: Cap on the MACs of one stacked engine call: the executor
+#: (:mod:`repro.emu.parallel`) runs consecutive equal-shape row blocks as
+#: one ``(T, m, k) @ (T, k, n)`` call of at most this many MACs.  Larger
+#: stacks save little more per-call overhead but hold more patch rows,
+#: draws and accumulators at once (peak memory grows with it).  Not part
+#: of any draw order: every block keeps its own substream.
+_STACK_MACS = 1 << 18
+
 #: FROZEN — part of the pairwise engine's SR draw-order definition, not
 #: a tuning knob.  Pairwise consumes stream randomness per N-block, so
 #: the block width (derived from this constant and the logical shape)
@@ -116,7 +124,9 @@ def _kernel_chain(mac, a: np.ndarray, b: np.ndarray, acc: np.ndarray,
                   config, draw_shape) -> None:
     """Run ``acc += a @ b`` as the MAC chain on the kernel, in place:
     ``(B, M, K) @ (B, K, N)`` into a zero C-contiguous ``(B, M, N)``
-    ``acc``, one foreign call per chunk and batch entry.
+    ``acc``, one foreign call per chunk for every batch entry.  Operand
+    views whose rows are contiguous (a weight broadcast over the batch
+    included) are read in place.
 
     SR draws come in bulk, one ``bulk_draws`` call per chunk of steps,
     each step's draws shaped ``draw_shape``: a flat run of ``B * M *
@@ -126,8 +136,8 @@ def _kernel_chain(mac, a: np.ndarray, b: np.ndarray, acc: np.ndarray,
     k = a.shape[-1]
     stochastic = config.rounding == "stochastic"
     rbits = config.rbits if stochastic else None
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    a = kernel.row_stack(a)
+    b = kernel.row_stack(b)
     chunk = k
     if stochastic:
         chunk = max(1, min(k, _BULK_BYTES // (8 * max(1, acc.size))))
@@ -177,8 +187,8 @@ class SequentialEngine(AccumulationEngine):
     accumulator and the sum is rounded in place — the same arithmetic as
     the original per-step loop, but with the K random draws pulled in
     bulk up front.  The K loop itself runs in the compiled kernel
-    (:mod:`repro.emu.kernel`), one foreign call per chunk and batch
-    entry.  Where the kernel is unavailable, or the config or operands
+    (:mod:`repro.emu.kernel`), one foreign call per chunk for the whole
+    batch.  Where the kernel is unavailable, or the config or operands
     are outside what it models, the seed per-step loop runs instead.
     Both paths are verified bit-identical to the seed implementation by
     the engine-equivalence test suite.

@@ -6,8 +6,8 @@ loop of the MAC chain: add one product onto the accumulator, round the
 sum into the accumulator format, repeat.  In NumPy that is about
 twenty-five ufunc calls per step on blocks of a few thousand elements,
 so call dispatch, not arithmetic, sets the speed.  ``mac_kernel.c`` runs
-the whole K loop of one (chunk, batch entry) in one foreign call, on
-one of its lanes, which give the same bits: a scalar loop that runs
+the whole K loop of one chunk, for every batch entry, in one foreign
+call, on one of its lanes, which give the same bits: a scalar loop that runs
 anywhere, and on x86-64 a branch-free vector body compiled for AVX2 and
 for AVX-512F.  The SR draws have the same lanes: the serial PCG64 loop,
 and 16 (AVX2) or 32 (AVX-512F) jump-ahead LCG lanes stepping together.
@@ -32,7 +32,10 @@ file has three more jobs:
 * the SR randomness of :class:`repro.prng.streams.SoftwareStream`
   (:meth:`MacKernel.pcg_seed`, :meth:`MacKernel.pcg_draws`): a
   substream's PCG64 state derived from its seed and spawn path, and
-  its draws of at most 32 bits.
+  its draws of at most 32 bits; and of a
+  :class:`repro.prng.streams.StreamStack` of them
+  (:meth:`MacKernel.pcg_table`): each stream derived and drawn in turn,
+  in one call.
 
 :func:`repro.fp.quantize.quantize`, the reference quantizer, is the one
 specification of the rounding: of the one-shot rounding directly, and
@@ -52,7 +55,9 @@ compiled rounding, GEMM, patch gather or software-stream draw:
   operands.  The loops, ``gemm`` on every lane in ``lanes``, must match
   :func:`_spec_loop`, run once per configuration: RN and SR (uint32 and
   uint64 draws), subnormals on and off, saturate on and off, an
-  overflow, a deep tail, RN ties and inf/NaN.  The one-shot rounding
+  overflow, a deep tail, RN ties and inf/NaN; once with a weight per
+  batch entry, once with one weight the entries share (batch stride 0)
+  and the draws laid out entry by entry.  The one-shot rounding
   must match :func:`repro.fp.quantize.quantize` on E5M2 and E4M3, RN
   and SR (uint32 and uint64 draws), subnormals and saturate on and off:
   RN ties of both parities in the normal and the subnormal range, the
@@ -65,7 +70,9 @@ compiled rounding, GEMM, patch gather or software-stream draw:
   of :data:`_PCG_CHECK_STREAMS` and, ``pcg_draws`` on every lane in
   ``lanes``, draw what ``Generator.integers`` draws and leave its state
   after each call of :data:`_PCG_CHECK_DRAWS` (odd and even totals,
-  uint32 and uint64 buffers, totals that reach the vector lanes);
+  uint32 and uint64 buffers, totals that reach the vector lanes), and
+  ``pcg_table`` must do the same for all those streams at once
+  (:func:`_pcg_table_check`);
 * on any failure (no compiler, unwritable cache, compile error, load
   error, a self-check mismatch on any lane) :func:`library` returns
   ``None``; the engine's seed per-step loop, the reference quantizer,
@@ -86,9 +93,12 @@ same way.
 The engine still draws SR bits in bulk, one ``bulk_draws`` call per
 chunk, and hands the buffer to the K loop, so the draws stay a
 separate, timeable step; for a ``SoftwareStream`` that call runs
-:meth:`MacKernel.pcg_draws`.  Without the kernel the seed loop draws
-the same bits one step at a time from NumPy's generator (the bulk-draw
-contract of :mod:`repro.prng.streams`).
+:meth:`MacKernel.pcg_draws`, and for the executor's stack of them
+:meth:`MacKernel.pcg_table`, whose ``(steps, T, M, N)`` view of a ``(T,
+steps, M, N)`` buffer :meth:`MacKernel.gemm` reads in place.  Without
+the kernel the seed loop draws the same bits one step at a time from
+NumPy's generator (the bulk-draw contract of
+:mod:`repro.prng.streams`).
 """
 
 from __future__ import annotations
@@ -192,6 +202,47 @@ def _check_layout(name: str, array: np.ndarray, shape) -> None:
                          f"{tuple(shape)}, got {array.shape}")
 
 
+def _stack_strides(x: np.ndarray, plane: bool = False):
+    """``(entry, row)`` strides in elements of the stack ``x``, ``(..., B,
+    R, C)``, if the kernel reads it in place, else ``None``.
+
+    The kernel reads stacks of matrices whose rows are contiguous runs
+    (with ``plane``, whose ``(R, C)`` planes are C-contiguous), with any
+    non-negative entry and row strides, 0 included.  An axis of length
+    0 or 1 is never stepped, so its stride reads as 0.
+    """
+    (batch, rows, cols), item = x.shape[-3:], x.itemsize
+    entry, row, col = x.strides[-3:]
+    if cols > 1 and col != item:
+        return None
+    if rows <= 1 or (plane and cols == 0):
+        row = 0
+    elif (row != cols * item) if plane else (row < 0 or row % item):
+        return None
+    if batch <= 1:
+        entry = 0
+    elif entry < 0 or entry % item:
+        return None
+    return entry // item, row // item
+
+
+def row_stack(x) -> np.ndarray:
+    """``x``, a ``(B, R, C)`` stack, as float64 that
+    :meth:`MacKernel.gemm` reads in place: ``x`` itself when its rows
+    are contiguous runs (a stride-0 batch axis included), else a
+    C-contiguous copy.
+
+    Example (a weight shared by every batch entry stays one copy)::
+
+        b = row_stack(np.broadcast_to(w, (8, *w.shape)))   # no copy
+    """
+    x = np.asarray(x)
+    if x.dtype == np.float64 and (x.flags.c_contiguous
+                                  or _stack_strides(x) is not None):
+        return x
+    return np.ascontiguousarray(x, dtype=np.float64)
+
+
 class MacKernel:
     """The loaded library, with argument checks around its loops.
 
@@ -213,8 +264,8 @@ class MacKernel:
                             if cpu >> bit & 1) + ("scalar",)
         self._lane = self._lanes[0]
         self._gemm = lib.mac_gemm
-        self._gemm.argtypes = [ptr, i64, ptr, i64, ptr, i64, i64, i64,
-                               ptr, i64, i64, spec, i64]
+        self._gemm.argtypes = [ptr, i64, i64, ptr, i64, i64, ptr, i64, i64,
+                               i64, i64, i64, ptr, i64, i64, i64, spec, i64]
         self._gemm.restype = None
         self._round = lib.mac_round
         self._round.argtypes = [ptr, ptr, i64, ptr, i64, spec]
@@ -231,6 +282,10 @@ class MacKernel:
         self._pcg_draws = lib.mac_pcg_draws
         self._pcg_draws.argtypes = [words, i64, ptr, i64, i64, i64]
         self._pcg_draws.restype = None
+        self._pcg_table = lib.mac_pcg_table
+        self._pcg_table.argtypes = [ptr, ptr, ctypes.POINTER(PcgState), i64,
+                                    i64, ptr, i64, i64, i64]
+        self._pcg_table.restype = None
         self._specs: dict = {}
 
     @property
@@ -269,35 +324,57 @@ class MacKernel:
              fmt: FPFormat, rbits: Optional[int], saturate: bool) -> None:
         """Run MAC steps ``start .. start+steps`` of ``acc += a @ b``.
 
-        ``a`` is ``(B, M, K)``, ``b`` ``(B, K, N)`` and ``acc``
-        ``(B, M, N)``, all C-contiguous float64; ``draws`` is ``None``
-        (RN) or the chunk's ``(steps, B, M, N)`` SR draws.  One foreign
-        call per batch entry runs the chunk's whole K loop.
+        ``a`` is ``(B, M, K)`` and ``b`` ``(B, K, N)``, float64 stacks
+        whose rows are contiguous runs (:func:`row_stack`); ``b``'s
+        entries may share one weight (batch stride 0).  ``acc`` is a
+        C-contiguous float64 ``(B, M, N)``.  ``draws`` is ``None`` (RN)
+        or the chunk's ``(steps, B, M, N)`` SR draws, each ``(M, N)``
+        plane C-contiguous, with any step and batch strides (a stack
+        drawn stream by stream is ``(B, steps, M, N)`` in memory); any
+        other layout is copied once per call.  One foreign call runs the
+        chunk's whole K loop for every batch entry.
         """
         batch, m, k = a.shape
         n = b.shape[-1]
+        layouts = []
         for name, array, shape in (("a", a, (batch, m, k)),
-                                   ("b", b, (batch, k, n)),
-                                   ("acc", acc, (batch, m, n))):
-            _check_layout(name, array, shape)
-            if array.dtype != np.float64:
-                raise ValueError(f"{name} must be float64")
+                                   ("b", b, (batch, k, n))):
+            strides = _stack_strides(array) \
+                if array.dtype == np.float64 and array.shape == shape \
+                else None
+            if strides is None:
+                raise ValueError(
+                    f"{name} must be a float64 {shape} stack of "
+                    f"C-contiguous rows, got {array.dtype} {array.shape} "
+                    f"with strides {array.strides}")
+            layouts.append(strides)
+        (sa, lda), (sb, ldb) = layouts
+        _check_layout("acc", acc, (batch, m, n))
+        if acc.dtype != np.float64 or not acc.flags.writeable:
+            raise ValueError("acc must be a writeable float64 array")
         if not 0 <= start <= start + steps <= k:
             raise ValueError(f"steps {start}..{start + steps} outside K={k}")
-        draws, width = _draw_buffer(draws)
+        width = sd = ldd = 0
         if draws is not None:
-            _check_layout("draws", draws, (steps, batch, m, n))
-        spec = ctypes.byref(self._spec(fmt, rbits, saturate))
-        a_ptr = a.ctypes.data + 8 * start
-        b_ptr = b.ctypes.data + 8 * start * n
-        acc_ptr = acc.ctypes.data
-        d_base = draws.ctypes.data if draws is not None else None
-        lane = _LANE_IDS[self._lane]
-        for bi in range(batch):
-            d_ptr = None if d_base is None else d_base + width * bi * m * n
-            self._gemm(a_ptr + 8 * bi * m * k, k, b_ptr + 8 * bi * k * n, n,
-                       acc_ptr + 8 * bi * m * n, m, n, steps,
-                       d_ptr, batch * m * n, width, spec, lane)
+            if draws.shape != (steps, batch, m, n):
+                raise ValueError(f"draws must have shape "
+                                 f"{(steps, batch, m, n)}, got {draws.shape}")
+            strides = _stack_strides(draws, plane=True) \
+                if draws.dtype in (np.uint32, np.uint64) else None
+            # The step stride, as the entry stride: any non-negative one.
+            step = draws.strides[0] if steps > 1 else 0
+            if strides is None or step < 0 or step % draws.itemsize:
+                draws, _ = _draw_buffer(draws)
+                strides = _stack_strides(draws, plane=True)
+                step = draws.strides[0] if steps > 1 else 0
+            width, sd, ldd = draws.itemsize, strides[0], \
+                step // draws.itemsize
+        self._gemm(a.ctypes.data + 8 * start, sa, lda,
+                   b.ctypes.data + 8 * start * ldb, sb, ldb,
+                   acc.ctypes.data, m * n, batch, m, n, steps,
+                   None if draws is None else draws.ctypes.data, sd, ldd,
+                   width, ctypes.byref(self._spec(fmt, rbits, saturate)),
+                   _LANE_IDS[self._lane])
 
     def round(self, x: np.ndarray, fmt: FPFormat, rbits: Optional[int],
               draws: Optional[np.ndarray], saturate: bool) -> np.ndarray:
@@ -377,9 +454,7 @@ class MacKernel:
 
             state = library().pcg_seed(uint32_words(5), (1, 2))
         """
-        key = spawn_path
-        if key and max(key) >> 32:  # a key of more than one word
-            key = tuple(word for k in key for word in uint32_words(k))
+        key = _key_words(spawn_path)
         words = entropy + key
         state = PcgState()
         self._pcg_seed((ctypes.c_uint32 * len(words))(*words),
@@ -396,14 +471,68 @@ class MacKernel:
         parks a half-word in ``state``'s cache, as NumPy does, so the
         next call continues the same sequence.  Runs on :attr:`lane`.
         """
-        if not 1 <= rbits <= 32:
-            raise ValueError(f"rbits must be in 1..32, got {rbits}")
-        if out.dtype not in (np.uint32, np.uint64) \
-                or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous uint32 or uint64 "
-                             f"array, got {out.dtype}")
+        _check_draw_out(rbits, out)
         self._pcg_draws(state, rbits, out.ctypes.data, out.size,
                         out.itemsize, _LANE_IDS[self._lane])
+
+    def pcg_table(self, seeds, states, rbits: int, out: np.ndarray) -> None:
+        """Draw ``out[t]`` from stream ``t`` for every ``t``, in one
+        foreign call: :meth:`pcg_seed` and :meth:`pcg_draws`, stream by
+        stream.
+
+        ``states`` is a ``PcgState * T`` array.  ``seeds[t]`` is
+        ``None`` when ``states[t]`` already holds stream ``t``'s state,
+        else the ``(entropy, spawn_path)`` that :meth:`pcg_seed` takes,
+        and the derived state is written to ``states[t]`` first.  Then
+        stream ``t``'s next ``out[t].size`` draws fill ``out[t]`` and
+        ``states[t]`` advances.  ``out`` is a C-contiguous uint32 or
+        uint64 ``(T, ...)`` array.  Runs on :attr:`lane`.
+
+        Example (two fresh streams, three draws each)::
+
+            states = (PcgState * 2)()
+            out = np.empty((2, 3), np.uint32)
+            library().pcg_table([((5,), (0,)), ((5,), (1,))], states, 13,
+                                out)
+        """
+        _check_draw_out(rbits, out)
+        if len(states) != len(seeds) or out.shape[:1] != (len(seeds),):
+            raise ValueError(f"{len(seeds)} seeds, {len(states)} states "
+                             f"and {out.shape[:1]} draw rows must agree")
+        words, counts = [], []
+        for seed in seeds:
+            if seed is None:
+                counts += (0, 0)
+                continue
+            entropy, key = seed[0], _key_words(seed[1])
+            if not entropy:  # zero run words would read as "derived"
+                raise ValueError("a seed's entropy has at least one word")
+            words += entropy
+            words += key
+            counts += (len(entropy), len(key))
+        words = np.array(words, np.uint32)
+        counts = np.array(counts, np.int64)
+        self._pcg_table(words.ctypes.data, counts.ctypes.data, states,
+                        len(seeds), rbits, out.ctypes.data,
+                        out.size // max(1, len(seeds)), out.itemsize,
+                        _LANE_IDS[self._lane])
+
+
+def _key_words(spawn_path: tuple) -> tuple:
+    """A spawn path as ``SeedSequence`` reads it: uint32 words, a key
+    of 2**32 or more split into several."""
+    if spawn_path and max(spawn_path) >> 32:  # a key of more than a word
+        return tuple(word for k in spawn_path for word in uint32_words(k))
+    return spawn_path
+
+
+def _check_draw_out(rbits: int, out: np.ndarray) -> None:
+    if not 1 <= rbits <= 32:
+        raise ValueError(f"rbits must be in 1..32, got {rbits}")
+    if out.dtype not in (np.uint32, np.uint64) \
+            or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous uint32 or uint64 "
+                         f"array, got {out.dtype}")
 
 
 def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
@@ -584,34 +713,46 @@ def _self_check(mac: MacKernel) -> bool:
     # at every step, so a stride slip shows.
     scale = 2.0 ** np.array([[0, 0, 0, 0, 0], [-2, -1, 0, -2, 1]])
     a = np.stack([scale, -scale[::-1]])
-    b = np.stack([terms, terms * 0.5])
-    # products[k] = a[:, :, k, None] * b[:, None, k, :]
-    products = np.ascontiguousarray(a.transpose(2, 0, 1)[..., None]
-                                    * b.transpose(1, 0, 2)[:, :, None, :])
-    for fmt in (FP12_E6M5, FP12_E6M5.with_subnormals(False)):
-        for rbits, dtype in ((None, None), (9, np.uint32), (40, np.uint64)):
-            mode = "nearest" if rbits is None else "stochastic"
-            draws = None
-            if rbits is not None:
-                draws = _check_draws(products.shape, rbits, dtype)
-            for saturate in (False, True):
-                # One specification run per configuration, however many
-                # lanes the CPU has.
-                want = _spec_loop(products, draws, fmt, mode, rbits,
-                                  saturate).view(np.int64)
-                # ``mac`` is not published yet, so no other thread sees
-                # its lane switch.
-                for lane in mac.lanes:
-                    mac._lane = lane
-                    got = np.zeros(products.shape[1:])
-                    # Two chunks, so the start offset and strides count.
-                    for start, steps in ((0, 2), (2, k - 2)):
-                        mac.gemm(a, b, got,
-                                 None if draws is None
-                                 else draws[start:start + steps],
-                                 start, steps, fmt, rbits, saturate)
-                    if not np.array_equal(got.view(np.int64), want):
-                        return False
+    own = np.stack([terms, terms * 0.5])
+    shared = np.broadcast_to(terms, own.shape)
+    # products[b][k] = a[:, :, k, None] * b[:, None, k, :]
+    products = {id(b): np.ascontiguousarray(
+        a.transpose(2, 0, 1)[..., None] * b.transpose(1, 0, 2)[:, :, None, :])
+        for b in (own, shared)}
+    draw_kinds = ((None, None), (9, np.uint32), (40, np.uint64))
+    # Every configuration with a weight per entry and draws in C order;
+    # then each draw kind once more with one weight both entries share
+    # (batch stride 0) and the draws laid out entry by entry, as a
+    # stream stack draws them.
+    cases = [(own, False, fmt, rbits, dtype, saturate)
+             for fmt in (FP12_E6M5, FP12_E6M5.with_subnormals(False))
+             for rbits, dtype in draw_kinds for saturate in (False, True)]
+    cases += [(shared, True, FP12_E6M5, rbits, dtype, False)
+              for rbits, dtype in draw_kinds]
+    for b, by_entry, fmt, rbits, dtype, saturate in cases:
+        chain = products[id(b)]
+        mode = "nearest" if rbits is None else "stochastic"
+        draws = None
+        if rbits is not None:
+            draws = _check_draws(chain.shape, rbits, dtype)
+            if by_entry:
+                draws = np.ascontiguousarray(
+                    draws.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        # One specification run per case, however many lanes the CPU has.
+        want = _spec_loop(chain, draws, fmt, mode, rbits,
+                          saturate).view(np.int64)
+        # ``mac`` is not published yet, so no other thread sees its lane
+        # switch.
+        for lane in mac.lanes:
+            mac._lane = lane
+            got = np.zeros(chain.shape[1:])
+            # Two chunks, so the start offset and strides count.
+            for start, steps in ((0, 2), (2, k - 2)):
+                mac.gemm(a, b, got,
+                         None if draws is None else draws[start:start + steps],
+                         start, steps, fmt, rbits, saturate)
+            if not np.array_equal(got.view(np.int64), want):
+                return False
     mac._lane = mac.lanes[0]
     return True
 
@@ -725,14 +866,15 @@ _PCG_CHECK_DRAWS = ((7, np.uint32), (201, np.uint64), (3, np.uint64),
 
 
 def _pcg_self_check(mac: MacKernel) -> bool:
-    """Whether ``mac.pcg_seed`` and ``mac.pcg_draws`` reproduce NumPy's
-    ``SeedSequence``, ``PCG64`` and ``Generator.integers`` bit for bit.
+    """Whether ``mac.pcg_seed``, ``mac.pcg_draws`` and ``mac.pcg_table``
+    reproduce NumPy's ``SeedSequence``, ``PCG64`` and
+    ``Generator.integers`` bit for bit.
 
     Each stream of :data:`_PCG_CHECK_STREAMS` must derive NumPy's state,
     then, on every lane in ``mac.lanes``, draw at one ``rbits`` of 1, 13
     and 32 what ``Generator.integers`` draws in the calls of
     :data:`_PCG_CHECK_DRAWS`, and leave NumPy's state, half-word cache
-    included, after each call.
+    included, after each call.  Then :func:`_pcg_table_check` runs.
     """
     for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
         bits = np.random.PCG64(
@@ -762,5 +904,50 @@ def _pcg_self_check(mac: MacKernel) -> bool:
             if states != after or not np.array_equal(np.concatenate(got),
                                                       want):
                 return False
+    mac._lane = mac.lanes[0]
+    return _pcg_table_check(mac)
+
+
+def _pcg_table_check(mac: MacKernel) -> bool:
+    """Whether ``mac.pcg_table`` draws, on every lane in ``mac.lanes``,
+    what each stream's own ``Generator.integers`` draws.
+
+    One table holds every stream of :data:`_PCG_CHECK_STREAMS`: all are
+    derived in the call but the second, whose state comes derived with a
+    half-word parked.  Two calls of 67 uint32 and then 130 uint64 draws
+    per stream reach the vector lanes' blocks, the second starting on
+    the half-word the first parks, and each stream's state must be
+    NumPy's after each call.
+    """
+    rbits, calls = 13, ((67, np.uint32), (130, np.uint64))
+    # One NumPy run per stream, however many lanes the CPU has: each
+    # call's draws and the state after them.
+    want = []
+    for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
+        reference = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=path)))
+        if index == 1:  # the stream handed in derived, one draw made
+            reference.integers(0, 1 << rbits, size=1, dtype=np.uint64)
+        want.append([(reference.integers(0, 1 << rbits, size=size,
+                                          dtype=np.uint64),
+                      reference.bit_generator.state)
+                     for size, _ in calls])
+    for lane in mac.lanes:
+        mac._lane = lane
+        states = (PcgState * len(_PCG_CHECK_STREAMS))()
+        seeds = [(uint32_words(seed), path)
+                 for seed, path in _PCG_CHECK_STREAMS]
+        states[1] = mac.pcg_seed(*seeds[1])
+        mac.pcg_draws(states[1], rbits, np.empty(1, np.uint32))
+        seeds[1] = None
+        for call, (size, dtype) in enumerate(calls):
+            out = np.empty((len(seeds), size), dtype)
+            mac.pcg_table(seeds, states, rbits, out)
+            seeds = [None] * len(seeds)
+            for row, state, runs in zip(out, states, want):
+                draws, after = runs[call]
+                if not np.array_equal(row, draws) \
+                        or pcg64_state(state) != after:
+                    return False
     mac._lane = mac.lanes[0]
     return True

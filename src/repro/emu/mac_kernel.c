@@ -1,7 +1,10 @@
 /* The sequential engine's add-and-round loop, the one-shot rounding and
  * the convolution patch loops, compiled.
  *
- * Each output element runs the paper's MAC chain: add one exact
+ * mac_gemm runs one chunk of MAC steps for every entry of a batch, with
+ * per-entry strides (0 for a weight every entry shares) and draws whose
+ * step and entry strides need not be in C order.  Each output element
+ * runs the paper's MAC chain: add one exact
  * float64 product onto the accumulator, then round the sum into the
  * accumulator format with that step's SR draw (Fig. 1: r random bits
  * added below the kept significand).  round_one is that rounding, as
@@ -33,8 +36,10 @@
  * dtype=np.uint64) for r <= 32.  mac_pcg_draws has the lanes of
  * mac_gemm: the serial LCG loop, and on x86-64 jump-ahead LCG lanes,
  * 16 in AVX2 vectors and 32 in AVX-512F vectors, written with
- * intrinsics.  NumPy is their specification, and repro.emu.kernel
- * checks them, every lane, against it before first use too.
+ * intrinsics.  mac_pcg_table derives and draws a stack of streams in
+ * turn, in one call (repro.prng.streams.StreamStack).  NumPy is their
+ * specification, and repro.emu.kernel checks them, every lane, against
+ * it before first use too.
  *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
@@ -375,12 +380,8 @@ int64_t mac_lanes(void)
     return lanes;
 }
 
-/* acc[i, j] runs `steps` MAC steps: acc += a[i, k] * b[k, j], then
- * round with draws[k, i, j].  Row strides: a by lda, b by ldb, draws
- * by ldd per step; acc is a contiguous (m, n) block.  Every lane gives
- * the same bits; `lane` must be one that mac_lanes() reports, or
- * LANE_SCALAR. */
-void mac_gemm(GEMM_PARAMS, int64_t lane)
+/* One batch entry of mac_gemm on the given lane. */
+static void gemm_entry(GEMM_PARAMS, int64_t lane)
 {
 #if defined(__x86_64__)
     if (lane == LANE_AVX512F) {
@@ -393,8 +394,32 @@ void mac_gemm(GEMM_PARAMS, int64_t lane)
                   s);
         return;
     }
+#else
+    (void)lane;
 #endif
     GEMM_LOOP(gemm_loop);
+}
+
+/* For every batch entry e < batch, acc[e, i, j] runs `steps` MAC steps:
+ * acc += a[e, i, k] * b[e, k, j], then round with draws[k, e, i, j].
+ * Strides count elements.  Entry strides: a by sa, b by sb (0 for a
+ * weight the entries share), acc by sacc, draws by sd; row strides: a
+ * by lda, b by ldb, draws by ldd per step.  Each entry's acc, and each
+ * step's draws of an entry, is a contiguous (m, n) block.  Every lane
+ * gives the same bits; `lane` must be one that mac_lanes() reports, or
+ * LANE_SCALAR. */
+void mac_gemm(const double *a, int64_t sa, int64_t lda, const double *b,
+              int64_t sb, int64_t ldb, double *acc, int64_t sacc,
+              int64_t batch, int64_t m, int64_t n, int64_t steps,
+              const void *draws, int64_t sd, int64_t ldd,
+              int64_t draw_bytes, const mac_spec *s, int64_t lane)
+{
+    for (int64_t e = 0; e < batch; e++) {
+        const void *entry_draws =
+            draws ? (const char *)draws + e * sd * draw_bytes : draws;
+        gemm_entry(a + e * sa, lda, b + e * sb, ldb, acc + e * sacc, m, n,
+                   steps, entry_draws, ldd, draw_bytes, s, lane);
+    }
 }
 
 static inline __attribute__((always_inline)) void
@@ -507,6 +532,7 @@ void mac_patch_scatter(const double *values, int64_t c, int64_t hp,
 #define PCG_INC_LO 3
 #define PCG_HAS_UINT32 4  /* 1 while a drawn upper half-word waits */
 #define PCG_UINTEGER 5    /* that half-word */
+#define PCG_WORDS 6
 
 /* The hash constants of numpy.random.SeedSequence, pool size 4. */
 #define SS_POOL 4
@@ -969,4 +995,26 @@ void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
 #endif
     pcg_scalar(st, rbits, (char *)out + done * out_bytes, n - done,
                out_bytes);
+}
+
+/* The draws of a stack of streams in one call: for t < streams, stream
+ * t's state is the 6 words at states + 6 t.  When counts[2 t] (its run
+ * entropy words) is nonzero, the state is derived first, as
+ * mac_pcg_seed derives it from the next counts[2 t] + counts[2 t + 1]
+ * words of `words`; when it is zero, the state is already there.  Then
+ * the stream's next n draws go to out + t n, and its state advances. */
+void mac_pcg_table(const uint32_t *words, const int64_t *counts,
+                   uint64_t *states, int64_t streams, int64_t rbits,
+                   void *out, int64_t n, int64_t out_bytes, int64_t lane)
+{
+    for (int64_t t = 0; t < streams; t++) {
+        uint64_t *st = states + PCG_WORDS * t;
+        const int64_t n_run = counts[2 * t], n_key = counts[2 * t + 1];
+        if (n_run > 0) {
+            mac_pcg_seed(words, n_run, n_key, st);
+            words += n_run + n_key;
+        }
+        mac_pcg_draws(st, rbits, (char *)out + t * n * out_bytes, n,
+                      out_bytes, lane);
+    }
 }

@@ -20,9 +20,9 @@ Draw-order contract (FROZEN, like the pairwise engine's block width):
   ``streams[i].spawn((g,))``.  Everything below happens per group.
 * :data:`BLOCK_ROWS` fixes the substream granularity: block ``j`` of
   batch ``bi`` covers output rows ``[j * BLOCK_ROWS, (j+1) *
-  BLOCK_ROWS)`` and is always emulated in one engine invocation under
-  substream key ``(bi, j)``.  A block is also the scheduler's work
-  item.
+  BLOCK_ROWS)`` and draws its SR bits from substream key ``(bi, j)``
+  alone, in its own (step, row, col) order.  A block is also the
+  scheduler's work item.
 * Per GEMM call, one *call key* (:data:`CALL_KEY_DRAWS` draws of
   :data:`CALL_KEY_RBITS` bits) is drawn from the group's stream on the
   calling thread — a serial, schedule-independent advance that makes
@@ -35,6 +35,16 @@ Draw-order contract (FROZEN, like the pairwise engine's block width):
 Changing any of these constants silently re-keys every SR result; they
 are part of the subsystem's reproducibility contract, pinned in
 absolute terms by ``tests/emu/test_parallel.py``.
+
+Stacks (not part of the contract): within a worker's bundle, each run
+of consecutive row blocks of equal shape ``(rows, k, n)`` is emulated
+in one engine invocation, ``(T, rows, k) @ (T, k, n)``, under the
+:class:`repro.prng.streams.StreamStack` of the T blocks' own
+substreams, so every block's draws and result bits are those of its
+own invocation.  A stack holds at most
+:data:`repro.emu.engine._STACK_MACS` MACs and forms only for the
+``sequential`` engine with RN or a finite ``rbits``; bands and the
+other engines run one block per invocation.
 """
 
 from __future__ import annotations
@@ -43,14 +53,15 @@ import atexit
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
-from .engine import get_engine, round_partial
-from .gemm import _cast_operand, matmul
+from ..prng.streams import StreamStack
+from .engine import _STACK_MACS, SequentialEngine, get_engine, round_partial
+from .gemm import _cast_operand, matmul, matmul_batched
 
 #: FROZEN — substream granularity in output rows (see module docstring).
 #: 64 balances per-block engine overhead (large enough that the fused
@@ -102,24 +113,45 @@ def _cast_rows(source, config) -> Callable[[int, int], np.ndarray]:
 
 
 @dataclass
-class _RowBlockTask:
-    """One ``(batch, row-block)`` task: ``producer rows @ b_shared``.
+class _Group:
+    """One stream group of a call: the stream its tasks' substreams
+    spawn from, and the call key drawn from it on the calling thread."""
 
-    Each block runs the serial dispatch (:func:`repro.emu.gemm.matmul`)
-    on rows the producer already holds in the multiplier format, so the
+    stream: object
+    call_key: Tuple[int, ...]
+
+    @classmethod
+    def keyed(cls, stream) -> "_Group":
+        return cls(stream, _draw_call_key(stream))
+
+    def spawn(self, key: Tuple[int, ...]):
+        """The substream of task ``key``: ``spawn(call_key + key)``."""
+        return self.stream.spawn(self.call_key + key)
+
+
+@dataclass
+class _RowBlockTask:
+    """One ``(batch, row-block)`` task: rows ``r0:r1`` of the call's
+    ``A`` (its entries' rows one after another) times ``B`` entry
+    ``entry``, under its group's substream ``key``.
+
+    Alone it runs the serial dispatch (:func:`repro.emu.gemm.matmul`) on
+    rows the producer already holds in the multiplier format, so the
     executor can never diverge from the engines it shards.
     """
 
-    key: Tuple[int, ...]
-    bi: int
+    key: Tuple[int, int]
+    group: _Group
+    entry: int
     r0: int
     r1: int
-    producer: Callable[[int, int], np.ndarray]
+    rows: Callable[[int, int], np.ndarray]
+    #: ``(k, n)`` shared by every entry, or ``(B, k, n)``.
+    b: np.ndarray
 
-    def run(self, b_shared, config) -> np.ndarray:
-        b2d = b_shared if b_shared.ndim == 2 else b_shared[self.bi]
-        return matmul(self.producer(self.r0, self.r1), b2d, config,
-                      cast=False)
+    def run(self, config) -> np.ndarray:
+        b2d = self.b if self.b.ndim == 2 else self.b[self.entry]
+        return matmul(self.rows(self.r0, self.r1), b2d, config, cast=False)
 
 
 @dataclass
@@ -127,30 +159,98 @@ class _OuterBandTask:
     """One band of a row-streamed ``A.T @ B``: the exact-width partial
     ``A[r0:r1].T @ B[r0:r1]`` emulated as its own reduction."""
 
-    key: Tuple[int, ...]
+    key: Tuple[int, int]
+    group: _Group
     r0: int
     r1: int
     a_producer: Callable[[int, int], np.ndarray]
     b_producer: Callable[[int, int], np.ndarray]
 
-    def run(self, b_shared, config) -> np.ndarray:
+    def run(self, config) -> np.ndarray:
         a_rows = self.a_producer(self.r0, self.r1)
         b_rows = self.b_producer(self.r0, self.r1)
         return matmul(np.ascontiguousarray(a_rows.T), b_rows, config,
                       cast=False)
 
 
-def _run_task(task, config, call_key: Tuple[int, ...],
-              b_shared) -> np.ndarray:
-    """Run one task under its substream ``spawn(call_key + task.key)``."""
-    substream = config.stream.spawn(call_key + task.key)
-    return task.run(b_shared, replace(config, stream=substream))
+def _stackable(config) -> bool:
+    """Whether row blocks under ``config`` may run as stacks.
+
+    Only the ``sequential`` engine's per-step chain runs each batch
+    entry as the same block alone would.  The ``pairwise`` engine's
+    N-block width depends on the batch size, so a stack would re-key
+    its draws; the other engines and the round-once path are left as
+    they are.  Exact SR draws from each stream's ``.rng``, which a
+    :class:`repro.prng.streams.StreamStack` has not.
+    """
+    return (config.acc_format is not None and config.per_step
+            and type(get_engine(config.accum_order)) is SequentialEngine
+            and (config.rounding == "nearest" or config.rbits is not None))
 
 
-def _run_bundle(tasks, config, call_key: Tuple[int, ...],
-                b_shared) -> List[np.ndarray]:
-    """Pool worker entry: run a bundle of tasks under their substreams."""
-    return [_run_task(task, config, call_key, b_shared) for task in tasks]
+def _stacks(tasks: Sequence, stackable: bool) -> Iterator[Sequence]:
+    """``tasks`` cut into stacks, in order: each run of consecutive row
+    blocks of one call with the same row count, at most
+    :data:`repro.emu.engine._STACK_MACS` MACs together.  Bands, and
+    every task where ``stackable`` is false, are stacks of one."""
+    i = 0
+    while i < len(tasks):
+        first = tasks[i]
+        j = i + 1
+        if stackable and isinstance(first, _RowBlockTask):
+            k, n = first.b.shape[-2:]
+            m = first.r1 - first.r0
+            cap = max(1, _STACK_MACS // max(1, m * k * n))
+            end = min(len(tasks), i + cap)
+            while (j < end and tasks[j].r0 == tasks[j - 1].r1
+                   and tasks[j].r1 - tasks[j].r0 == m
+                   and tasks[j].rows is first.rows and tasks[j].b is first.b):
+                j += 1
+        yield tasks[i:j]
+        i = j
+
+
+def _stack_b(b: np.ndarray, entries: List[int]) -> np.ndarray:
+    """The ``(T, k, n)`` ``B`` of a stack whose blocks use ``entries``:
+    a view where one exists (a shared weight broadcast with stride 0,
+    consecutive entries, one repeated entry), else a gathered copy."""
+    count, first = len(entries), entries[0]
+    if b.ndim == 2:
+        return np.broadcast_to(b, (count, *b.shape))
+    if entries == list(range(first, first + count)):
+        return b[first:first + count]
+    if entries.count(first) == count:
+        return np.broadcast_to(b[first], (count, *b.shape[1:]))
+    return b[entries]
+
+
+def _run_stack(stack: Sequence, config) -> np.ndarray:
+    """Run a stack of T tasks as one engine call: their ``(T, m, n)``
+    results, each under its own substream ``spawn(call_key + key)``.
+
+    A stack of one is the task's own serial call.  A larger stack is one
+    :func:`repro.emu.gemm.matmul_batched` call on ``(T, m, k) @ (T, k,
+    n)`` operands under the :class:`repro.prng.streams.StreamStack` of
+    the blocks' substreams; its rows are consecutive, so ``A`` is one
+    producer call.
+    """
+    first, last = stack[0], stack[-1]
+    if len(stack) == 1:
+        return first.run(replace(config,
+                                 stream=first.group.spawn(first.key)))[None]
+    streams = [task.group.spawn(task.key) for task in stack]
+    a = first.rows(first.r0, last.r1).reshape(
+        len(stack), first.r1 - first.r0, first.b.shape[-2])
+    b = _stack_b(first.b, [task.entry for task in stack])
+    return matmul_batched(a, b, replace(config, stream=StreamStack(streams)),
+                          cast=False)
+
+
+def _run_bundle(tasks: Sequence, config,
+                stackable: bool) -> List[Tuple[Sequence, np.ndarray]]:
+    """Pool worker entry: run a bundle of tasks, stack by stack."""
+    return [(stack, _run_stack(stack, config))
+            for stack in _stacks(tasks, stackable)]
 
 
 _POOLS: dict = {}
@@ -199,11 +299,13 @@ def resolve_workers(value, *, default: int = 1) -> int:
 class TileScheduler:
     """Shards row-block tasks of an emulated GEMM across a worker pool.
 
-    ``workers=1`` is the serial fallback: the same tasks run on the
-    calling thread under the same substreams, so it is bit-identical to
-    any parallel run.  With more workers, each worker thread gets one
-    contiguous bundle of blocks; the compiled kernel releases the GIL,
-    so the bundles run concurrently.  Engines that hold the GIL (the
+    Each task carries its group's stream and call key.  ``workers=1``
+    is the serial fallback: the same tasks run on the calling thread
+    under the same substreams, so it is bit-identical to any parallel
+    run.  With more workers, each worker thread gets one contiguous
+    bundle of blocks; the compiled kernel releases the GIL, so the
+    bundles run concurrently.  A bundle runs its tasks stack by stack
+    (the module docstring).  Engines that hold the GIL (the
     ``rtl_*`` datapaths, the seed loop without the kernel) run slower
     on several threads than on one (DESIGN.md section 4).
 
@@ -230,56 +332,56 @@ class TileScheduler:
         return [tasks[i:i + per_worker]
                 for i in range(0, len(tasks), per_worker)]
 
-    def _drive(self, tasks: Sequence, config, call_key: Tuple[int, ...],
-               b_shared, consume: Callable[[object, np.ndarray],
-                                           None]) -> None:
+    def _drive(self, tasks: Sequence, config,
+               consume: Callable[[Sequence, np.ndarray], None]) -> None:
         """The task loop of :meth:`run` and :meth:`run_streamed`.
 
-        Runs every task under its substream and hands each result to
-        ``consume(task, result)`` in task order.  The caller holds at
-        most the finished bundles whose turn has not come.
+        Runs every task under its substream, stack by stack, and hands
+        each stack's ``(T, m, n)`` results to ``consume(stack,
+        values)`` in task order.  The caller holds at most the finished
+        bundles whose turn has not come.
         """
+        stackable = len(tasks) > 1 and _stackable(config)
         if self.workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                consume(task, _run_task(task, config, call_key, b_shared))
+            for stack in _stacks(tasks, stackable):
+                consume(stack, _run_stack(stack, config))
             return
         pool = _get_pool(self.workers)
-        bundles = self._bundles(tasks)
-        futures = [pool.submit(_run_bundle, bundle, config, call_key,
-                               b_shared)
-                   for bundle in bundles]
-        for bundle, future in zip(bundles, futures):
-            for task, result in zip(bundle, future.result()):
-                consume(task, result)
+        futures = [pool.submit(_run_bundle, bundle, config, stackable)
+                   for bundle in self._bundles(tasks)]
+        for future in futures:
+            for stack, values in future.result():
+                consume(stack, values)
 
-    def run(self, tasks: Sequence, config, b_shared=None,
-            call_key: Optional[Tuple[int, ...]] = None) -> List[np.ndarray]:
-        """Run all tasks; returns their results in task order."""
-        if call_key is None:
-            call_key = _draw_call_key(config.stream)
+    def run(self, tasks: Sequence, config) -> List[np.ndarray]:
+        """Run all tasks under ``config``, each with its group's
+        substream; returns their results in task order."""
         results: List[np.ndarray] = []
-        self._drive(tasks, config, call_key, b_shared,
-                    lambda task, result: results.append(result))
+        self._drive(tasks, config,
+                    lambda stack, values: results.extend(values))
         return results
 
-    def run_streamed(self, tasks: Sequence, config, b_shared,
-                     consume: Callable[[object, np.ndarray], None]) -> None:
-        """Run tasks, handing each result to ``consume(task, result)``.
+    def run_streamed(self, tasks: Sequence, config,
+                     consume: Callable[[Sequence, np.ndarray],
+                                       None]) -> None:
+        """Run tasks, handing results over as ``consume(stack,
+        values)``: one stack of consecutive tasks at a time, ``values``
+        their ``(T, m, n)`` results.
 
         ``consume`` is always called in task order, so order-sensitive
         accumulation — e.g. scatter-adds into overlapping image-gradient
         pixels — stays bitwise deterministic.
         """
-        self._drive(tasks, config, _draw_call_key(config.stream), b_shared,
-                    consume)
+        self._drive(tasks, config, consume)
 
 
-def _row_block_tasks(producer, n_rows: int, bi: int = 0,
-                     start: int = 0) -> List[_RowBlockTask]:
+def _row_block_tasks(group: _Group, rows, b: np.ndarray, n_rows: int,
+                     start: int = 0, entry: int = 0,
+                     bi: int = 0) -> List[_RowBlockTask]:
     """Blocks ``(bi, j)`` over rows ``[start, start + n_rows)``."""
     stop = start + n_rows
-    return [_RowBlockTask(key=(bi, j), bi=bi, r0=r0,
-                          r1=min(stop, r0 + BLOCK_ROWS), producer=producer)
+    return [_RowBlockTask(key=(bi, j), group=group, entry=entry, r0=r0,
+                          r1=min(stop, r0 + BLOCK_ROWS), rows=rows, b=b)
             for j, r0 in enumerate(range(start, stop, BLOCK_ROWS))]
 
 
@@ -296,8 +398,9 @@ class QuantizedGemm:
 
     The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
     ``gemm_outer_rows``) serve the tiled-im2col convolution path, which
-    keeps column memory bounded by one row block (plus one cast copy of
-    the padded input) instead of the full column matrix.
+    keeps column memory bounded by one stack of row blocks per worker
+    (plus one cast copy of the padded input) instead of the full column
+    matrix.
 
     **Streams.**  A call splits its operands' leading axis (rows of a 2D
     ``A``, entries of a 3D stack) into one group per stream.  By default
@@ -400,11 +503,11 @@ class QuantizedGemm:
 
     def _split(self, lead: int) -> Tuple[int, List[Tuple[object, int]]]:
         """This call's groups along a leading axis of length ``lead``:
-        the group size and each group's ``(stream, start)``, where
-        stream ``None`` means ``config.stream``."""
+        the group size and each group's ``(stream, start)``; an
+        executor never armed has one group, under ``config.stream``."""
         streams = self._streams
         if streams is None:
-            return lead, [(None, 0)]
+            return lead, [(self.config.stream, 0)]
         if not streams:
             raise RuntimeError(
                 "GEMM executor is disarmed: serving GEMMs run only inside "
@@ -417,10 +520,6 @@ class QuantizedGemm:
                              f"over {len(streams)} streams")
         return size, [(stream.spawn((g,)), i * size)
                       for i, stream in enumerate(streams)]
-
-    @staticmethod
-    def _group_config(config, stream):
-        return config if stream is None else replace(config, stream=stream)
 
     # -- scheduling ------------------------------------------------------
     def _span(self, batch: int, m: int, k: int, n: int, groups: int = 1):
@@ -460,42 +559,48 @@ class QuantizedGemm:
         with cm:
             aq = _cast_operand(a, config)
             bq = _cast_operand(b, config)
-            for stream, start in groups:
-                rows = slice(start, start + size)
-                if stacked:
-                    a_g, b_g, out_g = aq[rows], bq[rows], out[rows]
-                else:
-                    a_g, b_g, out_g = aq[:, rows], bq, out[:, rows]
-                if config.acc_format is None:
-                    out_g[...] = a_g @ b_g
-                    continue
-                if out.size == 0:
-                    continue
-                group_config = self._group_config(config, stream)
-                # A stride-0 (broadcast-weight) stack ships one shared 2D
-                # operand.
-                b_shared = b_g[0] if (b_g.shape[0] == 1
-                                      or b_g.strides[0] == 0) else b_g
-                tasks = [task for bi in range(a_g.shape[0])
-                         for task in _row_block_tasks(ArrayRows(a_g[bi]),
-                                                      a_g.shape[1], bi=bi)]
-                results = self.scheduler.run(tasks, group_config,
-                                             b_shared=b_shared)
-                for task, value in zip(tasks, results):
-                    out_g[task.bi, task.r0:task.r1] = value
+            if config.acc_format is None:
+                for _, start in groups:
+                    rows = slice(start, start + size)
+                    if stacked:
+                        out[rows] = aq[rows] @ bq[rows]
+                    else:
+                        out[:, rows] = aq[:, rows] @ bq
+            elif out.size:
+                # The entries' rows one after another, so a stack of
+                # consecutive blocks reads one view.  A weight every
+                # entry shares (one entry, or a stride-0 broadcast)
+                # ships as one 2D operand.
+                a_rows = ArrayRows(aq.reshape(batch * m, k))
+                b_op = bq[0] if (batch == 1 or bq.strides[0] == 0) else bq
+                tasks = []
+                for stream, start in groups:
+                    group = _Group.keyed(stream)
+                    if not stacked:
+                        tasks += _row_block_tasks(group, a_rows, b_op, size,
+                                                  start=start)
+                        continue
+                    for bi in range(size):
+                        tasks += _row_block_tasks(
+                            group, a_rows, b_op, m, start=(start + bi) * m,
+                            entry=start + bi, bi=bi)
+                out_rows = out.reshape(batch * m, n)
+                for task, value in zip(tasks,
+                                       self.scheduler.run(tasks, config)):
+                    out_rows[task.r0:task.r1] = value
         return self._observe(out if stacked else out[0], batch, m, k, n)
 
     def _row_blocks(self, source, n_rows: int, b2d: np.ndarray,
-                    consume: Callable[[object, np.ndarray], None], *,
+                    run: Callable[[List[_RowBlockTask]], None], *,
                     streamed: bool) -> Tuple[int, int]:
         """The row driver of :meth:`gemm_rows` and
         :meth:`gemm_rows_streamed`; returns ``(k, n)``.
 
-        Runs each group's row blocks of ``source @ b2d`` and hands each
-        block's product to ``consume(task, rows)`` in row order.
-        ``streamed`` picks the scheduler method called once per group:
-        ``run_streamed`` draws its call key even for an empty product;
-        ``run`` is skipped for one (no call key, no span).
+        Builds the row blocks of ``source @ b2d`` over every group, in
+        row order, and hands them to ``run`` once.  Each group draws its
+        call key first, even for an empty ``streamed`` product; a
+        product that is not ``streamed`` skips an empty one (no call
+        key, no span).
         """
         size, groups = self._split(n_rows)
         bq = _cast_operand(b2d, self.config)
@@ -506,15 +611,9 @@ class QuantizedGemm:
             if _trace.active else _trace.NULL
         with cm:
             producer = _cast_rows(source, self.config)
-            for stream, start in groups:
-                tasks = _row_block_tasks(producer, size, start=start)
-                config = self._group_config(self.config, stream)
-                if streamed:
-                    self.scheduler.run_streamed(tasks, config, bq, consume)
-                    continue
-                results = self.scheduler.run(tasks, config, b_shared=bq)
-                for task, value in zip(tasks, results):
-                    consume(task, value)
+            run([task for stream, start in groups
+                 for task in _row_block_tasks(_Group.keyed(stream), producer,
+                                              bq, size, start=start)])
         return k, n
 
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
@@ -523,36 +622,43 @@ class QuantizedGemm:
         ``source`` is either the matrix ``A`` or the im2col producer
         :class:`repro.nn.functional.PatchRows`.  Each operand is cast
         into the multiplier format once per call: a matrix whole, a
-        ``PatchRows`` through its padded input, from which each block
-        then gathers already-cast rows.  Only one block of patch rows
-        is ever materialized per worker.
+        ``PatchRows`` through its padded input, from which each stack
+        of row blocks then gathers already-cast rows.  Only one stack
+        of patch rows is ever materialized per worker.
         """
         out = np.empty((n_rows, np.shape(b2d)[1]), dtype=np.float64)
 
-        def write(task, rows):
-            out[task.r0:task.r1] = rows
+        def run(tasks):
+            for task, value in zip(tasks,
+                                   self.scheduler.run(tasks, self.config)):
+                out[task.r0:task.r1] = value
 
-        k, n = self._row_blocks(source, n_rows, b2d, write, streamed=False)
+        k, n = self._row_blocks(source, n_rows, b2d, run, streamed=False)
         return self._observe(out, 1, n_rows, k, n)
 
     def gemm_rows_streamed(self, source, n_rows: int, b2d: np.ndarray,
                            consume: Callable[[int, int, np.ndarray],
                                              None]) -> bool:
-        """Like :meth:`gemm_rows`, but hands each block's product rows to
-        ``consume(r0, r1, rows)`` (in row order) instead of assembling
-        them — the input-gradient path folds rows into the image
-        gradient and discards them.  Returns whether every produced
-        value was finite (the overflow signal).
+        """Like :meth:`gemm_rows`, but hands the product rows to
+        ``consume(r0, r1, rows)`` in row order, one stack of row blocks
+        (rows ``r0:r1``) at a time, instead of assembling them — the
+        input-gradient path folds rows into the image gradient and
+        discards them.  Returns whether every produced value was finite
+        (the overflow signal).
         """
         finite = True
 
-        def _consume(task, value):
+        def _consume(stack, values):
             nonlocal finite
-            finite = finite and bool(np.all(np.isfinite(value)))
-            consume(task.r0, task.r1, value)
+            finite = finite and bool(np.all(np.isfinite(values)))
+            r0, r1 = stack[0].r0, stack[-1].r1
+            consume(r0, r1, values.reshape(r1 - r0, values.shape[-1]))
 
-        k, n = self._row_blocks(source, n_rows, b2d, _consume, streamed=True)
-        # The product is consumed block-by-block, never materialized;
+        def run(tasks):
+            self.scheduler.run_streamed(tasks, self.config, _consume)
+
+        k, n = self._row_blocks(source, n_rows, b2d, run, streamed=True)
+        # The product is consumed stack by stack, never materialized;
         # feed the finiteness verdict to the counters via a scalar.
         self._observe(np.float64(0.0 if finite else np.inf),
                       1, n_rows, k, n)
@@ -580,19 +686,19 @@ class QuantizedGemm:
         if n_rows == 0:
             return self._observe(np.zeros((m, n), dtype=np.float64),
                                  1, m, n_rows, n)
-        config = self._group_config(self.config, groups[0][0])
+        config = self.config
         cm = self._span(1, m, n_rows, n) if _trace.active else _trace.NULL
         with cm:
             a_producer = _cast_rows(a_source, config)
             b_producer = _cast_rows(b_source, config)
-            tasks = []
-            for band, r0 in enumerate(range(0, n_rows, REDUCE_BAND_ROWS)):
-                tasks.append(_OuterBandTask(
-                    key=(0, band), r0=r0,
-                    r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
-                    a_producer=a_producer, b_producer=b_producer))
-            call_key = _draw_call_key(config.stream)
-            partials = self.scheduler.run(tasks, config, call_key=call_key)
+            group = _Group.keyed(groups[0][0])
+            tasks = [_OuterBandTask(key=(0, band), group=group, r0=r0,
+                                    r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
+                                    a_producer=a_producer,
+                                    b_producer=b_producer)
+                     for band, r0 in enumerate(range(0, n_rows,
+                                                     REDUCE_BAND_ROWS))]
+            partials = self.scheduler.run(tasks, config)
             if len(partials) == 1:
                 result = partials[0]
             else:
@@ -600,9 +706,8 @@ class QuantizedGemm:
                 if config.acc_format is None:
                     result = stacked.sum(axis=0)
                 else:
-                    combine_cfg = replace(
-                        config,
-                        stream=config.stream.spawn(call_key + (1, 0)))
+                    combine_cfg = replace(config,
+                                          stream=group.spawn((1, 0)))
                     if not config.per_step:
                         result = round_partial(stacked.sum(axis=0),
                                                combine_cfg)

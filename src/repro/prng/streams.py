@@ -6,7 +6,9 @@ runs) or the bit-accurate LFSR bank that mirrors the hardware PRNG.  Both
 implement per-call draws (:meth:`integers`); :class:`SoftwareStream` also
 has bulk multi-step draws (:meth:`integers_bulk`).  The accumulation
 engines draw through :func:`bulk_draws`, which stacks per-step draws for
-a stream without the bulk method.
+a stream without the bulk method.  A :class:`StreamStack` draws several
+streams as one, each its own run, for the executor's stacked GEMM
+calls.
 
 The bulk contract is strict: ``integers_bulk(r, steps, shape)[i]`` must be
 *value*-identical to what the ``i``-th of ``steps`` successive
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Optional, Protocol, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +112,13 @@ def bulk_draws(stream, rbits: int, steps: int, shape) -> np.ndarray:
         draws = bulk_draws(stream, rbits=9, steps=256, shape=(64, 32))
         draws.shape                       # (256, 64, 32)
     """
+    return _bulk(stream, rbits, steps, shape)
+
+
+def _bulk(stream, rbits: int, steps: int, shape) -> np.ndarray:
+    """The body of :func:`bulk_draws`.  A :class:`StreamStack` draws its
+    streams through this, so whatever wraps :func:`bulk_draws` (a
+    profiler's span, a draw count) sees one call per stack draw."""
     bulk = getattr(stream, "integers_bulk", None)
     if bulk is not None:
         return bulk(rbits, steps, shape)
@@ -219,6 +228,110 @@ class SoftwareStream:
         if saved["state"] is not None:
             self._state = _kernel().PcgState(*saved["state"])
         self._rng = saved["rng"]
+
+
+class StreamStack:
+    """T streams drawn as one: the SR stream of a stacked GEMM call.
+
+    The executor (:mod:`repro.emu.parallel`) runs T equal-shape row
+    blocks as one ``(T, m, k) @ (T, k, n)`` engine call, under the stack
+    of the T blocks' own substreams.  Draw ``[..., t, :, :]`` is stream
+    ``t``'s own draw, in its own (step, row, col) order:
+    ``integers(r, (T, *shape))[t]`` is ``streams[t].integers(r,
+    shape)``, and ``integers_bulk(r, steps, (T, *shape))[:, t]`` is
+    ``bulk_draws(streams[t], r, steps, shape)``.  So the bulk contract,
+    every drawn bit and every stream's position afterwards are those of
+    drawing the streams one by one, and chunked calls continue each
+    stream's sequence.
+
+    That one-by-one body is the specification, and it serves
+    :class:`LFSRStream` and third-party streams.  Distinct
+    :class:`SoftwareStream` streams drawing at most 32 bits on the
+    kernel tier take one foreign call instead
+    (:meth:`repro.emu.kernel.MacKernel.pcg_table`): it derives each
+    fresh stream's PCG64 state, draws each stream's run into a ``(T,
+    steps, ...)`` buffer, and the bulk draw is that buffer's ``(steps,
+    T, ...)`` view.  A stream already handed to NumPy (``.rng``) sends
+    the stack the one-by-one way.
+
+    A stack is not a stream of its own: it has no ``spawn`` and no
+    ``rng`` (exact SR runs block by block).
+
+    Example::
+
+        root = SoftwareStream(3)
+        stack = StreamStack([root.spawn((0, j)) for j in range(4)])
+        draws = stack.integers_bulk(13, 8, (4, 24, 24))   # (8, 4, 24, 24)
+    """
+
+    def __init__(self, streams: Sequence):
+        self.streams = tuple(streams)
+        if not self.streams:
+            raise ValueError("a stream stack needs at least one stream")
+        self._software = (
+            all(type(stream) is SoftwareStream for stream in self.streams)
+            and len({id(stream) for stream in self.streams})
+            == len(self.streams))
+
+    def _inner(self, shape) -> Tuple[int, ...]:
+        shape = tuple(shape)
+        if shape[:1] != (len(self.streams),):
+            raise ValueError(f"a stack of {len(self.streams)} streams draws "
+                             f"shapes (T, ...) with T={len(self.streams)}, "
+                             f"got {shape}")
+        return shape[1:]
+
+    def integers(self, rbits: int, shape) -> np.ndarray:
+        inner = self._inner(shape)
+        table = self._table(rbits, 1, inner, np.uint64)
+        if table is not None:
+            return table[:, 0]
+        return np.stack([stream.integers(rbits, inner)
+                         for stream in self.streams])
+
+    def integers_bulk(self, rbits: int, steps: int, shape) -> np.ndarray:
+        inner = self._inner(shape)
+        table = self._table(rbits, steps, inner, np.uint32)
+        if table is not None:
+            return table.swapaxes(0, 1)
+        return np.stack([_bulk(stream, rbits, steps, inner)
+                         for stream in self.streams], axis=1)
+
+    def _table(self, rbits: int, steps: int, inner, dtype):
+        """Every stream's draws in one foreign call, as a ``(T, steps,
+        *inner)`` buffer, or ``None`` where only the one-by-one body
+        applies.  Each stream's lock is held for the call; one that is
+        busy, like one handed to NumPy, sends the stack the one-by-one
+        way, which waits for it."""
+        if not (self._software and 1 <= rbits <= 32):
+            return None
+        mac = _kernel().library()
+        if mac is None:
+            return None
+        streams = self.streams
+        held = 0
+        try:
+            for stream in streams:
+                if not stream._lock.acquire(blocking=False):
+                    return None
+                held += 1
+            if any(stream._rng is not None for stream in streams):
+                return None
+            states = (_kernel().PcgState * len(streams))()
+            seeds = [(stream._entropy, stream.spawn_path)
+                     if stream._state is None else None
+                     for stream in streams]
+            for index, stream in enumerate(streams):
+                if stream._state is not None:
+                    states[index] = stream._state
+            out = np.empty((len(streams), steps, *inner), dtype)
+            mac.pcg_table(seeds, states, rbits, out)
+            for stream, state in zip(streams, states):
+                stream._state = state
+            return out
+        finally:
+            for stream in streams[:held]:
+                stream._lock.release()
 
 
 _MASK32 = 0xFFFFFFFF

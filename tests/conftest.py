@@ -6,7 +6,8 @@ so an out-of-bounds access or undefined behaviour in ``mac_kernel.c``
 aborts the run.  The sanitizer runtime must be loaded first::
 
     LD_PRELOAD=$(gcc -print-file-name=libasan.so) ASAN_OPTIONS=detect_leaks=0 \
-      PYTHONPATH=src python -m pytest tests/emu tests/fp tests/nn tests/prng -q --sanitized-kernel
+      PYTHONPATH=src python -m pytest tests/emu tests/fp tests/nn tests/prng \
+      tests/serve/test_session.py -q --sanitized-kernel
 """
 
 import numpy as np

@@ -42,7 +42,7 @@ from repro.fp.formats import (
 from repro.fp.quantize import quantize
 from repro.fp.summation import RoundingPolicy, kahan_sum, pairwise_sum
 from repro.nn.functional import PatchRows
-from repro.prng.streams import SoftwareStream
+from repro.prng.streams import SoftwareStream, StreamStack
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
@@ -312,6 +312,87 @@ class TestKernel:
         with pytest.raises(ValueError, match="values"):
             mac.patch_scatter(np.zeros((2, 26)), 0, xp, 3, 1, (4, 4))
         assert mac.patch_gather(xp, 9, 1, (0, 0), 0, 0).shape == (0, 243)
+
+    @pytest.mark.parametrize("rbits,dtype", [(None, None), (9, np.uint32),
+                                             (20, np.uint64)])
+    def test_strided_stacks_match_entry_by_entry(self, rng, mac_lane,
+                                                 rbits, dtype):
+        """One call over a stack whose ``b`` is shared (batch stride 0)
+        or a view of every other entry, with draws laid out entry by
+        entry, gives each entry's own contiguous call's bits."""
+        fmt = FP12_E6M5
+        batch, m, k, n = 5, 7, 9, 6
+        a_base, b_base = _stress_operands(rng, fmt, 2 * batch, m, k, n)
+        a = a_base[::2]
+        draws = None if rbits is None else rng.integers(
+            0, 1 << rbits, size=(batch, k, m, n)).astype(dtype)
+        for b in (np.broadcast_to(b_base[0], (batch, k, n)), b_base[1::2]):
+            mac = kernel.library()
+            got = np.zeros((batch, m, n))
+            for start, steps in ((0, 4), (4, k - 4)):
+                chunk = None if draws is None else \
+                    draws[:, start:start + steps].swapaxes(0, 1)
+                mac.gemm(a, b, got, chunk, start, steps, fmt, rbits, False)
+            for e in range(batch):
+                want = np.zeros((1, m, n))
+                for start, steps in ((0, 4), (4, k - 4)):
+                    chunk = None if draws is None else np.ascontiguousarray(
+                        draws[e, start:start + steps, None])
+                    mac.gemm(np.ascontiguousarray(a[e:e + 1]),
+                             np.ascontiguousarray(b[e:e + 1]), want, chunk,
+                             start, steps, fmt, rbits, False)
+                assert _same_bits(got[e], want[0]), (e, b.strides)
+
+    def test_stride_checks(self):
+        mac = kernel.library()
+        a, acc = np.zeros((2, 2, 3)), np.zeros((2, 2, 4))
+        b = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="stack of C-contiguous rows"):
+            mac.gemm(a[:, :, ::-1], b, acc, None, 0, 3, FP12_E6M5, None,
+                     False)
+        with pytest.raises(ValueError, match="stack of C-contiguous rows"):
+            mac.gemm(a, np.zeros((2, 4, 3)).transpose(0, 2, 1), acc, None,
+                     0, 3, FP12_E6M5, None, False)
+        with pytest.raises(ValueError, match="stack of C-contiguous rows"):
+            mac.gemm(a[::-1], b, acc, None, 0, 3, FP12_E6M5, None, False)
+        acc.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            mac.gemm(a, b, acc, None, 0, 3, FP12_E6M5, None, False)
+        # draws whose planes are not C-contiguous are copied, not refused
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=a.shape), rng.normal(size=b.shape)
+        draws = rng.integers(0, 1 << 9, size=(2, 3, 4, 2)).astype(
+            np.uint32).transpose(1, 0, 3, 2)
+        got, want = np.zeros((2, 2, 4)), np.zeros((2, 2, 4))
+        mac.gemm(a, b, got, draws, 0, 3, FP12_E6M5, 9, False)
+        mac.gemm(a, b, want, np.ascontiguousarray(draws), 0, 3, FP12_E6M5,
+                 9, False)
+        assert _same_bits(got, want)
+
+    def test_pcg_table_argument_checks(self):
+        mac = kernel.library()
+        states = (kernel.PcgState * 2)()
+        seeds = [((1,), (0,)), ((1,), (1,))]
+        with pytest.raises(ValueError, match="must agree"):
+            mac.pcg_table(seeds[:1], states, 9, np.empty((2, 3), np.uint32))
+        with pytest.raises(ValueError, match="must agree"):
+            mac.pcg_table(seeds, states, 9, np.empty((3, 3), np.uint32))
+        with pytest.raises(ValueError, match="rbits"):
+            mac.pcg_table(seeds, states, 33, np.empty((2, 3), np.uint32))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mac.pcg_table(seeds, states, 9, np.empty((3, 2), np.uint32).T)
+        with pytest.raises(ValueError, match="entropy"):
+            mac.pcg_table([((), (0,)), None], states, 9,
+                          np.empty((2, 3), np.uint32))
+        out = np.empty((2, 3), np.uint32)
+        mac.pcg_table(seeds, states, 9, out)
+        for (entropy, path), row, state in zip(seeds, out, states):
+            reference = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy[0], spawn_key=path)))
+            assert np.array_equal(row, reference.integers(
+                0, 1 << 9, size=3, dtype=np.uint64))
+            assert kernel.pcg64_state(state) \
+                == reference.bit_generator.state
 
     def test_pcg_argument_checks(self):
         mac = kernel.library()
@@ -745,6 +826,30 @@ class TestFallback:
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(
                 2, spawn_key=(5,)))).integers(0, 1 << 13, size=(3, 4)))
         assert stream._state is None
+
+    @needs_cc
+    def test_pcg_table_self_check_mismatch(self, monkeypatch, rng):
+        """A table call that slips one draw keeps the whole library out,
+        and a stream stack then draws stream by stream through NumPy."""
+        body = kernel.MacKernel.pcg_table
+
+        def slips(self, seeds, states, rbits, out):
+            body(self, seeds, states, rbits, out)
+            if out.size:
+                out.reshape(-1)[-1] ^= 1
+
+        monkeypatch.setattr(kernel.MacKernel, "pcg_table", slips)
+        self._assert_seed_loop_runs(rng)
+        paths = ((0, 1), (2 ** 32 + 5,), (3,))
+        stack = StreamStack([SoftwareStream(2).spawn(path)
+                             for path in paths])
+        got = stack.integers_bulk(13, 3, (3, 4))
+        for t, path in enumerate(paths):
+            reference = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(2, spawn_key=path)))
+            assert np.array_equal(got[:, t], reference.integers(
+                0, 1 << 13, size=(3, 4)))
+        assert all(stream._state is None for stream in stack.streams)
 
     @needs_cc
     @pytest.mark.parametrize("fault", ["draw", "uinteger"])

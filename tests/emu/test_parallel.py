@@ -16,6 +16,7 @@ import pytest
 
 from repro.emu import GemmConfig, matmul, resolve_workers
 from repro.emu import gemm as gemm_module
+from repro.emu.engine import _STACK_MACS, SequentialEngine
 from repro.emu.gemm import _cast_operand
 from repro.emu.parallel import (
     BLOCK_ROWS,
@@ -28,7 +29,7 @@ from repro.fp.formats import FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows, col2im, im2col
 from repro.nn.layers import Conv2d
-from repro.prng.streams import LFSRStream
+from repro.prng.streams import LFSRStream, SoftwareStream
 
 
 def _operands(rng, batch=2, m=100, k=40, n=8):
@@ -138,6 +139,181 @@ class TestDrawOrderPinNumpyLoop(TestDrawOrderPin):
 @pytest.mark.usefixtures("mac_lane")
 class TestDrawOrderPinLanes(TestDrawOrderPin):
     """The same pin on every lane of the compiled K loop."""
+
+
+def _per_block(a, b, config, streams=None, g=0):
+    """DESIGN section 4 written out with ``matmul`` and ``spawn`` alone,
+    for a 3D call split into one group per stream: group ``i`` runs
+    entries ``[i * size, (i + 1) * size)`` under ``streams[i].spawn((g,))``
+    (``config.stream`` when ``streams`` is ``None``), draws a call key of
+    4 x 16-bit values from it, and block ``(bi, j)`` of the group runs
+    under ``group.spawn(call_key + (bi, j))``, alone."""
+    groups = [config.stream] if streams is None \
+        else [stream.spawn((g,)) for stream in streams]
+    size = a.shape[0] // len(groups)
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
+    for i, group in enumerate(groups):
+        key = tuple(int(v) for v in
+                    np.asarray(group.integers(16, (4,))).ravel())
+        for bi in range(size):
+            entry = i * size + bi
+            for j, r0 in enumerate(range(0, a.shape[1], BLOCK_ROWS)):
+                rows = slice(r0, r0 + BLOCK_ROWS)
+                block = replace(config, stream=group.spawn(key + (bi, j)))
+                out[entry, rows] = matmul(a[entry, rows], b[entry], block)
+    return out
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64))
+
+
+class TestStacks:
+    """Consecutive equal-shape row blocks run as one engine call each
+    stack, under a stack of their own substreams: every result bit is
+    the per-block reference's (:func:`_per_block`), for any worker
+    count, and the engine calls fall."""
+
+    CONFIGS = {"sr13": lambda: GemmConfig.sr(13, seed=4),
+               "sr4-lfsr": lambda: replace(
+                   GemmConfig.sr(4, seed=4),
+                   stream=LFSRStream(lanes=64, seed=4)),
+               "rn": lambda: GemmConfig.rn(FP12_E6M5)}
+
+    @pytest.fixture(params=sorted(CONFIGS))
+    def config(self, request):
+        return self.CONFIGS[request.param]
+
+    @staticmethod
+    def _cases(rng):
+        """``(name, a, b)``: one-block entries (consecutive heads), a
+        ragged tail block, entries of two full blocks (a repeated entry
+        in one stack) and a stride-0 weight."""
+        tail = 2 * BLOCK_ROWS + 5
+        yield "heads", rng.normal(size=(12, 24, 8)), \
+            rng.normal(size=(12, 8, 24))
+        yield "ragged tail", rng.normal(size=(3, tail, 16)), \
+            rng.normal(size=(3, 16, 6))
+        yield "repeated entry", rng.normal(size=(3, 2 * BLOCK_ROWS, 8)), \
+            rng.normal(size=(3, 8, 5))
+        yield "shared weight", rng.normal(size=(4, tail, 12)), \
+            np.broadcast_to(rng.normal(size=(12, 7)), (4, 12, 7))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_per_block(self, rng, config, workers):
+        for name, a, b in self._cases(rng):
+            got = QuantizedGemm(config(), workers=workers)(a, b)
+            assert _same_bits(got, _per_block(a, b, config())), name
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_2d_matches_per_block(self, rng, config, workers):
+        a, b = rng.normal(size=(5 * BLOCK_ROWS + 3, 10)), \
+            rng.normal(size=(10, 6))
+        got = QuantizedGemm(config(), workers=workers)(a, b)
+        assert _same_bits(got, _per_block(a[None], b[None], config())[0])
+        rows = QuantizedGemm(config(), workers=workers).gemm_rows(
+            a, a.shape[0], b)
+        assert _same_bits(rows, got)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_armed_groups_match_per_block(self, rng, workers):
+        """Serving: one group per stream, and stacks that cross from one
+        group into the next."""
+        config = GemmConfig.sr(9, seed=2)
+        roots = [SoftwareStream(7).spawn((i, 2 ** 33)) for i in range(5)]
+        gemm = QuantizedGemm(config, workers=workers)
+        gemm.arm(roots)
+        for g, (m, k, n) in enumerate(((24, 8, 24), (40, 16, 3))):
+            a = rng.normal(size=(10, m, k))
+            b = rng.normal(size=(10, k, n))
+            assert _same_bits(gemm(a, b),
+                              _per_block(a, b, config, roots, g)), g
+
+    def test_nonfinite_block_in_a_stack(self, rng, config):
+        """A stack with an inf or NaN in one block matches the per-block
+        run bit for bit, NaN bits included: that block must take the
+        seed loop, and the finite blocks beside it keep their bits."""
+        nan = np.array(0x7FF8000000000123, np.uint64).view(np.float64)
+        for value in (np.inf, -np.inf, nan):
+            a = rng.normal(size=(6, 24, 8))
+            b = rng.normal(size=(6, 8, 10))
+            a[2, 5, 3] = value
+            b[4, 1, 7] = -value if value == np.inf else value
+            got = QuantizedGemm(config(), workers=1)(a, b)
+            assert _same_bits(got, _per_block(a, b, config())), value
+
+    def test_engine_calls_fall(self, rng, monkeypatch):
+        """A (128, 24, 8) @ (128, 8, 24) call makes at most
+        ceil(128 * 4608 / cap) engine calls, so a silent fall-back to
+        one call per block fails here."""
+        calls = []
+        body = SequentialEngine.gemm
+
+        def counted(self, a, b, config):
+            calls.append(a.shape[0])
+            return body(self, a, b, config)
+
+        monkeypatch.setattr(SequentialEngine, "gemm", counted)
+        a, b = rng.normal(size=(128, 24, 8)), rng.normal(size=(128, 8, 24))
+        QuantizedGemm(GemmConfig.sr(13, seed=1), workers=1)(a, b)
+        assert sum(calls) == 128
+        assert len(calls) <= -(-128 * 24 * 8 * 24 // _STACK_MACS)
+
+    def test_pairwise_and_exact_sr_run_block_by_block(self, rng,
+                                                      monkeypatch):
+        """Only the sequential engine's finite-rbits and RN chains
+        stack: the pairwise engine's draws depend on its batch size, and
+        exact SR draws from ``.rng``."""
+        calls = []
+        matmul_batched = gemm_module.matmul_batched
+
+        def counted(a, b, config, **kwargs):
+            calls.append(a.shape[0])
+            return matmul_batched(a, b, config, **kwargs)
+
+        monkeypatch.setattr(gemm_module, "matmul_batched", counted)
+        a, b = rng.normal(size=(6, 24, 8)), rng.normal(size=(6, 8, 10))
+        for config in (
+                lambda: GemmConfig.sr(9, seed=3, accum_order="pairwise"),
+                lambda: replace(GemmConfig.sr(9, seed=3), rbits=None)):
+            calls.clear()
+            got = QuantizedGemm(config(), workers=1)(a, b)
+            assert calls == [1] * 6
+            assert _same_bits(got, _per_block(a, b, config()))
+
+    def test_streamed_rows_are_handed_over_in_order(self, rng):
+        """``gemm_rows_streamed`` hands each stack's rows over in row
+        order, once, and they are the rows ``gemm_rows`` returns."""
+        x = rng.normal(size=(6, 2, 8, 8))       # 384 patch rows
+        patches = PatchRows(x, 3, 1, 1)
+        weight = rng.normal(size=(patches.n_cols, 4))
+        for workers in (1, 2, 3):
+            want = QuantizedGemm(GemmConfig.sr(9, seed=6), workers=workers) \
+                .gemm_rows(patches, patches.n_rows, weight)
+            pieces = []
+            gemm = QuantizedGemm(GemmConfig.sr(9, seed=6), workers=workers)
+            assert gemm.gemm_rows_streamed(
+                patches, patches.n_rows, weight,
+                lambda r0, r1, rows: pieces.append((r0, r1, rows.copy())))
+            assert [r0 for r0, _, _ in pieces] \
+                == [0] + [r1 for _, r1, _ in pieces[:-1]]
+            assert pieces[-1][1] == patches.n_rows
+            assert len(pieces) < patches.n_rows // BLOCK_ROWS  # stacked
+            assert _same_bits(np.concatenate([rows for _, _, rows in pieces]),
+                              want)
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestStacksNumpyLoop(TestStacks):
+    """The same cases on the seed loop, the reference cast and NumPy's
+    generator."""
+
+
+@pytest.mark.usefixtures("mac_lane")
+class TestStacksLanes(TestStacks):
+    """The same cases on every lane of the compiled K loop and draws."""
 
 
 class TestDeterminism:
@@ -441,12 +617,6 @@ class TestPatchRows:
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestPatchRowsNumpyLoop(TestPatchRows):
     """The same cases on the NumPy gather and scatter-add."""
-
-
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
-    return got.shape == want.shape and np.array_equal(
-        got.view(np.int64), want.view(np.int64))
 
 
 def _add_at(padded_shape, values, r0, kernel, stride, out_hw):

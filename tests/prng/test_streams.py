@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from repro.emu import kernel
+from repro.prng import streams as streams_module
 from repro.prng.streams import (
     LFSRStream,
     SoftwareStream,
+    StreamStack,
     as_key_path,
+    bulk_draws,
     uint32_words,
 )
 
@@ -240,6 +243,194 @@ class TestPcgLaneSweep:
                             (total, parked)
                         assert kernel.pcg64_state(state) \
                             == reference.bit_generator.state, (total, parked)
+
+
+class _OnlyIntegers:
+    """A third-party stream: ``integers`` and nothing else."""
+
+    def __init__(self, seed):
+        self._generator = np.random.default_rng(seed)
+
+    def integers(self, rbits, shape):
+        return self._generator.integers(0, 1 << rbits, size=shape,
+                                        dtype=np.uint64)
+
+
+class TestStreamStack:
+    """A stack's draw ``[..., t, :, :]`` is stream ``t``'s own draw.
+
+    The references are NumPy's own generators for the software streams
+    (never ``spawn``) and twins drawn one by one for the others.  Here
+    the kernel tier runs the one-call body;
+    :class:`TestStreamStackNumpyLoop` runs every case on NumPy and
+    :class:`TestStreamStackLanes` on every lane of the draws.
+    """
+
+    SEED = 9
+    #: One-word keys, keys of 2**32 and more, and paths of 2 and 3 keys.
+    PATHS = ((0, 0), (0, 1), (5, 2 ** 32 + 1), (2 ** 40, 3), (1, 2, 3))
+
+    def _software(self):
+        return ([SoftwareStream(self.SEED).spawn(path)
+                 for path in self.PATHS],
+                [numpy_stream(self.SEED, path) for path in self.PATHS])
+
+    @staticmethod
+    def _assert_each_own(got, references, rbits, steps, inner):
+        assert got.shape == (steps, len(references), *inner)
+        for t, reference in enumerate(references):
+            assert np.array_equal(got[:, t], numpy_draws(
+                reference, rbits, (steps, *inner))), t
+
+    @pytest.mark.parametrize("rbits", [1, 13, 32])
+    def test_bulk_draws_continue_each_stream(self, rbits):
+        """Chunked bulk calls continue each stream's sequence; odd
+        per-stream totals park a half-word for the next call."""
+        streams, references = self._software()
+        stack = StreamStack(streams)
+        for steps, inner in ((3, (3, 5)), (2, (1, 1)), (5, (2, 7)),
+                             (1, (3,)), (4, (2, 2))):
+            got = stack.integers_bulk(rbits, steps,
+                                      (len(streams), *inner))
+            self._assert_each_own(got, references, rbits, steps, inner)
+        for stream, reference in zip(streams, references):
+            assert stream.rng.bit_generator.state \
+                == reference.bit_generator.state
+        if kernel.library() is not None:
+            # the (steps, T, ...) view of the one call's (T, steps, ...)
+            assert not got.flags.c_contiguous
+
+    def test_per_step_draws_and_wide_draws(self):
+        streams, references = self._software()
+        stack = StreamStack(streams)
+        for rbits, inner in ((9, (3,)), (13, (2, 3)), (40, (2,)),
+                             (13, (5,))):
+            got = stack.integers(rbits, (len(streams), *inner))
+            assert got.dtype == np.uint64
+            for t, reference in enumerate(references):
+                assert np.array_equal(got[t],
+                                      numpy_draws(reference, rbits, inner))
+
+    def test_interleaved_with_the_streams_own_draws(self):
+        streams, references = self._software()
+        stack = StreamStack(streams)
+        got = stack.integers_bulk(13, 3, (len(streams), 5))
+        self._assert_each_own(got, references, 13, 3, (5,))
+        assert np.array_equal(streams[2].integers(13, (3,)),
+                              numpy_draws(references[2], 13, (3,)))
+        assert np.array_equal(streams[0].integers_bulk(13, 1, (1,)),
+                              numpy_draws(references[0], 13, (1, 1)))
+        got = stack.integers_bulk(13, 2, (len(streams), 4))
+        self._assert_each_own(got, references, 13, 2, (4,))
+
+    def test_a_stream_already_handed_to_numpy(self):
+        streams, references = self._software()
+        stack = StreamStack(streams)
+        self._assert_each_own(stack.integers_bulk(9, 1, (5, 3)),
+                              references, 9, 1, (3,))
+        assert streams[3].rng is streams[3].rng
+        for steps in (2, 3):
+            self._assert_each_own(stack.integers_bulk(9, steps, (5, 3)),
+                                  references, 9, steps, (3,))
+
+    def test_lfsr_and_third_party_streams(self):
+        def build():
+            return [LFSRStream(lanes=16, seed=2).spawn(j) for j in range(2)] \
+                + [_OnlyIntegers(5), SoftwareStream(3).spawn(1)]
+
+        stack, twins = StreamStack(build()), build()
+        for steps, inner in ((4, (2, 5)), (3, (3,))):
+            got = stack.integers_bulk(9, steps, (4, *inner))
+            want = np.stack([bulk_draws(twin, 9, steps, inner)
+                             for twin in twins], axis=1)
+            assert np.array_equal(got, want)
+        got = stack.integers(9, (4, 2, 3))
+        assert np.array_equal(got, np.stack([twin.integers(9, (2, 3))
+                                             for twin in twins]))
+
+    def test_a_stream_twice_draws_its_runs_in_turn(self):
+        stream, reference = SoftwareStream(4).spawn(2), numpy_stream(4, (2,))
+        got = StreamStack([stream, stream]).integers_bulk(13, 3, (2, 3))
+        want = numpy_draws(reference, 13, (2, 3, 3))
+        assert np.array_equal(got, want.transpose(1, 0, 2))
+
+    def test_shape_must_lead_with_the_stack(self):
+        stack = StreamStack([SoftwareStream(1), SoftwareStream(2)])
+        with pytest.raises(ValueError, match="T=2"):
+            stack.integers(9, (3, 4))
+        with pytest.raises(ValueError, match="T=2"):
+            stack.integers_bulk(9, 2, (4,))
+        with pytest.raises(ValueError, match="at least one"):
+            StreamStack([])
+
+    def test_one_bulk_draws_call_per_stack_draw(self, monkeypatch):
+        """The streams draw inside the stack, not through
+        ``bulk_draws``, so a wrapper around it (a profiler's span, a
+        draw count) sees one call per stack draw."""
+        calls = []
+        body = streams_module.bulk_draws
+
+        def counted(*args):
+            calls.append(args)
+            return body(*args)
+
+        monkeypatch.setattr(streams_module, "bulk_draws", counted)
+        stack = StreamStack([LFSRStream(lanes=8, seed=1).spawn(j)
+                             for j in range(3)] + [_OnlyIntegers(2)])
+        assert streams_module.bulk_draws(stack, 9, 2, (4, 5)).shape \
+            == (2, 4, 5)
+        assert len(calls) == 1
+
+
+    def test_threads_share_streams_with_stacks(self):
+        """Threads drawing from two shared streams, through stacks of
+        both and one at a time, each get contiguous pieces of each
+        stream's sequence: between them, the pieces of a serial run."""
+        workers, rounds = 4, 12  # 3 x 37 draws, odd: the cache moves
+        shared = [SoftwareStream(9).spawn(j) for j in range(2)]
+        pieces = [[], []]
+        start = threading.Barrier(workers)
+
+        def worker(index):
+            start.wait()
+            for turn in range(rounds):
+                if (index + turn) % 3:
+                    got = StreamStack(shared).integers_bulk(13, 3, (2, 37))
+                    for j in range(2):
+                        pieces[j].append(got[:, j].tobytes())
+                else:
+                    j = turn % 2
+                    pieces[j].append(
+                        shared[j].integers_bulk(13, 3, (37,)).tobytes())
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for j in range(2):
+            serial = SoftwareStream(9).spawn(j)
+            want = sorted(serial.integers_bulk(13, 3, (37,)).tobytes()
+                          for _ in pieces[j])
+            assert sorted(pieces[j]) == want, j
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestStreamStackNumpyLoop(TestStreamStack):
+    """The same cases on the no-compiler tier: every stream draws
+    through its NumPy ``Generator``."""
+
+
+@pytest.mark.usefixtures("mac_lane")
+class TestStreamStackLanes(TestStreamStack):
+    """The same cases on every lane of the compiled draws."""
 
 
 class TestLFSRStream:

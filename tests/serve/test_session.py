@@ -117,16 +117,29 @@ class TestDrawOrderPin:
     forward pass runs sample ``i``'s rows under ``group =
     config.stream.spawn(request_key).spawn((g,))``; it draws a call key
     of 4 x 16-bit values from ``group``, and row block ``j`` runs
-    under ``group.spawn(call_key + (0, j))``."""
+    under ``group.spawn(call_key + (0, j))``.
+
+    9x9 images give each sample 81 patch rows, blocks of 64 and 17;
+    8x8 images give one block of 64 per sample, so the executor stacks
+    blocks of several samples (stream groups) into one engine call, as
+    it stacks the linear layer's one-row blocks."""
 
     def test_conv_then_linear(self, rng):
+        self._check(rng, size=9, samples=2, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stacks_across_samples(self, rng, workers):
+        self._check(rng, size=8, samples=5, workers=workers)
+
+    @staticmethod
+    def _check(rng, size, samples, workers):
         conv = Conv2d(2, 3, 3, rng=np.random.default_rng(1))
-        linear = Linear(3 * 9 * 9, 4, rng=np.random.default_rng(2))
+        linear = Linear(3 * size * size, 4, rng=np.random.default_rng(2))
         w_conv, w_lin = conv.weight.data.copy(), linear.weight.data.copy()
         config = _sr(9)
         session = InferenceSession(Sequential(conv, Flatten(), linear),
-                                   config)
-        xs = [rng.normal(size=(2, 9, 9)) for _ in range(2)]
+                                   config, workers=workers)
+        xs = [rng.normal(size=(2, size, size)) for _ in range(samples)]
         got = session.predict_batch(xs)
         for x, logits in zip(xs, got):
             stream = config.stream.spawn(session.content_key(x)[1])
