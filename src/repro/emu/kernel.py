@@ -212,6 +212,8 @@ def _stack_strides(x: np.ndarray, plane: bool = False):
     0 or 1 is never stepped, so its stride reads as 0.
     """
     (batch, rows, cols), item = x.shape[-3:], x.itemsize
+    if x.flags.c_contiguous:
+        return rows * cols if batch > 1 else 0, cols if rows > 1 else 0
     entry, row, col = x.strides[-3:]
     if cols > 1 and col != item:
         return None

@@ -341,8 +341,11 @@ class TileScheduler:
         values)`` in task order.  The caller holds at most the finished
         bundles whose turn has not come.
         """
-        stackable = len(tasks) > 1 and _stackable(config)
-        if self.workers == 1 or len(tasks) <= 1:
+        if len(tasks) == 1:
+            consume(tasks, _run_stack(tasks, config))
+            return
+        stackable = _stackable(config)
+        if self.workers == 1 or not tasks:
             for stack in _stacks(tasks, stackable):
                 consume(stack, _run_stack(stack, config))
             return

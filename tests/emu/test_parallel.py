@@ -368,6 +368,11 @@ class TestSemantics:
             gemm(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 2)))
         out = gemm(np.zeros((1, 0, 4)), np.zeros((1, 4, 3)))
         assert out.shape == (1, 0, 3)
+        # an empty streamed product still runs (and draws its call key)
+        assert gemm.gemm_rows_streamed(np.zeros((0, 4)), 0, np.zeros((4, 3)),
+                                       lambda r0, r1, rows: None)
+        assert gemm.gemm_rows(np.zeros((0, 4)), 0,
+                              np.zeros((4, 3))).shape == (0, 3)
 
     def test_quantized_gemm_protocol(self, rng):
         gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=1), workers=2)
