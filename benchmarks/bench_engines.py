@@ -38,9 +38,10 @@ transformer projection, all lanes asserted bit-identical first.  The
 block and a transformer projection: the NumPy specification
 (``SeedSequence``, ``PCG64`` and ``Generator.integers``, the
 ``no_compiler`` tier) against the kernel's PCG64, asserted
-bit-identical first; they also time ``MacKernel.pcg_draws`` alone on
-every lane, in ns per 64-bit PCG64 word, its lanes asserted
-bit-identical (draws and state) first.
+bit-identical first; they also time the draws alone on every lane, a
+one-stream ``MacKernel.pcg_table`` call on a derived state, in ns per
+64-bit PCG64 word, its lanes asserted bit-identical (draws and state)
+first.
 
 Like the sibling bench files, the pytest-benchmark variant (reduced
 64^3) is collected only when the file is passed explicitly::
@@ -61,7 +62,7 @@ from dataclasses import replace
 
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
 from repro.emu import reference_matmul
-from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS, _draw_call_key
+from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS, _keyed_groups
 from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
 from repro.nn.functional import PatchRows
@@ -159,6 +160,13 @@ def _conv_rows(repeats):
     }
 
 
+def _call_key(stream):
+    """A GEMM call's key, as the executor draws it from its one group's
+    stream."""
+    ((group, _),) = _keyed_groups([(stream, 0)])
+    return group.call_key
+
+
 def _executor_heads_rows(repeats):
     """``QuantizedGemm`` on calls of many small row blocks: the kernel,
     the no-compiler tier and block-by-block calls, microseconds per
@@ -178,7 +186,7 @@ def _executor_heads_rows(repeats):
 
     def heads_blocks():
         config = GemmConfig.sr(CONV_RBITS, seed=SEED)
-        key = _draw_call_key(config.stream)
+        key = _call_key(config.stream)
         return np.stack([matmul(heads_a[bi], heads_b[bi], replace(
             config, stream=config.stream.spawn(key + (bi, 0))))
             for bi in range(batch)])
@@ -194,7 +202,7 @@ def _executor_heads_rows(repeats):
         for i, root in enumerate(roots):
             group = root.spawn((0,))
             block = replace(config,
-                            stream=group.spawn(_draw_call_key(group) + (0, 0)))
+                            stream=group.spawn(_call_key(group) + (0, 0)))
             out.append(matmul(conv_a[i * rows:(i + 1) * rows], conv_b,
                               block))
         return np.concatenate(out)
@@ -319,7 +327,7 @@ def _patch_rows(repeats):
 
 @contextlib.contextmanager
 def on_lane(mac, lane):
-    """Run ``mac.gemm`` and ``mac.pcg_draws`` on ``lane`` inside the
+    """Run ``mac.gemm`` and ``mac.pcg_table`` on ``lane`` inside the
     block."""
     saved = mac.lane
     mac._lane = lane
@@ -374,23 +382,25 @@ def _lane_rows(repeats):
 
 
 def _draw_lane_ns(mac, key, draws, repeats):
-    """``MacKernel.pcg_draws`` of ``draws`` uint32 values at r=13 per
-    lane, ns per 64-bit word, after asserting every lane's draws and
-    final state equal."""
-    start = mac.pcg_seed(uint32_words(SEED), key)
-    out = np.empty(draws, np.uint32)
+    """A one-stream ``MacKernel.pcg_table`` call of ``draws`` uint32
+    values at r=13 on a derived state per lane, ns per 64-bit word,
+    after asserting every lane's draws and final state equal."""
+    start = kernel.PcgState()
+    mac.pcg_table([(uint32_words(SEED), key)], start, CONV_RBITS,
+                  np.empty((1, 0), np.uint32))
+    out = np.empty((1, draws), np.uint32)
     results = {}
     for lane in mac.lanes:
         with on_lane(mac, lane):
             state = kernel.PcgState(*start)
-            mac.pcg_draws(state, CONV_RBITS, out)
+            mac.pcg_table([None], state, CONV_RBITS, out)
             results[lane] = (out.tobytes(), tuple(state))
     assert all(got == results["scalar"] for got in results.values()), \
         "draws: the kernel's PCG lanes disagree"
 
     def calls(state):
         for _ in range(LANE_CALLS):
-            mac.pcg_draws(state, CONV_RBITS, out)
+            mac.pcg_table([None], state, CONV_RBITS, out)
 
     ns = {}
     for lane in mac.lanes:

@@ -29,13 +29,11 @@ file has three more jobs:
   NumPy fancy indexing and ``np.add.at``.  The gather stays a call of
   its own, not a table of row bases read inside ``mac_gemm``, so the
   patch stage stays a separate, timeable step;
-* the SR randomness of :class:`repro.prng.streams.SoftwareStream`
-  (:meth:`MacKernel.pcg_seed`, :meth:`MacKernel.pcg_draws`): a
-  substream's PCG64 state derived from its seed and spawn path, and
-  its draws of at most 32 bits; and of a
-  :class:`repro.prng.streams.StreamStack` of them
-  (:meth:`MacKernel.pcg_table`): each stream derived and drawn in turn,
-  in one call.
+* the SR randomness of :class:`repro.prng.streams.SoftwareStream`,
+  one stream or a :class:`repro.prng.streams.StreamStack` of them per
+  foreign call (:meth:`MacKernel.pcg_table`, the one PCG64 entry
+  point): each stream's PCG64 state derived from its seed and spawn
+  path if it has none yet, then its draws of at most 32 bits.
 
 :func:`repro.fp.quantize.quantize`, the reference quantizer, is the one
 specification of the rounding: of the one-shot rounding directly, and
@@ -66,13 +64,13 @@ compiled rounding, GEMM, patch gather or software-stream draw:
   gather and scatter-add must match the NumPy bodies on a non-square
   two-image input, 3x3 windows at stride 1 and 2, pad 0 and 1, row
   ranges that cross images, and scatter terms whose sums change with
-  their order.  The PCG loops must derive NumPy's state for the streams
-  of :data:`_PCG_CHECK_STREAMS` and, ``pcg_draws`` on every lane in
+  their order.  ``pcg_table`` must derive NumPy's state for the
+  streams of :data:`_PCG_CHECK_STREAMS` and, on every lane in
   ``lanes``, draw what ``Generator.integers`` draws and leave its state
   after each call of :data:`_PCG_CHECK_DRAWS` (odd and even totals,
-  uint32 and uint64 buffers, totals that reach the vector lanes), and
-  ``pcg_table`` must do the same for all those streams at once
-  (:func:`_pcg_table_check`);
+  uint32 and uint64 buffers, totals that reach the vector lanes), one
+  stream a call, and then for all those streams in one table
+  (:func:`_pcg_check`);
 * on any failure (no compiler, unwritable cache, compile error, load
   error, a self-check mismatch on any lane) :func:`library` returns
   ``None``; the engine's seed per-step loop, the reference quantizer,
@@ -92,10 +90,10 @@ same way.
 
 The engine still draws SR bits in bulk, one ``bulk_draws`` call per
 chunk, and hands the buffer to the K loop, so the draws stay a
-separate, timeable step; for a ``SoftwareStream`` that call runs
-:meth:`MacKernel.pcg_draws`, and for the executor's stack of them
-:meth:`MacKernel.pcg_table`, whose ``(steps, T, M, N)`` view of a ``(T,
-steps, M, N)`` buffer :meth:`MacKernel.gemm` reads in place.  Without
+separate, timeable step; for a ``SoftwareStream``, or the executor's
+stack of them, that call runs :meth:`MacKernel.pcg_table`, and
+:meth:`MacKernel.gemm` reads a stack's ``(steps, T, M, N)`` view of the
+``(T, steps, M, N)`` buffer in place.  Without
 the kernel the seed loop draws the same bits one step at a time from
 NumPy's generator (the bulk-draw contract of
 :mod:`repro.prng.streams`).
@@ -103,6 +101,7 @@ NumPy's generator (the bulk-draw contract of
 
 from __future__ import annotations
 
+import array
 import contextlib
 import ctypes
 import hashlib
@@ -162,10 +161,10 @@ class _Spec(ctypes.Structure):
 
 
 #: A :class:`repro.prng.streams.SoftwareStream`'s PCG64 state, as
-#: ``mac_pcg_seed`` writes it and ``mac_pcg_draws`` advances it: the
-#: 128-bit LCG state and increment, high word first, then PCG64's
-#: half-word cache, ``has_uint32`` and ``uinteger``
-#: (``mac_kernel.c``'s ``PCG_*`` word order).
+#: ``mac_pcg_table`` derives and advances it: the 128-bit LCG state and
+#: increment, high word first, then PCG64's half-word cache,
+#: ``has_uint32`` and ``uinteger`` (``mac_kernel.c``'s ``PCG_*`` word
+#: order).
 PcgState = ctypes.c_uint64 * 6
 
 
@@ -174,7 +173,8 @@ def pcg64_state(state: PcgState) -> dict:
 
     Example (the kernel's seeding of ``default_rng(5)``)::
 
-        state = library().pcg_seed((5,), ())
+        state, nothing = PcgState(), np.empty((1, 0), np.uint32)
+        library().pcg_table([((5,), ())], state, 13, nothing)
         assert pcg64_state(state) == np.random.PCG64(5).state
     """
     hi, lo, inc_hi, inc_lo, has_uint32, uinteger = state
@@ -277,29 +277,22 @@ class MacKernel:
         for loop in (self._gather, self._scatter):
             loop.argtypes = [ptr] + [i64] * 9 + [ptr]
             loop.restype = None
-        words = ctypes.POINTER(ctypes.c_uint64)
-        self._pcg_seed = lib.mac_pcg_seed
-        self._pcg_seed.argtypes = [ptr, i64, i64, words]
-        self._pcg_seed.restype = None
-        self._pcg_draws = lib.mac_pcg_draws
-        self._pcg_draws.argtypes = [words, i64, ptr, i64, i64, i64]
-        self._pcg_draws.restype = None
         self._pcg_table = lib.mac_pcg_table
-        self._pcg_table.argtypes = [ptr, ptr, ctypes.POINTER(PcgState), i64,
-                                    i64, ptr, i64, i64, i64]
+        self._pcg_table.argtypes = [ptr, ptr, ptr, i64, i64, ptr, i64, i64,
+                                    i64]
         self._pcg_table.restype = None
         self._specs: dict = {}
 
     @property
     def lanes(self) -> tuple:
-        """The ``gemm`` and ``pcg_draws`` lanes this CPU runs, widest
+        """The ``gemm`` and ``pcg_table`` lanes this CPU runs, widest
         first: ``"avx512f"`` and ``"avx2"`` where the CPU has them,
         ``"scalar"`` always."""
         return self._lanes
 
     @property
     def lane(self) -> str:
-        """The lane ``gemm`` and ``pcg_draws`` run: ``lanes[0]``.  Every
+        """The lane ``gemm`` and ``pcg_table`` run: ``lanes[0]``.  Every
         lane gives the same bits, and the load-time self-checks ran each
         of them."""
         return self._lane
@@ -444,51 +437,22 @@ class MacKernel:
                       (r1 - r0, xp.shape[1] * kernel * kernel))
         self._scatter(values.ctypes.data, *geometry, xp.ctypes.data)
 
-    def pcg_seed(self, entropy: tuple, spawn_path: tuple) -> PcgState:
-        """``PCG64(SeedSequence(seed, spawn_key=spawn_path)).state``,
-        compiled, as a new :data:`PcgState`.
-
-        ``entropy`` is the seed as ``SeedSequence`` splits it, uint32
-        words (:func:`repro.prng.streams.uint32_words`), and
-        ``spawn_path`` a tuple of non-negative integers.
-
-        Example::
-
-            state = library().pcg_seed(uint32_words(5), (1, 2))
-        """
-        key = _key_words(spawn_path)
-        words = entropy + key
-        state = PcgState()
-        self._pcg_seed((ctypes.c_uint32 * len(words))(*words),
-                       len(entropy), len(key), state)
-        return state
-
-    def pcg_draws(self, state: PcgState, rbits: int,
-                  out: np.ndarray) -> None:
-        """Fill ``out`` with the next ``out.size`` draws of ``state``
-        and advance it: ``Generator.integers(0, 2**rbits,
-        dtype=np.uint64)`` for ``1 <= rbits <= 32``, compiled.
-
-        ``out`` is a C-contiguous uint32 or uint64 array.  An odd size
-        parks a half-word in ``state``'s cache, as NumPy does, so the
-        next call continues the same sequence.  Runs on :attr:`lane`.
-        """
-        _check_draw_out(rbits, out)
-        self._pcg_draws(state, rbits, out.ctypes.data, out.size,
-                        out.itemsize, _LANE_IDS[self._lane])
-
     def pcg_table(self, seeds, states, rbits: int, out: np.ndarray) -> None:
-        """Draw ``out[t]`` from stream ``t`` for every ``t``, in one
-        foreign call: :meth:`pcg_seed` and :meth:`pcg_draws`, stream by
-        stream.
+        """Fill ``out[t]`` with the next ``out[t].size`` draws of stream
+        ``t`` for each of T streams, and advance its state, in one
+        foreign call on :attr:`lane`: ``Generator.integers(0,
+        2**rbits, dtype=np.uint64)`` for ``1 <= rbits <= 32``.
 
-        ``states`` is a ``PcgState * T`` array.  ``seeds[t]`` is
-        ``None`` when ``states[t]`` already holds stream ``t``'s state,
-        else the ``(entropy, spawn_path)`` that :meth:`pcg_seed` takes,
-        and the derived state is written to ``states[t]`` first.  Then
-        stream ``t``'s next ``out[t].size`` draws fill ``out[t]`` and
-        ``states[t]`` advances.  ``out`` is a C-contiguous uint32 or
-        uint64 ``(T, ...)`` array.  Runs on :attr:`lane`.
+        ``states`` holds the T :data:`PcgState` s: a ``PcgState`` for
+        one stream, else a ``PcgState * T`` array.  ``seeds[t]`` is
+        ``None`` when ``states[t]`` holds stream ``t``'s state; else it
+        is ``(entropy, spawn_path)``, the seed's uint32 words
+        (:func:`repro.prng.streams.uint32_words`) and a tuple of
+        non-negative keys, and ``PCG64(SeedSequence(seed,
+        spawn_key=spawn_path)).state`` is derived into ``states[t]``
+        first.  An odd draw count parks a half-word in the state, as
+        NumPy does.  ``out`` is a writeable C-contiguous uint32 or
+        uint64 ``(T, ...)`` array.
 
         Example (two fresh streams, three draws each)::
 
@@ -497,44 +461,48 @@ class MacKernel:
             library().pcg_table([((5,), (0,)), ((5,), (1,))], states, 13,
                                 out)
         """
-        _check_draw_out(rbits, out)
-        if len(states) != len(seeds) or out.shape[:1] != (len(seeds),):
-            raise ValueError(f"{len(seeds)} seeds, {len(states)} states "
-                             f"and {out.shape[:1]} draw rows must agree")
-        words, counts = [], []
-        for seed in seeds:
-            if seed is None:
-                counts += (0, 0)
-                continue
-            entropy, key = seed[0], _key_words(seed[1])
-            if not entropy:  # zero run words would read as "derived"
-                raise ValueError("a seed's entropy has at least one word")
-            words += entropy
-            words += key
-            counts += (len(entropy), len(key))
-        words = np.array(words, np.uint32)
-        counts = np.array(counts, np.int64)
-        self._pcg_table(words.ctypes.data, counts.ctypes.data, states,
-                        len(seeds), rbits, out.ctypes.data,
-                        out.size // max(1, len(seeds)), out.itemsize,
+        streams = len(seeds)
+        if not 1 <= rbits <= 32:
+            raise ValueError(f"rbits must be in 1..32, got {rbits}")
+        if out.dtype not in _DRAW_DTYPES or not out.flags.c_contiguous \
+                or not out.flags.writeable:
+            raise ValueError("out must be a writeable C-contiguous uint32 "
+                             f"or uint64 array, got {out.dtype}")
+        if ctypes.sizeof(states) != streams * _PCG_BYTES \
+                or out.shape[:1] != (streams,):
+            raise ValueError(f"{streams} seeds, {ctypes.sizeof(states)} "
+                             f"state bytes and {out.shape[:1]} draw rows "
+                             "must agree")
+        words = counts = None  # NULL: every state is already there
+        if seeds.count(None) != streams:
+            words, counts = [], []
+            for seed in seeds:
+                if seed is None:
+                    counts += (0, 0)
+                    continue
+                entropy, key = seed
+                if not entropy:  # zero run words would read as "derived"
+                    raise ValueError("a seed's entropy has at least one "
+                                     "word")
+                if key and max(key) >> 32:  # SeedSequence splits the key
+                    key = [word for k in key for word in uint32_words(k)]
+                words += entropy
+                words += key
+                counts += (len(entropy), len(key))
+            # The buffers stay referenced here until the call returns.
+            buffers = array.array("I", words), array.array("q", counts)
+            words, counts = (buffer.buffer_info()[0] for buffer in buffers)
+        # Read through the buffer protocol, the address costs about a
+        # third of ``out.ctypes.data``; an empty array exports no byte.
+        address = ctypes.addressof(ctypes.c_char.from_buffer(out)) \
+            if out.size else out.ctypes.data
+        self._pcg_table(words, counts, states, streams, rbits, address,
+                        out.size // max(1, streams), out.itemsize,
                         _LANE_IDS[self._lane])
 
 
-def _key_words(spawn_path: tuple) -> tuple:
-    """A spawn path as ``SeedSequence`` reads it: uint32 words, a key
-    of 2**32 or more split into several."""
-    if spawn_path and max(spawn_path) >> 32:  # a key of more than a word
-        return tuple(word for k in spawn_path for word in uint32_words(k))
-    return spawn_path
-
-
-def _check_draw_out(rbits: int, out: np.ndarray) -> None:
-    if not 1 <= rbits <= 32:
-        raise ValueError(f"rbits must be in 1..32, got {rbits}")
-    if out.dtype not in (np.uint32, np.uint64) \
-            or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous uint32 or uint64 "
-                         f"array, got {out.dtype}")
+_PCG_BYTES = ctypes.sizeof(PcgState)
+_DRAW_DTYPES = (np.dtype(np.uint32), np.dtype(np.uint64))
 
 
 def _patch_geometry(xp: np.ndarray, kernel: int, stride: int, out_hw,
@@ -623,7 +591,7 @@ def _load() -> Optional[MacKernel]:
     except (OSError, AttributeError):
         return None
     if (_self_check(mac) and _round_self_check(mac)
-            and _patch_self_check(mac) and _pcg_self_check(mac)):
+            and _patch_self_check(mac) and _pcg_check(mac)):
         return mac
     return None
 
@@ -867,86 +835,83 @@ _PCG_CHECK_DRAWS = ((7, np.uint32), (201, np.uint64), (3, np.uint64),
                     (4, np.uint32))
 
 
-def _pcg_self_check(mac: MacKernel) -> bool:
-    """Whether ``mac.pcg_seed``, ``mac.pcg_draws`` and ``mac.pcg_table``
-    reproduce NumPy's ``SeedSequence``, ``PCG64`` and
-    ``Generator.integers`` bit for bit.
+#: ``(total, dtype)`` of the calls of the PCG self-check's table of
+#: every stream, at r=13: both reach the vector lanes' blocks, and the
+#: second starts on the half-word the first parks.
+_PCG_TABLE_CALLS = ((67, np.uint32), (130, np.uint64))
 
-    Each stream of :data:`_PCG_CHECK_STREAMS` must derive NumPy's state,
-    then, on every lane in ``mac.lanes``, draw at one ``rbits`` of 1, 13
-    and 32 what ``Generator.integers`` draws in the calls of
-    :data:`_PCG_CHECK_DRAWS`, and leave NumPy's state, half-word cache
-    included, after each call.  Then :func:`_pcg_table_check` runs.
+
+def _pcg_check(mac: MacKernel) -> bool:
+    """Whether ``mac.pcg_table`` reproduces NumPy's ``SeedSequence``,
+    ``PCG64`` and ``Generator.integers`` bit for bit.
+
+    Each stream of :data:`_PCG_CHECK_STREAMS`, derived by a table of
+    one that draws nothing, must have NumPy's state.  Then, on every
+    lane in ``mac.lanes``:
+
+    * each stream, as a table of one, must draw at one ``rbits`` of 1,
+      13 and 32 what ``Generator.integers`` draws in the calls of
+      :data:`_PCG_CHECK_DRAWS`, and leave NumPy's state, half-word
+      cache included, after each call;
+    * one table of every stream, each derived in the call but the
+      second, which comes derived with a half-word parked, must draw
+      in the calls of :data:`_PCG_TABLE_CALLS` what each stream's own
+      ``Generator.integers`` draws, and leave each stream's state
+      NumPy's after each call.
     """
-    for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
-        bits = np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=path))
-        start = mac.pcg_seed(uint32_words(seed), path)
-        if pcg64_state(start) != bits.state:
+    def generator(index):
+        seed, path = _PCG_CHECK_STREAMS[index]
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=path)))
+
+    def run(reference, rbits, calls):
+        """Each call's draws and the state after it, from NumPy."""
+        return [(reference.integers(0, 1 << rbits, size=size,
+                                    dtype=np.uint64),
+                 reference.bit_generator.state) for size, _ in calls]
+
+    seeds = [(uint32_words(seed), path) for seed, path in _PCG_CHECK_STREAMS]
+    # One NumPy run per stream and case, however many lanes the CPU has.
+    starts, alone, together = [], [], []
+    for index, seed in enumerate(seeds):
+        start = PcgState()
+        mac.pcg_table([seed], start, 13, np.empty((1, 0), np.uint32))
+        reference = generator(index)
+        if pcg64_state(start) != reference.bit_generator.state:
             return False
+        starts.append(start)
         rbits = (1, 13, 32)[index % 3]
-        reference = np.random.Generator(bits)
-        # One NumPy run per stream, however many lanes the CPU has.
-        want, after = [], []
-        for size, _ in _PCG_CHECK_DRAWS:
-            want.append(reference.integers(0, 1 << rbits, size=size,
-                                           dtype=np.uint64))
-            after.append(bits.state)
-        want = np.concatenate(want)
-        # ``mac`` is not published yet, so no other thread sees its lane
-        # switch.
-        for lane in mac.lanes:
-            mac._lane = lane
+        calls = run(reference, rbits, _PCG_CHECK_DRAWS)
+        alone.append((rbits, np.concatenate([draws for draws, _ in calls]),
+                      [after for _, after in calls]))
+        reference = generator(index)
+        if index == 1:  # the stream handed in derived, one draw made
+            reference.integers(0, 1 << 13, size=1, dtype=np.uint64)
+        together.append(run(reference, 13, _PCG_TABLE_CALLS))
+    # ``mac`` is not published yet, so no other thread sees its lane
+    # switch.
+    for lane in mac.lanes:
+        mac._lane = lane
+        for start, (rbits, want, after) in zip(starts, alone):
             state = PcgState(*start)
             got, states = [], []
             for size, dtype in _PCG_CHECK_DRAWS:
-                got.append(np.empty(size, dtype))
-                mac.pcg_draws(state, rbits, got[-1])
+                got.append(np.empty((1, size), dtype))
+                mac.pcg_table((None,), state, rbits, got[-1])
                 states.append(pcg64_state(state))
-            if states != after or not np.array_equal(np.concatenate(got),
-                                                      want):
+            if states != after or not np.array_equal(
+                    np.concatenate(got, axis=1)[0], want):
                 return False
-    mac._lane = mac.lanes[0]
-    return _pcg_table_check(mac)
-
-
-def _pcg_table_check(mac: MacKernel) -> bool:
-    """Whether ``mac.pcg_table`` draws, on every lane in ``mac.lanes``,
-    what each stream's own ``Generator.integers`` draws.
-
-    One table holds every stream of :data:`_PCG_CHECK_STREAMS`: all are
-    derived in the call but the second, whose state comes derived with a
-    half-word parked.  Two calls of 67 uint32 and then 130 uint64 draws
-    per stream reach the vector lanes' blocks, the second starting on
-    the half-word the first parks, and each stream's state must be
-    NumPy's after each call.
-    """
-    rbits, calls = 13, ((67, np.uint32), (130, np.uint64))
-    # One NumPy run per stream, however many lanes the CPU has: each
-    # call's draws and the state after them.
-    want = []
-    for index, (seed, path) in enumerate(_PCG_CHECK_STREAMS):
-        reference = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=path)))
-        if index == 1:  # the stream handed in derived, one draw made
-            reference.integers(0, 1 << rbits, size=1, dtype=np.uint64)
-        want.append([(reference.integers(0, 1 << rbits, size=size,
-                                          dtype=np.uint64),
-                      reference.bit_generator.state)
-                     for size, _ in calls])
-    for lane in mac.lanes:
-        mac._lane = lane
-        states = (PcgState * len(_PCG_CHECK_STREAMS))()
-        seeds = [(uint32_words(seed), path)
-                 for seed, path in _PCG_CHECK_STREAMS]
-        states[1] = mac.pcg_seed(*seeds[1])
-        mac.pcg_draws(states[1], rbits, np.empty(1, np.uint32))
-        seeds[1] = None
-        for call, (size, dtype) in enumerate(calls):
+        states = (PcgState * len(seeds))()
+        states[1] = starts[1]
+        mac.pcg_table((None,), states[1], 13, np.empty((1, 1), np.uint32))
+        table = [None if index == 1 else seed
+                 for index, seed in enumerate(seeds)]
+        for call, (size, dtype) in enumerate(_PCG_TABLE_CALLS):
             out = np.empty((len(seeds), size), dtype)
-            mac.pcg_table(seeds, states, rbits, out)
-            seeds = [None] * len(seeds)
-            for row, state, runs in zip(out, states, want):
+            mac.pcg_table(table, states, 13, out)
+            table = [None] * len(seeds)
+            for row, state, runs in zip(out, states, together):
                 draws, after = runs[call]
                 if not np.array_equal(row, draws) \
                         or pcg64_state(state) != after:

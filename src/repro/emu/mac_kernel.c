@@ -30,16 +30,16 @@
  * AVX-512F.  mac_lanes() reports which vector lanes the CPU runs;
  * repro.emu.kernel checks every one of them and runs the widest.
  *
- * mac_pcg_seed and mac_pcg_draws are the SR randomness of
- * repro.prng.streams.SoftwareStream: NumPy's SeedSequence and PCG64
- * seeding of a substream, and the draws of Generator.integers(0, 2**r,
- * dtype=np.uint64) for r <= 32.  mac_pcg_draws has the lanes of
- * mac_gemm: the serial LCG loop, and on x86-64 jump-ahead LCG lanes,
- * 16 in AVX2 vectors and 32 in AVX-512F vectors, written with
- * intrinsics.  mac_pcg_table derives and draws a stack of streams in
- * turn, in one call (repro.prng.streams.StreamStack).  NumPy is their
- * specification, and repro.emu.kernel checks them, every lane, against
- * it before first use too.
+ * mac_pcg_table is the SR randomness of
+ * repro.prng.streams.SoftwareStream, one stream or a StreamStack of
+ * them per call: for each stream, NumPy's SeedSequence and PCG64
+ * seeding of a substream not yet derived (pcg_seed), then its draws of
+ * Generator.integers(0, 2**r, dtype=np.uint64) for r <= 32
+ * (pcg_draws).  pcg_draws has the lanes of mac_gemm: the serial LCG
+ * loop, and on x86-64 jump-ahead LCG lanes, 16 in AVX2 vectors and 32
+ * in AVX-512F vectors, written with intrinsics.  NumPy is the
+ * specification, and repro.emu.kernel checks the table call, every
+ * lane, against it before first use too.
  *
  * Build flags matter: with FP contraction on, a compiler may fuse
  * "acc + a * b" into one FMA, skipping the product's rounding to
@@ -599,8 +599,8 @@ static inline uint64_t pcg_output(uint64_t hi, uint64_t lo)
 /* st = PCG64(SeedSequence(entropy=run, spawn_key=key)).state: the run
  * entropy's n_run uint32 words followed by the spawn key's n_key, each
  * integer split into little-endian words as SeedSequence splits it. */
-void mac_pcg_seed(const uint32_t *words, int64_t n_run, int64_t n_key,
-                  uint64_t *st)
+static void pcg_seed(const uint32_t *words, int64_t n_run, int64_t n_key,
+                     uint64_t *st)
 {
     const int64_t pad = n_key > 0 && n_run < SS_POOL ? SS_POOL - n_run : 0;
     const int64_t n = n_run + pad + n_key;
@@ -705,7 +705,7 @@ static void pcg_scalar(uint64_t *st, int64_t rbits, void *out, int64_t n,
 }
 
 #if defined(__x86_64__)
-/* The vector lanes of mac_pcg_draws: L consecutive LCG states, lane j
+/* The vector lanes of pcg_draws: L consecutive LCG states, lane j
  * holding the state of word j of an L-word block, each stepping L words
  * at once by the jump-ahead map state * M**L + inc * (1 + M + ... +
  * M**(L-1)) mod 2**128.  Four vectors make the L lanes (32 as four
@@ -972,8 +972,8 @@ pcg_avx2(uint64_t *st, int64_t rbits, void *out, int64_t blocks,
  * blocks of L words; a parked half-word before them, and the words
  * after them (an odd last half-word included), stay on the scalar
  * loop, as does a call too short for one block. */
-void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
-                   int64_t out_bytes, int64_t lane)
+static void pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
+                      int64_t out_bytes, int64_t lane)
 {
     int64_t done = 0;
 #if defined(__x86_64__)
@@ -997,24 +997,26 @@ void mac_pcg_draws(uint64_t *st, int64_t rbits, void *out, int64_t n,
                out_bytes);
 }
 
-/* The draws of a stack of streams in one call: for t < streams, stream
- * t's state is the 6 words at states + 6 t.  When counts[2 t] (its run
- * entropy words) is nonzero, the state is derived first, as
- * mac_pcg_seed derives it from the next counts[2 t] + counts[2 t + 1]
- * words of `words`; when it is zero, the state is already there.  Then
- * the stream's next n draws go to out + t n, and its state advances. */
+/* The draws of a table of streams, one stream or a stack, in one call:
+ * for t < streams, stream t's state is the 6 words at states + 6 t.
+ * When counts[2 t] (its run entropy words) is nonzero, the state is
+ * derived first, as pcg_seed derives it from the next counts[2 t] +
+ * counts[2 t + 1] words of `words`; when it is zero, or counts is NULL,
+ * the state is already there.  Then the stream's next n draws go to
+ * out + t n, on `lane`, and its state advances. */
 void mac_pcg_table(const uint32_t *words, const int64_t *counts,
                    uint64_t *states, int64_t streams, int64_t rbits,
                    void *out, int64_t n, int64_t out_bytes, int64_t lane)
 {
     for (int64_t t = 0; t < streams; t++) {
         uint64_t *st = states + PCG_WORDS * t;
-        const int64_t n_run = counts[2 * t], n_key = counts[2 * t + 1];
+        const int64_t n_run = counts ? counts[2 * t] : 0;
         if (n_run > 0) {
-            mac_pcg_seed(words, n_run, n_key, st);
+            const int64_t n_key = counts[2 * t + 1];
+            pcg_seed(words, n_run, n_key, st);
             words += n_run + n_key;
         }
-        mac_pcg_draws(st, rbits, (char *)out + t * n * out_bytes, n,
-                      out_bytes, lane);
+        pcg_draws(st, rbits, (char *)out + t * n * out_bytes, n, out_bytes,
+                  lane);
     }
 }

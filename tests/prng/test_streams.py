@@ -212,11 +212,12 @@ class TestPcgPinsLanes(TestPcgPins):
 
 
 class TestPcgLaneSweep:
-    """``MacKernel.pcg_draws`` on every lane against
-    ``Generator.integers``, call by call: every total from 0 past five
-    blocks of the widest vector lane (32 words, so 64 draws; the AVX2
-    lane's blocks are 16 words), odd and even, each with and without a
-    parked half-word before it, the state compared after every call."""
+    """``MacKernel.pcg_table`` on every lane, a table of one stream,
+    against ``Generator.integers``, call by call: every total from 0
+    past five blocks of the widest vector lane (32 words, so 64 draws;
+    the AVX2 lane's blocks are 16 words), odd and even, each with and
+    without a parked half-word before it, the state compared after
+    every call."""
 
     MAX_TOTAL = 5 * 64 + 3
 
@@ -226,8 +227,11 @@ class TestPcgLaneSweep:
         mac = kernel.library()
         # Two streams per case, each with its own increment.
         for seed, path in ((rbits, ()), (2 ** 64 + rbits, (3, 2 ** 32 + 7))):
-            state = mac.pcg_seed(uint32_words(seed), path)
+            state = kernel.PcgState()
+            mac.pcg_table([(uint32_words(seed), path)], state, rbits,
+                          np.empty((1, 0), dtype))
             reference = numpy_stream(seed, path)
+            assert kernel.pcg64_state(state) == reference.bit_generator.state
             for total in range(self.MAX_TOTAL + 1):
                 for parked in (False, True):
                     # A single draw parks a half-word or uses the parked
@@ -235,14 +239,42 @@ class TestPcgLaneSweep:
                     sizes = (total,) if bool(state[4]) == parked \
                         else (1, total)
                     for size in sizes:
-                        got = np.empty(size, dtype)
-                        mac.pcg_draws(state, rbits, got)
+                        got = np.empty((1, size), dtype)
+                        mac.pcg_table([None], state, rbits, got)
                         assert np.array_equal(
-                            got.astype(np.uint64),
+                            got[0].astype(np.uint64),
                             numpy_draws(reference, rbits, (size,))), \
                             (total, parked)
                         assert kernel.pcg64_state(state) \
                             == reference.bit_generator.state, (total, parked)
+
+
+def test_one_foreign_pcg_call_per_draw(monkeypatch):
+    """On the kernel tier every ``SoftwareStream`` draw, a fresh
+    stream's included, and every stack draw is one foreign PCG call."""
+    mac = kernel.library()
+    if mac is None:
+        pytest.skip("no compiled kernel here")
+    calls = []
+    for name, value in list(vars(mac).items()):
+        if getattr(value, "__name__", "").startswith("mac_pcg_"):
+            def counted(*args, value=value):
+                calls.append(value.__name__)
+                return value(*args)
+
+            monkeypatch.setattr(mac, name, counted)
+    fresh = SoftwareStream(4).spawn((1, 2))
+    for draw in (lambda: fresh.integers_bulk(13, 3, (5,)),
+                 lambda: fresh.integers(16, (4,)),
+                 lambda: SoftwareStream(5).integers(9, (2,)),
+                 lambda: StreamStack([SoftwareStream(6).spawn(j)
+                                      for j in range(3)]).integers_bulk(
+                     13, 2, (3, 4)),
+                 lambda: StreamStack([fresh, SoftwareStream(7)]).integers(
+                     16, (2, 4))):
+        calls.clear()
+        draw()
+        assert len(calls) == 1, calls
 
 
 class _OnlyIntegers:
@@ -404,6 +436,42 @@ class TestStreamStack:
                         shared[j].integers_bulk(13, 3, (37,)).tobytes())
 
         threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for j in range(2):
+            serial = SoftwareStream(9).spawn(j)
+            want = sorted(serial.integers_bulk(13, 3, (37,)).tobytes()
+                          for _ in pieces[j])
+            assert sorted(pieces[j]) == want, j
+
+    def test_stacks_in_either_order_share_streams(self):
+        """Threads drawing stacks of the same two streams, half of them
+        in the opposite order, neither deadlock nor lose a draw: each
+        stream's pieces are, between them, those of a serial run."""
+        workers, rounds = 4, 40
+        shared = [SoftwareStream(9).spawn(j) for j in range(2)]
+        pieces = [[], []]
+        start = threading.Barrier(workers)
+
+        def worker(index):
+            order = (0, 1) if index % 2 else (1, 0)
+            start.wait()
+            for _ in range(rounds):
+                got = StreamStack([shared[j] for j in order]).integers_bulk(
+                    13, 3, (2, 37))
+                for row, j in enumerate(order):
+                    pieces[j].append(got[:, row].tobytes())
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
                    for i in range(workers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
