@@ -185,7 +185,8 @@ def _discover_locks(program: Program) -> Dict[str, LockInfo]:
                             lock_id, cid, target.attr,
                             origin.rsplit(".", 1)[1],
                             module.relpath, node.lineno)
-        _associate_pins(module, cls, locks)
+        if any(lock.cid == cid for lock in locks.values()):
+            _associate_pins(module, cls, locks)  # tokenizes the module
     return locks
 
 
@@ -239,6 +240,8 @@ class LockOrder:
                     merged |= self.acquires.get(callee, set())
                 changed |= len(merged) != before
         for fid, func in self.program.functions.items():
+            if not direct[fid]:
+                continue  # holds no lock, so it adds no edge
             module = self.program.module_of(func)
             self._walk(func, module, list(getattr(func.node, "body", [])),
                        held=[])
@@ -345,6 +348,8 @@ class LockOrder:
         for cid in sorted(self.program.classes):
             cls = self.program.classes[cid]
             module = self.program.modules[cls.modname]
+            if "guarded-by" not in module.source:
+                continue  # no annotation to tokenize the module for
             guarded = _guarded_attrs(module.ctx, cls.node)
             if not guarded:
                 continue

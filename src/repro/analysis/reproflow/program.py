@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..reprolint.core import FileContext
 from ..reprolint.policy import Policy
-from ..reprolint.suppress import Suppressions, comment_lines
+from ..reprolint.suppress import Suppressions
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -131,15 +131,18 @@ class ModuleInfo:
         return self.ctx.suppressions
 
 
-def _module_aliases(tree: ast.AST, modname: str,
-                    is_package: bool) -> Dict[str, str]:
+def _module_aliases(tree: ast.AST, modname: str, is_package: bool
+                    ) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """The per-file alias map (``FileContext.imports``: absolute imports
+    only) and the relative-import-aware one, from one walk."""
+    absolute: Dict[str, str] = {}
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                aliases[name] = alias.name if alias.asname \
-                    else alias.name.split(".")[0]
+                aliases[name] = absolute[name] = alias.name \
+                    if alias.asname else alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 package = modname if is_package else \
@@ -159,7 +162,10 @@ def _module_aliases(tree: ast.AST, modname: str,
                     continue
                 aliases[alias.asname or alias.name] = \
                     f"{origin}.{alias.name}"
-    return aliases
+                if not node.level:
+                    absolute[alias.asname or alias.name] = \
+                        f"{origin}.{alias.name}"
+    return absolute, aliases
 
 
 class Program:
@@ -185,15 +191,13 @@ class Program:
                 (relpath, error.lineno or 1, error.msg or "syntax error"))
             return None
         modname = module_name(relpath)
-        comments = comment_lines(source)
-        suppressions = Suppressions.from_comments(source, comments)
-        ctx = FileContext(relpath, source, tree, self.policy, suppressions,
-                          comments=comments)
         is_package = relpath.endswith("__init__.py")
-        module = ModuleInfo(
-            relpath, modname, source, ctx,
-            aliases=_module_aliases(tree, modname, is_package),
-            is_package=is_package)
+        imports, aliases = _module_aliases(tree, modname, is_package)
+        # comments and suppressions are tokenized on first use
+        ctx = FileContext(relpath, source, tree, self.policy, None,
+                          imports=imports)
+        module = ModuleInfo(relpath, modname, source, ctx, aliases=aliases,
+                            is_package=is_package)
         self.modules[modname] = module
         self._index_scopes(module, tree, qualname="", cls=None)
         return module

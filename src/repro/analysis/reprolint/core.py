@@ -99,21 +99,23 @@ class FileContext:
     """Everything the rules need to know about one source file."""
 
     def __init__(self, path: str, source: str, tree: ast.AST,
-                 policy: Policy, suppressions: Suppressions,
-                 comments: Optional[Dict[int, str]] = None):
+                 policy: Policy, suppressions: Optional[Suppressions],
+                 comments: Optional[Dict[int, str]] = None,
+                 imports: Optional[Dict[str, str]] = None):
         self.path = path
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.policy = policy
-        self.suppressions = suppressions
-        # parents / comments / imports are built on first use: the
-        # per-file rules touch all three, but whole-program passes
-        # (reproflow) construct hundreds of contexts and never ask for
-        # parent links, so the eager walk was pure startup cost.
+        # parents / comments / suppressions / imports not passed in are
+        # built on first use: the per-file rules touch them all, but
+        # whole-program passes (reproflow) construct hundreds of
+        # contexts, never ask for parent links and tokenize a file only
+        # to read its lock annotations or a finding's suppression.
+        self._suppressions = suppressions
         self._comments = comments
         self._parent_map: Optional[Dict[ast.AST, ast.AST]] = None
-        self._imports: Optional[Dict[str, str]] = None
+        self._imports = imports
 
     @property
     def comments(self) -> Dict[int, str]:
@@ -121,6 +123,13 @@ class FileContext:
         if self._comments is None:
             self._comments = comment_lines(self.source)
         return self._comments
+
+    @property
+    def suppressions(self) -> Suppressions:
+        if self._suppressions is None:
+            self._suppressions = Suppressions.from_comments(
+                self.source, self.comments)
+        return self._suppressions
 
     @property
     def _parents(self) -> Dict[ast.AST, ast.AST]:

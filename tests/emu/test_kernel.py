@@ -386,6 +386,22 @@ class TestKernel:
         with pytest.raises(ValueError, match="entropy"):
             mac.pcg_table([((), (0,)), None], states, 9,
                           np.empty((2, 3), np.uint32))
+        out = np.empty((2, 3), np.uint32)
+        mac.pcg_table(seeds, states, 9, out)
+        for (entropy, path), row, state in zip(seeds, out, states):
+            reference = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy[0], spawn_key=path)))
+            assert np.array_equal(row, reference.integers(
+                0, 1 << 9, size=3, dtype=np.uint64))
+            assert kernel.pcg64_state(state) \
+                == reference.bit_generator.state
+
+    def test_pcg_argument_checks(self):
+        """A stream's draws are refused for an ``rbits`` outside [1, 32]
+        and a buffer that is not a writeable C-contiguous uint32 or
+        uint64 array, and a refused call leaves the stream's state
+        where it is."""
+        mac = kernel.library()
         # A table of one, derived and drawing nothing: the refused calls
         # below leave its state where it is.
         state = kernel.PcgState()
@@ -405,15 +421,6 @@ class TestKernel:
             mac.pcg_table([None], state, 9, frozen)
         assert kernel.pcg64_state(state) \
             == np.random.default_rng(1).bit_generator.state
-        out = np.empty((2, 3), np.uint32)
-        mac.pcg_table(seeds, states, 9, out)
-        for (entropy, path), row, state in zip(seeds, out, states):
-            reference = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy[0], spawn_key=path)))
-            assert np.array_equal(row, reference.integers(
-                0, 1 << 9, size=3, dtype=np.uint64))
-            assert kernel.pcg64_state(state) \
-                == reference.bit_generator.state
 
 
 @needs_cc
