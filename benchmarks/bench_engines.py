@@ -14,13 +14,16 @@ timed.  The ``executor_conv`` rows time ``QuantizedGemm`` on a
 ``no_compiler`` tier (the seed loop and the reference cast), so their
 ratio is what a machine without a C compiler pays.  The
 ``executor_heads`` rows time ``QuantizedGemm`` where a call is many
-small row blocks, so the executor runs stacks of them: the
-``train_transformer`` per-head product at r=13, and a served conv, an
-armed call of 32 request groups with one 64-row block each.  Each runs
-on the kernel, on the ``no_compiler`` tier, and block by block on the
-kernel (``matmul`` under each block's own ``spawn``, one engine call per
-block, the executor's draw-order contract written out), all asserted
-bit-identical first; times are microseconds per block.  The
+small tasks, so the executor runs stacks of them: the
+``train_transformer`` per-head product at r=13, a served conv, an
+armed call of 32 request groups with one 64-row block each, and
+``conv_bands``, ``gemm_outer_rows`` on the first ``train_cnn`` conv's
+weight gradient at r=13, 32 bands of 256 patch rows.  Each runs on the
+kernel, on the ``no_compiler`` tier, and block by block on the kernel
+(``matmul`` under each block's or band's own ``spawn``, one engine call
+each, then ``sum_reduce`` for the bands: the executor's draw-order
+contract written out), all asserted bit-identical first; times are
+microseconds per block or band.  The
 ``cast`` rows time the multiplier cast (round-to-nearest into E5M2) of
 two ``train_cnn`` operands, the reference quantizer against the
 compiled rounding (``quantize(..., kernel=round_kernel(fmt))``, the
@@ -61,7 +64,7 @@ import pytest
 from dataclasses import replace
 
 from repro.emu import GemmConfig, QuantizedGemm, kernel, matmul
-from repro.emu import reference_matmul
+from repro.emu import reference_matmul, sum_reduce
 from repro.emu.parallel import BLOCK_ROWS, REDUCE_BAND_ROWS, _keyed_groups
 from repro.fp.formats import FP8_E5M2, FP12_E6M5
 from repro.fp.quantize import quantize
@@ -98,12 +101,16 @@ DRAW_SHAPES = {"conv_forward": (64, 72, 16),
 
 
 #: ``executor_heads``: a ``train_transformer`` per-head product
-#: (B*H, T, d_head) @ (B*H, d_head, T) at r=13, one block per head; and
-#: a served conv, (groups, rows per group, C*3*3, filters) at r=9, one
-#: request per group and one block per request.
+#: (B*H, T, d_head) @ (B*H, d_head, T) at r=13, one block per head; a
+#: served conv, (groups, rows per group, C*3*3, filters) at r=9, one
+#: request per group and one block per request; and the first
+#: ``train_cnn`` conv's weight gradient, (rows, filters, C*3*3) at r=13:
+#: output-gradient rows transposed against the ``conv_in`` patches, one
+#: block per band.
 HEADS_SHAPE = (128, 24, 8, 24)
 SERVED_CONV = (32, 64, 72, 16)
 SERVE_RBITS = 9
+CONV_BANDS = (8192, 8, 27)
 
 
 def _config(accum_order="sequential"):
@@ -168,9 +175,9 @@ def _call_key(stream):
 
 
 def _executor_heads_rows(repeats):
-    """``QuantizedGemm`` on calls of many small row blocks: the kernel,
-    the no-compiler tier and block-by-block calls, microseconds per
-    block."""
+    """``QuantizedGemm`` on calls of many small row blocks or bands: the
+    kernel, the no-compiler tier and block-by-block calls, microseconds
+    per block (a band counts as one)."""
     rng = np.random.default_rng(17)
     batch, m, k, n = HEADS_SHAPE
     heads_a, heads_b = rng.normal(size=(batch, m, k)), \
@@ -207,10 +214,36 @@ def _executor_heads_rows(repeats):
                               block))
         return np.concatenate(out)
 
+    band_rows, filters, cols = CONV_BANDS
+    grad = rng.normal(size=(band_rows, filters))
+    patches = PatchRows(np.maximum(rng.normal(
+        size=PATCH_SHAPES["conv_in"]), 0.0), 3, 1, 1)
+    assert (patches.n_rows, patches.n_cols) == (band_rows, cols)
+    bands = -(-band_rows // REDUCE_BAND_ROWS)
+
+    def weight_grad():
+        return QuantizedGemm(GemmConfig.sr(CONV_RBITS, seed=SEED)) \
+            .gemm_outer_rows(grad, patches, band_rows, filters, cols)
+
+    def weight_grad_bands():
+        config = GemmConfig.sr(CONV_RBITS, seed=SEED)
+        key = _call_key(config.stream)
+        partials = [matmul(grad[r0:r0 + REDUCE_BAND_ROWS].T,
+                           patches(r0, min(band_rows,
+                                           r0 + REDUCE_BAND_ROWS)),
+                           replace(config, stream=config.stream.spawn(
+                               key + (0, band))))
+                    for band, r0 in enumerate(range(0, band_rows,
+                                                    REDUCE_BAND_ROWS))]
+        return sum_reduce(np.stack(partials), replace(
+            config, stream=config.stream.spawn(key + (1, 0))), axis=0)
+
     report = {}
     for name, shape, blocks, call, per_block in (
             ("attn_heads", HEADS_SHAPE, batch, heads, heads_blocks),
-            ("served_conv", SERVED_CONV, groups, served, served_blocks)):
+            ("served_conv", SERVED_CONV, groups, served, served_blocks),
+            ("conv_bands", CONV_BANDS, bands, weight_grad,
+             weight_grad_bands)):
 
         def no_compiler(call=call):
             with numpy_mac_loop():

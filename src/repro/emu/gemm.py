@@ -186,8 +186,9 @@ def sum_reduce(values: np.ndarray, config: GemmConfig,
 
     The public entry to an engine's ``reduce``: a GEMM against a vector
     of ones without the input cast, run by the same accumulation engine
-    as :func:`matmul`.  No layer calls it; ``Linear`` and ``Conv2d``
-    sum bias gradients in float64 (:mod:`repro.nn.layers`).
+    as :func:`matmul`.  It combines a conv weight gradient's band
+    partials (``QuantizedGemm.gemm_outer_rows``); ``Linear`` and
+    ``Conv2d`` sum bias gradients in float64 (:mod:`repro.nn.layers`).
 
     Example::
 

@@ -46,9 +46,11 @@ draws.  The kernel is built and admitted once per process, on the first
 compiled rounding, GEMM, patch gather or software-stream draw:
 
 * it compiles with the ``cc`` on ``PATH`` (bounded by a timeout) into
-  ``__pycache__/mac_kernel.<hash>.so`` next to this file, keyed by the
-  source, the flags and the machine, and published with ``os.replace``
-  so concurrent processes never load a partial file;
+  ``__pycache__/mac_kernel.<source>.<build>.so`` next to this file,
+  tagged by the source and by the flags and the machine, published
+  with ``os.replace`` so concurrent processes never load a partial
+  file, and unlinks the builds of other sources (not this source's
+  sanitized build; a process that loaded one keeps its mapping);
 * it is loaded with :mod:`ctypes` and checked four times on fixed
   operands.  The loops, ``gemm`` on every lane in ``lanes``, must match
   :func:`_spec_loop`, run once per configuration: RN and SR (uint32 and
@@ -602,10 +604,10 @@ def _build() -> Optional[Path]:
         source = _SOURCE.read_bytes()
     except OSError:  # e.g. an install that left the C source out
         return None
-    tag = hashlib.sha256(b"\0".join(
-        [source, " ".join(_FLAGS).encode(), platform.machine().encode()])
-    ).hexdigest()[:16]
-    target = _CACHE_DIR / f"mac_kernel.{tag}.so"
+    source_tag, build_tag = (
+        hashlib.sha256(part).hexdigest()[:16] for part in
+        (source, " ".join([*_FLAGS, platform.machine()]).encode()))
+    target = _CACHE_DIR / f"mac_kernel.{source_tag}.{build_tag}.so"
     if target.is_file():
         return target
     cc = shutil.which("cc")
@@ -630,6 +632,10 @@ def _build() -> Optional[Path]:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    for stale in _CACHE_DIR.glob("mac_kernel.*.so"):
+        if stale.name.split(".")[1] != source_tag:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 

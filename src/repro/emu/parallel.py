@@ -36,15 +36,16 @@ Changing any of these constants silently re-keys every SR result; they
 are part of the subsystem's reproducibility contract, pinned in
 absolute terms by ``tests/emu/test_parallel.py``.
 
-Stacks (not part of the contract): within a worker's bundle, each run
-of consecutive row blocks of equal shape ``(rows, k, n)`` is emulated
-in one engine invocation, ``(T, rows, k) @ (T, k, n)``, under the
-:class:`repro.prng.streams.StreamStack` of the T blocks' own
-substreams, so every block's draws and result bits are those of its
-own invocation.  A stack holds at most
+Stacks (not part of the contract): every task runs in a stack.  Within
+a worker's bundle, each run of consecutive tasks of one call's source
+with equal row counts (row blocks of ``A @ B``, or bands of a
+row-streamed ``A.T @ B``) is one engine invocation, ``(T, m, k) @ (T,
+k, n)``, under the :class:`repro.prng.streams.StreamStack` of the T
+tasks' own substreams, so every task's draws and result bits are those
+of its own invocation.  A stack holds at most
 :data:`repro.emu.engine._STACK_MACS` MACs and forms only for the
-``sequential`` engine with RN or a finite ``rbits``; bands and the
-other engines run one block per invocation.
+``sequential`` engine with RN or a finite ``rbits``; the other engines
+run stacks of one.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ import numpy as np
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..prng.streams import StreamStack
-from .engine import _STACK_MACS, SequentialEngine, get_engine, round_partial
-from .gemm import _cast_operand, matmul, matmul_batched
+from .engine import _STACK_MACS, SequentialEngine, get_engine
+from .gemm import _cast_operand, matmul_batched, sum_reduce
 
 #: FROZEN — substream granularity in output rows (see module docstring).
 #: 64 balances per-block engine overhead (large enough that the fused
@@ -75,9 +76,9 @@ CALL_KEY_RBITS = 16
 CALL_KEY_DRAWS = 4
 
 #: FROZEN — band size (in rows of the streamed reduction dimension) for
-#: row-streamed ``A.T @ B`` products: each band's partial sum is one
-#: independent engine invocation; partials combine under the engine's
-#: ``reduce``.  Independent of the worker count by design.
+#: row-streamed ``A.T @ B`` products: each band's partial sum is its own
+#: reduction, keyed ``(0, band)``; partials combine under ``sum_reduce``.
+#: Independent of the worker count by design.
 REDUCE_BAND_ROWS = 4 * BLOCK_ROWS
 
 
@@ -130,55 +131,81 @@ def _keyed_groups(groups: Sequence) -> List[Tuple[_Group, int]]:
             for (stream, start), key in zip(groups, keys.tolist())]
 
 
-@dataclass
-class _RowBlockTask:
-    """One ``(batch, row-block)`` task: rows ``r0:r1`` of the call's
-    ``A`` (its entries' rows one after another) times ``B`` entry
-    ``entry``, under its group's substream ``key``.
+@dataclass(eq=False)
+class _RowBlocks:
+    """The source of a call's row blocks: rows of ``A`` (its entries'
+    rows one after another) from the producer ``rows``, times ``b``,
+    ``(k, n)`` shared by every entry or ``(B, k, n)``."""
 
-    Alone it runs the serial dispatch (:func:`repro.emu.gemm.matmul`) on
-    rows the producer already holds in the multiplier format, so the
-    executor can never diverge from the engines it shards.
-    """
-
-    key: Tuple[int, int]
-    group: _Group
-    entry: int
-    r0: int
-    r1: int
     rows: Callable[[int, int], np.ndarray]
-    #: ``(k, n)`` shared by every entry, or ``(B, k, n)``.
     b: np.ndarray
 
-    def run(self, config) -> np.ndarray:
-        b2d = self.b if self.b.ndim == 2 else self.b[self.entry]
-        return matmul(self.rows(self.r0, self.r1), b2d, config, cast=False)
+    def row_macs(self) -> int:
+        return self.b.shape[-2] * self.b.shape[-1]
+
+    def operands(self, stack: Sequence["_Task"]):
+        """A stack's ``(T, m, k)`` rows, one producer call, and its
+        ``(T, k, n)`` ``B`` entries."""
+        first, last = stack[0], stack[-1]
+        a = self.rows(first.r0, last.r1).reshape(
+            len(stack), first.r1 - first.r0, self.b.shape[-2])
+        return a, _stack_b(self.b, [task.entry for task in stack])
+
+
+@dataclass(eq=False)
+class _Bands:
+    """The source of a row-streamed ``A.T @ B``'s bands: band ``r0:r1``
+    is the exact-width partial ``A[r0:r1].T @ B[r0:r1]``, each operand's
+    rows from its producer, ``A`` ``m`` wide and ``B`` ``n`` wide."""
+
+    a_rows: Callable[[int, int], np.ndarray]
+    b_rows: Callable[[int, int], np.ndarray]
+    m: int
+    n: int
+
+    def row_macs(self) -> int:
+        return self.m * self.n
+
+    def operands(self, stack: Sequence["_Task"]):
+        """A stack's ``(T, m, rows)`` and ``(T, rows, n)`` bands, one
+        producer call per operand."""
+        first, last = stack[0], stack[-1]
+        shape = (len(stack), first.r1 - first.r0)
+        a = self.a_rows(first.r0, last.r1).reshape(*shape, self.m)
+        b = self.b_rows(first.r0, last.r1).reshape(*shape, self.n)
+        return np.ascontiguousarray(a.transpose(0, 2, 1)), b
 
 
 @dataclass
-class _OuterBandTask:
-    """One band of a row-streamed ``A.T @ B``: the exact-width partial
-    ``A[r0:r1].T @ B[r0:r1]`` emulated as its own reduction."""
+class _Task:
+    """One task: rows ``r0:r1`` of its call's ``source`` (``B`` entry
+    ``entry`` for a row block), under its group's substream ``key``."""
 
     key: Tuple[int, int]
     group: _Group
     r0: int
     r1: int
-    a_producer: Callable[[int, int], np.ndarray]
-    b_producer: Callable[[int, int], np.ndarray]
+    entry: int
+    source: _RowBlocks | _Bands
 
-    def run(self, config) -> np.ndarray:
-        a_rows = self.a_producer(self.r0, self.r1)
-        b_rows = self.b_producer(self.r0, self.r1)
-        return matmul(np.ascontiguousarray(a_rows.T), b_rows, config,
-                      cast=False)
+
+def _tasks(group: _Group, source, n_rows: int, start: int = 0,
+           entry: int = 0, bi: int = 0,
+           step: int = BLOCK_ROWS) -> List[_Task]:
+    """Tasks ``(bi, j)`` over rows ``[start, start + n_rows)``, ``step``
+    rows each: a call's row blocks, or with ``step`` =
+    :data:`REDUCE_BAND_ROWS` its bands ``(0, band)``."""
+    stop = start + n_rows
+    return [_Task(key=(bi, j), group=group, r0=r0,
+                  r1=min(stop, r0 + step), entry=entry, source=source)
+            for j, r0 in enumerate(range(start, stop, step))]
 
 
 def _stackable(config) -> bool:
-    """Whether row blocks under ``config`` may run as stacks.
+    """Whether tasks under ``config`` may share an engine call.
 
     Only the ``sequential`` engine's per-step chain runs each batch
-    entry as the same block alone would.  The ``pairwise`` engine's
+    entry as the same task alone would.  The ``pairwise`` engine's
     N-block width depends on the batch size, so a stack would re-key
     its draws; the other engines and the round-once path are left as
     they are.  Exact SR draws from each stream's ``.rng``, which a
@@ -190,22 +217,21 @@ def _stackable(config) -> bool:
 
 
 def _stacks(tasks: Sequence, stackable: bool) -> Iterator[Sequence]:
-    """``tasks`` cut into stacks, in order: each run of consecutive row
-    blocks of one call with the same row count, at most
-    :data:`repro.emu.engine._STACK_MACS` MACs together.  Bands, and
-    every task where ``stackable`` is false, are stacks of one."""
+    """``tasks`` cut into stacks, in order: each run of consecutive
+    tasks of one source with the same row count, at most
+    :data:`repro.emu.engine._STACK_MACS` MACs together.  Where
+    ``stackable`` is false, every task is a stack of one."""
     i = 0
     while i < len(tasks):
         first = tasks[i]
         j = i + 1
-        if stackable and isinstance(first, _RowBlockTask):
-            k, n = first.b.shape[-2:]
+        if stackable:
             m = first.r1 - first.r0
-            cap = max(1, _STACK_MACS // max(1, m * k * n))
+            cap = max(1, _STACK_MACS // max(1, m * first.source.row_macs()))
             end = min(len(tasks), i + cap)
-            while (j < end and tasks[j].r0 == tasks[j - 1].r1
-                   and tasks[j].r1 - tasks[j].r0 == m
-                   and tasks[j].rows is first.rows and tasks[j].b is first.b):
+            while (j < end and tasks[j].source is first.source
+                   and tasks[j].r0 == tasks[j - 1].r1
+                   and tasks[j].r1 - tasks[j].r0 == m):
                 j += 1
         yield tasks[i:j]
         i = j
@@ -217,7 +243,7 @@ def _stack_b(b: np.ndarray, entries: List[int]) -> np.ndarray:
     consecutive entries, one repeated entry), else a gathered copy."""
     count, first = len(entries), entries[0]
     if b.ndim == 2:
-        return np.broadcast_to(b, (count, *b.shape))
+        return b[None] if count == 1 else np.broadcast_to(b, (count, *b.shape))
     if entries == list(range(first, first + count)):
         return b[first:first + count]
     if entries.count(first) == count:
@@ -225,26 +251,19 @@ def _stack_b(b: np.ndarray, entries: List[int]) -> np.ndarray:
     return b[entries]
 
 
-def _run_stack(stack: Sequence, config) -> np.ndarray:
+def _run_stack(stack: Sequence[_Task], config) -> np.ndarray:
     """Run a stack of T tasks as one engine call: their ``(T, m, n)``
     results, each under its own substream ``spawn(call_key + key)``.
 
-    A stack of one is the task's own serial call.  A larger stack is one
-    :func:`repro.emu.gemm.matmul_batched` call on ``(T, m, k) @ (T, k,
-    n)`` operands under the :class:`repro.prng.streams.StreamStack` of
-    the blocks' substreams; its rows are consecutive, so ``A`` is one
-    producer call.
+    The serial dispatch (:func:`repro.emu.gemm.matmul_batched`) on the
+    cast operands the tasks' source builds, under the task's own
+    substream when T = 1, else the
+    :class:`repro.prng.streams.StreamStack` of the tasks' substreams.
     """
-    first, last = stack[0], stack[-1]
-    if len(stack) == 1:
-        return first.run(replace(config,
-                                 stream=first.group.spawn(first.key)))[None]
     streams = [task.group.spawn(task.key) for task in stack]
-    a = first.rows(first.r0, last.r1).reshape(
-        len(stack), first.r1 - first.r0, first.b.shape[-2])
-    b = _stack_b(first.b, [task.entry for task in stack])
-    return matmul_batched(a, b, replace(config, stream=StreamStack(streams)),
-                          cast=False)
+    a, b = stack[0].source.operands(stack)
+    stream = streams[0] if len(streams) == 1 else StreamStack(streams)
+    return matmul_batched(a, b, replace(config, stream=stream), cast=False)
 
 
 def _run_bundle(tasks: Sequence, config,
@@ -298,13 +317,13 @@ def resolve_workers(value, *, default: int = 1) -> int:
 
 
 class TileScheduler:
-    """Shards row-block tasks of an emulated GEMM across a worker pool.
+    """Shards the tasks (row blocks, bands) of a GEMM across a worker pool.
 
     Each task carries its group's stream and call key.  ``workers=1``
     is the serial fallback: the same tasks run on the calling thread
     under the same substreams, so it is bit-identical to any parallel
     run.  With more workers, each worker thread gets one contiguous
-    bundle of blocks; the compiled kernel releases the GIL, so the
+    bundle of tasks; the compiled kernel releases the GIL, so the
     bundles run concurrently.  A bundle runs its tasks stack by stack
     (the module docstring).  Engines that hold the GIL (the
     ``rtl_*`` datapaths, the seed loop without the kernel) run slower
@@ -379,16 +398,6 @@ class TileScheduler:
         self._drive(tasks, config, consume)
 
 
-def _row_block_tasks(group: _Group, rows, b: np.ndarray, n_rows: int,
-                     start: int = 0, entry: int = 0,
-                     bi: int = 0) -> List[_RowBlockTask]:
-    """Blocks ``(bi, j)`` over rows ``[start, start + n_rows)``."""
-    stop = start + n_rows
-    return [_RowBlockTask(key=(bi, j), group=group, entry=entry, r0=r0,
-                          r1=min(stop, r0 + BLOCK_ROWS), rows=rows, b=b)
-            for j, r0 in enumerate(range(start, stop, BLOCK_ROWS))]
-
-
 class QuantizedGemm:
     """The emulated GEMM executor, bound to a config.
 
@@ -402,9 +411,9 @@ class QuantizedGemm:
 
     The row-streamed entry points (``gemm_rows``, ``gemm_rows_streamed``,
     ``gemm_outer_rows``) serve the tiled-im2col convolution path, which
-    keeps column memory bounded by one stack of row blocks per worker
-    (plus one cast copy of the padded input) instead of the full column
-    matrix.
+    keeps column memory bounded by one stack of row blocks or bands
+    per worker (plus one cast copy of the padded input) instead of the
+    full column matrix.
 
     **Streams.**  A call splits its operands' leading axis (rows of a 2D
     ``A``, entries of a 3D stack) into one group per stream.  By default
@@ -575,18 +584,17 @@ class QuantizedGemm:
                 # consecutive blocks reads one view.  A weight every
                 # entry shares (one entry, or a stride-0 broadcast)
                 # ships as one 2D operand.
-                a_rows = ArrayRows(aq.reshape(batch * m, k))
                 b_op = bq[0] if (batch == 1 or bq.strides[0] == 0) else bq
+                source = _RowBlocks(ArrayRows(aq.reshape(batch * m, k)), b_op)
                 tasks = []
                 for group, start in _keyed_groups(groups):
                     if not stacked:
-                        tasks += _row_block_tasks(group, a_rows, b_op, size,
-                                                  start=start)
+                        tasks += _tasks(group, source, size, start=start)
                         continue
                     for bi in range(size):
-                        tasks += _row_block_tasks(
-                            group, a_rows, b_op, m, start=(start + bi) * m,
-                            entry=start + bi, bi=bi)
+                        tasks += _tasks(group, source, m,
+                                        start=(start + bi) * m,
+                                        entry=start + bi, bi=bi)
                 out_rows = out.reshape(batch * m, n)
                 for task, value in zip(tasks,
                                        self.scheduler.run(tasks, config)):
@@ -594,7 +602,7 @@ class QuantizedGemm:
         return self._observe(out if stacked else out[0], batch, m, k, n)
 
     def _row_blocks(self, source, n_rows: int, b2d: np.ndarray,
-                    run: Callable[[List[_RowBlockTask]], None], *,
+                    run: Callable[[List[_Task]], None], *,
                     streamed: bool) -> Tuple[int, int]:
         """The row driver of :meth:`gemm_rows` and
         :meth:`gemm_rows_streamed`; returns ``(k, n)``.
@@ -613,10 +621,9 @@ class QuantizedGemm:
         cm = self._span(1, size, k, n, groups=len(groups)) \
             if _trace.active else _trace.NULL
         with cm:
-            producer = _cast_rows(source, self.config)
+            blocks = _RowBlocks(_cast_rows(source, self.config), bq)
             run([task for group, start in _keyed_groups(groups)
-                 for task in _row_block_tasks(group, producer, bq, size,
-                                              start=start)])
+                 for task in _tasks(group, blocks, size, start=start)])
         return k, n
 
     def gemm_rows(self, source, n_rows: int, b2d: np.ndarray) -> np.ndarray:
@@ -674,9 +681,9 @@ class QuantizedGemm:
         The reduction dimension is the streamed one, so it cannot be
         sharded freely under per-step rounding; instead the rows are cut
         into frozen :data:`REDUCE_BAND_ROWS` bands, each band's exact-
-        width partial is an independent engine invocation (parallel,
-        keys ``(0, band)``), and the partials are combined under the
-        engine's ``reduce`` with substream key ``(1, 0)`` — a blocked,
+        width partial is its own reduction (a task, key ``(0, band)``),
+        and :func:`repro.emu.gemm.sum_reduce` combines two or more
+        partials under substream key ``(1, 0)`` — a blocked,
         hierarchical reduction with the same rounding discipline as the
         rest of the datapath.  Used for conv weight gradients, where
         ``A`` is the output gradient and ``B`` the im2col patches.  The
@@ -692,33 +699,14 @@ class QuantizedGemm:
         config = self.config
         cm = self._span(1, m, n_rows, n) if _trace.active else _trace.NULL
         with cm:
-            a_producer = _cast_rows(a_source, config)
-            b_producer = _cast_rows(b_source, config)
+            bands = _Bands(_cast_rows(a_source, config),
+                           _cast_rows(b_source, config), m, n)
             ((group, _),) = _keyed_groups(groups)
-            tasks = [_OuterBandTask(key=(0, band), group=group, r0=r0,
-                                    r1=min(n_rows, r0 + REDUCE_BAND_ROWS),
-                                    a_producer=a_producer,
-                                    b_producer=b_producer)
-                     for band, r0 in enumerate(range(0, n_rows,
-                                                     REDUCE_BAND_ROWS))]
-            partials = self.scheduler.run(tasks, config)
-            if len(partials) == 1:
-                result = partials[0]
-            else:
-                stacked = np.stack(partials)
-                if config.acc_format is None:
-                    result = stacked.sum(axis=0)
-                else:
-                    combine_cfg = replace(config,
-                                          stream=group.spawn((1, 0)))
-                    if not config.per_step:
-                        result = round_partial(stacked.sum(axis=0),
-                                               combine_cfg)
-                    else:
-                        engine = get_engine(config.accum_order)
-                        result = np.asarray(
-                            engine.reduce(stacked, combine_cfg),
-                            dtype=np.float64).reshape(m, n)
+            partials = self.scheduler.run(
+                _tasks(group, bands, n_rows, step=REDUCE_BAND_ROWS), config)
+            result = partials[0] if len(partials) == 1 else sum_reduce(
+                np.stack(partials),
+                replace(config, stream=group.spawn((1, 0))), axis=0)
         return self._observe(result, 1, m, n_rows, n)
 
 

@@ -14,9 +14,11 @@ format sweep.)
 """
 
 import ast
+import hashlib
 import inspect
 import re
 import shutil
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -277,6 +279,31 @@ class TestKernel:
 
         monkeypatch.setattr(kernel.subprocess, "run", no_compile)
         assert kernel._build() == path
+
+    def test_publishing_prunes_other_sources(self, monkeypatch, tmp_path):
+        """A new build unlinks the builds of other sources (either
+        naming), not a build of this source with other flags (the
+        sanitized one) nor a compile in progress."""
+        monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path)
+        source = hashlib.sha256(kernel._SOURCE.read_bytes()).hexdigest()[:16]
+        stale = [tmp_path / "mac_kernel.0123456789abcdef.so",
+                 tmp_path / f"mac_kernel.{'0' * 16}.{'1' * 16}.so"]
+        kept = [tmp_path / f"mac_kernel.{source}.{'f' * 16}.so",
+                tmp_path / "mac_kernel.x1y2z3.tmp"]
+        for path in stale + kept:
+            path.write_bytes(b"")
+
+        def fake_cc(args, **kwargs):
+            with open(args[args.index("-o") + 1], "wb") as out:
+                out.write(b"built")
+            return subprocess.CompletedProcess(args, 0)
+
+        monkeypatch.setattr(kernel.shutil, "which", lambda name: "cc")
+        monkeypatch.setattr(kernel.subprocess, "run", fake_cc)
+        path = kernel._build()
+        assert path.read_bytes() == b"built"
+        assert path.name.startswith(f"mac_kernel.{source}.")
+        assert sorted(tmp_path.iterdir()) == sorted(kept + [path])
 
     def test_argument_checks(self):
         mac = kernel.library()

@@ -14,8 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.emu import GemmConfig, matmul, resolve_workers
+from repro.emu import GemmConfig, matmul, resolve_workers, sum_reduce
 from repro.emu import gemm as gemm_module
+from repro.emu import parallel as parallel_module
 from repro.emu.engine import _STACK_MACS, SequentialEngine
 from repro.emu.gemm import _cast_operand
 from repro.emu.parallel import (
@@ -130,6 +131,17 @@ class TestDrawOrderPin:
                               self._reference(a2[None], b2[None], want)[0])
         assert np.array_equal(gemm(a3, b3), self._reference(a3, b3, want))
 
+    def test_outer_rows_bands(self, rng):
+        """A row-streamed ``A.T @ B`` of three full bands, narrow enough
+        to share an engine call, and a ragged tail; then a one-band call,
+        which has no combine (:func:`_per_band`)."""
+        gemm = ParallelQuantizedGemm(GemmConfig.sr(9, seed=11), workers=1)
+        want = GemmConfig.sr(9, seed=11)   # same root, advanced in step
+        for rows in (3 * REDUCE_BAND_ROWS + 37, 100):
+            a, b = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 6))
+            assert _same_bits(gemm.gemm_outer_rows(a, b, rows, 4, 6),
+                              _per_band(a, b, want)), rows
+
 
 @pytest.mark.usefixtures("numpy_mac_loop")
 class TestDrawOrderPinNumpyLoop(TestDrawOrderPin):
@@ -164,6 +176,28 @@ def _per_block(a, b, config, streams=None, g=0):
     return out
 
 
+def _per_band(a, b, config):
+    """DESIGN section 4's row-streamed ``a.T @ b`` written out with
+    ``matmul``, ``spawn`` and ``sum_reduce`` alone: a call key of 4 x
+    16-bit values from ``config.stream``, band ``i`` (rows ``[i *
+    REDUCE_BAND_ROWS, (i + 1) * REDUCE_BAND_ROWS)``) as its own product
+    under ``stream.spawn(call_key + (0, i))``, and the partials
+    combined by ``sum_reduce`` under ``stream.spawn(call_key + (1,
+    0))``; a single band is the result, with no combine."""
+    stream = config.stream
+    key = tuple(int(v) for v in np.asarray(stream.integers(16, (4,))).ravel())
+    partials = [matmul(a[r0:r0 + REDUCE_BAND_ROWS].T,
+                       b[r0:r0 + REDUCE_BAND_ROWS],
+                       replace(config, stream=stream.spawn(key + (0, i))))
+                for i, r0 in enumerate(range(0, a.shape[0],
+                                             REDUCE_BAND_ROWS))]
+    if len(partials) == 1:
+        return partials[0]
+    return sum_reduce(np.stack(partials),
+                      replace(config, stream=stream.spawn(key + (1, 0))),
+                      axis=0)
+
+
 def _same_bits(got, want) -> bool:
     got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
     return got.shape == want.shape and np.array_equal(
@@ -171,10 +205,11 @@ def _same_bits(got, want) -> bool:
 
 
 class TestStacks:
-    """Consecutive equal-shape row blocks run as one engine call each
-    stack, under a stack of their own substreams: every result bit is
-    the per-block reference's (:func:`_per_block`), for any worker
-    count, and the engine calls fall."""
+    """Consecutive equal-shape row blocks, and bands, run as one engine
+    call each stack, under a stack of their own substreams: every result
+    bit is the per-block reference's (:func:`_per_block`,
+    :func:`_per_band`), for any worker count, and the engine calls
+    fall."""
 
     CONFIGS = {"sr13": lambda: GemmConfig.sr(13, seed=4),
                "sr4-lfsr": lambda: replace(
@@ -200,6 +235,31 @@ class TestStacks:
             rng.normal(size=(3, 8, 5))
         yield "shared weight", rng.normal(size=(4, tail, 12)), \
             np.broadcast_to(rng.normal(size=(12, 7)), (4, 12, 7))
+
+    @staticmethod
+    def _band_cases(rng):
+        """``(name, a, b, b_rows)`` for a row-streamed ``a.T @ b_rows``
+        from the source ``b``: full bands that stack and a ragged tail;
+        and im2col patches."""
+        rows = 5 * REDUCE_BAND_ROWS + 17
+        b = rng.normal(size=(rows, 6))
+        yield "ragged tail", rng.normal(size=(rows, 4)), b, b
+        patches = PatchRows(rng.normal(size=(6, 2, 8, 8)), 3, 1, 1)
+        yield "patches", rng.normal(size=(patches.n_rows, 4)), patches, \
+            patches(0, patches.n_rows)
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """The batch size of every ``SequentialEngine.gemm`` call."""
+        calls = []
+        body = SequentialEngine.gemm
+
+        def counted(self, a, b, config):
+            calls.append(a.shape[0])
+            return body(self, a, b, config)
+
+        monkeypatch.setattr(SequentialEngine, "gemm", counted)
+        return calls
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_per_block(self, rng, config, workers):
@@ -244,37 +304,68 @@ class TestStacks:
             got = QuantizedGemm(config(), workers=1)(a, b)
             assert _same_bits(got, _per_block(a, b, config())), value
 
-    def test_engine_calls_fall(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bands_match_per_band(self, rng, config, workers):
+        for name, a, b, b_rows in self._band_cases(rng):
+            got = QuantizedGemm(config(), workers=workers).gemm_outer_rows(
+                a, b, a.shape[0], a.shape[1], b_rows.shape[1])
+            assert _same_bits(got, _per_band(a, b_rows, config())), name
+
+    def test_nonfinite_value_in_a_band_stack(self, rng, config):
+        """Four bands in one stack, an inf or NaN in two of them: every
+        bit is the per-band run's, NaN bits included (the combine adds
+        inf to -inf)."""
+        nan = np.array(0x7FF8000000000123, np.uint64).view(np.float64)
+        rows = 4 * REDUCE_BAND_ROWS
+        for value in (np.inf, -np.inf, nan):
+            a, b = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 6))
+            a[REDUCE_BAND_ROWS + 5, 2] = value
+            b[2 * REDUCE_BAND_ROWS + 1, 3] = \
+                -value if value == np.inf else value
+            with np.errstate(invalid="ignore"):
+                got = QuantizedGemm(config(), workers=1).gemm_outer_rows(
+                    a, b, rows, 4, 6)
+                want = _per_band(a, b, config())
+            assert _same_bits(got, want), value
+
+    def test_engine_calls_fall(self, rng, engine_calls):
         """A (128, 24, 8) @ (128, 8, 24) call makes at most
         ceil(128 * 4608 / cap) engine calls, so a silent fall-back to
         one call per block fails here."""
-        calls = []
-        body = SequentialEngine.gemm
-
-        def counted(self, a, b, config):
-            calls.append(a.shape[0])
-            return body(self, a, b, config)
-
-        monkeypatch.setattr(SequentialEngine, "gemm", counted)
         a, b = rng.normal(size=(128, 24, 8)), rng.normal(size=(128, 8, 24))
         QuantizedGemm(GemmConfig.sr(13, seed=1), workers=1)(a, b)
-        assert sum(calls) == 128
-        assert len(calls) <= -(-128 * 24 * 8 * 24 // _STACK_MACS)
+        assert sum(engine_calls) == 128
+        assert len(engine_calls) <= -(-128 * 24 * 8 * 24 // _STACK_MACS)
+
+    def test_conv_weight_gradient_bands_stack(self, rng, engine_calls):
+        """The first ``train_cnn`` conv's weight gradient, 8192 patch
+        rows of 27 columns against 8 filters: 32 bands of 55,296 MACs
+        in at most 8 engine calls."""
+        rows, m, n = 8192, 8, 27
+        a, b = rng.normal(size=(rows, m)), rng.normal(size=(rows, n))
+        QuantizedGemm(GemmConfig.sr(13, seed=1), workers=1).gemm_outer_rows(
+            a, b, rows, m, n)
+        assert sum(engine_calls) == rows // REDUCE_BAND_ROWS == 32
+        assert len(engine_calls) <= 8
 
     def test_pairwise_and_exact_sr_run_block_by_block(self, rng,
                                                       monkeypatch):
         """Only the sequential engine's finite-rbits and RN chains
         stack: the pairwise engine's draws depend on its batch size, and
-        exact SR draws from ``.rng``."""
+        exact SR draws from ``.rng``.  Row blocks and bands alike run
+        one engine call each."""
         calls = []
-        matmul_batched = gemm_module.matmul_batched
+        matmul_batched = parallel_module.matmul_batched
 
         def counted(a, b, config, **kwargs):
             calls.append(a.shape[0])
             return matmul_batched(a, b, config, **kwargs)
 
-        monkeypatch.setattr(gemm_module, "matmul_batched", counted)
+        monkeypatch.setattr(parallel_module, "matmul_batched", counted)
         a, b = rng.normal(size=(6, 24, 8)), rng.normal(size=(6, 8, 10))
+        rows = 3 * REDUCE_BAND_ROWS + 5
+        band_a, band_b = rng.normal(size=(rows, 4)), \
+            rng.normal(size=(rows, 6))
         for config in (
                 lambda: GemmConfig.sr(9, seed=3, accum_order="pairwise"),
                 lambda: replace(GemmConfig.sr(9, seed=3), rbits=None)):
@@ -282,6 +373,11 @@ class TestStacks:
             got = QuantizedGemm(config(), workers=1)(a, b)
             assert calls == [1] * 6
             assert _same_bits(got, _per_block(a, b, config()))
+            calls.clear()
+            got = QuantizedGemm(config(), workers=1).gemm_outer_rows(
+                band_a, band_b, rows, 4, 6)
+            assert calls == [1] * 4
+            assert _same_bits(got, _per_band(band_a, band_b, config()))
 
     def test_streamed_rows_are_handed_over_in_order(self, rng):
         """``gemm_rows_streamed`` hands each stack's rows over in row
