@@ -66,9 +66,10 @@ def serve_demo(path: Path, metrics_out: Path | None = None) -> None:
                     cache_entries=64)
     try:
         for payload in (x, others[2], x):      # repeat x -> cache hit
-            logits, cached, key = app.predict(payload)
-            print(f"predict key={key[:12]}... cached={cached} "
-                  f"argmax={int(np.argmax(logits))}")
+            body = app.predict_json({"input": payload})
+            print(f"predict key={body['key'][:12]}... "
+                  f"cached={body['cached']} "
+                  f"argmax={int(np.argmax(body['logits']))}")
         stats = app.stats()
         print(f"cache hit rate: {stats['cache']['hit_rate']:.2f}  "
               f"batches: {stats['batcher']['batches']}")

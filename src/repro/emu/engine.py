@@ -208,9 +208,10 @@ class SequentialEngine(AccumulationEngine):
             return acc
         mac = self._kernel_for(config, a, b)
         if mac is None:
-            for step in range(k):
-                product = a[:, :, step, None] * b[:, None, step, :]
-                acc = round_partial(acc + product, config)
+            with np.errstate(invalid="ignore"):   # inf * 0, inf - inf
+                for step in range(k):
+                    product = a[:, :, step, None] * b[:, None, step, :]
+                    acc = round_partial(acc + product, config)
             return acc
         _kernel_chain(mac, a, b, acc, config, acc.shape)
         return acc
@@ -222,8 +223,9 @@ class SequentialEngine(AccumulationEngine):
             return acc
         mac = self._kernel_for(config, terms)
         if mac is None:
-            for step in range(k):
-                acc = round_partial(acc + terms[step], config)
+            with np.errstate(invalid="ignore"):   # inf - inf
+                for step in range(k):
+                    acc = round_partial(acc + terms[step], config)
             return acc
         # A (1, K) @ (K, S) chain with unit multipliers: 1.0 * t == t,
         # so every step adds the term itself.  Each step draws in the
@@ -284,7 +286,8 @@ class PairwiseEngine(AccumulationEngine):
         a_t = np.ascontiguousarray(a.transpose(2, 0, 1))  # (K, B, M)
         for n0 in range(0, n, nb):
             b_t = b[:, :, n0:n0 + nb].transpose(1, 0, 2)  # (K, B, Nb)
-            products = a_t[:, :, :, None] * b_t[:, :, None, :]
+            with np.errstate(invalid="ignore"):   # inf * 0
+                products = a_t[:, :, :, None] * b_t[:, :, None, :]
             out[:, :, n0:n0 + nb] = self.reduce(products, config)
         return out
 
@@ -298,7 +301,8 @@ class PairwiseEngine(AccumulationEngine):
             return round_partial(level[0].copy(), config)
         while level.shape[0] > 1:
             pairs = level.shape[0] // 2
-            sums = level[0:2 * pairs:2] + level[1:2 * pairs:2]
+            with np.errstate(invalid="ignore"):   # inf - inf
+                sums = level[0:2 * pairs:2] + level[1:2 * pairs:2]
             rounded = round_partial(sums, config)
             if level.shape[0] % 2:
                 level = np.concatenate([rounded, level[-1:]], axis=0)
@@ -334,16 +338,19 @@ class ChunkedEngine(AccumulationEngine):
         batch, m, k = a.shape
         n = b.shape[-1]
         acc = np.zeros((batch, m, n), dtype=np.float64)
-        for c0 in range(0, k, self.chunk):
-            part = a[:, :, c0:c0 + self.chunk] @ b[:, c0:c0 + self.chunk, :]
-            acc = round_partial(acc + part, config)
+        with np.errstate(invalid="ignore"):   # inf * 0, inf - inf
+            for c0 in range(0, k, self.chunk):
+                part = a[:, :, c0:c0 + self.chunk] \
+                    @ b[:, c0:c0 + self.chunk, :]
+                acc = round_partial(acc + part, config)
         return acc
 
     def reduce(self, terms: np.ndarray, config) -> np.ndarray:
         acc = np.zeros(terms.shape[1:], dtype=np.float64)
-        for c0 in range(0, terms.shape[0], self.chunk):
-            part = terms[c0:c0 + self.chunk].sum(axis=0)
-            acc = round_partial(acc + part, config)
+        with np.errstate(invalid="ignore"):   # inf - inf
+            for c0 in range(0, terms.shape[0], self.chunk):
+                part = terms[c0:c0 + self.chunk].sum(axis=0)
+                acc = round_partial(acc + part, config)
         return acc
 
 

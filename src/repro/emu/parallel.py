@@ -428,8 +428,10 @@ class QuantizedGemm:
     ``gemm_calls_total`` / ``gemm_overflows_total`` (labeled by
     accumulation engine), per-shape ``gemm_shape_calls_total``, and —
     under SR — ``gemm_sr_rounds_total``, the number of stochastic
-    rounding events (= substream draws consumed by the engines).  The
-    dynamic loss scaler watches :attr:`overflow_count`.
+    rounding events (= substream draws consumed by the engines).
+    ``gemm_overflows_total`` (:attr:`overflow_count`) feeds
+    ``/metrics`` only: ``Trainer`` detects an overflowing step from the
+    parameter gradients (:meth:`repro.nn.DynamicLossScaler.grads_finite`).
 
     Example::
 
@@ -653,8 +655,7 @@ class QuantizedGemm:
         ``consume(r0, r1, rows)`` in row order, one stack of row blocks
         (rows ``r0:r1``) at a time, instead of assembling them — the
         input-gradient path folds rows into the image gradient and
-        discards them.  Returns whether every produced value was finite
-        (the overflow signal).
+        discards them.  Returns whether every produced value was finite.
         """
         finite = True
 

@@ -118,13 +118,16 @@ def save_checkpoint(model: Module, path, *, model_spec: Optional[dict] = None,
     return fingerprint
 
 
-@dataclass
-class Checkpoint:
-    """A loaded checkpoint: named state + sidecar metadata."""
+class CheckpointMeta:
+    """The sidecar fields of :class:`Checkpoint` and of its shared-memory
+    copy (:class:`repro.serve.shm.SharedCheckpoint`), read from one
+    ``meta`` dict, and the model rebuilt from them and ``state``."""
 
-    state: dict
     meta: dict
-    path: Path
+    state: dict
+    #: Rebind the parameters to ``state``'s arrays instead of copying
+    #: them in (:func:`rebind_parameters`).
+    zero_copy = False
 
     @property
     def fingerprint(self) -> str:
@@ -138,6 +141,11 @@ class Checkpoint:
     def gemm_spec(self) -> Optional[dict]:
         return self.meta.get("gemm")
 
+    @property
+    def input_spec(self) -> Optional[dict]:
+        """What a request payload must be (``validate_payload``)."""
+        return (self.model_spec or {}).get("input")
+
     def gemm_config(self):
         """The datapath config the weights were trained for (or ``None``
         for the exact FP64 baseline)."""
@@ -147,18 +155,30 @@ class Checkpoint:
 
         return GemmConfig.from_spec(self.gemm_spec)
 
-    def build_model(self, *, gemm=None) -> Module:
+    def build_model(self) -> Module:
         """Rebuild the architecture from the sidecar spec and load the
         weights into it."""
         from ..models.registry import build_model_from_spec
 
         if self.model_spec is None:
             raise ValueError(
-                f"checkpoint {self.path} has no model spec in its sidecar; "
-                "pass model_spec= to save_checkpoint to make it servable")
-        model = build_model_from_spec(self.model_spec, gemm=gemm)
-        model.load_state_dict(self.state)
+                f"checkpoint {self.fingerprint} has no model spec; pass "
+                "model_spec= to save_checkpoint to make it servable")
+        model = build_model_from_spec(self.model_spec)
+        if self.zero_copy:
+            rebind_parameters(model, self.state)
+        else:
+            model.load_state_dict(self.state)
         return model
+
+
+@dataclass
+class Checkpoint(CheckpointMeta):
+    """A loaded checkpoint: named state + sidecar metadata."""
+
+    state: dict
+    meta: dict
+    path: Path
 
 
 def load_checkpoint(path, *, verify: bool = True) -> Checkpoint:

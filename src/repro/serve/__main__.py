@@ -56,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("spawn", "fork", "forkserver"),
                         help="multiprocessing start method for pool "
                              "replicas")
-    parser.add_argument("--handler-threads", type=int, default=None,
-                        help="concurrent handlers per replica "
-                             "(default: --max-batch-size)")
     parser.add_argument("--no-warm", action="store_true",
                         help="skip the pre-traffic warmup forward pass "
                              "in each replica")
@@ -79,7 +76,6 @@ def main(argv=None) -> int:
             max_batch_size=args.max_batch_size,
             max_delay_ms=args.max_delay_ms,
             cache_entries=args.cache_size,
-            handler_threads=args.handler_threads,
             warm=not args.no_warm, start_method=args.start_method)
         banner = (f"replicas={args.replicas} workers={workers} "
                   f"[{app.fingerprint}] config '{app.config_label}'")

@@ -1,6 +1,7 @@
 """Micro-batching: coalesce concurrent requests into batched GEMMs.
 
-HTTP handler threads call :meth:`MicroBatcher.submit` and block; a
+Callers queue requests with :meth:`MicroBatcher.enqueue` (a future per
+request) or :meth:`MicroBatcher.submit` (the same, then a wait); a
 single dispatch thread drains the queue, groups up to
 ``max_batch_size`` requests that arrive within ``max_delay_ms`` of the
 first, and runs them through
@@ -48,9 +49,9 @@ class MicroBatcher:
     ``max_batch_size`` bounds the stacked forward pass;
     ``max_delay_ms`` is how long the dispatcher holds the *first*
     request of a batch waiting for companions (the classic
-    latency/throughput knob).  ``submit`` may be called from any number
-    of threads; results propagate through per-request futures,
-    exceptions included.
+    latency/throughput knob).  ``enqueue`` and ``submit`` may be called
+    from any number of threads; results propagate through per-request
+    futures, exceptions included.
     """
 
     def __init__(self, session, max_batch_size: int = 8,
@@ -87,24 +88,23 @@ class MicroBatcher:
             self._thread.start()
         return self
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the dispatch loop (pending requests are still served)."""
+    def close(self) -> None:
+        """Stop the dispatch loop; return once every queued request is
+        answered and its future's callbacks have run."""
         with self._close_lock:
             if self._thread is None or self._closed:
                 return
             self._closed = True
             self._queue.put(_SENTINEL)
-        self._thread.join(timeout=timeout)
+        self._thread.join()
 
     # ------------------------------------------------------------------
-    def submit(self, x: np.ndarray,
-               key: Optional[Tuple[int, ...]] = None) -> np.ndarray:
-        """Enqueue one sample and block until its logits are ready.
-
+    def enqueue(self, x: np.ndarray,
+                key: Optional[Tuple[int, ...]] = None) -> Future:
+        """Queue one sample; the future resolves to its logits (or its
+        batch's error) on the dispatch thread, which runs its callbacks.
         ``key`` is the request's spawn key (from
-        :meth:`InferenceSession.content_key`); derived from the input
-        when omitted.
-        """
+        :meth:`InferenceSession.content_key`), derived when omitted."""
         future: Future = Future()
         with self._close_lock:
             if self._closed:
@@ -112,7 +112,12 @@ class MicroBatcher:
             if self._thread is None:
                 self.start()
             self._queue.put(_Request(np.asarray(x), key, future))
-        return future.result()
+        return future
+
+    def submit(self, x: np.ndarray,
+               key: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+        """:meth:`enqueue`, then wait for the logits."""
+        return self.enqueue(x, key).result()
 
     # ------------------------------------------------------------------
     def _collect(self, first: _Request) -> Tuple[List[_Request], bool]:
@@ -155,11 +160,13 @@ class MicroBatcher:
                 for request in batch:
                     request.future.set_exception(error)
                 return
-        for request, result in zip(batch, results):
-            request.future.set_result(result)
+        # count the batch before any answer leaves: a caller that reads
+        # the metrics after its answer sees its batch
         self._batches.inc()
         self._samples.inc(len(batch))
         self._max_batch.set_max(len(batch))
+        for request, result in zip(batch, results):
+            request.future.set_result(result)
 
     def _loop(self) -> None:
         while True:

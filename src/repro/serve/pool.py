@@ -56,16 +56,17 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..emu.config import GemmConfig
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
-from .server import ServerApp, stats_view
-from .session import InferenceSession, request_content_key, validate_payload
+from .server import ServerApp, respond, stats_view
+from .session import InferenceSession, request_content_key, validate_request
 from .shm import SharedCheckpoint
 
 #: Cross-process message size guard is left to the OS pipe; request
@@ -91,9 +92,9 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
     """Replica entry point: attach, build, warm, then serve the pipe.
 
     Runs a full :class:`ServerApp` (micro-batcher + response cache) in
-    this process; ``options['handler_threads']`` handler threads pull
-    predict messages concurrently so the batcher can coalesce them,
-    exactly as HTTP threads do in the single-process server.
+    this process, with no handler threads: the receive loop hands each
+    ``predict`` to :meth:`ServerApp.enqueue_json`, and its future sends
+    the ``result``, so concurrent requests fill the batcher's batches.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # parent owns ^C
     send_lock = threading.Lock()
@@ -104,7 +105,7 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
 
     try:
         shared = SharedCheckpoint.attach(spec)
-        session = InferenceSession.from_shared(
+        session = InferenceSession.from_checkpoint(
             shared, workers=options["workers"])
         app = ServerApp(session, max_batch_size=options["max_batch_size"],
                         max_delay_ms=options["max_delay_ms"],
@@ -120,24 +121,13 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
         send(("fatal", f"{type(error).__name__}: {error}"))
         return
 
-    handlers = ThreadPoolExecutor(
-        max_workers=options["handler_threads"],
-        thread_name_prefix="replica-handler")
-
-    def handle_predict(req_id: int, payload: dict) -> None:
-        try:
-            body, status = app.predict_json(payload), 200
-        except (ValueError, KeyError, TypeError) as error:
-            app.record_error()
-            body, status = {"error": str(error)}, 400
-        # reprolint: disable=HYG-EXCEPT  mirror of the HTTP boundary:
-        # an unexpected per-request failure must become a 500 result on
-        # the pipe, not a dead handler thread
-        except Exception as error:
-            app.record_error()
-            body = {"error": f"{type(error).__name__}: {error}"}
-            status = 500
-        send(("result", req_id, status, body))
+    def reply(req_id: int, call) -> None:
+        """Send ``call()``'s answer, or its future's once that is done."""
+        status, body = respond(app, call)
+        if isinstance(body, Future):
+            body.add_done_callback(lambda done: reply(req_id, done.result))
+        else:
+            send(("result", req_id, status, body))
 
     send(("ready", os.getpid(), session.fingerprint))
     while True:
@@ -149,12 +139,11 @@ def _worker_main(spec: dict, options: dict, conn) -> None:
         if kind == "exit":
             break
         if kind == "predict":
-            handlers.submit(handle_predict, message[1], message[2])
+            reply(message[1], lambda: app.enqueue_json(message[2]))
         elif kind == "metrics":
             # plain-data snapshot of every registry in *this* process
             send(("result", message[1], 200, app.metrics_snapshot()))
-    handlers.shutdown(wait=True)      # finish in-flight, answer all
-    app.close()
+    app.close()     # answers every queued request before it returns
     send(("bye",))
     conn.close()
 
@@ -305,9 +294,6 @@ class ReplicaPool:
         pool).
     max_batch_size, max_delay_ms, cache_entries:
         Per-replica micro-batcher / response-cache knobs.
-    handler_threads:
-        Concurrent request handlers inside each replica (default:
-        ``max_batch_size``, so a replica's micro-batches can fill).
     warm:
         Run one representative forward pass in each replica before it
         takes traffic (at spawn, not on the first real request).
@@ -322,7 +308,6 @@ class ReplicaPool:
     def __init__(self, checkpoint, *, replicas: int = 2, workers: int = 1,
                  max_batch_size: int = 8, max_delay_ms: float = 2.0,
                  cache_entries: int = 1024,
-                 handler_threads: Optional[int] = None,
                  warm: bool = True, start_method: str = "spawn",
                  request_timeout: float = 120.0,
                  ready_timeout: float = 120.0):
@@ -334,9 +319,6 @@ class ReplicaPool:
             "max_batch_size": int(max_batch_size),
             "max_delay_ms": float(max_delay_ms),
             "cache_entries": int(cache_entries),
-            "handler_threads": int(handler_threads
-                                   if handler_threads is not None
-                                   else max_batch_size),
             "warm": bool(warm),
         }
         self.request_timeout = float(request_timeout)
@@ -404,12 +386,11 @@ class ReplicaPool:
 
     @property
     def input_spec(self) -> Optional[dict]:
-        return (self._shared.model_spec or {}).get("input")
+        return self._shared.input_spec
 
     @property
     def config_label(self) -> str:
-        config = self._shared.gemm_config()
-        return config.label if config is not None else "FP32 baseline"
+        return (self._shared.gemm_config() or GemmConfig()).label
 
     @property
     def generation(self) -> int:
@@ -454,9 +435,7 @@ class ReplicaPool:
         maps it to 400) and :class:`ReplicaError` when no replica could
         answer within the crash-retry budget.
         """
-        if not isinstance(payload, dict) or "input" not in payload:
-            raise ValueError('request body must be {"input": ...}')
-        arr = validate_payload(self.input_spec, payload["input"])
+        arr = validate_request(self.input_spec, payload)
         cache_key, _ = request_content_key(self.fingerprint, arr)
         start = time.monotonic()
         cm = _trace.span("serve/route") if _trace.active else _trace.NULL
@@ -507,9 +486,7 @@ class ReplicaPool:
         Verification hook: the cross-replica bit-identity suite sends
         the same request to every index and asserts byte-equal logits.
         """
-        if not isinstance(payload, dict) or "input" not in payload:
-            raise ValueError('request body must be {"input": ...}')
-        arr = validate_payload(self.input_spec, payload["input"])
+        arr = validate_request(self.input_spec, payload)
         replicas = self.replicas()
         if not 0 <= index < len(replicas):
             raise ValueError(f"replica index {index} out of range "

@@ -26,7 +26,7 @@ Launch from a checkpoint::
     curl -s -X POST localhost:8000/predict -d '{"input": [...]}'
 
 The server is a ``ThreadingHTTPServer``: handler threads block in
-:meth:`repro.serve.batcher.MicroBatcher.submit` while the single
+:meth:`ServerApp.predict_json` while the micro-batcher's single
 dispatch thread runs the coalesced forward passes.
 """
 
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from ..obs.metrics import (
 )
 from .batcher import MicroBatcher
 from .cache import ResponseCache
-from .session import InferenceSession
+from .session import InferenceSession, validate_request
 
 #: Largest request body the handler reads, in bytes.  The largest valid
 #: payload, a 3x32x32 image as JSON, is under 100 KB; a longer declared
@@ -129,13 +130,32 @@ def stats_view(snapshot: dict, pooled: bool = False, **live) -> dict:
     return stats
 
 
+def respond(app, call: Callable[[], dict]) -> Tuple[int, dict]:
+    """``(status, body)`` of one request: 200 with ``call()``'s body, or
+    a counted 400 (``ValueError``, ``KeyError``, ``TypeError``) or 500
+    (any other error).  The HTTP handler and the pool replicas answer
+    every request through it."""
+    try:
+        return 200, call()
+    except (ValueError, KeyError, TypeError) as error:
+        status, message = 400, str(error)
+    # reprolint: disable=HYG-EXCEPT  last-resort request boundary: an
+    # unexpected failure must become a counted 500 answer, not a
+    # dropped connection or a replica that never answers
+    except Exception as error:
+        status, message = 500, f"{type(error).__name__}: {error}"
+    app.record_error()
+    return status, {"error": message}
+
+
 class ServerApp:
     """Session + batcher + cache + counters behind the HTTP handler.
 
-    Usable without HTTP too (the benchmark drives it directly)::
+    Usable without HTTP too::
 
         app = ServerApp(session, max_batch_size=8, cache_entries=256)
-        result = app.predict(x)
+        body = app.predict_json({"input": x})          # blocking
+        app.enqueue_json({"input": x}).add_done_callback(reply)
         app.stats()["latency_ms"]["p99"]
     """
 
@@ -154,31 +174,52 @@ class ServerApp:
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------
-    def predict(self, x) -> Tuple[np.ndarray, bool, str]:
-        """Serve one input; returns (logits, cache hit?, content key)."""
-        arr = self.session.validate_input(x)
-        cache_key, spawn_key = self.session.content_key(arr)
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return cached, True, cache_key
-        logits = self.batcher.submit(arr, spawn_key)
-        self.cache.put(cache_key, logits)
-        return logits, False, cache_key
+    def enqueue_json(self, payload: dict) -> Future:
+        """Serve one ``{"input": ...}`` request without blocking.
+
+        A malformed payload raises here.  The future resolves to the
+        body ``{"logits", "cached", "key", "latency_ms"}`` or to the
+        batch's error: at once for a cache hit, else on the
+        micro-batcher's dispatch thread, which runs its callbacks.
+        """
+        start = time.monotonic()
+        span = _trace.span("serve/request") if _trace.active else None
+        if span is not None:   # closed on the thread that answers
+            span.__enter__()
+        arr = validate_request(self.session.input_spec, payload)
+        key, spawn_key = self.session.content_key(arr)
+        hit = self.cache.get(key)
+        if hit is None:
+            pending = self.batcher.enqueue(arr, spawn_key)
+        else:
+            pending = Future()
+            pending.set_result(hit)
+        response: Future = Future()
+
+        def answer(done: Future) -> None:
+            error = done.exception()
+            if error is not None:
+                response.set_exception(error)
+                return
+            if hit is None:
+                self.cache.put(key, done.result())
+            latency_ms = 1000.0 * (time.monotonic() - start)
+            self._requests.inc()
+            self._latency.observe(latency_ms)
+            if span is not None:
+                span.set(key=key[:12], cached=hit is not None)
+                span.__exit__(None, None, None)
+            response.set_result({
+                "logits": np.asarray(done.result()).tolist(),
+                "cached": hit is not None, "key": key,
+                "latency_ms": round(latency_ms, 3)})
+
+        pending.add_done_callback(answer)
+        return response
 
     def predict_json(self, payload: dict) -> dict:
-        if not isinstance(payload, dict) or "input" not in payload:
-            raise ValueError('request body must be {"input": ...}')
-        start = time.monotonic()
-        cm = _trace.span("serve/request") if _trace.active else _trace.NULL
-        with cm as sp:
-            logits, cached, key = self.predict(payload["input"])
-            if sp is not None:
-                sp.set(key=key[:12], cached=cached)
-        latency_ms = 1000.0 * (time.monotonic() - start)
-        self._requests.inc()
-        self._latency.observe(latency_ms)
-        return {"logits": np.asarray(logits).tolist(), "cached": cached,
-                "key": key, "latency_ms": round(latency_ms, 3)}
+        """:meth:`enqueue_json`, then wait for the response body."""
+        return self.enqueue_json(payload).result()
 
     def record_error(self) -> None:
         self._errors.inc()
@@ -301,19 +342,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        try:
-            payload = json.loads(body or b"{}")
-            self._send_json(200, handler(payload))
-        except (ValueError, KeyError, TypeError) as error:
-            self.app.record_error()
-            self._send_json(400, {"error": str(error)})
-        # reprolint: disable=HYG-EXCEPT  last-resort HTTP boundary: an
-        # unexpected failure must become a 500 response (and an /stats
-        # error count), not a silently dropped connection
-        except Exception as error:  # pragma: no cover - defensive
-            self.app.record_error()
-            self._send_json(500, {"error": f"{type(error).__name__}: "
-                                           f"{error}"})
+        self._send_json(*respond(
+            self.app, lambda: handler(json.loads(body or b"{}"))))
 
 
 def make_server(app: ServerApp, host: str = "127.0.0.1",

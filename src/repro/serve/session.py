@@ -40,7 +40,7 @@ import numpy as np
 
 from ..emu.config import GemmConfig
 from ..emu.parallel import QuantizedGemm
-from ..nn.checkpoint import Checkpoint, load_checkpoint, state_fingerprint
+from ..nn.checkpoint import CheckpointMeta, load_checkpoint, state_fingerprint
 from ..nn.module import Module
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
@@ -112,6 +112,13 @@ def validate_payload(spec: Optional[dict], x) -> np.ndarray:
         raise ValueError(
             f"expected input shape {expect}, got {arr.shape}")
     return _finite(arr)
+
+
+def validate_request(spec: Optional[dict], payload) -> np.ndarray:
+    """:func:`validate_payload` of a ``{"input": ...}`` request body."""
+    if not isinstance(payload, dict) or "input" not in payload:
+        raise ValueError('request body must be {"input": ...}')
+    return validate_payload(spec, payload["input"])
 
 
 class InferenceSession:
@@ -186,11 +193,6 @@ class InferenceSession:
         :func:`request_content_key`."""
         return request_content_key(self.fingerprint, x)
 
-    def validate_input(self, x: np.ndarray) -> np.ndarray:
-        """Coerce one request payload to the model's input dtype/shape
-        — see :func:`validate_payload`."""
-        return validate_payload(self.input_spec, x)
-
     # ------------------------------------------------------------------
     def predict_batch(self, inputs: Sequence[np.ndarray],
                       keys: Optional[Sequence[Tuple[int, ...]]] = None
@@ -252,37 +254,16 @@ class InferenceSession:
         return self._gemm.call_count
 
     @classmethod
-    def from_checkpoint(cls, path, *, workers: int = 1) -> "InferenceSession":
+    def from_checkpoint(cls, checkpoint, *,
+                        workers: int = 1) -> "InferenceSession":
         """Build a session from a checkpoint written by
         :func:`repro.nn.checkpoint.save_checkpoint` (the sidecar must
-        carry a model spec)."""
-        ckpt: Checkpoint = load_checkpoint(path)
-        model = ckpt.build_model()
-        return cls(model, ckpt.gemm_config(), workers=workers,
-                   fingerprint=ckpt.fingerprint,
-                   input_spec=(ckpt.model_spec or {}).get("input"))
-
-    @classmethod
-    def from_shared(cls, shared, *, workers: int = 1) -> "InferenceSession":
-        """Build a session over an attached shared-memory checkpoint.
-
-        ``shared`` is a :class:`repro.serve.shm.SharedCheckpoint`
-        (attached in this process).  The model's parameters are rebound
-        to the segment's read-only views with **zero copies**
-        (:func:`repro.nn.checkpoint.rebind_parameters`): every replica
-        of a pool reads the same physical weight bytes, and the session
-        never writes to them.
-        """
-        from ..models.registry import build_model_from_spec
-        from ..nn.checkpoint import rebind_parameters
-
-        model_spec = shared.model_spec
-        if model_spec is None:
-            raise ValueError(
-                "shared checkpoint carries no model spec; it was not "
-                "published from a servable checkpoint")
-        model = build_model_from_spec(model_spec)
-        rebind_parameters(model, shared.state)
-        return cls(model, shared.gemm_config(), workers=workers,
-                   fingerprint=shared.fingerprint,
-                   input_spec=(model_spec or {}).get("input"))
+        carry a model spec): a path, a loaded checkpoint, or an attached
+        :class:`repro.serve.shm.SharedCheckpoint`, whose model reads the
+        segment's weight bytes with zero copies (every replica of a pool
+        reads the same physical bytes, and never writes them)."""
+        if not isinstance(checkpoint, CheckpointMeta):
+            checkpoint = load_checkpoint(checkpoint)
+        return cls(checkpoint.build_model(), checkpoint.gemm_config(),
+                   workers=workers, fingerprint=checkpoint.fingerprint,
+                   input_spec=checkpoint.input_spec)

@@ -10,7 +10,7 @@ shared-memory segment so that every replica process of a pool
   the payload.
 * **attach** (replica worker) — map the segment by name, check the
   digest, and expose each array as a **read-only** NumPy view.
-  :meth:`repro.serve.session.InferenceSession.from_shared` rebinds the
+  :meth:`repro.serve.session.InferenceSession.from_checkpoint` rebinds the
   rebuilt model's parameters to those views with zero copies.
 
 Lifecycle: the publisher owns the segment and is the only process that
@@ -28,7 +28,7 @@ Example::
     spec = shared.spec                                 # picklable
     # ... in the worker process ...
     attached = SharedCheckpoint.attach(spec)
-    session = InferenceSession.from_shared(attached)
+    session = InferenceSession.from_checkpoint(attached)
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..nn.checkpoint import Checkpoint, load_checkpoint
+from ..nn.checkpoint import Checkpoint, CheckpointMeta, load_checkpoint
 
 #: Byte alignment of each array inside the segment.
 _ALIGN = 64
@@ -90,18 +90,23 @@ def _suppress_tracking():
         resource_tracker.register = original
 
 
-class SharedCheckpoint:
+class SharedCheckpoint(CheckpointMeta):
     """A checkpoint's state, resident in one shared segment.
 
     Build with :meth:`publish` (owner side) or :meth:`attach` (worker
     side); never directly.  ``spec`` round-trips the attachment info
     through pickling (it is what a pool sends to a spawned worker).
+    Its :meth:`build_model` rebinds the model's parameters to the
+    segment's read-only views with **zero copies**.
     """
+
+    zero_copy = True
 
     def __init__(self, shm: shared_memory.SharedMemory, manifest: dict,
                  *, owner: bool):
         self._shm = shm
         self.manifest = manifest
+        self.meta = manifest["meta"]
         self.owner = owner
         self._views: Optional[Dict[str, np.ndarray]] = None
         self._closed = False
@@ -147,7 +152,6 @@ class SharedCheckpoint:
             view[...] = value
         manifest = {
             "format_version": 1,
-            "fingerprint": ckpt.fingerprint,
             "meta": ckpt.meta,
             "nbytes": nbytes,
             "digest": _payload_digest(shm.buf, nbytes),
@@ -210,31 +214,6 @@ class SharedCheckpoint:
     @property
     def nbytes(self) -> int:
         return int(self.manifest["nbytes"])
-
-    @property
-    def fingerprint(self) -> str:
-        return self.manifest["fingerprint"]
-
-    @property
-    def meta(self) -> dict:
-        return self.manifest["meta"]
-
-    @property
-    def model_spec(self) -> Optional[dict]:
-        return self.meta.get("model")
-
-    @property
-    def gemm_spec(self) -> Optional[dict]:
-        return self.meta.get("gemm")
-
-    def gemm_config(self):
-        """The datapath config the weights were trained for (or ``None``
-        for the exact FP64 baseline)."""
-        if self.gemm_spec is None:
-            return None
-        from ..emu.config import GemmConfig
-
-        return GemmConfig.from_spec(self.gemm_spec)
 
     def verify(self) -> bool:
         """Does the segment payload still hash to the manifest digest?"""

@@ -11,6 +11,8 @@ The load-bearing guarantees:
   structures and coincide with known paths at the degenerate widths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -526,6 +528,36 @@ class TestSumReduce:
             out = sum_reduce(values, cfg, axis=-1)
             assert np.shape(out) == (), order
             assert np.array_equal(out, quantize(out, FP16, "toward_zero"))
+
+
+class TestNonFiniteOperandsQuiet:
+    """inf * 0 and inf - inf in a GEMM or a reduction raise no
+    ``RuntimeWarning`` from any engine: every seed loop runs under
+    ``np.errstate(invalid="ignore")``, as the kernel's specification
+    loop does, so an overflowing training step cannot flood stderr."""
+
+    A = np.array([[np.inf, 1.0], [0.0, 1.0]])
+    B = np.array([[1.0, 0.0], [-np.inf, 1.0]])
+    TERMS = np.array([[np.inf, 1.0], [-np.inf, 2.0], [1.0, np.nan]])
+
+    @pytest.mark.parametrize("order", ["sequential", "pairwise",
+                                       "chunked(1)", "chunked(2)"])
+    def test_no_runtime_warning(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = matmul(self.A, self.B,
+                         GemmConfig.sr(13, seed=1, accum_order=order))
+            sums = sum_reduce(self.TERMS, GemmConfig.sr(
+                13, seed=1, accum_order=order), axis=0)
+        assert np.isnan(out[0]).all()           # inf * 0, inf - inf
+        assert out[1].tolist() == [-np.inf, 1.0]
+        assert np.isnan(sums).all()
+
+
+@pytest.mark.usefixtures("numpy_mac_loop")
+class TestNonFiniteOperandsQuietNumpyLoop(TestNonFiniteOperandsQuiet):
+    """The same cases on the no-compiler tier: the seed loop and the
+    reference cast."""
 
 
 @pytest.mark.usefixtures("numpy_mac_loop")

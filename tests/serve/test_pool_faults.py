@@ -13,6 +13,9 @@ reproducibility contract:
   baseline (never a torn mix); the old segment is unlinked afterwards.
 * **Non-finite input** — the router rejects NaN and infinity before
   any replica or cache sees the request.
+
+A replica validates every request again, so a malformed ``predict``
+sent straight down its pipe is a counted 400 that fails only itself.
 """
 
 import glob
@@ -182,3 +185,35 @@ class TestNonFiniteInput:
             assert stats["replica_requests"] == 0
             assert stats["replica_errors"] == 0
             assert stats["router"]["hits"] + stats["router"]["misses"] == 0
+
+
+class TestReplicaErrorPath:
+    def test_malformed_predict_is_a_counted_400(self, serve_checkpoint,
+                                                rng):
+        """Bodies the router would reject, sent straight to a replica:
+        each is answered 400 and counted in ``replica_errors``, and the
+        replica then answers a valid request with the baseline's bits."""
+        path = serve_checkpoint("sr_r9")
+        x = rng.normal(size=(3, 8, 8)).tolist()
+        want = _baseline_bytes(path, [x])[0]
+        image = np.zeros((3, 8, 8))
+        image[0, 0, 0] = np.nan
+        malformed = [{"input": [[0.0]]}, {"wrong_field": 1},
+                     "not even a dict", {"input": image}]
+        with ReplicaPool(path, replicas=1, start_method="fork",
+                         max_delay_ms=1.0) as pool:
+            replica = pool.replicas()[0]
+            for payload in malformed:
+                status, body = replica.request(
+                    "predict", payload).result(timeout=60)
+                assert status == 400, (payload, body)
+                assert body["error"]
+            stats = pool.stats()
+            assert stats["replica_errors"] == len(malformed)
+            assert stats["replica_requests"] == 0
+            assert stats["errors"] == 0   # the router saw none of them
+
+            assert response_bytes(pool.predict_on(0, {"input": x})) == want
+            stats = pool.stats()
+            assert stats["replica_requests"] == 1
+            assert stats["replica_errors"] == len(malformed)

@@ -11,6 +11,7 @@ logits.
 """
 
 import json
+import sys
 import threading
 import urllib.request
 
@@ -73,6 +74,43 @@ def test_spawn_start_method_identical(serve_checkpoint, rng):
             for index in range(2):
                 assert response_bytes(
                     pool.predict_on(index, {"input": x})) == reference
+
+
+def test_concurrent_burst_fills_batches(serve_checkpoint, rng):
+    """3 x ``max_batch_size`` concurrent requests on one replica: they
+    queue on its micro-batcher, whose batches fill, every answer keeps
+    the baseline's bits, and no counter update is lost although the
+    replica's receive loop and dispatch thread switch every 10 us."""
+    max_batch = 4
+    path = serve_checkpoint("sr_r9")
+    inputs = _inputs(rng, n=3 * max_batch)
+    want = _baseline_bytes(path, inputs)
+    got = [None] * len(inputs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # inherited by the forked replicas
+    try:
+        with ReplicaPool(path, replicas=2, start_method="fork",
+                         max_batch_size=max_batch,
+                         max_delay_ms=500.0) as pool:
+
+            def client(i):
+                got[i] = response_bytes(
+                    pool.predict_on(0, {"input": inputs[i]}))
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            stats = pool.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert stats["replica_requests"] == len(inputs)
+    assert stats["batcher"]["samples"] == len(inputs)
+    assert stats["batcher"]["max_batch"] == max_batch
 
 
 def _post(url, payload, timeout=60):

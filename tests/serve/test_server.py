@@ -205,6 +205,34 @@ class TestServingEndToEnd:
             running.stop()
 
 
+class TestErrorMapping:
+    """``respond`` is the one error mapping of the HTTP handler and the
+    pool replicas: a bad request is a counted 400, any other failure a
+    counted 500."""
+
+    class _App:
+        errors = 0
+
+        def record_error(self):
+            self.errors += 1
+
+    @staticmethod
+    def _raise(error):
+        def call():
+            raise error
+        return call
+
+    def test_statuses_and_counts(self):
+        app = self._App()
+        assert server_mod.respond(app, lambda: {"ok": 1}) == (200, {"ok": 1})
+        for error in (ValueError("v"), KeyError("k"), TypeError("t")):
+            assert server_mod.respond(app, self._raise(error)) == \
+                (400, {"error": str(error)})
+        assert server_mod.respond(app, self._raise(RuntimeError("x"))) \
+            == (500, {"error": "RuntimeError: x"})
+        assert app.errors == 4
+
+
 class TestRequestBody:
     """A bad ``Content-Length`` is answered, and counted, before any of
     the body is read; a client that sends less than it declared is cut

@@ -19,6 +19,7 @@ from repro.nn.functional import im2col
 from repro.nn.layers import Conv2d, Flatten, Linear
 from repro.prng.streams import LFSRStream
 from repro.serve import InferenceSession
+from repro.serve.session import validate_payload
 
 MAX_BATCH = 8
 
@@ -230,30 +231,32 @@ class TestContentKeys:
 
 
 class TestValidateInput:
+    """A session's input spec, as the server validates each request."""
+
     def test_image_shape_enforced(self, images):
         session = _cnn_session(
             _sr(9), input_spec={"kind": "image", "shape": [3, 8, 8]})
-        assert session.validate_input(images[0]).shape == (3, 8, 8)
+        spec = session.input_spec
+        assert validate_payload(spec, images[0]).shape == (3, 8, 8)
         with pytest.raises(ValueError, match="expected input shape"):
-            session.validate_input(np.zeros((3, 4, 4)))
+            validate_payload(spec, np.zeros((3, 4, 4)))
 
     def test_tokens_validated(self):
         spec = {"kind": "tokens", "seq_len": 6, "vocab_size": 16}
         session = InferenceSession(
             TinyTransformer(16, 4, d_model=8, n_heads=2, max_len=8, seed=0),
             _sr(9), input_spec=spec)
-        out = session.validate_input([1.0, 2, 3, 4, 5, 6])
+        assert session.input_spec == spec
+        out = validate_payload(spec, [1.0, 2, 3, 4, 5, 6])
         assert out.dtype == np.int64
         with pytest.raises(ValueError, match="token ids"):
-            session.validate_input([99, 0, 0, 0, 0, 0])
+            validate_payload(spec, [99, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="integral"):
-            session.validate_input([0.5, 0, 0, 0, 0, 0])
+            validate_payload(spec, [0.5, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="token shape"):
-            session.validate_input([1, 2, 3])
+            validate_payload(spec, [1, 2, 3])
 
     def test_non_finite_rejected(self):
-        from repro.serve.session import validate_payload
-
         specs = [None, {"kind": "image", "shape": [2]},
                  {"kind": "tokens", "seq_len": 2, "vocab_size": 4}]
         for spec in specs:

@@ -56,10 +56,11 @@ class TestPublishAttach:
                     np.ascontiguousarray(local[name]).tobytes(), name
 
     def test_session_shares_segment_memory(self, serve_checkpoint):
-        """``from_shared`` rebinds parameters with zero copies."""
+        """A session over the segment rebinds parameters with zero
+        copies."""
         with SharedCheckpoint.publish(serve_checkpoint("sr_r9")) as shared:
             attached = SharedCheckpoint.attach(shared.spec)
-            session = InferenceSession.from_shared(attached)
+            session = InferenceSession.from_checkpoint(attached)
             params = {name: parameter.data for name, parameter
                       in session.model.named_parameters()}
             shared_params = [
